@@ -6,13 +6,13 @@
 // HOTSPOT_MICRO_SMOKE=1 switches to a seconds-scale correctness smoke
 // (the ctest registration, label `adapt`) with three legs:
 //
-//   1. baseline — the champion alone through the staged pipeline (the
+//   1. baseline — the champion alone through the serving pipeline (the
 //      tail of the stream timed, once warm);
 //   2. shadow — the same stream with an AdaptationController holding a
 //      challenger in permanent shadow (losslessness and the adapt/
 //      counters checked on the live run), plus a single-threaded replay
-//      of exactly the work the taps add to the serving stages: the
-//      replay over the baseline's stage busy-seconds is the serving-path
+//      of exactly the work the taps add to the serving worker: the
+//      replay over the baseline's phase busy-seconds is the serving-path
 //      overhead percentage, which must stay ≤ 10 (the budget DESIGN §14
 //      promises; enforced in uninstrumented builds — the shadow's own
 //      Predict runs off the serving path and is deliberately excluded);
@@ -152,8 +152,9 @@ int64_t StreamOnce(AdaptFixture& fixture, pipeline::ServingPipeline* serving,
   return rows;
 }
 
-/// Total wall time spent inside the four serving-stage handlers — the
-/// serving path's own cost, excluding queue waits.
+/// Total wall time the worker spent inside the four serving phases (the
+/// sum of the phase timers) — the serving path's own cost, excluding
+/// ingress waits.
 double ServingBusySeconds(const pipeline::ServingPipeline& serving) {
   double total = 0.0;
   for (const pipeline::StageStats& stage : serving.StageSnapshot()) {
@@ -162,11 +163,11 @@ double ServingBusySeconds(const pipeline::ServingPipeline& serving) {
   return total;
 }
 
-/// The synchronous work the controller's taps add to the serving stages,
+/// The synchronous work the controller's taps add to the serving worker,
 /// replayed single-threaded: the per-row FeatureCapture append (the
-/// literal features-stage tap code path), one deep copy of the predict
+/// literal features-phase tap code path), one deep copy of the predict
 /// window tensor per teed batch, and the per-batch/per-day score and
-/// label map copies on the monitor stage. The shadow service's Predict
+/// label map copies in the monitor phase. The shadow service's Predict
 /// is deliberately absent — it runs on the controller's own thread, off
 /// the serving path; that is the point of the design. This replay is the
 /// number the ≤ 10% budget governs: on a host with fewer cores than
@@ -259,7 +260,7 @@ bool WriteAdaptJson(const std::string& path, const AdaptFixture& fixture,
                "until PromoteBundle; the serving path pays only the taps' "
                "synchronous work (capture append, window copy, score/label "
                "retention), measured by single-threaded replay against the "
-               "baseline stage busy-seconds, within the 10%% budget; a "
+               "baseline phase busy-seconds, within the 10%% budget; a "
                "full retrain-from-capture and RCU promotion complete "
                "without pausing the stream\"\n");
   std::fprintf(file, "}\n");

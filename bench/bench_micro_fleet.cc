@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the sharded serving fleet:
 // end-to-end rows/sec through fleet::ForecastFleet at 1/2/4/8 shards
-// (the scale-out curve — each shard is an independent four-stage
-// ServingPipeline over its own sector slice), plus the RCU hot-swap cost
-// under live load.
+// (the scale-out curve — each shard is an independent ServingPipeline
+// over its own sector slice, one worker thread each), plus the RCU
+// hot-swap cost under live load.
 //
 // HOTSPOT_MICRO_SMOKE=1 switches to a seconds-scale correctness smoke
 // (the ctest registration, label `fleet`): streams a small study through

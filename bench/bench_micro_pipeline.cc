@@ -1,17 +1,17 @@
 // google-benchmark microbenchmarks of the data pipeline — score
 // computation, temporal integration, window extraction, the three feature
-// extractors, average precision — plus the staged serving runtime:
-// end-to-end rows/sec through pipeline::ServingPipeline's four
-// backpressured stages.
+// extractors, average precision — plus the serving runtime: end-to-end
+// rows/sec through pipeline::ServingPipeline (four phases run to
+// completion on one worker behind a bounded ingress queue).
 //
 // HOTSPOT_MICRO_SMOKE=1 switches to a seconds-scale correctness smoke
 // (the ctest registration, label `pipeline`): streams a small study
-// through the staged runtime under a live obs::PipelineContext,
-// cross-checks the stream/ and pipeline/ counters against the run's
-// ground truth, and re-verifies the staged-vs-batch bitwise contract.
-// With HOTSPOT_BENCH_JSON=<path> the smoke exports the staged-runtime
-// trajectory (end-to-end rows/sec, per-stage p50/p99 handler latency,
-// queue occupancy) — the checked-in BENCH_micro_pipeline.json. With
+// through the pipeline under a live obs::PipelineContext, cross-checks
+// the stream/ and pipeline/ counters against the run's ground truth, and
+// re-verifies the streamed-vs-batch bitwise contract. With
+// HOTSPOT_BENCH_JSON=<path> the smoke exports the serving trajectory
+// (end-to-end rows/sec, per-phase p50/p99 latency, ingress queue
+// occupancy) — the checked-in BENCH_micro_pipeline.json. With
 // HOTSPOT_OBS_JSON=<path> either mode exports the metrics snapshot.
 #include <benchmark/benchmark.h>
 
@@ -159,11 +159,11 @@ void BM_AveragePrecision(benchmark::State& state) {
 BENCHMARK(BM_AveragePrecision)->Arg(1000)->Arg(20000);
 
 // ---------------------------------------------------------------------------
-// Staged serving runtime
+// Serving runtime
 
 /// The end-to-end fixture: a trained GBDT service over a small synthetic
 /// study (the stream/serve bench recipe), streamed hour-major through
-/// the staged ServingPipeline.
+/// the ServingPipeline.
 struct StagedFixture {
   Study study;
   std::unique_ptr<ForecastService> service;
@@ -206,12 +206,14 @@ StagedFixture& Staged() {
   return *fixture;
 }
 
-/// One full staged run: every KPI row hour-major through the pipeline,
-/// Finish, predictions out. Returns rows pushed.
+/// One full serving run: every KPI row hour-major through the pipeline,
+/// Finish, predictions out. Returns rows pushed; `finished` reports
+/// whether the pipeline drained and joined its worker.
 int64_t StagedServeOnce(StagedFixture& fixture,
                         const pipeline::ServingPipeline::Options& options,
                         std::vector<StreamingPrediction>* served,
-                        std::vector<pipeline::StageStats>* stages) {
+                        std::vector<pipeline::StageStats>* stages,
+                        bool* finished = nullptr) {
   pipeline::ServingPipeline serving(fixture.service.get(), options);
   const Tensor3<float>& kpis = fixture.study.network.kpis;
   int64_t rows = 0;
@@ -224,6 +226,7 @@ int64_t StagedServeOnce(StagedFixture& fixture,
   serving.Finish();
   if (served != nullptr) *served = serving.TakePredictions();
   if (stages != nullptr) *stages = serving.StageSnapshot();
+  if (finished != nullptr) *finished = serving.finished();
   return rows;
 }
 
@@ -245,7 +248,7 @@ void BM_StagedPipelineServe(benchmark::State& state) {
 }
 BENCHMARK(BM_StagedPipelineServe);
 
-/// Per-stage trajectory row assembled from the stage's own books plus the
+/// Per-phase trajectory row assembled from the phase's own books plus the
 /// obs histograms.
 struct StageReport {
   std::string name;
@@ -301,7 +304,7 @@ bool WriteStagedJson(const std::string& path, const StagedFixture& fixture,
   if (file == nullptr) return false;
   std::fprintf(file, "{\n");
   std::fprintf(file, "  \"bench\": \"bench_micro_pipeline\",\n");
-  std::fprintf(file, "  \"trajectory\": \"staged_serving_pipeline\",\n");
+  std::fprintf(file, "  \"trajectory\": \"run_to_completion_pipeline\",\n");
   std::fprintf(file, "  \"sectors\": %d,\n", fixture.study.num_sectors());
   std::fprintf(file, "  \"hours\": %d,\n",
                fixture.study.network.num_hours());
@@ -313,17 +316,24 @@ bool WriteStagedJson(const std::string& path, const StagedFixture& fixture,
   std::fprintf(file, "  \"stages\": [\n");
   for (size_t s = 0; s < reports.size(); ++s) {
     const StageReport& r = reports[s];
-    std::fprintf(
-        file,
-        "    {\"name\": \"%s\", \"items\": %llu, \"busy_seconds\": %.4f, "
-        "\"p50_latency_seconds\": %.6f, \"p99_latency_seconds\": %.6f, "
-        "\"queue_capacity\": %d, \"queue_high_water\": %d, "
-        "\"backpressure_waits\": %llu, \"push_blocked_seconds\": %.4f}%s\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.items),
-        r.busy_seconds, r.p50_latency_seconds, r.p99_latency_seconds,
-        r.queue_capacity, r.queue_high_water,
-        static_cast<unsigned long long>(r.backpressure_waits),
-        r.push_blocked_seconds, s + 1 < reports.size() ? "," : "");
+    std::fprintf(file,
+                 "    {\"name\": \"%s\", \"items\": %llu, "
+                 "\"busy_seconds\": %.4f, \"p50_latency_seconds\": %.6f, "
+                 "\"p99_latency_seconds\": %.6f",
+                 r.name.c_str(), static_cast<unsigned long long>(r.items),
+                 r.busy_seconds, r.p50_latency_seconds,
+                 r.p99_latency_seconds);
+    // Only the ingest phase has a queue (the pipeline's ingress).
+    if (r.queue_capacity > 0) {
+      std::fprintf(file,
+                   ", \"queue_capacity\": %d, \"queue_high_water\": %d, "
+                   "\"backpressure_waits\": %llu, "
+                   "\"push_blocked_seconds\": %.4f",
+                   r.queue_capacity, r.queue_high_water,
+                   static_cast<unsigned long long>(r.backpressure_waits),
+                   r.push_blocked_seconds);
+    }
+    std::fprintf(file, "}%s\n", s + 1 < reports.size() ? "," : "");
   }
   std::fprintf(file, "  ],\n");
   std::fprintf(file, "  \"telemetry_overhead\": {\n");
@@ -339,17 +349,17 @@ bool WriteStagedJson(const std::string& path, const StagedFixture& fixture,
                "exporter and flight recorder live; budget <2%%\"\n");
   std::fprintf(file, "  },\n");
   std::fprintf(file,
-               "  \"contract\": \"staged output bitwise-identical to batch "
-               "PredictAtDay; a full downstream queue blocks upstream Push, "
-               "never drops\"\n");
+               "  \"contract\": \"streamed output bitwise-identical to batch "
+               "PredictAtDay; a full ingress queue blocks Push, never "
+               "drops\"\n");
   std::fprintf(file, "}\n");
   std::fclose(file);
   return true;
 }
 
-/// Seconds-scale smoke: the staged runtime end to end under a live
+/// Seconds-scale smoke: the serving runtime end to end under a live
 /// context — counters cross-checked against ground truth, the bitwise
-/// staged-vs-batch contract re-verified, the trajectory exported.
+/// streamed-vs-batch contract re-verified, the trajectory exported.
 int Smoke() {
   obs::PipelineContext context;
   obs::PipelineContext::ScopedInstall install(&context);
@@ -357,11 +367,12 @@ int Smoke() {
 
   std::vector<StreamingPrediction> served;
   std::vector<pipeline::StageStats> stages;
+  bool finished = false;
   Stopwatch watch;
-  const int64_t rows =
-      StagedServeOnce(fixture, fixture.Options(), &served, &stages);
+  const int64_t rows = StagedServeOnce(fixture, fixture.Options(), &served,
+                                       &stages, &finished);
   const double seconds = watch.ElapsedSeconds();
-  std::printf("staged serve: %lld rows -> %zu batches in %.3fs "
+  std::printf("pipeline serve: %lld rows -> %zu batches in %.3fs "
               "(%.0f rows/sec)\n",
               static_cast<long long>(rows), served.size(), seconds,
               static_cast<double>(rows) / seconds);
@@ -388,17 +399,15 @@ int Smoke() {
   }
   expect_counter("stream/predictions", predictions);
   if (stages.size() != 4) {
-    std::fprintf(stderr, "FAIL: expected 4 stages, got %zu\n",
+    std::fprintf(stderr, "FAIL: expected 4 phases, got %zu\n",
                  stages.size());
     ++failures;
   }
+  if (!finished) {
+    std::fprintf(stderr, "FAIL: pipeline not drained after Finish\n");
+    ++failures;
+  }
   for (const pipeline::StageStats& stage : stages) {
-    if (pipeline::StageStateName(stage.state) != std::string("done")) {
-      std::fprintf(stderr, "FAIL: stage %s not drained (state %s)\n",
-                   stage.name.c_str(),
-                   pipeline::StageStateName(stage.state));
-      ++failures;
-    }
     const uint64_t items =
         context.metrics()
             .counter("pipeline/" + stage.name + "_items")
@@ -413,7 +422,7 @@ int Smoke() {
     }
   }
 
-  // The contract the whole runtime exists to preserve: staged scores ==
+  // The contract the whole runtime exists to preserve: streamed scores ==
   // batch scores, bit for bit.
   const int window_days = fixture.service->bundle().window_days;
   for (const StreamingPrediction& prediction : served) {
@@ -422,14 +431,14 @@ int Smoke() {
     if (batch.size() != prediction.scores.size() ||
         std::memcmp(batch.data(), prediction.scores.data(),
                     batch.size() * sizeof(float)) != 0) {
-      std::fprintf(stderr, "FAIL: staged/batch mismatch at end day %d\n",
+      std::fprintf(stderr, "FAIL: stream/batch mismatch at end day %d\n",
                    prediction.end_day);
       ++failures;
     }
   }
   if (served.empty() ||
       served.front().end_day != window_days) {
-    std::fprintf(stderr, "FAIL: staged serve produced no predictions\n");
+    std::fprintf(stderr, "FAIL: pipeline serve produced no predictions\n");
     ++failures;
   }
 
@@ -437,19 +446,22 @@ int Smoke() {
   const std::vector<StageReport> reports =
       BuildStageReports(stages, snapshot);
   for (const StageReport& r : reports) {
-    std::printf("stage %-8s items=%llu busy=%.1fms p50=%.0fus p99=%.0fus "
-                "queue high-water %d/%d backpressure_waits=%llu\n",
+    std::printf("phase %-8s items=%llu busy=%.1fms p50=%.0fus p99=%.0fus",
                 r.name.c_str(), static_cast<unsigned long long>(r.items),
                 1e3 * r.busy_seconds, 1e6 * r.p50_latency_seconds,
-                1e6 * r.p99_latency_seconds, r.queue_high_water,
-                r.queue_capacity,
-                static_cast<unsigned long long>(r.backpressure_waits));
+                1e6 * r.p99_latency_seconds);
+    if (r.queue_capacity > 0) {
+      std::printf(" queue high-water %d/%d backpressure_waits=%llu",
+                  r.queue_high_water, r.queue_capacity,
+                  static_cast<unsigned long long>(r.backpressure_waits));
+    }
+    std::printf("\n");
   }
 
   // Telemetry-overhead leg: the same workload again, best of N paired
   // runs with and without a live 1 Hz background exporter (the
   // production cadence) over the same context — whose flight recorder
-  // the stages are writing to throughout. The predictions with telemetry
+  // the worker is writing to throughout. The predictions with telemetry
   // must stay bitwise identical to the baseline run above; the
   // throughput delta is the number the <2 % budget in
   // BENCH_micro_pipeline.json tracks (reported, not asserted — sanitizer
@@ -457,7 +469,7 @@ int Smoke() {
   TelemetryOverhead telemetry;
   {
     // Interleaved median-of-N pairs: a single run is scheduler-noisy
-    // (the staged runtime's wall clock swings ±10 % run to run), so the
+    // (the runtime's wall clock swings ±10 % run to run), so the
     // legs alternate to cancel machine drift and the medians — robust
     // against outlier runs in a way minima are not — converge on the
     // true cost. One warmup run absorbs first-touch effects.

@@ -8,7 +8,7 @@
 //      chronically overloaded. The champion's training distribution no
 //      longer matches the world it will serve.
 //   3. Stand up the monitored serving path — ForecastService behind a
-//      staged ServingPipeline — with an adapt::AdaptationController's
+//      ServingPipeline — with an adapt::AdaptationController's
 //      taps attached: feature-row capture, the shadow predict tee, the
 //      champion-score tee and the matured-label tee.
 //   4. Stream the shifted KPI tensor hour-major, polling the controller
@@ -27,11 +27,12 @@
 // Until the promotion lands, champion predictions are bitwise-identical
 // to a controller-free run (the taps are pure observers); the unit suite
 // pins that, this example demonstrates the loop end to end. The
-// narration is timing-dependent: the monitor and capture stages run
-// asynchronously to the day-close Poll, so the exact day each ladder
-// transition lands (and with it the per-generation batch split and the
-// verdict's sample) varies run to run — the closing invariants checked
-// below do not.
+// narration is timing-dependent: the pipeline's worker (capture and
+// monitor taps included) runs asynchronously to the day-close Poll, and
+// retraining and shadow scoring run on the controller's own threads, so
+// the exact day each ladder transition lands (and with it the
+// per-generation batch split and the verdict's sample) varies run to run
+// — the closing invariants checked below do not.
 //
 // Build: cmake -B build -G Ninja && cmake --build build
 // Run:   ./build/examples/example_adapt_live

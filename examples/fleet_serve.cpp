@@ -4,8 +4,8 @@
 //      pack it into a ForecastBundle (the deployable artifact).
 //   2. Stand up a fleet::ForecastFleet: the sector universe sharded
 //      across 4 independent ForecastService replicas by a stable hash,
-//      each behind its own staged ServingPipeline, fed through bounded
-//      ingress queues with admission control.
+//      each behind its own ServingPipeline (one worker thread per shard),
+//      fed through its bounded ingress queue with admission control.
 //   3. Stream the study's KPI tensor hour-major through Fleet::Push —
 //      every row is routed to the shard owning its sector; a saturated
 //      shard sheds with a visible verdict instead of stalling the feed.
@@ -62,7 +62,7 @@ int main() {
 
   // 2. The fleet: 4 shards, stable-hash routing (swap in a
   // PartitionShardMap for geo/archetype partitions), each shard a full
-  // staged pipeline over its own slice of the universe.
+  // serving pipeline over its own slice of the universe.
   obs::PipelineContext context;
   obs::PipelineContext::ScopedInstall install(&context);
 

@@ -5,7 +5,7 @@
 //      process can detect drift without access to the training data.
 //   2. Serve healthy traffic through a pipeline::ServingPipeline — the
 //      monitor config rides in through the pipeline Options, streamed
-//      predictions flow through the monitor stage, and matured
+//      predictions flow through the monitor phase, and matured
 //      ground-truth labels close the quality loop automatically. The
 //      health report stays OK.
 //   3. A regime change hits the network (every sector pushed into
@@ -83,7 +83,7 @@ int main() {
   telemetry.to_stderr = true;
   obs::TelemetryExporter exporter(&context, telemetry);
 
-  // 2. A healthy serving stretch, end to end through the staged pipeline.
+  // 2. A healthy serving stretch, end to end through the pipeline.
   // The tuned monitor config — a drift window wide enough to blend
   // several served days, so the KS tests compare like with like — is
   // part of the pipeline Options, not a separate EnableMonitoring call.
@@ -102,7 +102,7 @@ int main() {
 
     // Hour-major delivery, as live feeds do: predictions stream out as
     // days close, and each target day's matured labels are fed back to
-    // the quality tracker by the monitor stage.
+    // the quality tracker by the monitor phase.
     const int hours = healthy.network.num_hours();
     for (int j = 0; j < hours; ++j) {
       for (int i = 0; i < healthy.num_sectors(); ++i) {

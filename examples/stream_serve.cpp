@@ -1,4 +1,4 @@
-// Streaming serving through the staged pipeline runtime.
+// Streaming serving through the pipeline runtime.
 //
 //   1. Train a GBDT hot-spot forecaster on a small synthetic study and
 //      wrap it in a warm ForecastService (same recipe as
@@ -7,10 +7,10 @@
 //      row by row — the file standing in for a live hourly KPI feed,
 //      late rows, gaps and all.
 //   3. Push every row into a pipeline::ServingPipeline: one facade that
-//      runs ingest → incremental features → predict → monitor as four
-//      concurrent, backpressured stages over bounded queues — no
-//      offline feature-tensor rebuild anywhere on the serving path, and
-//      no hand-wiring of ingestor/engine/runner.
+//      runs ingest → incremental features → predict → monitor to
+//      completion on one worker thread behind a bounded, backpressured
+//      ingress queue — no offline feature-tensor rebuild anywhere on the
+//      serving path, and no hand-wiring of ingestor/engine/runner.
 //
 // The streamed scores are bitwise-identical to the batch
 // PredictAtDay() answers; the example checks that at the end.
@@ -63,9 +63,9 @@ int main() {
     return 1;
   }
 
-  // 3. Stream it through the staged pipeline. Options is the whole
-  // serving configuration in one place — universe, ingest policy, queue
-  // bounds, engine/kernel selection, monitoring — no env vars needed.
+  // 3. Stream it through the pipeline. Options is the whole serving
+  // configuration in one place — universe, ingest policy, ingress bound,
+  // engine/kernel selection, monitoring — no env vars needed.
   obs::PipelineContext context;
   obs::PipelineContext::ScopedInstall install(&context);
 
@@ -93,7 +93,7 @@ int main() {
     std::fprintf(stderr, "ingest failed: %s\n", reader.status().error.c_str());
     return 1;
   }
-  serving.Finish();  // drain every stage, join the pipeline
+  serving.Finish();  // drain the ingress queue, join the worker
 
   std::vector<StreamingPrediction> served = serving.TakePredictions();
   int hot_last = 0;
@@ -118,12 +118,13 @@ int main() {
                   context.metrics().counter("stream/outcomes_recorded")
                       .Total()));
 
-  // Per-stage accounting: items through each stage, busy time, and how
-  // full each queue boundary ever ran.
+  // Per-phase accounting: items through each phase and its busy time;
+  // the ingest line also shows how full the ingress queue ever ran.
+  std::printf("pipeline %s\n", serving.finished() ? "drained" : "live");
   for (const pipeline::StageStats& stage : serving.StageSnapshot()) {
-    std::printf("stage %-8s %-8s in=%llu out=%llu busy=%.1f ms "
+    std::printf("phase %-8s in=%llu out=%llu busy=%.1f ms "
                 "queue high-water %d/%d\n",
-                stage.name.c_str(), pipeline::StageStateName(stage.state),
+                stage.name.c_str(),
                 static_cast<unsigned long long>(stage.items_in),
                 static_cast<unsigned long long>(stage.items_out),
                 1e3 * stage.busy_seconds, stage.input.high_water,

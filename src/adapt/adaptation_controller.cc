@@ -123,7 +123,7 @@ void AdaptationController::OnPredictTee(int end_day, int target_day,
   ShadowWork work;
   work.end_day = end_day;
   work.target_day = target_day;
-  work.windows = windows;  // deep copy: the stage owns the original
+  work.windows = windows;  // deep copy: the pipeline owns the original
   if (options_.shadow_blocking) {
     shadow_queue_.Push(std::move(work));
   } else if (!shadow_queue_.TryPush(work)) {

@@ -92,13 +92,13 @@ struct AdaptOptions {
   /// of maturation slack (checked at construction).
   int capture_weeks = 8;
   /// Shadow tee handoff depth, in batches. In blocking mode a full queue
-  /// backpressures the pipeline's predict stage; otherwise overflow
-  /// batches are dropped and counted under adapt/shadow_dropped.
+  /// backpressures the pipeline's worker; otherwise overflow batches are
+  /// dropped and counted under adapt/shadow_dropped.
   int shadow_queue_capacity = 8;
   /// Lossless (deterministic) shadow scoring: the tee blocks when the
   /// shadow scorer falls behind, so champion and challenger see exactly
   /// the same batches — the mode every test runs. False trades holes in
-  /// the comparison sample for zero added predict-stage latency.
+  /// the comparison sample for zero added predict latency.
   bool shadow_blocking = true;
   /// Fault-injection seam: when set, retraining is bypassed and this
   /// returns the challenger (e.g. a deliberately broken bundle for the
@@ -183,7 +183,7 @@ class AdaptationController {
 
  private:
   /// One queued shadow batch: a deep copy of the windows the champion
-  /// scored, made on the predict stage thread inside the tee.
+  /// scored, made on the pipeline's worker thread inside the tee.
   struct ShadowWork {
     int end_day = 0;
     int target_day = 0;

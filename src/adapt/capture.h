@@ -42,7 +42,7 @@ struct TrainingSlice {
 ///
 /// Rows arrive in per-sector hour order (the engine finalizes in order)
 /// and land in a per-sector ring `capture_weeks` deep. OnRow runs on the
-/// pipeline's features stage thread; Snapshot on the controller's retrain
+/// pipeline's worker thread; Snapshot on the controller's retrain
 /// worker — one mutex covers both (per-row cost is one uncontended lock
 /// plus a memcpy of ~20 floats, noise next to the engine's own work).
 class FeatureCapture {

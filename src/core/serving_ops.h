@@ -38,7 +38,7 @@ struct StreamingPrediction {
 /// [24*end_day - window_hours, 24*end_day) must be finalized and within
 /// the engine's retention for every sector.
 ///
-/// The staged pipeline::ServingPipeline's window-assembly primitive —
+/// The pipeline::ServingPipeline's window-assembly primitive —
 /// one implementation shared with direct callers (tests, tools) is what
 /// keeps streamed and batch scores bitwise-identical by construction.
 Tensor3<float> AssembleServingWindows(

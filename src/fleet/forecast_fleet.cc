@@ -16,14 +16,12 @@ ForecastFleet::ForecastFleet(
   HOTSPOT_CHECK(bundle != nullptr);
   HOTSPOT_CHECK_GT(options_.serving.num_sectors, 0);
   HOTSPOT_CHECK_GT(options_.serving.num_kpis, 0);
-  HOTSPOT_CHECK_GE(options_.ingress_queue_blocks, 1);
   // on_prediction is the fleet's aggregation channel; a caller-supplied
   // delivery callback would race it on the shard pipelines.
   HOTSPOT_CHECK(!options_.serving.on_prediction)
       << "FleetOptions::serving.on_prediction is reserved for the fleet";
   num_sectors_ = options_.serving.num_sectors;
   num_kpis_ = options_.serving.num_kpis;
-  row_block_rows_ = std::max(1, options_.serving.row_block_rows);
 
   map_ = options_.shard_map;
   if (map_ == nullptr) {
@@ -75,20 +73,10 @@ ForecastFleet::ForecastFleet(
     if (options_.shard_options_for_test) {
       options_.shard_options_for_test(shard_index, &serving);
     }
-    shard.ingress = std::make_unique<pipeline::BoundedQueue<pipeline::RowBlock>>(
-        options_.ingress_queue_blocks);
-    shard.open_block.num_kpis = num_kpis_;
+    // shards_ was sized up front and never reallocates, so the shard
+    // index the callback captured stays valid while the worker runs.
     shard.pipeline = std::make_unique<pipeline::ServingPipeline>(
         shard.service.get(), serving);
-  }
-  // Routers start only after every shard is fully built: shards_ never
-  // reallocates again, so the captured indices stay valid.
-  for (int shard_index = 0; shard_index < num_shards; ++shard_index) {
-    if (shards_[static_cast<size_t>(shard_index)].pipeline == nullptr) {
-      continue;
-    }
-    shards_[static_cast<size_t>(shard_index)].router =
-        std::thread([this, shard_index] { RouterLoop(shard_index); });
   }
 }
 
@@ -165,12 +153,13 @@ ForecastFleet::PushVerdict ForecastFleet::Push(int sector, int hour,
   }
   Shard& shard = shards_[static_cast<size_t>(
       shard_of_sector_[static_cast<size_t>(sector)])];
-  // Admission control: make room for the new row before accepting it. A
-  // row is only ever rejected while it is still the caller's — once
-  // appended to the open block it is guaranteed to be served, so shedding
-  // never drops accepted data.
-  if (shard.open_block.rows() >= row_block_rows_ &&
-      !FlushOpenBlock(shard, /*blocking=*/false)) {
+  // Admission control: the shard pipeline refuses the row — still the
+  // caller's — only when its ingress queue is full; an admitted row is
+  // guaranteed to be served, so shedding never drops accepted data.
+  // Admission stamps the row's block, so shard residency and
+  // fleet/shardK/e2e_seconds include the ingress-queue wait.
+  if (!shard.pipeline->TryPush(local_of_sector_[static_cast<size_t>(sector)],
+                               hour, values)) {
     if (rows_rejected_overload_ != nullptr) {
       rows_rejected_overload_->Increment();
     }
@@ -178,52 +167,15 @@ ForecastFleet::PushVerdict ForecastFleet::Push(int sector, int hour,
     RecordReject(PushVerdict::kRejectedOverload, sector, hour);
     return PushVerdict::kRejectedOverload;
   }
-  // Admission is the fleet's ingress-stamp point: residency measured from
-  // here includes the ingress-queue wait. One clock read per block, not
-  // per row — the first admitted row stamps the open block.
-  if (shard.open_block.born_ns == 0) {
-    shard.open_block.born_ns = pipeline::SteadyNowNs();
-  }
-  shard.open_block.sectors.push_back(
-      local_of_sector_[static_cast<size_t>(sector)]);
-  shard.open_block.hours.push_back(hour);
-  shard.open_block.values.insert(shard.open_block.values.end(), values,
-                                 values + num_kpis);
   if (rows_routed_ != nullptr) rows_routed_->Increment();
   if (shard.rows_routed != nullptr) shard.rows_routed->Increment();
   return PushVerdict::kRouted;
 }
 
-bool ForecastFleet::FlushOpenBlock(Shard& shard, bool blocking) {
-  if (shard.open_block.rows() == 0) return true;
-  if (blocking) {
-    pipeline::RowBlock block = std::move(shard.open_block);
-    shard.open_block.Clear();
-    shard.open_block.num_kpis = num_kpis_;
-    shard.ingress->Push(std::move(block));
-    return true;
-  }
-  if (!shard.ingress->TryPush(shard.open_block)) return false;
-  // TryPush moved the block in; reset the husk for the next rows.
-  shard.open_block.Clear();
-  shard.open_block.num_kpis = num_kpis_;
-  return true;
-}
-
 void ForecastFleet::FlushInput() {
   if (input_closed_) return;
   for (Shard& shard : shards_) {
-    if (shard.pipeline == nullptr) continue;
-    FlushOpenBlock(shard, /*blocking=*/true);
-    // The flush request rides the ingress queue as an empty sentinel
-    // block: FIFO puts it behind every row admitted so far, and the
-    // router — the pipeline's only writer — turns it into the pipeline
-    // flush. Calling pipeline->FlushInput() from here would race the
-    // router's concurrent Push (both mutate the pipeline's input block)
-    // and would skip rows still queued ahead of it.
-    pipeline::RowBlock sentinel;
-    sentinel.num_kpis = num_kpis_;
-    shard.ingress->Push(std::move(sentinel));
+    if (shard.pipeline != nullptr) shard.pipeline->FlushInput();
   }
 }
 
@@ -231,43 +183,10 @@ void ForecastFleet::Finish() {
   if (input_closed_) return;
   input_closed_ = true;
   for (Shard& shard : shards_) {
-    if (shard.pipeline == nullptr) continue;
-    FlushOpenBlock(shard, /*blocking=*/true);
-    shard.ingress->Close();
-  }
-  for (Shard& shard : shards_) {
-    if (shard.router.joinable()) shard.router.join();
+    if (shard.pipeline != nullptr) shard.pipeline->Finish();
   }
   PublishFinalStats();
   finished_.store(true, std::memory_order_release);
-}
-
-void ForecastFleet::RouterLoop(int shard_index) {
-  Shard& shard = shards_[static_cast<size_t>(shard_index)];
-  pipeline::RowBlock block;
-  while (shard.ingress->Pop(&block)) {
-    const int rows = block.rows();
-    if (rows == 0) {
-      // FlushInput sentinel (row blocks are never shipped empty): every
-      // row admitted before the flush request has already been pushed,
-      // so flushing here hands the pipeline's whole buffered input
-      // downstream — from the one thread allowed to write the pipeline.
-      shard.pipeline->FlushInput();
-      continue;
-    }
-    for (int r = 0; r < rows; ++r) {
-      // Blocking push: past admission, backpressure — never loss — is the
-      // only flow control, exactly like a single pipeline. The admission
-      // stamp rides along so shard residency includes the ingress wait.
-      shard.pipeline->Push(
-          block.sectors[static_cast<size_t>(r)],
-          block.hours[static_cast<size_t>(r)],
-          block.values.data() + static_cast<size_t>(r) * block.num_kpis,
-          block.num_kpis, block.born_ns);
-    }
-  }
-  // Ingress closed and drained: ripple the drain through the pipeline.
-  shard.pipeline->Finish();
 }
 
 void ForecastFleet::OnShardPrediction(int shard_index,
@@ -461,8 +380,8 @@ pipeline::QueueStats ForecastFleet::IngressStats(int shard) const {
   HOTSPOT_CHECK_GE(shard, 0);
   HOTSPOT_CHECK_LT(shard, num_shards());
   const Shard& target = shards_[static_cast<size_t>(shard)];
-  if (target.ingress == nullptr) return pipeline::QueueStats{};
-  return target.ingress->Stats();
+  if (target.pipeline == nullptr) return pipeline::QueueStats{};
+  return target.pipeline->IngressStats();
 }
 
 void ForecastFleet::PublishFinalStats() {
@@ -470,11 +389,12 @@ void ForecastFleet::PublishFinalStats() {
   if (ctx == nullptr) return;
   obs::MetricsRegistry& metrics = ctx->metrics();
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].ingress == nullptr) continue;
+    if (shards_[i].pipeline == nullptr) continue;
     metrics
         .gauge(obs::ShardMetricName(static_cast<int>(i),
                                     "ingress_high_water"))
-        .Set(static_cast<double>(shards_[i].ingress->Stats().high_water));
+        .Set(static_cast<double>(
+            shards_[i].pipeline->IngressStats().high_water));
   }
   std::lock_guard<std::mutex> lock(results_mutex_);
   // Batches some shard never served (its stream ended short of an end-day

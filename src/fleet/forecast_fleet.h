@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/forecast_service.h"
@@ -15,7 +14,6 @@
 #include "monitor/health.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "pipeline/bounded_queue.h"
 #include "pipeline/serving_pipeline.h"
 #include "serialize/bundle.h"
 
@@ -26,6 +24,13 @@ namespace hotspot::fleet {
 /// (the fleet rewrites it to each shard's local population), and
 /// `serving.on_prediction` is reserved for the fleet's own aggregation
 /// callback (set it and construction fails).
+///
+/// The admission budget is `serving.row_queue_blocks`: the capacity, in
+/// row blocks, of each shard pipeline's ingress queue. Once a shard's
+/// queue is full — because the shard is slower than its offered load —
+/// further rows for that shard are rejected with kRejectedOverload
+/// instead of blocking the producer, so one hot or stalled shard cannot
+/// take the whole fleet's ingest down with it.
 struct FleetOptions {
   /// Shard count when `shard_map` is unset (a HashShardMap of this many
   /// shards is built); ignored otherwise.
@@ -34,16 +39,10 @@ struct FleetOptions {
   std::shared_ptr<const ShardMap> shard_map;
   /// Template for every shard's ServingPipeline (see above).
   pipeline::ServingPipeline::Options serving;
-  /// Admission budget: capacity, in row blocks, of each shard's ingress
-  /// queue. Once a shard's queue is full — because the shard is slower
-  /// than its offered load — further rows for that shard are rejected
-  /// with kRejectedOverload instead of blocking the producer, so one hot
-  /// or stalled shard cannot take the whole fleet's ingest down with it.
-  int ingress_queue_blocks = 64;
   /// Test/chaos hook: lets a test rewrite one shard's pipeline options
-  /// (install a predict_fault_for_test latch, shrink a queue) just before
-  /// that shard's pipeline is built — the seam the fault-injection suite
-  /// drives a FaultInjectingService through.
+  /// (install a predict_fault_for_test latch, shrink its blocks) just
+  /// before that shard's pipeline is built — the seam the fault-injection
+  /// suite drives a FaultInjectingService through.
   std::function<void(int shard, pipeline::ServingPipeline::Options*)>
       shard_options_for_test;
 };
@@ -83,18 +82,19 @@ struct FleetHealth {
 };
 
 /// Sharded multi-replica serving: N independent ForecastService replicas,
-/// each behind its own staged ServingPipeline over a compact local sector
-/// space, fed by a router that directs every incoming KPI row to the
-/// shard owning its sector (ShardMap policy) through a bounded ingress
-/// queue with admission control. The scale-out seam of the ROADMAP's
-/// city-scale north star: shards share nothing but the (read-only)
-/// calendar and the deterministic thread pool.
+/// each behind its own ServingPipeline over a compact local sector space.
+/// Push directs every incoming KPI row to the shard owning its sector
+/// (ShardMap policy) and admits it straight into that pipeline's bounded
+/// ingress queue. The scale-out seam of the ROADMAP's city-scale north
+/// star: shards share nothing but the (read-only) calendar and the
+/// deterministic thread pool, and each runs on exactly one worker thread
+/// — the pipeline's own.
 ///
 /// Dataflow, per shard:
 ///
-///   Push(sector,…) ─route─▶ [ingress queue] ─router thread─▶
-///       ServingPipeline (ingest → features → predict → monitor)
-///       ─on_prediction─▶ fleet aggregator ─▶ TakePredictions()
+///   Push(sector,…) ─route, TryPush─▶ [shard pipeline's ingress queue]
+///       ─shard worker: ingest → features → predict → monitor─▶
+///       on_prediction ─▶ fleet aggregator ─▶ TakePredictions()
 ///
 /// Equivalence: scoring is per-sector independent end to end (features,
 /// windows, per-row tree traversal), so the fleet's scattered output is
@@ -117,11 +117,12 @@ struct FleetHealth {
 /// Promotion failures are atomic: the shard keeps serving its old bundle.
 ///
 /// Threading contract: Push / FlushInput / Finish are single-writer, like
-/// ServingPipeline. TakePredictions(), Health() and PromoteBundle() are
+/// ServingPipeline — the producer thread is the only writer of every
+/// shard pipeline. TakePredictions(), Health() and PromoteBundle() are
 /// safe from any thread at any time. If a test parked a shard on a
 /// predict fault, it must release the fault before Finish(): Finish
-/// drains every ingress queue through the stalled pipeline and would
-/// otherwise wait for it.
+/// drains every shard's ingress queue through its pipeline and would
+/// otherwise wait for the stalled one.
 class ForecastFleet {
  public:
   /// Routing verdict of one offered row. Accounting invariant:
@@ -138,8 +139,8 @@ class ForecastFleet {
   /// Takes ownership of the bundle and stamps it onto every non-empty
   /// shard via serialize::CloneBundle (codec round-trip — replicas are
   /// exactly as equivalent as a deployed bundle to its training
-  /// artifact). Builds the shard map, services, pipelines, and router
-  /// threads; the fleet is live when the constructor returns.
+  /// artifact). Builds the shard map, services and pipelines (one worker
+  /// thread each); the fleet is live when the constructor returns.
   ForecastFleet(std::unique_ptr<serialize::ForecastBundle> bundle,
                 const FleetOptions& options);
 
@@ -160,18 +161,16 @@ class ForecastFleet {
                 static_cast<int>(values.size()));
   }
 
-  /// Hands every shard's partial row block to its ingress queue, followed
-  /// by a flush request (blocking if a shard is saturated) — call when
-  /// the feed goes quiet. The flush travels the queue as a sentinel, so
-  /// the shard's router — the pipeline's only writer — performs it after
-  /// serving every row admitted before the call; buffered rows then
-  /// surface through TakePredictions() as their windows become servable,
-  /// without waiting for Finish().
+  /// Flushes every shard pipeline's partial row block into its ingress
+  /// queue (ServingPipeline::FlushInput, blocking if a shard is
+  /// saturated) — call when the feed goes quiet. Every row admitted
+  /// before the call then surfaces through TakePredictions() as soon as
+  /// its windows are servable, without waiting for Finish().
   void FlushInput();
 
-  /// End-of-stream: flushes buffered input, closes every ingress queue,
-  /// lets the routers drain into their pipelines' Finish(), joins them,
-  /// and publishes final per-shard queue gauges. Idempotent.
+  /// End-of-stream: finishes every shard pipeline in shard order (each
+  /// drains its ingress queue and joins its worker) and publishes final
+  /// per-shard queue gauges. Idempotent.
   void Finish();
 
   bool finished() const {
@@ -216,9 +215,10 @@ class ForecastFleet {
   /// stable for the fleet's lifetime; tests use it to steer engines and
   /// read generations.
   ForecastService* service(int shard);
-  /// Stage accounting of one shard's pipeline ({} for an empty shard).
+  /// Phase accounting of one shard's pipeline ({} for an empty shard).
   std::vector<pipeline::StageStats> StageSnapshot(int shard) const;
-  /// Ingress-queue accounting of one shard (admission-control view).
+  /// Admission-control view of one shard: its pipeline's ingress queue
+  /// ({} for an empty shard).
   pipeline::QueueStats IngressStats(int shard) const;
 
  private:
@@ -226,10 +226,6 @@ class ForecastFleet {
     std::vector<int> sectors;  ///< global ids, ascending; index = local id
     std::unique_ptr<ForecastService> service;
     std::unique_ptr<pipeline::ServingPipeline> pipeline;
-    std::unique_ptr<pipeline::BoundedQueue<pipeline::RowBlock>> ingress;
-    std::thread router;
-    /// Producer-side partial block (single-writer, like the pipeline's).
-    pipeline::RowBlock open_block;
     /// Cached per-shard counter handles (hot path: one Push per row).
     obs::Counter* rows_routed = nullptr;
     obs::Counter* rows_rejected = nullptr;
@@ -244,10 +240,6 @@ class ForecastFleet {
   };
 
   void RefreshCounters();
-  /// Flushes `shard`'s open block into its ingress queue. Non-blocking
-  /// unless `blocking`; returns false when the queue had no room.
-  bool FlushOpenBlock(Shard& shard, bool blocking);
-  void RouterLoop(int shard_index);
   void OnShardPrediction(int shard_index, const StreamingPrediction& pred);
   void PublishFinalStats();
   /// Flight-records one admission reject (verdict code, sector, hour)
@@ -258,7 +250,6 @@ class ForecastFleet {
   FleetOptions options_;
   int num_sectors_ = 0;
   int num_kpis_ = 0;
-  int row_block_rows_ = 0;
   int active_shards_ = 0;  ///< shards owning at least one sector
   std::vector<int> shard_of_sector_;  ///< routing table over the universe
   std::vector<int> local_of_sector_;  ///< global id → owning shard's local id
@@ -282,11 +273,11 @@ class ForecastFleet {
 
   // Per-shard timestamp of the last successful promotion (0 = never).
   // Guarded by a mutex rather than living in Shard as an atomic: Shard
-  // holds a std::thread and must stay movable during construction.
+  // must stay movable during construction.
   mutable std::mutex promotion_mutex_;
   std::vector<uint64_t> last_promotion_ns_;
 
-  // Aggregator (called from every shard's monitor-stage thread).
+  // Aggregator (called from every shard's worker thread).
   std::mutex results_mutex_;
   std::map<int, PendingBatch> pending_;
   std::vector<FleetPrediction> results_;

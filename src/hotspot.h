@@ -17,8 +17,8 @@
 ///   stream   — streaming KPI ingestion and incremental features feeding
 ///              the serving path end to end (KpiStreamIngestor,
 ///              IncrementalFeatureEngine)
-///   pipeline — the staged, backpressured serving runtime behind the
-///              unified facade (pipeline::ServingPipeline)
+///   pipeline — the backpressured, run-to-completion serving runtime
+///              behind the unified facade (pipeline::ServingPipeline)
 ///   fleet    — sharded multi-replica serving with admission control and
 ///              RCU hot bundle swap (fleet::ForecastFleet, ShardMap)
 ///   adapt    — drift-triggered continual learning: shadow deployment and

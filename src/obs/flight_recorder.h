@@ -20,11 +20,11 @@ enum class FlightEventKind : int {
   /// Fleet admission control refused a row. a = PushVerdict code,
   /// b = sector, c = hour.
   kAdmissionReject,
-  /// A stage's input queue made producers wait since the last item.
-  /// a = stage index, b = new waits observed.
+  /// A pipeline's ingress queue made producers wait since the last block.
+  /// a = phase index (0, ingest), b = new waits observed.
   kBackpressure,
-  /// A stage's input queue reached a new high-water depth. a = stage
-  /// index, b = the new high-water mark.
+  /// A pipeline's ingress queue reached a new high-water depth. a = phase
+  /// index (0, ingest), b = the new high-water mark.
   kQueueHighWater,
   /// A shard's overall health state changed. a = shard, b = old
   /// AlertState, c = new AlertState.
@@ -97,7 +97,7 @@ class FlightRecorder {
   static constexpr int kDefaultCapacity = 4096;
 
   /// Appends one event. Wait-free; safe from any thread, including pool
-  /// workers and stage/router threads concurrently.
+  /// workers and pipeline workers concurrently.
   void Record(FlightEventKind kind, int64_t a = 0, int64_t b = 0,
               int64_t c = 0, double d = 0.0);
 

@@ -1,7 +1,7 @@
 #include "pipeline/serving_pipeline.h"
 
 #include <algorithm>
-#include <thread>
+#include <string>
 #include <utility>
 
 #include "obs/pipeline_context.h"
@@ -12,6 +12,9 @@ namespace hotspot::pipeline {
 
 namespace {
 
+constexpr const char* kPhaseNames[] = {"ingest", "features", "predict",
+                                       "monitor"};
+
 /// Min-merge of ingress stamps, 0-aware (0 = unstamped, never wins).
 void MergeBorn(uint64_t* dst, uint64_t src) {
   if (src != 0 && (*dst == 0 || src < *dst)) *dst = src;
@@ -19,34 +22,38 @@ void MergeBorn(uint64_t* dst, uint64_t src) {
 
 }  // namespace
 
-void ServingPipeline::Counters::Refresh() {
+void ServingPipeline::Obs::Refresh() {
   obs::PipelineContext* ctx = obs::PipelineContext::Current();
   if (ctx == context) return;
+  *this = Obs{};
   context = ctx;
-  if (ctx == nullptr) {
-    rows_offered = nullptr;
-    rows_rejected = nullptr;
-    prediction_batches = nullptr;
-    predictions = nullptr;
-    outcomes_recorded = nullptr;
-    return;
-  }
+  if (ctx == nullptr) return;
   obs::MetricsRegistry& metrics = ctx->metrics();
   rows_offered = &metrics.counter("stream/rows_offered");
   rows_rejected = &metrics.counter("stream/rows_rejected");
   prediction_batches = &metrics.counter("stream/prediction_batches");
   predictions = &metrics.counter("stream/predictions");
   outcomes_recorded = &metrics.counter("stream/outcomes_recorded");
+  ingress_depth = &metrics.gauge("pipeline/ingest_queue_depth");
+  ingress_backpressure =
+      &metrics.counter("pipeline/ingest_backpressure_waits");
+  flight = &ctx->flight();
+  for (int phase = 0; phase < kNumPhases; ++phase) {
+    const std::string prefix = std::string("pipeline/") + kPhaseNames[phase];
+    items[phase] = &metrics.counter(prefix + "_items");
+    latency[phase] = &metrics.histogram(prefix + "_latency_seconds",
+                                        obs::DefaultLatencySeconds());
+    residency[phase] = &metrics.histogram(
+        "pipeline/stage" + std::to_string(phase) + "/residency_seconds",
+        obs::DefaultLatencySeconds());
+  }
 }
 
 ServingPipeline::ServingPipeline(ForecastService* service,
                                  const Options& options)
     : service_(service),
       options_(options),
-      raw_queue_(std::max(1, options.row_queue_blocks)),
-      ordered_queue_(std::max(1, options.row_queue_blocks)),
-      predict_queue_(std::max(1, options.predict_queue_capacity)),
-      scored_queue_(std::max(1, options.scored_queue_capacity)) {
+      ingress_(std::max(1, options.row_queue_blocks)) {
   HOTSPOT_CHECK(service_ != nullptr);
   HOTSPOT_CHECK_GT(options_.num_sectors, 0);
   HOTSPOT_CHECK_GT(options_.num_kpis, 0);
@@ -96,101 +103,62 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   ingestor_ = std::make_unique<stream::KpiStreamIngestor>(
       ingest_config,
       [this](int sector, int hour, const float* values, int num_kpis) {
-        ordered_block_.sectors.push_back(sector);
-        ordered_block_.hours.push_back(hour);
-        ordered_block_.values.insert(ordered_block_.values.end(), values,
-                                     values + num_kpis);
-        ordered_block_.num_kpis = num_kpis;
-        // The row emerging from the reorder window came from the raw
-        // block being unpacked right now (or from an earlier one the
-        // ingestor buffered — either way current block's stamp is an
-        // upper bound, and min-merge keeps the oldest).
-        MergeBorn(&ordered_block_.born_ns, current_raw_born_ns_);
-        if (ordered_block_.rows() >= options_.row_block_rows) {
-          FlushOrderedBlock();
-        }
+        ordered_.sectors.push_back(sector);
+        ordered_.hours.push_back(hour);
+        ordered_.values.insert(ordered_.values.end(), values,
+                               values + num_kpis);
       });
 
-  input_block_.num_kpis = options_.num_kpis;
+  ResetInputBlock();
+  ordered_.num_kpis = options_.num_kpis;
   next_end_day_.store(service_->window_days(), std::memory_order_relaxed);
   next_outcome_day_ = service_->window_days() + horizon_days_;
 
-  // Each stage reads its item's ingress stamp through a trace extractor
-  // (the Stage template cannot know the item layouts), feeding the
-  // pipeline/stageK/residency_seconds histograms: cumulative time from
-  // serving-stack ingress to each stage boundary, exemplar-tagged with
-  // the block's row count or the batch's end-day.
-  ingest_stage_ = std::make_unique<Stage<RowBlock>>(
-      "ingest", /*index=*/0, &raw_queue_,
-      [this](RowBlock&& block) { return IngestBlock(std::move(block)); },
-      [this] {
-        // End-of-stream: finalize the last watermark window (gap-filling
-        // interior holes), ship the partial block, close downstream.
-        ingestor_->Flush();
-        FlushOrderedBlock();
-        ordered_queue_.Close();
-      },
-      [](const RowBlock& block) {
-        return StageTrace{block.born_ns, block.rows()};
-      });
-  features_stage_ = std::make_unique<Stage<RowBlock>>(
-      "features", /*index=*/1, &ordered_queue_,
-      [this](RowBlock&& block) { return ConsumeBlock(std::move(block)); },
-      [this] {
-        ServeReady();  // flush-finalized rows may have opened new batches
-        predict_queue_.Close();
-      },
-      [](const RowBlock& block) {
-        return StageTrace{block.born_ns, block.rows()};
-      });
-  predict_stage_ = std::make_unique<Stage<FeatureWork>>(
-      "predict", /*index=*/2, &predict_queue_,
-      [this](FeatureWork&& work) { return PredictWork(std::move(work)); },
-      [this] { scored_queue_.Close(); },
-      [](const FeatureWork& work) {
-        return StageTrace{work.born_ns, work.end_day};
-      });
-  monitor_stage_ = std::make_unique<Stage<ScoredWork>>(
-      "monitor", /*index=*/3, &scored_queue_,
-      [this](ScoredWork&& work) { return DeliverWork(std::move(work)); },
-      [] {},
-      [](const ScoredWork& work) {
-        return StageTrace{work.born_ns, work.prediction.end_day};
-      });
-
-  // Dedicated orchestration threads, NOT pool workers: ParallelFor waits
-  // for every helper task it submitted to run, so parking these loops on
-  // pool workers could starve the nested fan-outs into deadlock. The
-  // loops spend their lives blocked on queues; compute lands on the pool.
-  threads_.reserve(4);
-  threads_.emplace_back([stage = ingest_stage_.get()] { stage->Run(); });
-  threads_.emplace_back([stage = features_stage_.get()] { stage->Run(); });
-  threads_.emplace_back([stage = predict_stage_.get()] { stage->Run(); });
-  threads_.emplace_back([stage = monitor_stage_.get()] { stage->Run(); });
+  // A dedicated thread, NOT a pool worker: ParallelFor waits for every
+  // helper task it submitted to run, so parking this loop on a pool
+  // worker could starve its own nested fan-outs into deadlock.
+  worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 ServingPipeline::~ServingPipeline() { Finish(); }
 
 bool ServingPipeline::Push(int sector, int hour, const float* values,
-                           int num_kpis, uint64_t born_ns) {
+                           int num_kpis) {
   if (input_closed_) return false;
   if (num_kpis != options_.num_kpis) {
     // Pre-queue reject: the ingestor never sees this row, so account for
     // it here (the in-contract rows are counted by the ingestor itself).
-    producer_counters_.Refresh();
-    if (producer_counters_.rows_offered != nullptr) {
-      producer_counters_.rows_offered->Increment();
-      producer_counters_.rows_rejected->Increment();
+    producer_obs_.Refresh();
+    if (producer_obs_.rows_offered != nullptr) {
+      producer_obs_.rows_offered->Increment();
+      producer_obs_.rows_rejected->Increment();
     }
     return false;
   }
+  Append(sector, hour, values);
+  if (input_block_.rows() >= options_.row_block_rows) FlushInputBlock();
+  return true;
+}
+
+bool ServingPipeline::TryPush(int sector, int hour, const float* values) {
+  if (input_closed_) return false;
+  // Make room before accepting, so a refused row is still the caller's.
+  if (input_block_.rows() >= options_.row_block_rows) {
+    if (!ingress_.TryPush(input_block_)) return false;
+    ResetInputBlock();  // TryPush moved the block in; reset the husk
+  }
+  Append(sector, hour, values);
+  return true;
+}
+
+void ServingPipeline::Append(int sector, int hour, const float* values) {
+  // The first row stamps the block: one clock read per block, and
+  // residency includes the wait for the block to fill and to be popped.
+  if (input_block_.rows() == 0) input_block_.born_ns = SteadyNowNs();
   input_block_.sectors.push_back(sector);
   input_block_.hours.push_back(hour);
   input_block_.values.insert(input_block_.values.end(), values,
-                             values + num_kpis);
-  MergeBorn(&input_block_.born_ns, born_ns);
-  if (input_block_.rows() >= options_.row_block_rows) FlushInputBlock();
-  return true;
+                             values + options_.num_kpis);
 }
 
 void ServingPipeline::FlushInput() {
@@ -200,24 +168,28 @@ void ServingPipeline::FlushInput() {
 
 void ServingPipeline::FlushInputBlock() {
   if (input_block_.rows() == 0) return;
-  RowBlock block = std::move(input_block_);
+  ingress_.Push(std::move(input_block_));
+  ResetInputBlock();
+}
+
+void ServingPipeline::ResetInputBlock() {
   input_block_.Clear();
   input_block_.num_kpis = options_.num_kpis;
-  // Pipeline ingress is the default stamping point; producers that
-  // stamped earlier (the fleet's admission path) already set born_ns and
-  // keep the older stamp.
-  if (block.born_ns == 0) block.born_ns = SteadyNowNs();
-  raw_queue_.Push(std::move(block));
 }
 
 void ServingPipeline::Finish() {
   if (input_closed_) return;
   input_closed_ = true;
   FlushInputBlock();
-  raw_queue_.Close();
-  for (std::thread& thread : threads_) thread.join();
-  threads_.clear();
-  PublishFinalStats();
+  ingress_.Close();
+  worker_.join();
+  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
+    // Cold path (once per pipeline lifetime): a snapshot taken after
+    // Finish still shows how full the ingress queue ever ran.
+    ctx->metrics()
+        .gauge("pipeline/ingest_queue_high_water")
+        .Set(static_cast<double>(ingress_.Stats().high_water));
+  }
   finished_.store(true, std::memory_order_release);
 }
 
@@ -229,142 +201,167 @@ std::vector<StreamingPrediction> ServingPipeline::TakePredictions() {
 }
 
 std::vector<StageStats> ServingPipeline::StageSnapshot() const {
-  return {ingest_stage_->Stats(), features_stage_->Stats(),
-          predict_stage_->Stats(), monitor_stage_->Stats()};
-}
-
-uint64_t ServingPipeline::IngestBlock(RowBlock&& block) {
-  const uint64_t before = ordered_blocks_pushed_;
-  const int rows = block.rows();
-  current_raw_born_ns_ = block.born_ns;
-  for (int r = 0; r < rows; ++r) {
-    ingestor_->Push(
-        block.sectors[static_cast<size_t>(r)],
-        block.hours[static_cast<size_t>(r)],
-        block.values.data() + static_cast<size_t>(r) * block.num_kpis,
-        block.num_kpis);
+  std::vector<StageStats> stages(kNumPhases);
+  for (int phase = 0; phase < kNumPhases; ++phase) {
+    const PhaseBooks& books = phases_[phase];
+    StageStats& stage = stages[static_cast<size_t>(phase)];
+    stage.name = kPhaseNames[phase];
+    stage.items_in = books.items_in.load(std::memory_order_relaxed);
+    stage.items_out = books.items_out.load(std::memory_order_relaxed);
+    stage.busy_seconds = books.busy_seconds.load(std::memory_order_relaxed);
   }
-  current_raw_born_ns_ = 0;
-  return ordered_blocks_pushed_ - before;
+  stages[kIngest].input = ingress_.Stats();
+  return stages;
 }
 
-void ServingPipeline::FlushOrderedBlock() {
-  if (ordered_block_.rows() == 0) return;
-  RowBlock block = std::move(ordered_block_);
-  ordered_block_.Clear();
-  ordered_block_.num_kpis = options_.num_kpis;
-  ordered_queue_.Push(std::move(block));
-  ++ordered_blocks_pushed_;
-}
-
-uint64_t ServingPipeline::ConsumeBlock(RowBlock&& block) {
-  const int rows = block.rows();
-  MergeBorn(&pending_serve_born_ns_, block.born_ns);
-  for (int r = 0; r < rows; ++r) {
-    engine_->Consume(
-        block.sectors[static_cast<size_t>(r)],
-        block.hours[static_cast<size_t>(r)],
-        block.values.data() + static_cast<size_t>(r) * block.num_kpis,
-        block.num_kpis);
+void ServingPipeline::WorkerLoop() {
+  RowBlock block;
+  while (ingress_.Pop(&block)) {
+    obs_.Refresh();
+    NoteIngress();
+    RunBlock(block);
   }
-  return ServeReady();
+  // End of stream: finalize the last watermark window (gap-filling
+  // interior holes) and serve everything it makes ready.
+  obs_.Refresh();
+  NoteIngress();
+  const uint64_t start = SteadyNowNs();
+  ingestor_->Flush();
+  const uint64_t now = EndPhase(kIngest, start, 0,
+                                static_cast<uint64_t>(ordered_.rows()));
+  if (ordered_.rows() > 0) RunFeatures(/*born_ns=*/0, now);
+  if (obs_.ingress_depth != nullptr) obs_.ingress_depth->Set(0.0);
 }
 
-uint64_t ServingPipeline::ServeReady() {
-  uint64_t pushed = 0;
-  // Ready prediction batches first, matured outcome days second — the
-  // exact relative order Poll() produced, so the monitor stage sees the
-  // same sequence the runner's synchronous loop did.
+void ServingPipeline::NoteIngress() {
+  // One Stats() read feeds the depth gauge, the backpressure counter and
+  // the high-water flight events.
+  const QueueStats stats = ingress_.Stats();
+  const uint64_t waits = stats.push_waits - seen_push_waits_;
+  seen_push_waits_ = stats.push_waits;
+  const bool new_high_water = stats.high_water > seen_high_water_;
+  seen_high_water_ = std::max(seen_high_water_, stats.high_water);
+  if (obs_.context == nullptr) return;
+  obs_.ingress_depth->Set(static_cast<double>(stats.depth));
+  if (waits > 0) {
+    // Producers that had to wait for the worker since the last block:
+    // one flight event per burst of new waits, not per wait.
+    obs_.ingress_backpressure->Add(waits);
+    obs_.flight->Record(obs::FlightEventKind::kBackpressure, kIngest,
+                        static_cast<int64_t>(waits));
+  }
+  if (new_high_water) {
+    obs_.flight->Record(obs::FlightEventKind::kQueueHighWater, kIngest,
+                        stats.high_water);
+  }
+}
+
+void ServingPipeline::RunBlock(const RowBlock& block) {
+  const uint64_t start = SteadyNowNs();
+  ObserveResidency(kIngest, block.born_ns, block.rows(), start);
+  const size_t width = static_cast<size_t>(block.num_kpis);
+  for (int r = 0; r < block.rows(); ++r) {
+    const size_t row = static_cast<size_t>(r);
+    ingestor_->Push(block.sectors[row], block.hours[row],
+                    block.values.data() + row * width, block.num_kpis);
+  }
+  const uint64_t now = EndPhase(kIngest, start, 1,
+                                static_cast<uint64_t>(ordered_.rows()));
+  // Rows the ingestor still holds in its reorder window come out with a
+  // later block; a block that released none leaves the engine unchanged.
+  if (ordered_.rows() > 0) RunFeatures(block.born_ns, now);
+}
+
+void ServingPipeline::RunFeatures(uint64_t born_ns, uint64_t now) {
+  const int rows = ordered_.rows();
+  ObserveResidency(kFeatures, born_ns, rows, now);
+  // The released rows came out while this block was unpacked, so its
+  // stamp stands for them (an upper bound for rows the ingestor held).
+  MergeBorn(&pending_serve_born_ns_, born_ns);
+  const size_t width = static_cast<size_t>(ordered_.num_kpis);
+  for (int r = 0; r < rows; ++r) {
+    const size_t row = static_cast<size_t>(r);
+    engine_->Consume(ordered_.sectors[row], ordered_.hours[row],
+                     ordered_.values.data() + row * width,
+                     ordered_.num_kpis);
+  }
+  ordered_.Clear();
+  ServeReady(EndPhase(kFeatures, now, static_cast<uint64_t>(rows), 0));
+}
+
+void ServingPipeline::ServeReady(uint64_t now) {
+  // Ready prediction batches first, matured label days second — the
+  // order the direct-call loop used, so the monitor sees the same
+  // sequence of scores and outcomes.
   int end_day = next_end_day_.load(std::memory_order_relaxed);
+  const int first_end_day = end_day;
   while (engine_->min_finalized_hours() >= kHoursPerDay * end_day) {
-    HOTSPOT_SPAN("pipeline/assemble");
-    FeatureWork work;
-    work.kind = FeatureWork::Kind::kPredict;
-    work.end_day = end_day;
-    work.target_day = end_day + horizon_days_;
-    // Batches opened by the same consumed blocks share the oldest
+    StreamingPrediction prediction;
+    prediction.end_day = end_day;
+    prediction.target_day = end_day + horizon_days_;
+    // Batches opened by the same consumed rows share the oldest
     // contributing stamp — residency measures worst-case row age.
-    work.born_ns = pending_serve_born_ns_;
-    work.windows = AssembleServingWindows(*engine_, window_hours_, end_day);
-    predict_queue_.Push(std::move(work));
-    ++pushed;
-    ++end_day;
-    next_end_day_.store(end_day, std::memory_order_relaxed);
-  }
-  if (pushed > 0) pending_serve_born_ns_ = 0;
-  // Labels are extracted here — the only stage that owns the engine — and
-  // shipped downstream, so the monitor stage never races the feature
-  // state. Shipped even with record_outcomes off, to keep the monitor's
-  // awaiting queue bounded; recording itself is gated there.
-  while (engine_->min_closed_days() > next_outcome_day_) {
-    FeatureWork work;
-    work.kind = FeatureWork::Kind::kOutcomes;
-    work.day = next_outcome_day_;
-    work.labels = GatherDayLabels(*engine_, next_outcome_day_);
-    predict_queue_.Push(std::move(work));
-    ++pushed;
-    ++next_outcome_day_;
-  }
-  return pushed;
-}
-
-uint64_t ServingPipeline::PredictWork(FeatureWork&& work) {
-  ScoredWork out;
-  if (work.kind == FeatureWork::Kind::kPredict) {
-    HOTSPOT_SPAN("pipeline/predict");
-    if (options_.predict_stall_for_test.count() > 0) {
-      std::this_thread::sleep_for(options_.predict_stall_for_test);
-    }
-    if (options_.predict_fault_for_test) {
-      options_.predict_fault_for_test(work.end_day);
-    }
-    // The shadow tee sees the exact windows the champion is about to
-    // score, on the same thread, before the score — so a shadow model
-    // fed from here scores byte-identical inputs with no synchronization
-    // beyond the tee's own handoff.
-    if (options_.predict_tee) {
-      options_.predict_tee(work.end_day, work.target_day, work.windows);
-    }
-    out.kind = ScoredWork::Kind::kPrediction;
-    out.born_ns = work.born_ns;
-    out.prediction.end_day = work.end_day;
-    out.prediction.target_day = work.target_day;
-    out.prediction.born_ns = work.born_ns;
-    out.prediction.scores =
-        service_->Predict(work.windows, &out.prediction.generation);
-    predict_counters_.Refresh();
-    if (predict_counters_.prediction_batches != nullptr) {
-      predict_counters_.prediction_batches->Increment();
-      predict_counters_.predictions->Add(
-          static_cast<uint64_t>(out.prediction.scores.size()));
-    }
-  } else {
-    out.kind = ScoredWork::Kind::kOutcomes;
-    out.day = work.day;
-    out.labels = std::move(work.labels);
-  }
-  scored_queue_.Push(std::move(out));
-  return 1;
-}
-
-uint64_t ServingPipeline::DeliverWork(ScoredWork&& work) {
-  if (work.kind == ScoredWork::Kind::kPrediction) {
-    awaiting_outcomes_.push_back(work.prediction);
-    pending_outcomes_.store(
-        static_cast<int>(awaiting_outcomes_.size()),
-        std::memory_order_relaxed);
-    if (options_.on_prediction) options_.on_prediction(work.prediction);
-    if (options_.prediction_tee) options_.prediction_tee(work.prediction);
+    prediction.born_ns = pending_serve_born_ns_;
+    Tensor3<float> windows;
     {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      results_.push_back(std::move(work.prediction));
+      HOTSPOT_SPAN("pipeline/assemble");
+      windows = AssembleServingWindows(*engine_, window_hours_, end_day);
     }
-  } else {
-    if (options_.outcome_tee) options_.outcome_tee(work.day, work.labels);
-    matured_labels_[work.day] = std::move(work.labels);
+    next_end_day_.store(++end_day, std::memory_order_relaxed);
+    now = EndPhase(kFeatures, now, 0, 1);
+
+    ObserveResidency(kPredict, prediction.born_ns, prediction.end_day, now);
+    {
+      HOTSPOT_SPAN("pipeline/predict");
+      if (options_.predict_fault_for_test) {
+        options_.predict_fault_for_test(prediction.end_day);
+      }
+      // The shadow tee sees the exact windows the champion is about to
+      // score, before the score — so a shadow model fed from here scores
+      // byte-identical inputs with no synchronization beyond the tee's
+      // own handoff.
+      if (options_.predict_tee) {
+        options_.predict_tee(prediction.end_day, prediction.target_day,
+                             windows);
+      }
+      prediction.scores = service_->Predict(windows, &prediction.generation);
+    }
+    if (obs_.prediction_batches != nullptr) {
+      obs_.prediction_batches->Increment();
+      obs_.predictions->Add(static_cast<uint64_t>(prediction.scores.size()));
+    }
+    now = EndPhase(kPredict, now, 1, 1);
+
+    ObserveResidency(kMonitor, prediction.born_ns, prediction.end_day, now);
+    Deliver(std::move(prediction));
+    now = EndPhase(kMonitor, now, 1, 1);
+  }
+  if (end_day > first_end_day) pending_serve_born_ns_ = 0;
+  // Labels are shipped even with record_outcomes off, to keep the
+  // awaiting queue bounded; recording itself is gated in
+  // RecordReadyOutcomes.
+  while (engine_->min_closed_days() > next_outcome_day_) {
+    const int day = next_outcome_day_++;
+    std::vector<float> labels = GatherDayLabels(*engine_, day);
+    now = EndPhase(kFeatures, now, 0, 1);
+    if (options_.outcome_tee) options_.outcome_tee(day, labels);
+    matured_labels_[day] = std::move(labels);
+    RecordReadyOutcomes();
+    now = EndPhase(kMonitor, now, 1, 0);
+  }
+}
+
+void ServingPipeline::Deliver(StreamingPrediction prediction) {
+  awaiting_outcomes_.push_back(prediction);
+  pending_outcomes_.store(static_cast<int>(awaiting_outcomes_.size()),
+                          std::memory_order_relaxed);
+  if (options_.on_prediction) options_.on_prediction(prediction);
+  if (options_.prediction_tee) options_.prediction_tee(prediction);
+  {
+    std::lock_guard<std::mutex> lock(results_mutex_);
+    results_.push_back(std::move(prediction));
   }
   RecordReadyOutcomes();
-  return 0;
 }
 
 void ServingPipeline::RecordReadyOutcomes() {
@@ -374,9 +371,8 @@ void ServingPipeline::RecordReadyOutcomes() {
     if (labels == matured_labels_.end()) break;
     if (options_.record_outcomes) {
       service_->RecordOutcomes(front.scores, labels->second);
-      monitor_counters_.Refresh();
-      if (monitor_counters_.outcomes_recorded != nullptr) {
-        monitor_counters_.outcomes_recorded->Add(
+      if (obs_.outcomes_recorded != nullptr) {
+        obs_.outcomes_recorded->Add(
             static_cast<uint64_t>(labels->second.size()));
       }
     }
@@ -387,21 +383,30 @@ void ServingPipeline::RecordReadyOutcomes() {
   }
 }
 
-void ServingPipeline::PublishFinalStats() {
-  obs::PipelineContext* ctx = obs::PipelineContext::Current();
-  if (ctx == nullptr) return;
-  // Cold path (once per pipeline lifetime): the queue high-water marks,
-  // so a snapshot taken after Finish still shows how full each boundary
-  // ever ran.
-  obs::MetricsRegistry& metrics = ctx->metrics();
-  const StageStats stages[] = {ingest_stage_->Stats(),
-                               features_stage_->Stats(),
-                               predict_stage_->Stats(),
-                               monitor_stage_->Stats()};
-  for (const StageStats& stage : stages) {
-    metrics.gauge("pipeline/" + stage.name + "_queue_high_water")
-        .Set(static_cast<double>(stage.input.high_water));
+uint64_t ServingPipeline::EndPhase(Phase phase, uint64_t start_ns,
+                                   uint64_t in, uint64_t out) {
+  const uint64_t now = SteadyNowNs();
+  const double seconds =
+      now > start_ns ? static_cast<double>(now - start_ns) * 1e-9 : 0.0;
+  PhaseBooks& books = phases_[phase];
+  books.items_in.fetch_add(in, std::memory_order_relaxed);
+  books.items_out.fetch_add(out, std::memory_order_relaxed);
+  books.busy_seconds.store(
+      books.busy_seconds.load(std::memory_order_relaxed) + seconds,
+      std::memory_order_relaxed);
+  if (obs_.items[phase] != nullptr) {
+    obs_.items[phase]->Add(in);
+    obs_.latency[phase]->Observe(seconds);
   }
+  return now;
+}
+
+void ServingPipeline::ObserveResidency(Phase phase, uint64_t born_ns,
+                                       int64_t exemplar, uint64_t now) {
+  if (obs_.residency[phase] == nullptr || born_ns == 0) return;
+  const double seconds =
+      now > born_ns ? static_cast<double>(now - born_ns) * 1e-9 : 0.0;
+  obs_.residency[phase]->ObserveWithExemplar(seconds, exemplar);
 }
 
 }  // namespace hotspot::pipeline

@@ -2,7 +2,6 @@
 #define HOTSPOT_PIPELINE_SERVING_PIPELINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -17,6 +16,7 @@
 #include "core/serving_ops.h"
 #include "ml/flat_tree.h"
 #include "monitor/monitor.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "pipeline/bounded_queue.h"
 #include "pipeline/stage.h"
@@ -27,18 +27,17 @@
 
 namespace hotspot::pipeline {
 
-/// A block of KPI rows in delivery order — the unit the row-granularity
-/// queues carry, so per-row hot paths amortize one lock + one clock pair
+/// A block of KPI rows in delivery order — the unit the ingress queue
+/// carries, so the per-row hot path amortizes one lock + one clock read
 /// over `rows()` rows instead of paying them per row.
 struct RowBlock {
   std::vector<int> sectors;
   std::vector<int> hours;
   std::vector<float> values;  ///< rows() x num_kpis, row-major
   int num_kpis = 0;
-  /// Telemetry stamp: SteadyNowNs() when the oldest row in this block
-  /// entered the serving stack (0 = unstamped). Carried through every
-  /// stage boundary — min-merged when blocks combine — so residency
-  /// histograms measure from true ingress, not from the last re-blocking.
+  /// Telemetry stamp: SteadyNowNs() when the block's first row entered the
+  /// serving stack (0 = unstamped) — the base of every residency the
+  /// pipeline records for the block's rows.
   uint64_t born_ns = 0;
 
   int rows() const { return static_cast<int>(sectors.size()); }
@@ -50,75 +49,48 @@ struct RowBlock {
   }
 };
 
-/// Work flowing features → predict: either one assembled prediction-window
-/// batch, or the matured daily labels of one closed day (passed through
-/// the predict stage untouched so the monitor stage sees scores and
-/// outcomes in one ordered stream).
-struct FeatureWork {
-  enum class Kind { kPredict, kOutcomes };
-  Kind kind = Kind::kPredict;
-  int end_day = 0;     ///< kPredict
-  int target_day = 0;  ///< kPredict
-  Tensor3<float> windows;
-  int day = 0;  ///< kOutcomes
-  std::vector<float> labels;
-  /// Oldest contributing row's ingress stamp (see RowBlock::born_ns).
-  uint64_t born_ns = 0;
-};
-
-/// Work flowing predict → monitor: a scored batch or pass-through labels.
-struct ScoredWork {
-  enum class Kind { kPrediction, kOutcomes };
-  Kind kind = Kind::kPrediction;
-  StreamingPrediction prediction;
-  int day = 0;
-  std::vector<float> labels;
-  /// Oldest contributing row's ingress stamp (see RowBlock::born_ns).
-  uint64_t born_ns = 0;
-};
-
 /// The one way to stand up a streaming serving path: ingest → incremental
-/// features → predict → monitor as four explicit, backpressured pipeline
-/// stages behind a single facade, replacing the hand-wired
-/// KpiStreamIngestor / IncrementalFeatureEngine / runner chain.
+/// features → predict → monitor behind a single facade, run to completion
+/// on one dedicated worker thread.
 ///
-/// Dataflow and staging:
+/// Dataflow:
 ///
-///   Push() ─raw rows─▶ [ingest]  reorder/dedup/gap-fill (KpiStreamIngestor)
-///              │q0         │q1 ordered rows
-///              ▼           ▼
-///                      [features] incremental Eq.1/2 features, window cut,
-///              │q2         │      matured-label extraction
-///              ▼           ▼q2 windows + labels
-///                      [predict]  ForecastService::Predict (pool fan-out)
-///                          │q3 scores + labels
-///                          ▼
-///                      [monitor]  RecordOutcomes + prediction delivery
+///   Push() ─row blocks─▶ [ingress queue] ─▶ worker, per block, inline:
+///       ingest    reorder/dedup/gap-fill (KpiStreamIngestor)
+///       features  incremental Eq.1/2 features (IncrementalFeatureEngine)
+///     then for every end-day the block made servable, in order:
+///       predict   window assembly, ForecastService::Predict (pool fan-out)
+///       monitor   delivery; matured labels → RecordOutcomes
 ///
-/// Every queue is a BoundedQueue: a full downstream queue blocks the
-/// upstream push — all the way back to Push(), which blocks the caller —
-/// and never drops or reorders a row. A slow predict shard therefore
-/// surfaces as backpressure (visible in the pipeline/* counters), not as
-/// silently lost late KPI rows.
+/// The ingress queue is a BoundedQueue and the only place the pipeline
+/// waits or sheds: while the worker is behind, Push blocks the caller —
+/// it never drops or reorders a row — and TryPush refuses the row. A slow
+/// predict therefore surfaces as ingress backpressure (visible in the
+/// pipeline/ingest_* counters), not as silently lost late KPI rows. The
+/// worker finishes each block before it pops the next, so nothing waits
+/// between phases: once a row reaches the worker, every batch it makes
+/// servable is served without any further input (FlushInput is all a
+/// quiet feed needs).
 ///
-/// Determinism: each stage has a single consumer and the queues are FIFO,
-/// so rows, windows and scores flow in the exact order of the direct-call
-/// path; the heavy stage work (window assembly, inference) fans out over
-/// the shared deterministic thread pool with index-owned writes. Streamed
-/// scores are bitwise-identical to batch PredictAtDay at any HOTSPOT_NUM_THREADS and any queue bounds — pinned
-/// by tests/pipeline_test.cc, slow-predict injection included.
+/// Determinism: one consumer of a FIFO queue runs the phases as plain
+/// calls, so rows, windows and scores flow in the exact order of the
+/// direct-call path; the heavy work (window assembly, inference) fans out
+/// over the shared deterministic thread pool with index-owned writes.
+/// Streamed scores are bitwise-identical to batch PredictAtDay at any
+/// HOTSPOT_NUM_THREADS and any queue bound — pinned by
+/// tests/pipeline_test.cc, slow-predict injection included.
 ///
-/// The four stage loops run on dedicated orchestration threads rather
-/// than pool workers: ParallelFor blocks until every helper task it
-/// submitted has run, so parking long-lived loops on pool workers could
-/// starve the nested fan-outs of the predict stage into deadlock. The
-/// orchestration threads spend their lives blocked on queues; all
+/// The worker is a dedicated thread rather than a pool task: ParallelFor
+/// blocks until every helper task it submitted has run, so parking a
+/// long-lived loop on a pool worker could starve its own nested fan-outs
+/// into deadlock. The worker blocks on the ingress queue when idle; all
 /// compute still lands on the pool.
 ///
-/// Threading contract: Push / PushRow / FlushInput / Finish are
+/// Threading contract: Push / TryPush / FlushInput / Finish are
 /// single-writer (one producer thread at a time, the KpiStreamIngestor
-/// discipline). TakePredictions(), StageSnapshot() and the frontier
-/// accessors are safe from any thread at any time.
+/// discipline). TakePredictions(), StageSnapshot(), IngressStats() and
+/// the frontier accessors are safe from any thread at any time. Every
+/// callback and tap in Options runs on the worker thread.
 class ServingPipeline {
  public:
   /// Everything a serving path is configured by, in one place. The env
@@ -144,16 +116,13 @@ class ServingPipeline {
     int watermark_hours = kHoursPerDay;
     int ring_hours = 2 * kHoursPerDay;
 
-    // --- staging / queue bounds ---
-    /// Rows per queued block on the two row-granularity boundaries.
+    // --- ingress ---
+    /// Rows per ingress block.
     int row_block_rows = 64;
-    /// Capacity (in blocks) of the Push→ingest and ingest→features queues.
+    /// Capacity, in blocks, of the ingress queue: how far the producer
+    /// may run ahead of the worker before Push blocks (or TryPush
+    /// refuses — for a fleet shard this is its admission budget).
     int row_queue_blocks = 64;
-    /// Capacity (in items) of the features→predict queue — the knob that
-    /// bounds how far feature extraction may run ahead of a slow model.
-    int predict_queue_capacity = 4;
-    /// Capacity (in items) of the predict→monitor queue.
-    int scored_queue_capacity = 4;
 
     // --- engine / kernel selection (primary API; env = defaults) ---
     std::optional<PredictEngine> predict_engine;
@@ -168,55 +137,50 @@ class ServingPipeline {
     bool disable_monitoring = false;
 
     // --- delivery ---
-    /// Optional push delivery: called from the monitor stage thread for
-    /// every served batch, in end-day order. Predictions are also always
-    /// collected for TakePredictions().
+    /// Optional push delivery: called on the worker for every served
+    /// batch, in end-day order. Predictions are also always collected for
+    /// TakePredictions().
     std::function<void(const StreamingPrediction&)> on_prediction;
 
     // --- adaptation taps (src/adapt; all optional, and strictly
     // read-only with respect to the serving path — with no taps installed
     // nothing changes, and with them installed the champion's scores stay
     // bitwise-identical) ---
-    /// Called on the features stage thread for every finalized feature
-    /// row (installed as the engine's row sink): the adaptation
-    /// controller's rolling training-data capture. The row pointer is
-    /// valid only for the duration of the call.
+    /// Called on the worker for every finalized feature row (installed as
+    /// the engine's row sink): the adaptation controller's rolling
+    /// training-data capture. The row pointer is valid only for the
+    /// duration of the call.
     stream::FeatureRowSink feature_row_tap;
-    /// Shadow-scoring tee: called on the predict stage thread for every
-    /// prediction batch BEFORE the champion scores it, with the assembled
-    /// windows. The windows are owned by the predict stage and valid only
-    /// for the call — a consumer that scores asynchronously must copy.
-    /// Blocking here backpressures the pipeline (deliberate: lossless
-    /// shadow comparison beats a fast one).
+    /// Shadow-scoring tee: called on the worker for every prediction
+    /// batch BEFORE the champion scores it, with the assembled windows.
+    /// The windows are the pipeline's and valid only for the call — a
+    /// consumer that scores asynchronously must copy. Blocking here
+    /// backpressures the pipeline (deliberate: lossless shadow comparison
+    /// beats a fast one).
     std::function<void(int end_day, int target_day,
                        const Tensor3<float>& windows)>
         predict_tee;
-    /// Champion-score tee: called on the monitor stage thread for every
-    /// served batch, like on_prediction — which the fleet reserves for
-    /// its aggregation, hence the second hook.
+    /// Champion-score tee: called on the worker for every served batch,
+    /// like on_prediction — which the fleet reserves for its aggregation,
+    /// hence the second hook.
     std::function<void(const StreamingPrediction&)> prediction_tee;
-    /// Matured-label tee: called on the monitor stage thread when a
-    /// day's ground-truth labels close in the stream.
+    /// Matured-label tee: called on the worker when a day's ground-truth
+    /// labels close in the stream.
     std::function<void(int day, const std::vector<float>& labels)>
         outcome_tee;
 
-    // --- test / chaos knobs ---
-    /// Artificial stall per prediction batch in the predict stage — the
-    /// documented way to rehearse a slow predict shard and watch
-    /// backpressure engage without code changes.
-    std::chrono::microseconds predict_stall_for_test{0};
-    /// General fault-injection hook: runs in the predict stage before each
-    /// prediction batch is scored (after predict_stall_for_test), with the
-    /// batch's end-day. Tests park a shard on a latch here or throw its
-    /// serving path into a controlled stall — the FaultInjectingService
-    /// seam tests/fleet_test.cc drives. Must not call back into the
-    /// pipeline.
+    // --- test / chaos knob ---
+    /// Fault-injection hook: runs on the worker before each prediction
+    /// batch is scored, with the batch's end-day. Tests sleep here to
+    /// rehearse a slow predict shard and watch backpressure engage, or
+    /// park a shard on a latch — the FaultInjectingService seam
+    /// tests/fleet_test.cc drives. Must not call back into the pipeline.
     std::function<void(int end_day)> predict_fault_for_test;
   };
 
   /// `service` is not owned and must outlive the pipeline. Construction
   /// applies the Options engine/kernel/monitoring selections to the
-  /// service and starts the four stage threads; the pipeline is live
+  /// service and starts the worker thread; the pipeline is live
   /// (accepting Push) when the constructor returns.
   ServingPipeline(ForecastService* service, const Options& options);
 
@@ -227,34 +191,36 @@ class ServingPipeline {
   ServingPipeline& operator=(const ServingPipeline&) = delete;
 
   /// Offers one hourly KPI row, in any transport order; NaN marks a
-  /// missing reading. Blocks when the pipeline is backpressured. Returns
+  /// missing reading. Blocks while the ingress queue is full. Returns
   /// false — and drops the row — only when `num_kpis` mismatches the
   /// configured width (counted under stream/rows_rejected) or the
   /// pipeline is already finished; the reorder/duplicate/late verdicts
   /// land asynchronously in the stream/rows_* counters.
-  bool Push(int sector, int hour, const float* values, int num_kpis) {
-    return Push(sector, hour, values, num_kpis, /*born_ns=*/0);
-  }
+  bool Push(int sector, int hour, const float* values, int num_kpis);
   bool Push(int sector, int hour, const std::vector<float>& values) {
     return Push(sector, hour, values.data(),
                 static_cast<int>(values.size()));
   }
-  /// Push with an explicit ingress stamp: `born_ns` is SteadyNowNs() at
-  /// the moment the row entered the serving stack upstream of this
-  /// pipeline (the fleet stamps at admission so residency includes the
-  /// ingress-queue wait). 0 means "stamp at block flush" — the plain
-  /// overloads' behavior.
-  bool Push(int sector, int hour, const float* values, int num_kpis,
-            uint64_t born_ns);
 
-  /// Hands the producer-side partial row block to the ingest stage now
-  /// instead of waiting for it to fill — call when the feed goes quiet.
+  /// Non-blocking admission, for a producer that must never wait (the
+  /// fleet's Push). Like Push, except that when the row would need a full
+  /// ingress queue to take the current block it returns false and leaves
+  /// the row with the caller. A row is only ever refused while it is
+  /// still the caller's: once accepted it is served, never dropped.
+  /// `values` must hold options().num_kpis floats (the caller checks the
+  /// width); false as well once the pipeline is finished.
+  bool TryPush(int sector, int hour, const float* values);
+
+  /// Hands the producer-side partial row block to the worker now instead
+  /// of waiting for it to fill (blocking while the ingress queue is full)
+  /// — call when the feed goes quiet. Every batch those rows make
+  /// servable is then served without further input.
   void FlushInput();
 
   /// End-of-stream: flushes buffered input, finalizes the ingestor's
-  /// watermark window (gap-filling interior holes), drains every stage in
-  /// order and joins the stage threads. Idempotent; Push afterwards
-  /// returns false. Also publishes the final queue high-water gauges.
+  /// watermark window (gap-filling interior holes), serves everything it
+  /// makes ready and joins the worker. Idempotent; Push afterwards
+  /// returns false. Also publishes the final ingress high-water gauge.
   void Finish();
 
   bool finished() const {
@@ -266,7 +232,7 @@ class ServingPipeline {
   std::vector<StreamingPrediction> TakePredictions();
 
   /// The next window end-day the pipeline will serve once the stream
-  /// reaches it (the features stage's serving frontier).
+  /// reaches it (the serving frontier).
   int next_end_day() const {
     return next_end_day_.load(std::memory_order_relaxed);
   }
@@ -275,94 +241,117 @@ class ServingPipeline {
     return pending_outcomes_.load(std::memory_order_relaxed);
   }
 
-  /// Point-in-time accounting of all four stages (ingest, features,
+  /// Point-in-time accounting of the four phases (ingest, features,
   /// predict, monitor — in dataflow order).
   std::vector<StageStats> StageSnapshot() const;
+  /// The ingress queue's accounting (also StageSnapshot()[0].input).
+  QueueStats IngressStats() const { return ingress_.Stats(); }
 
   ForecastService& service() { return *service_; }
   const Options& options() const { return options_; }
 
  private:
-  /// Cached stream/serve counter handles (per-item hot paths must not pay
-  /// name lookups — the stream/rows_* discipline).
-  struct Counters {
+  enum Phase { kIngest = 0, kFeatures, kPredict, kMonitor, kNumPhases };
+
+  /// Cached obs handles, re-resolved only when the installed
+  /// PipelineContext changes, so the hot paths are pointer tests and
+  /// lock-free increments, never a name lookup. Null context = counting
+  /// off.
+  struct Obs {
     void Refresh();
+    const void* context = nullptr;
     obs::Counter* rows_offered = nullptr;
     obs::Counter* rows_rejected = nullptr;
     obs::Counter* prediction_batches = nullptr;
     obs::Counter* predictions = nullptr;
     obs::Counter* outcomes_recorded = nullptr;
-    const void* context = nullptr;
+    obs::Gauge* ingress_depth = nullptr;
+    obs::Counter* ingress_backpressure = nullptr;
+    obs::FlightRecorder* flight = nullptr;
+    /// Per phase: pipeline/<phase>_items, pipeline/<phase>_latency_seconds
+    /// and pipeline/stageK/residency_seconds.
+    obs::Counter* items[kNumPhases] = {};
+    obs::Histogram* latency[kNumPhases] = {};
+    obs::Histogram* residency[kNumPhases] = {};
   };
 
-  uint64_t IngestBlock(RowBlock&& block);
-  uint64_t ConsumeBlock(RowBlock&& block);
-  /// Serves every ready window batch and ships every newly matured label
-  /// day; returns the number of items pushed to the predict queue.
-  uint64_t ServeReady();
-  uint64_t PredictWork(FeatureWork&& work);
-  uint64_t DeliverWork(ScoredWork&& work);
+  /// One phase's books: atomics so StageSnapshot() can read them from any
+  /// thread while the worker, their only writer, updates them.
+  struct PhaseBooks {
+    std::atomic<uint64_t> items_in{0};
+    std::atomic<uint64_t> items_out{0};
+    std::atomic<double> busy_seconds{0.0};
+  };
+
+  // Producer side.
+  void Append(int sector, int hour, const float* values);
+  void FlushInputBlock();
+  void ResetInputBlock();
+
+  // Worker side.
+  void WorkerLoop();
+  /// Ingest, then features on whatever ordered rows the block released.
+  void RunBlock(const RowBlock& block);
+  /// Feeds the ordered-row scratch to the engine, then serves what that
+  /// made ready.
+  void RunFeatures(uint64_t born_ns, uint64_t now);
+  /// Predicts and delivers every ready end-day, then ships every newly
+  /// matured label day to the monitor.
+  void ServeReady(uint64_t now);
+  void Deliver(StreamingPrediction prediction);
   /// Records every awaiting prediction whose target-day labels arrived.
   void RecordReadyOutcomes();
-  void FlushInputBlock();
-  void FlushOrderedBlock();
-  void PublishFinalStats();
+  /// Publishes ingress depth, backpressure waits and high-water marks
+  /// seen since the last call.
+  void NoteIngress();
+  /// Books one run of `phase` that started at `start_ns` (time, items,
+  /// latency histogram) and returns the end stamp — the next phase's
+  /// start, so consecutive phases share one clock read.
+  uint64_t EndPhase(Phase phase, uint64_t start_ns, uint64_t in,
+                    uint64_t out);
+  /// Residency of rows stamped `born_ns` as they enter `phase`:
+  /// cumulative time since serving-stack ingress.
+  void ObserveResidency(Phase phase, uint64_t born_ns, int64_t exemplar,
+                        uint64_t now);
 
   ForecastService* service_;
   Options options_;
   int window_hours_ = 0;
   // Cached serving-universe invariant (fixed across bundle promotions), so
-  // the features stage never dereferences the swappable bundle.
+  // the worker never dereferences the swappable bundle.
   int horizon_days_ = 0;
 
   std::unique_ptr<stream::IncrementalFeatureEngine> engine_;
   std::unique_ptr<stream::KpiStreamIngestor> ingestor_;
-
-  BoundedQueue<RowBlock> raw_queue_;
-  BoundedQueue<RowBlock> ordered_queue_;
-  BoundedQueue<FeatureWork> predict_queue_;
-  BoundedQueue<ScoredWork> scored_queue_;
-
-  std::unique_ptr<Stage<RowBlock>> ingest_stage_;
-  std::unique_ptr<Stage<RowBlock>> features_stage_;
-  std::unique_ptr<Stage<FeatureWork>> predict_stage_;
-  std::unique_ptr<Stage<ScoredWork>> monitor_stage_;
-  std::vector<std::thread> threads_;
+  BoundedQueue<RowBlock> ingress_;
+  std::thread worker_;
 
   // Producer side (single-writer).
   RowBlock input_block_;
-  Counters producer_counters_;
+  bool input_closed_ = false;
+  Obs producer_obs_;
 
-  // Ingest stage state: ordered rows buffered into the next block.
-  RowBlock ordered_block_;
-  uint64_t ordered_blocks_pushed_ = 0;
-  /// Ingress stamp of the raw block the ingestor is currently unpacking —
-  /// min-merged into ordered_block_.born_ns by the reorder callback, so a
-  /// stamp survives the ingestor's reordering (stage-local, single
-  /// writer).
-  uint64_t current_raw_born_ns_ = 0;
-
-  // Features stage state.
+  // Worker state.
+  Obs obs_;
+  /// Ordered rows the ingestor released for the block being processed;
+  /// empty whenever the worker is idle.
+  RowBlock ordered_;
   std::atomic<int> next_end_day_{0};
   int next_outcome_day_ = 0;
   /// Oldest ingress stamp among rows consumed since the last served
-  /// batch; becomes the born_ns of the next FeatureWork batch.
+  /// batch; becomes the born_ns of the next batch.
   uint64_t pending_serve_born_ns_ = 0;
-
-  // Predict stage state.
-  Counters predict_counters_;
-
-  // Monitor stage state.
   std::deque<StreamingPrediction> awaiting_outcomes_;
   std::map<int, std::vector<float>> matured_labels_;
   std::atomic<int> pending_outcomes_{0};
-  Counters monitor_counters_;
+  PhaseBooks phases_[kNumPhases];
+  uint64_t seen_push_waits_ = 0;
+  int seen_high_water_ = 0;
 
   std::mutex results_mutex_;
   std::vector<StreamingPrediction> results_;
 
   std::atomic<bool> finished_{false};
-  bool input_closed_ = false;
 };
 
 }  // namespace hotspot::pipeline

@@ -1,44 +1,27 @@
 #ifndef HOTSPOT_PIPELINE_STAGE_H_
 #define HOTSPOT_PIPELINE_STAGE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "pipeline/bounded_queue.h"
 
 namespace hotspot::pipeline {
 
-/// The PipeStage dispatch/drain state machine every stage of the staged
-/// serving runtime walks:
-///
-///   kIdle     — constructed, loop not yet entered
-///   kDispatch — popping items from the input queue and handling them
-///   kDrain    — input closed and empty; flushing stage-local state and
-///               closing the downstream queue
-///   kDone     — loop exited, downstream closed
-///
-/// The transition kDispatch → kDrain happens exactly once, when Pop
-/// returns false (closed + drained), so shutdown ripples stage by stage
-/// from the front of the pipeline to the back and no in-flight item is
-/// ever abandoned.
-enum class StageState : int { kIdle = 0, kDispatch, kDrain, kDone };
-
-const char* StageStateName(StageState state);
-
-/// One stage's accounting, readable from any thread while the stage runs.
+/// One serving phase's accounting (ingest, features, predict or monitor),
+/// readable from any thread while the pipeline runs. The phases run inline
+/// on the pipeline's worker thread; each is timed with one clock pair per
+/// block or batch it handles.
 struct StageStats {
   std::string name;
-  StageState state = StageState::kIdle;
-  uint64_t items_in = 0;   ///< items popped from the input queue
-  uint64_t items_out = 0;  ///< items pushed downstream (reported by handler)
-  double busy_seconds = 0.0;  ///< wall time spent inside the handler
-  QueueStats input;  ///< the stage's input queue (depth = waiting work)
+  uint64_t items_in = 0;   ///< items the phase handled
+  uint64_t items_out = 0;  ///< items it handed on to the next phase
+  double busy_seconds = 0.0;  ///< wall time spent inside the phase
+  /// The phase's input queue: the pipeline's ingress queue for ingest
+  /// (depth = blocks waiting for the worker); all-zero for the other
+  /// phases, which take their input inline and have no queue.
+  QueueStats input;
 };
 
 /// Steady-clock nanoseconds since an arbitrary process epoch — the
@@ -51,199 +34,6 @@ inline uint64_t SteadyNowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// The (born_ns, exemplar) pair a stage's trace extractor reads off an
-/// item: born_ns = SteadyNowNs() at the item's serving-stack ingress (0 =
-/// unstamped, residency not recorded), exemplar = a caller-meaningful tag
-/// for the residency histogram (row count, end-day).
-struct StageTrace {
-  uint64_t born_ns = 0;
-  int64_t exemplar = 0;
-};
-
-/// Cached observability handles of one stage — resolved once per installed
-/// PipelineContext, so the per-item hot path is pointer tests and lock-free
-/// increments, never a name lookup (the same discipline as the
-/// stream/rows_* counters). Null context = counting off.
-class StageObs {
- public:
-  /// `stage_index` is the stage's position in dataflow order; it names the
-  /// pipeline/stageK/residency_seconds histogram and tags this stage's
-  /// flight events.
-  StageObs(const char* stage_name, int stage_index);
-
-  /// Re-resolves the handles when the installed context changed. Call once
-  /// per popped item (one pointer compare when nothing changed).
-  void Refresh();
-
-  /// Records one handled item: items counter, handler latency histogram.
-  void OnItem(double handler_seconds) {
-    if (items_ != nullptr) {
-      items_->Increment();
-      latency_->Observe(handler_seconds);
-    }
-  }
-
-  /// Publishes the input-queue depth observed at pop time.
-  void SetQueueDepth(int depth) {
-    if (depth_ != nullptr) depth_->Set(static_cast<double>(depth));
-  }
-
-  /// Records how long a stamped item had been in flight when this stage
-  /// popped it — cumulative residency from serving-stack ingress through
-  /// this stage boundary, under pipeline/stageK/residency_seconds.
-  void ObserveResidency(uint64_t born_ns, int64_t exemplar) {
-    if (residency_ == nullptr || born_ns == 0) return;
-    const uint64_t now = SteadyNowNs();
-    const double seconds =
-        now > born_ns ? static_cast<double>(now - born_ns) * 1e-9 : 0.0;
-    residency_->ObserveWithExemplar(seconds, exemplar);
-  }
-
-  /// Records upstream pushes into this stage's input that had to block —
-  /// the queue-boundary backpressure events — and flight-records the
-  /// onset (one event per burst of new waits, not per wait).
-  void AddBackpressureWaits(uint64_t waits) {
-    if (backpressure_ != nullptr && waits > 0) {
-      backpressure_->Add(waits);
-      if (flight_ != nullptr) {
-        flight_->Record(obs::FlightEventKind::kBackpressure, stage_index_,
-                        static_cast<int64_t>(waits));
-      }
-    }
-  }
-
-  /// Flight-records a new input-queue high-water mark.
-  void RecordHighWater(int depth) {
-    if (flight_ != nullptr) {
-      flight_->Record(obs::FlightEventKind::kQueueHighWater, stage_index_,
-                      depth);
-    }
-  }
-
- private:
-  int stage_index_ = 0;
-  std::string items_name_;
-  std::string latency_name_;
-  std::string depth_name_;
-  std::string backpressure_name_;
-  std::string residency_name_;
-  obs::Counter* items_ = nullptr;
-  obs::Histogram* latency_ = nullptr;
-  obs::Gauge* depth_ = nullptr;
-  obs::Counter* backpressure_ = nullptr;
-  obs::Histogram* residency_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  const void* context_ = nullptr;
-};
-
-/// One elastic pipeline stage: a dispatch loop over a BoundedQueue input,
-/// a handler that does the stage's work (and pushes downstream — pushing
-/// is the handler's business because item types change across the stage
-/// boundary), and a drain hook that flushes stage-local state before the
-/// downstream queue is closed.
-///
-/// Run() is the stage body; the serving pipeline runs it on a dedicated
-/// orchestration thread while the heavy lifting inside the handlers
-/// (window assembly, model inference) fans out over the shared
-/// deterministic thread pool. Stats() is safe from any thread.
-template <typename In>
-class Stage {
- public:
-  /// `handler` receives each popped item and returns the number of items
-  /// it pushed downstream (for the items_out accounting). `drain` runs
-  /// once after the input closes and drains; it must flush any buffered
-  /// state and close the downstream queue. `index` is the stage's
-  /// position in dataflow order (see StageObs). `trace`, when set, reads
-  /// the (born_ns, exemplar) pair off each popped item so the stage can
-  /// record cumulative residency — the template cannot know the item's
-  /// fields, the owner can.
-  Stage(const char* name, int index, BoundedQueue<In>* input,
-        std::function<uint64_t(In&&)> handler, std::function<void()> drain,
-        std::function<StageTrace(const In&)> trace = {})
-      : name_(name),
-        obs_(name, index),
-        input_(input),
-        handler_(std::move(handler)),
-        drain_(std::move(drain)),
-        trace_(std::move(trace)) {}
-
-  Stage(const Stage&) = delete;
-  Stage& operator=(const Stage&) = delete;
-
-  /// The stage body: dispatch until the input closes and drains, then
-  /// drain and finish. Runs to completion exactly once.
-  void Run() {
-    state_.store(static_cast<int>(StageState::kDispatch),
-                 std::memory_order_relaxed);
-    In item;
-    uint64_t seen_waits = 0;
-    int seen_high_water = 0;
-    while (input_->Pop(&item)) {
-      obs_.Refresh();
-      obs_.SetQueueDepth(input_->depth());
-      if (trace_) {
-        const StageTrace trace = trace_(item);
-        obs_.ObserveResidency(trace.born_ns, trace.exemplar);
-      }
-      const auto start = std::chrono::steady_clock::now();
-      const uint64_t pushed = handler_(std::move(item));
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      items_in_.fetch_add(1, std::memory_order_relaxed);
-      items_out_.fetch_add(pushed, std::memory_order_relaxed);
-      busy_seconds_.store(busy_seconds_.load(std::memory_order_relaxed) +
-                              seconds,
-                          std::memory_order_relaxed);
-      obs_.OnItem(seconds);
-      // Backpressure events on our input since the last item: producers
-      // that had to wait for this stage to make room. The same Stats()
-      // read feeds the high-water flight events — no extra lock.
-      const QueueStats input_stats = input_->Stats();
-      obs_.AddBackpressureWaits(input_stats.push_waits - seen_waits);
-      seen_waits = input_stats.push_waits;
-      if (input_stats.high_water > seen_high_water) {
-        seen_high_water = input_stats.high_water;
-        obs_.RecordHighWater(seen_high_water);
-      }
-    }
-    state_.store(static_cast<int>(StageState::kDrain),
-                 std::memory_order_relaxed);
-    drain_();
-    obs_.SetQueueDepth(0);
-    state_.store(static_cast<int>(StageState::kDone),
-                 std::memory_order_relaxed);
-  }
-
-  StageState state() const {
-    return static_cast<StageState>(state_.load(std::memory_order_relaxed));
-  }
-
-  StageStats Stats() const {
-    StageStats stats;
-    stats.name = name_;
-    stats.state = state();
-    stats.items_in = items_in_.load(std::memory_order_relaxed);
-    stats.items_out = items_out_.load(std::memory_order_relaxed);
-    stats.busy_seconds = busy_seconds_.load(std::memory_order_relaxed);
-    stats.input = input_->Stats();
-    return stats;
-  }
-
- private:
-  const std::string name_;
-  StageObs obs_;
-  BoundedQueue<In>* input_;
-  std::function<uint64_t(In&&)> handler_;
-  std::function<void()> drain_;
-  std::function<StageTrace(const In&)> trace_;
-  std::atomic<int> state_{static_cast<int>(StageState::kIdle)};
-  std::atomic<uint64_t> items_in_{0};
-  std::atomic<uint64_t> items_out_{0};
-  std::atomic<double> busy_seconds_{0.0};
-};
 
 }  // namespace hotspot::pipeline
 

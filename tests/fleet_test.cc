@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -28,6 +29,7 @@
 #include "obs/pipeline_context.h"
 #include "serialize/bundle.h"
 #include "thread_matrix.h"
+#include "util/thread_pool.h"
 
 namespace hotspot {
 namespace {
@@ -300,9 +302,8 @@ TEST(ForecastFleet, FlushInputDeliversBufferedRowsToTheShardPipelines) {
   obs::PipelineContext::ScopedInstall install(&context);
   FleetOptions options = FleetOptionsFor(study, 2);
   // A block budget larger than the entire stream: no block ever fills,
-  // so without an explicit flush every row stays buffered on the
-  // producer side (fleet open blocks) or inside the pipelines' input
-  // blocks — the shard ingestors see nothing.
+  // so without an explicit flush every row stays buffered in the shard
+  // pipelines' input blocks — the shard ingestors see nothing.
   options.serving.row_block_rows =
       study.num_sectors() * study.network.num_hours() + 1;
   ForecastFleet fleet(serialize::CloneBundle(BaseBundle()), options);
@@ -318,10 +319,9 @@ TEST(ForecastFleet, FlushInputDeliversBufferedRowsToTheShardPipelines) {
                               static_cast<uint64_t>(study.num_sectors());
   EXPECT_EQ(context.metrics().counter("stream/rows_accepted").Total(), 0u);
   fleet.FlushInput();
-  // The flush request rides each ingress queue *behind* the buffered
-  // rows, so the routers first push every admitted row into their
-  // pipelines and then flush the pipelines' input blocks — every routed
-  // row must reach a shard ingestor without Finish().
+  // The flush hands every shard's input block to its worker, behind the
+  // rows already queued — every routed row must reach a shard ingestor
+  // without Finish().
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   uint64_t accepted = 0;
@@ -346,8 +346,8 @@ TEST(ForecastFleet, FlushInputDuringLiveStreamKeepsBitwiseEquality) {
   const std::vector<std::vector<float>> batch =
       BatchScores(study, BaseBundle());
   FleetOptions options = FleetOptionsFor(study, 2);
-  options.serving.row_block_rows = 8;  // many blocks in flight
-  options.ingress_queue_blocks = 4;    // flushes land while routers drain
+  options.serving.row_block_rows = 8;    // many blocks in flight
+  options.serving.row_queue_blocks = 4;  // flushes land while workers drain
   ForecastFleet fleet(serialize::CloneBundle(BaseBundle()), options);
   const int hours = study.network.num_hours();
   for (int j = 0; j < hours; ++j) {
@@ -360,16 +360,92 @@ TEST(ForecastFleet, FlushInputDuringLiveStreamKeepsBitwiseEquality) {
       }
       ASSERT_EQ(verdict, PushVerdict::kRouted);
     }
-    // Flush while the routers are actively draining: pins (under TSan)
-    // that the flush request rides the ingress queue instead of touching
-    // the pipelines from this thread, and that it never reorders or
-    // drops rows already admitted.
+    // Flush while the shard workers are actively draining: pins (under
+    // TSan) that flushing from the producer thread — every pipeline's
+    // only writer — races nothing, and that it never reorders or drops
+    // rows already admitted.
     if (j % 7 == 0) fleet.FlushInput();
   }
   fleet.FlushInput();
   fleet.Finish();
   ExpectFleetBitwiseEqualToBatch(fleet.TakePredictions(), batch,
                                  BaseBundle().window_days, "flush-live");
+}
+
+TEST(ForecastFleet, FlushInputServesAQuietFeedsReadyBatch) {
+  const Study& study = SharedStudy();
+  const std::vector<std::vector<float>> batch =
+      BatchScores(study, BaseBundle());
+  const int end_day = BaseBundle().window_days;
+  // Features finalize at week close, so the first end-day becomes
+  // servable with the last hour of the week holding its final window
+  // hour.
+  const int servable_hour =
+      ((kHoursPerDay * end_day - 1) / kHoursPerWeek + 1) * kHoursPerWeek - 1;
+  ASSERT_LT(servable_hour, study.network.num_hours());
+  ForecastFleet fleet(serialize::CloneBundle(BaseBundle()),
+                      FleetOptionsFor(study, 2));
+  // An in-order feed up to that hour, then the feed goes quiet: one
+  // FlushInput and no more rows. Every shard must serve the batch
+  // without waiting for the next hour's rows.
+  for (int j = 0; j <= servable_hour; ++j) {
+    for (int i = 0; i < study.num_sectors(); ++i) {
+      PushVerdict verdict;
+      while ((verdict = fleet.Push(i, j, study.network.kpis.Slice(i, j),
+                                   study.network.kpis.dim2())) ==
+             PushVerdict::kRejectedOverload) {
+        std::this_thread::yield();
+      }
+      ASSERT_EQ(verdict, PushVerdict::kRouted);
+    }
+  }
+  fleet.FlushInput();
+  std::vector<FleetPrediction> served;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (served.empty() && std::chrono::steady_clock::now() < deadline) {
+    served = fleet.TakePredictions();
+    if (served.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_FALSE(served.empty())
+      << "batch " << end_day << " not served after FlushInput";
+  EXPECT_EQ(served.front().end_day, end_day);
+  ASSERT_EQ(served.front().scores.size(), batch[0].size());
+  EXPECT_EQ(std::memcmp(served.front().scores.data(), batch[0].data(),
+                        batch[0].size() * sizeof(float)),
+            0);
+  fleet.Finish();
+}
+
+/// Threads of this process: one /proc/self/task entry each.
+int LiveThreads() {
+  int threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(ForecastFleet, RunsOneWorkerThreadPerShard) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const Study& study = SharedStudy();
+  // The pool starts its workers on first use: start them all now, so the
+  // count below sees only the fleet's own threads.
+  util::ParallelFor(0, 1 << 10, [](int64_t) {});
+  const int before = LiveThreads();
+  ForecastFleet fleet(serialize::CloneBundle(BaseBundle()),
+                      FleetOptionsFor(study, 4));
+  for (int shard = 0; shard < fleet.num_shards(); ++shard) {
+    ASSERT_FALSE(fleet.shard_sectors(shard).empty()) << "shard " << shard;
+  }
+  EXPECT_EQ(LiveThreads(), before + 4);
+  fleet.Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -386,13 +462,9 @@ class FaultInjectingService {
     options->shard_options_for_test =
         [this, target_shard](int shard, ServingPipeline::Options* serving) {
           if (shard != target_shard) return;
-          // Tighten the victim's internal queues so the stall reaches its
-          // ingress (and sheds) within a few simulated days instead of
-          // after thousands of buffered rows.
+          // Small blocks, so the stall fills the victim's ingress (and
+          // sheds) within a few simulated days.
           serving->row_block_rows = 8;
-          serving->row_queue_blocks = 1;
-          serving->predict_queue_capacity = 1;
-          serving->scored_queue_capacity = 1;
           serving->predict_fault_for_test = [this](int) { Wait(); };
         };
   }
@@ -432,7 +504,7 @@ TEST(ForecastFleet, StalledShardShedsOnlyItsLoadOthersStayBitwiseEqual) {
   const int stalled = 2;
   FleetOptions options = FleetOptionsFor(study, num_shards);
   options.serving.row_block_rows = 8;
-  options.ingress_queue_blocks = 32;
+  options.serving.row_queue_blocks = 32;
   FaultInjectingService fault;
   fault.Engage();
   fault.InstallOnShard(stalled, &options);
@@ -462,7 +534,7 @@ TEST(ForecastFleet, StalledShardShedsOnlyItsLoadOthersStayBitwiseEqual) {
     }
     if (j % 4 == 3) {
       // Pace the producer against the healthy shards (a live feed's
-      // natural cadence): never let a merely-descheduled router look like
+      // natural cadence): never let a merely-descheduled worker look like
       // an overloaded one. The stalled shard gets no such courtesy while
       // the fault is engaged — but once released it rejoins the pacing
       // set, so the tail of the stream is guaranteed to route and the
@@ -793,7 +865,10 @@ TEST(ForecastFleet, HeterogeneousBundlesPerShardWithFlightAudit) {
             0)
       << "the two shard bundles must score differently";
 
-  obs::PipelineContext context;
+  // The promotions are recorded first, then the stream's admission
+  // rejects (one per re-offered row) and backpressure events; the ring
+  // must be big enough that none of them overwrites the promotions.
+  obs::PipelineContext context(/*flight_capacity=*/1 << 17);
   obs::PipelineContext::ScopedInstall install(&context);
   ForecastFleet fleet(serialize::CloneBundle(BaseBundle()),
                       FleetOptionsFor(study, 2));
@@ -820,7 +895,10 @@ TEST(ForecastFleet, HeterogeneousBundlesPerShardWithFlightAudit) {
   }
 
   // The audit trail: one shard-tagged promotion event per shard, each
-  // carrying the generation the predictions above reported.
+  // carrying the generation the predictions above reported. A wrapped
+  // ring fails here, as a wrap, not below as a missing promotion.
+  ASSERT_EQ(context.flight().dropped(), 0u)
+      << "flight ring too small for the stream; promotions overwritten";
   std::vector<bool> promoted(2, false);
   for (const obs::FlightEventRecord& event : context.flight().Snapshot()) {
     if (event.kind != obs::FlightEventKind::kPromotion) continue;

@@ -1,16 +1,20 @@
-// The staged serving runtime's contract tests: BoundedQueue backpressure
-// and drain semantics, the ServingPipeline facade's bitwise parity with
-// the direct-call batch path at every thread-matrix count (slow-predict
-// injection included — backpressure must engage without dropping or
-// reordering a single row), queue-bound edge cases (capacity 1 and
+// The serving runtime's contract tests: BoundedQueue backpressure and
+// drain semantics, the ServingPipeline facade's bitwise parity with the
+// direct-call batch path at every thread-matrix count (slow-predict
+// injection included — ingress backpressure must engage without dropping
+// or reordering a single row), queue-bound edge cases (capacity 1 and
 // capacity beyond the stream length), drain-on-shutdown via the
-// destructor, Options-over-env engine/kernel selection, and per-stage
-// accounting landing in the obs snapshot.
+// destructor, FlushInput serving a quiet feed's ready batches, the
+// one-worker-thread architecture, Options-over-env engine/kernel
+// selection, and per-phase accounting landing in the obs snapshot.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "pipeline/serving_pipeline.h"
 #include "pipeline/stage.h"
 #include "thread_matrix.h"
+#include "util/thread_pool.h"
 
 namespace hotspot {
 namespace {
@@ -218,13 +223,13 @@ TEST(ServingPipeline, SlowPredictStageEngagesBackpressureWithoutLoss) {
     obs::PipelineContext context;
     obs::PipelineContext::ScopedInstall install(&context);
     ServingPipeline::Options options = OptionsFor(study);
-    // A crawling model behind a one-slot predict queue: feature
-    // extraction fills it instantly and everything upstream must wait.
-    options.predict_queue_capacity = 1;
-    options.scored_queue_capacity = 1;
+    // A crawling model behind a one-block ingress queue: while the worker
+    // scores, the producer fills the queue at once and must wait.
     options.row_queue_blocks = 1;
     options.row_block_rows = 256;
-    options.predict_stall_for_test = std::chrono::milliseconds(3);
+    options.predict_fault_for_test = [](int) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    };
     std::vector<StageStats> stages;
     std::vector<StreamingPrediction> served =
         RunPipelineServe(study, service.get(), options, &stages);
@@ -240,17 +245,17 @@ TEST(ServingPipeline, SlowPredictStageEngagesBackpressureWithoutLoss) {
     ExpectBitwiseEqualToBatch(served, batch,
                               service->bundle().window_days,
                               "threads=" + threads);
-    // And the stall was actually felt as backpressure on the predict
-    // boundary (upstream pushes had to wait for the slow stage).
+    // And the stall was actually felt as backpressure at the ingress
+    // (the producer's pushes had to wait for the slow worker).
     ASSERT_EQ(stages.size(), 4u);
-    const StageStats& predict = stages[2];
-    EXPECT_EQ(predict.name, "predict");
-    EXPECT_GE(predict.input.push_waits, 1u) << "threads=" << threads;
-    EXPECT_GT(predict.input.push_blocked_seconds, 0.0);
+    const StageStats& ingest = stages[0];
+    EXPECT_EQ(ingest.name, "ingest");
+    EXPECT_GE(ingest.input.push_waits, 1u) << "threads=" << threads;
+    EXPECT_GT(ingest.input.push_blocked_seconds, 0.0);
     EXPECT_EQ(context.metrics()
-                  .counter("pipeline/predict_backpressure_waits")
+                  .counter("pipeline/ingest_backpressure_waits")
                   .Total(),
-              predict.input.push_waits);
+              ingest.input.push_waits);
   });
 }
 
@@ -259,12 +264,10 @@ TEST(ServingPipeline, QueueCapacityOneIsLosslessAndBitwiseEqual) {
   std::unique_ptr<ForecastService> service = MakeService(study);
   const std::vector<std::vector<float>> batch = BatchScores(study, *service);
   ServingPipeline::Options options = OptionsFor(study);
-  // The tightest legal pipeline: every boundary one item deep, one row
-  // per block — maximum handoff pressure, same bits out.
+  // The tightest legal pipeline: a one-block ingress queue, one row per
+  // block — maximum handoff pressure, same bits out.
   options.row_queue_blocks = 1;
   options.row_block_rows = 1;
-  options.predict_queue_capacity = 1;
-  options.scored_queue_capacity = 1;
   std::vector<StreamingPrediction> served =
       RunPipelineServe(study, service.get(), options);
   ExpectBitwiseEqualToBatch(served, batch, service->bundle().window_days,
@@ -277,13 +280,10 @@ TEST(ServingPipeline, QueueCapacityBeyondStreamLengthNeverBlocks) {
   const std::vector<std::vector<float>> batch = BatchScores(study, *service);
   const int total_rows = study.num_sectors() * study.network.num_hours();
   ServingPipeline::Options options = OptionsFor(study);
-  // Queues wider than the whole stream: pure pipelining, no
-  // backpressure anywhere, still the same bits.
+  // An ingress queue wider than the whole stream: the producer never
+  // waits, still the same bits.
   options.row_block_rows = 64;
   options.row_queue_blocks = total_rows / 64 + 2;
-  options.predict_queue_capacity = study.num_days() + 2;
-  options.scored_queue_capacity =
-      study.num_days() + 2 + study.num_days();  // predictions + outcomes
   std::vector<StageStats> stages;
   std::vector<StreamingPrediction> served =
       RunPipelineServe(study, service.get(), options, &stages);
@@ -301,8 +301,9 @@ TEST(ServingPipeline, DestructorDrainsInFlightWorkCleanly) {
   std::vector<StreamingPrediction> delivered;
   {
     ServingPipeline::Options options = OptionsFor(study);
-    options.predict_queue_capacity = 1;
-    options.predict_stall_for_test = std::chrono::milliseconds(1);
+    options.predict_fault_for_test = [](int) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
     options.on_prediction = [&](const StreamingPrediction& prediction) {
       delivered.push_back(prediction);
     };
@@ -315,7 +316,7 @@ TEST(ServingPipeline, DestructorDrainsInFlightWorkCleanly) {
       }
     }
     // No Finish(): the destructor must flush the partial input block,
-    // ripple the drain through all four stages and join them — losing
+    // drain the ingress queue through the worker and join it — losing
     // none of the in-flight batches.
   }
   ExpectBitwiseEqualToBatch(delivered, batch, service->bundle().window_days,
@@ -328,18 +329,18 @@ TEST(ServingPipeline, DestructorMidStreamWithRowsQueuedAtEveryStage) {
   const std::vector<std::vector<float>> batch = BatchScores(study, *service);
   std::vector<StreamingPrediction> delivered;
   {
-    // Every stage gets a capacity-1 queue and tiny blocks, and predict is
-    // slowed, so by mid-stream there are rows buffered in the open input
-    // block, the row queue, the predict queue and the scored queue
-    // simultaneously — then the pipeline is destroyed with the feed still
-    // live: no Finish(), no quiesce. The destructor must ripple a clean
-    // drain through all of it (ASan is the judge of "clean").
+    // A capacity-1 ingress queue, tiny blocks and a slowed predict, so by
+    // mid-stream there are rows in the open input block, in the ingress
+    // queue and in the worker's hands simultaneously — then the pipeline
+    // is destroyed with the feed still live: no Finish(), no quiesce. The
+    // destructor must drain all of it cleanly (ASan is the judge of
+    // "clean").
     ServingPipeline::Options options = OptionsFor(study);
     options.row_block_rows = 8;
     options.row_queue_blocks = 1;
-    options.predict_queue_capacity = 1;
-    options.scored_queue_capacity = 1;
-    options.predict_stall_for_test = std::chrono::milliseconds(2);
+    options.predict_fault_for_test = [](int) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    };
     options.on_prediction = [&](const StreamingPrediction& prediction) {
       delivered.push_back(prediction);
     };
@@ -440,19 +441,27 @@ TEST(ServingPipeline, StageAccountingLandsInObsSnapshot) {
   EXPECT_EQ(stages[3].name, "monitor");
   const uint64_t batches = static_cast<uint64_t>(served.size());
   for (const StageStats& stage : stages) {
-    EXPECT_EQ(pipeline::StageStateName(stage.state), std::string("done"));
     EXPECT_GT(stage.items_in, 0u) << "stage " << stage.name;
-    // The cached-handle per-stage counters mirror the stage's own books.
+    EXPECT_GT(stage.busy_seconds, 0.0) << "stage " << stage.name;
+    // The cached-handle per-phase counters mirror the phase's own books.
     EXPECT_EQ(context.metrics()
                   .counter("pipeline/" + stage.name + "_items")
                   .Total(),
               stage.items_in)
         << "stage " << stage.name;
   }
-  // The predict stage saw every prediction batch plus the outcome
-  // pass-throughs; the monitor stage consumed exactly what it emitted.
-  EXPECT_GE(stages[2].items_in, batches);
-  EXPECT_EQ(stages[3].items_in, stages[2].items_out);
+  // Every ordered row the ingest phase released was consumed by
+  // features; predict scored every batch; monitor took every batch and
+  // matured label day features handed on.
+  EXPECT_EQ(stages[1].items_in, stages[0].items_out);
+  EXPECT_EQ(stages[2].items_in, batches);
+  EXPECT_EQ(stages[2].items_out, batches);
+  EXPECT_EQ(stages[3].items_in, stages[1].items_out);
+  // Only ingest has a queue.
+  EXPECT_GT(stages[0].input.pushed, 0u);
+  for (size_t k = 1; k < stages.size(); ++k) {
+    EXPECT_EQ(stages[k].input.capacity, 0) << "stage " << stages[k].name;
+  }
   // Everything served matured in-stream except the final horizon days.
   const obs::Snapshot snapshot = obs::TakeSnapshot(context);
   bool found_latency = false;
@@ -490,6 +499,85 @@ TEST(ServingPipeline, FrontierAccessorsAndOutcomeLoopMatchRunnerSemantics) {
       service->bundle().horizon_days;
   EXPECT_EQ(context.metrics().counter("stream/outcomes_recorded").Total(),
             static_cast<uint64_t>(matured_batches * n));
+}
+
+TEST(ServingPipeline, FlushInputServesAQuietFeedsReadyBatch) {
+  const Study& study = SharedStudy();
+  std::unique_ptr<ForecastService> service = MakeService(study);
+  const std::vector<std::vector<float>> batch = BatchScores(study, *service);
+  const int end_day = service->window_days();
+  // Features finalize at week close, so the first end-day becomes
+  // servable with the last hour of the week holding its final window
+  // hour.
+  const int servable_hour =
+      ((kHoursPerDay * end_day - 1) / kHoursPerWeek + 1) * kHoursPerWeek - 1;
+  ASSERT_LT(servable_hour, study.network.num_hours());
+  std::mutex mutex;
+  std::condition_variable served_cv;
+  std::vector<StreamingPrediction> served;
+  ServingPipeline::Options options = OptionsFor(study);
+  options.on_prediction = [&](const StreamingPrediction& prediction) {
+    std::lock_guard<std::mutex> lock(mutex);
+    served.push_back(prediction);
+    served_cv.notify_all();
+  };
+  ServingPipeline serving(service.get(), options);
+  // An in-order feed up to that hour, then the feed goes quiet: one
+  // FlushInput and no more rows. The batch must not wait for the next
+  // hour's rows.
+  for (int j = 0; j <= servable_hour; ++j) {
+    for (int i = 0; i < study.num_sectors(); ++i) {
+      ASSERT_TRUE(serving.Push(i, j, study.network.kpis.Slice(i, j),
+                               study.network.kpis.dim2()));
+    }
+  }
+  serving.FlushInput();
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(served_cv.wait_for(lock, std::chrono::seconds(5),
+                                   [&] { return !served.empty(); }))
+        << "batch " << end_day << " not served after FlushInput";
+    EXPECT_EQ(served.front().end_day, end_day);
+    ASSERT_EQ(served.front().scores.size(), batch[0].size());
+    EXPECT_EQ(std::memcmp(served.front().scores.data(), batch[0].data(),
+                          batch[0].size() * sizeof(float)),
+              0);
+  }
+  serving.Finish();
+}
+
+/// Threads of this process: one /proc/self/task entry each.
+int LiveThreads() {
+  int threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(ServingPipeline, RunsOnExactlyOneWorkerThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const Study& study = SharedStudy();
+  std::unique_ptr<ForecastService> service = MakeService(study);
+  // The pool starts its workers on first use: start them all now, so the
+  // count below sees only the pipeline's own threads.
+  util::ParallelFor(0, 1 << 10, [](int64_t) {});
+  const int before = LiveThreads();
+  ServingPipeline serving(service.get(), OptionsFor(study));
+  EXPECT_EQ(LiveThreads(), before + 1);
+  serving.Finish();
+  // A joined thread can linger in /proc for a moment after join returns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (LiveThreads() != before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(LiveThreads(), before);
 }
 
 }  // namespace
