@@ -29,6 +29,7 @@
 #include "core/forecast_service.h"
 #include "core/study.h"
 #include "fleet/forecast_fleet.h"
+#include "host_fingerprint.h"
 #include "obs/pipeline_context.h"
 #include "obs/snapshot.h"
 #include "serialize/bundle.h"
@@ -180,6 +181,7 @@ bool WriteFleetJson(const std::string& path, const FleetFixture& fixture,
   std::fprintf(file, "{\n");
   std::fprintf(file, "  \"bench\": \"bench_micro_fleet\",\n");
   std::fprintf(file, "  \"trajectory\": \"sharded_fleet_serving\",\n");
+  bench::WriteHostJson(file);
   std::fprintf(file, "  \"sectors\": %d,\n", fixture.study.num_sectors());
   std::fprintf(file, "  \"hours\": %d,\n",
                fixture.study.network.num_hours());

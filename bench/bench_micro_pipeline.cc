@@ -35,6 +35,7 @@
 #include "features/percentile_features.h"
 #include "features/raw_features.h"
 #include "features/window.h"
+#include "host_fingerprint.h"
 #include "obs/pipeline_context.h"
 #include "obs/snapshot.h"
 #include "obs/telemetry.h"
@@ -305,6 +306,7 @@ bool WriteStagedJson(const std::string& path, const StagedFixture& fixture,
   std::fprintf(file, "{\n");
   std::fprintf(file, "  \"bench\": \"bench_micro_pipeline\",\n");
   std::fprintf(file, "  \"trajectory\": \"run_to_completion_pipeline\",\n");
+  bench::WriteHostJson(file);
   std::fprintf(file, "  \"sectors\": %d,\n", fixture.study.num_sectors());
   std::fprintf(file, "  \"hours\": %d,\n",
                fixture.study.network.num_hours());

@@ -2,17 +2,17 @@
 // bundle save/load latency (the warm-start cost a serving process pays
 // once), batched prediction throughput through ForecastService with and
 // without online monitoring, and the single-thread predict trajectory of
-// the flat-tree engine — classic pointer-walking vs FlatForest scalar vs
-// FlatForest SIMD (vs the quantized variant) over identical rows. The
-// flat SIMD path must hold >= 5x the classic single-thread throughput;
-// record the trajectory in BENCH_micro_serve.json (HOTSPOT_BENCH_JSON
-// exports it) and EXPERIMENTS.md when the numbers change materially.
+// the flat-tree engine — the classic pointer walk (the test oracle) vs
+// FlatForest scalar vs FlatForest SIMD over identical rows. The flat SIMD
+// path must hold >= 5x the classic single-thread throughput; record the
+// trajectory in BENCH_micro_serve.json (HOTSPOT_BENCH_JSON exports it) and
+// EXPERIMENTS.md when the numbers change materially.
 //
 // HOTSPOT_MICRO_SMOKE=1 switches to a seconds-scale correctness smoke
-// (the ctest registration, label `simd`): serves the monitored /
-// unmonitored x flat / classic quartet under a live obs::PipelineContext,
-// asserts all four score vectors are bitwise identical, cross-checks the
-// serve/ row counters against the batches actually served, and reports
+// (the ctest registration, label `simd`): serves a monitored and an
+// unmonitored batch under a live obs::PipelineContext, asserts both score
+// vectors are bitwise identical to the pointer-walk oracle, cross-checks
+// the serve/ counters against the batches actually served, and reports
 // the measured predict trajectory. With HOTSPOT_OBS_JSON=<path> either
 // mode exports the metrics snapshot.
 #include <benchmark/benchmark.h>
@@ -30,6 +30,7 @@
 #include "core/study.h"
 #include "features/raw_features.h"
 #include "features/window.h"
+#include "host_fingerprint.h"
 #include "ml/flat_tree.h"
 #include "obs/pipeline_context.h"
 #include "obs/snapshot.h"
@@ -188,7 +189,7 @@ BENCHMARK(BM_ServePredictBatchMonitored);
 constexpr int kTrajectoryRows = 4096;
 
 /// The engines of the predict trajectory, in presentation order.
-enum class Engine { kClassic, kFlatScalar, kFlatSimd, kFlatQuantized };
+enum class Engine { kClassic, kFlatScalar, kFlatSimd };
 
 const char* EngineName(Engine engine) {
   switch (engine) {
@@ -198,8 +199,6 @@ const char* EngineName(Engine engine) {
       return "flat_scalar";
     case Engine::kFlatSimd:
       return "flat_simd";
-    case Engine::kFlatQuantized:
-      return "flat_quantized";
   }
   return "?";
 }
@@ -221,11 +220,7 @@ std::vector<double> PredictOnce(const ForecastService& service,
   const ml::FlatKernel kernel = engine == Engine::kFlatScalar
                                     ? ml::FlatKernel::kScalar
                                     : ml::FlatKernel::kAvx2;
-  const ml::FlatVariant variant = engine == Engine::kFlatQuantized
-                                      ? ml::FlatVariant::kQuantized
-                                      : ml::FlatVariant::kFloat;
-  flat.PredictBatch(rows.Row(0), n, rows.cols(), scores.data(), kernel,
-                    variant);
+  flat.PredictBatch(rows.Row(0), n, rows.cols(), scores.data(), kernel);
   return scores;
 }
 
@@ -256,11 +251,6 @@ void BM_PredictFlatSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictFlatSimd);
 
-void BM_PredictFlatQuantized(benchmark::State& state) {
-  PredictTrajectory(state, Engine::kFlatQuantized);
-}
-BENCHMARK(BM_PredictFlatQuantized);
-
 // ---------------------------------------------------------------------------
 // Trajectory measurement + JSON export (shared by smoke and bench modes)
 // ---------------------------------------------------------------------------
@@ -281,8 +271,8 @@ std::vector<TrajectoryPoint> MeasureTrajectory(
   const std::vector<double> reference =
       PredictOnce(service, rows, Engine::kClassic);
   std::vector<TrajectoryPoint> trajectory;
-  for (Engine engine : {Engine::kClassic, Engine::kFlatScalar,
-                        Engine::kFlatSimd, Engine::kFlatQuantized}) {
+  for (Engine engine :
+       {Engine::kClassic, Engine::kFlatScalar, Engine::kFlatSimd}) {
     std::vector<double> scores = PredictOnce(service, rows, engine);
     if (std::memcmp(scores.data(), reference.data(),
                     reference.size() * sizeof(double)) != 0) {
@@ -332,6 +322,7 @@ bool WriteTrajectoryJson(const std::string& path,
   std::fprintf(file, "{\n");
   std::fprintf(file, "  \"bench\": \"bench_micro_serve\",\n");
   std::fprintf(file, "  \"trajectory\": \"single_thread_predict\",\n");
+  bench::WriteHostJson(file);
   std::fprintf(file, "  \"rows\": %d,\n", kTrajectoryRows);
   std::fprintf(file, "  \"features\": %d,\n", flat.num_features());
   std::fprintf(file, "  \"trees\": %d,\n", flat.num_trees());
@@ -363,9 +354,9 @@ bool WriteTrajectoryJson(const std::string& path,
 // Smoke mode
 // ---------------------------------------------------------------------------
 
-/// Seconds-scale smoke: the monitored/unmonitored x flat/classic serving
-/// quartet under a live context — all four score vectors bitwise equal,
-/// every serve/ counter tied to the batches actually served — plus the
+/// Seconds-scale smoke: a monitored and an unmonitored served batch under
+/// a live context — both bitwise equal to the pointer-walk oracle, every
+/// serve/ counter tied to the batches actually served — plus the
 /// single-thread predict trajectory.
 int Smoke() {
   obs::PipelineContext context;
@@ -378,11 +369,17 @@ int Smoke() {
     std::fprintf(stderr, "FAIL: bundle load failed\n");
     return 1;
   }
-  const uint64_t n = static_cast<uint64_t>(fixture.study.num_sectors());
+  const int sectors = fixture.study.num_sectors();
+  const uint64_t n = static_cast<uint64_t>(sectors);
 
-  // The quartet: {monitored, unmonitored} x {flat, classic}, all over the
-  // same study tensor. The first leg is the reference.
-  std::vector<float> reference;
+  // The oracle: every sector's window at day t, scored by the pointer walk.
+  const Matrix<float> sector_rows = fixture.PredictRows(sectors);
+  std::vector<float> reference(static_cast<size_t>(sectors));
+  for (int i = 0; i < sectors; ++i) {
+    reference[static_cast<size_t>(i)] = static_cast<float>(
+        service->bundle().classifier->PredictProba(sector_rows.Row(i)));
+  }
+
   uint64_t batches = 0;
   for (bool monitored : {true, false}) {
     if (monitored) {
@@ -393,24 +390,17 @@ int Smoke() {
     } else {
       service->DisableMonitoring();
     }
-    for (PredictEngine engine :
-         {PredictEngine::kFlat, PredictEngine::kClassic}) {
-      service->set_predict_engine(engine);
-      std::vector<float> scores =
-          service->PredictAtDay(fixture.study.features, fixture.config.t);
-      ++batches;
-      if (reference.empty()) {
-        reference = scores;
-      } else if (scores.size() != reference.size() ||
-                 std::memcmp(scores.data(), reference.data(),
-                             reference.size() * sizeof(float)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: %s/%s scores diverge bitwise from the "
-                     "reference leg\n",
-                     monitored ? "monitored" : "unmonitored",
-                     engine == PredictEngine::kFlat ? "flat" : "classic");
-        ++failures;
-      }
+    std::vector<float> scores =
+        service->PredictAtDay(fixture.study.features, fixture.config.t);
+    ++batches;
+    if (scores.size() != reference.size() ||
+        std::memcmp(scores.data(), reference.data(),
+                    reference.size() * sizeof(float)) != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %s scores diverge bitwise from the pointer-walk "
+                   "oracle\n",
+                   monitored ? "monitored" : "unmonitored");
+      ++failures;
     }
   }
 
@@ -423,13 +413,11 @@ int Smoke() {
       ++failures;
     }
   };
-  // Four served batches: every one counts a request and n windows; each
-  // engine saw exactly half the rows.
+  // Every served batch counts a request and n windows.
   expect_counter("serve/requests", batches);
   expect_counter("serve/windows", batches * n);
-  expect_counter("serve/rows_flat", batches / 2 * n);
-  expect_counter("serve/rows_classic", batches / 2 * n);
-  std::printf("quartet: %llu batches x %llu sectors, bitwise identical\n",
+  std::printf("pair: %llu batches x %llu sectors, bitwise identical to "
+              "the oracle\n",
               static_cast<unsigned long long>(batches),
               static_cast<unsigned long long>(n));
 

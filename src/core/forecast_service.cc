@@ -1,8 +1,6 @@
 #include "core/forecast_service.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "features/window.h"
@@ -28,10 +26,6 @@ ForecastService::ForecastService(
                  /*enable_monitoring=*/true, &error);
   HOTSPOT_CHECK(initial != nullptr) << error;
   PublishState(std::move(initial));
-  engine_.store(DefaultPredictEngine(), std::memory_order_relaxed);
-  // Resolve the kernel once (CPUID probe + env opt-out) instead of per
-  // batch; set_flat_kernel overrides it for the service's lifetime.
-  kernel_.store(ml::FlatForest::ChooseKernel(), std::memory_order_relaxed);
 }
 
 std::shared_ptr<ForecastService::ServingState> ForecastService::BuildState(
@@ -88,13 +82,6 @@ std::shared_ptr<ForecastService::ServingState> ForecastService::BuildState(
   state->bundle = std::move(bundle);
   state->generation = generation;
   return state;
-}
-
-PredictEngine ForecastService::DefaultPredictEngine() {
-  if (const char* env = std::getenv("HOTSPOT_PREDICT_ENGINE")) {
-    if (std::string_view(env) == "classic") return PredictEngine::kClassic;
-  }
-  return PredictEngine::kFlat;
 }
 
 serialize::Status ForecastService::PromoteBundle(
@@ -231,38 +218,18 @@ std::vector<float> ForecastService::ScoreBatch(
     const std::function<Matrix<float>(int)>& window_of) const {
   const serialize::ForecastBundle& bundle = *serving.bundle;
   std::vector<float> scores(static_cast<size_t>(n));
-  if (predict_engine() == PredictEngine::kClassic) {
-    if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-      ctx->metrics().counter("serve/rows_classic").Add(
-          static_cast<uint64_t>(n));
-    }
-    // Parallel over sectors; sector i only writes scores[i], so the batch
-    // is deterministic under any thread count.
-    util::ParallelFor(0, n, [&](int64_t i64) {
-      const int i = static_cast<int>(i64);
-      Matrix<float> window = window_of(i);
-      std::vector<float> row;
-      serving.extractor->Extract(window, &row);
-      HOTSPOT_CHECK_EQ(static_cast<int>(row.size()), bundle.feature_dim);
-      scores[static_cast<size_t>(i)] =
-          static_cast<float>(bundle.classifier->PredictProba(row.data()));
-    });
-    return scores;
-  }
-  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-    ctx->metrics().counter("serve/rows_flat").Add(static_cast<uint64_t>(n));
-  }
   const ml::FlatForest& flat = *bundle.flat;
-  const ml::FlatKernel kernel = flat_kernel();
   const int dim = bundle.feature_dim;
-  constexpr int kBlock = ml::flat_detail::kBlockRows;
-  const int num_blocks = (n + kBlock - 1) / kBlock;
-  // Parallel over 8-row blocks; block b only writes scores[8b..8b+7], and
-  // each row's score is independent of its block, so the result is
-  // bitwise-identical to the classic path at any thread count.
+  // 16 rows where the AVX-512 kernel is live, 8 otherwise; `out` is sized
+  // for the wider block.
+  const int block = ml::flat_detail::SimdBlockRows();
+  const int num_blocks = (n + block - 1) / block;
+  // Parallel over row blocks; block b only writes its own slice of scores,
+  // and each row's score is independent of its block, so the result is
+  // bitwise-identical to the pointer walk at any thread count.
   util::ParallelFor(0, num_blocks, [&](int64_t b64) {
-    const int begin = static_cast<int>(b64) * kBlock;
-    const int count = std::min(kBlock, n - begin);
+    const int begin = static_cast<int>(b64) * block;
+    const int count = std::min(block, n - begin);
     Matrix<float> rows(count, dim);
     std::vector<float> row;
     for (int r = 0; r < count; ++r) {
@@ -271,8 +238,8 @@ std::vector<float> ForecastService::ScoreBatch(
       HOTSPOT_CHECK_EQ(static_cast<int>(row.size()), bundle.feature_dim);
       std::copy(row.begin(), row.end(), rows.Row(r));
     }
-    double out[kBlock];
-    flat.PredictBatch(rows.Row(0), count, dim, out, kernel);
+    double out[2 * ml::flat_detail::kBlockRows];
+    flat.PredictBatch(rows.Row(0), count, dim, out);
     for (int r = 0; r < count; ++r) {
       scores[static_cast<size_t>(begin + r)] = static_cast<float>(out[r]);
     }

@@ -1,7 +1,6 @@
 #ifndef HOTSPOT_CORE_FORECAST_SERVICE_H_
 #define HOTSPOT_CORE_FORECAST_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -16,34 +15,29 @@
 
 namespace hotspot {
 
-/// Which predict engine ForecastService runs a batch through. kFlat is the
-/// default: the classifier re-compiled into SoA arrays (ml::FlatForest) and
-/// traversed in 8-row blocks — bitwise identical to kClassic, the original
-/// pointer-walking BinaryClassifier::PredictProba path, which remains
-/// available as a runtime opt-out (HOTSPOT_PREDICT_ENGINE=classic).
-enum class PredictEngine { kFlat, kClassic };
-
 /// Warm-start forecast serving: loads a ForecastBundle once and answers
 /// batched predictions over incoming KPI windows for the rest of its
 /// lifetime — the deployment half of the train-offline / serve-online
 /// split the bundle format exists for.
 ///
 /// Serving reuses the training-time feature path (the extractor the
-/// bundle's model kind pins) on caller-provided windows, runs the batch
-/// through the thread pool (one sector per task, index-owned writes, so
-/// results are bitwise-independent of HOTSPOT_NUM_THREADS), and reports
-/// under the `serve/` observability namespace: counters serve/requests
-/// and serve/windows, spans serve/load and serve/predict, and the
-/// serve/latency_seconds histogram.
+/// bundle's model kind pins) on caller-provided windows, scores them with
+/// the classifier compiled into an ml::FlatForest — bitwise identical to
+/// the pointer-walking BinaryClassifier::PredictProba, which stays as the
+/// test oracle — through the thread pool (one row block per task,
+/// index-owned writes, so results are bitwise-independent of
+/// HOTSPOT_NUM_THREADS), and reports under the `serve/` observability
+/// namespace: counters serve/requests and serve/windows, spans serve/load
+/// and serve/predict, and the serve/latency_seconds histogram.
 ///
-/// When the bundle carries monitoring fingerprints (format v2), the
-/// service also runs an online ServingMonitor: every Predict batch feeds
+/// When the bundle carries monitoring fingerprints, the service also
+/// runs an online ServingMonitor: every Predict batch feeds
 /// the drift detector and the latency SLO tracker, RecordOutcomes()
 /// accepts matured ground-truth labels for model-quality tracking, and
 /// Health() snapshots the whole thing. Monitoring never feeds back into
 /// the scores — predictions are bitwise identical with it on or off.
-/// Bundles without fingerprints (v1 files) serve normally with
-/// monitoring gracefully disabled.
+/// Bundles without fingerprints serve normally with monitoring gracefully
+/// disabled.
 ///
 /// Hot bundle swap (RCU): everything a prediction reads — the bundle, the
 /// extractor it pins, the compiled flat forest, the monitor — lives in one
@@ -109,8 +103,8 @@ class ForecastService {
   bool IsHot(float score) const;
 
   /// (Re)starts online monitoring with `config`. Returns false — and
-  /// leaves monitoring off — when the bundle has no fingerprints (v1
-  /// files). Monitoring starts automatically with a default config at
+  /// leaves monitoring off — when the bundle has no fingerprints.
+  /// Monitoring starts automatically with a default config at
   /// construction when fingerprints are present, so this is only needed
   /// to tune thresholds or to re-enable after DisableMonitoring().
   bool EnableMonitoring(const monitor::MonitorConfig& config = {});
@@ -144,34 +138,7 @@ class ForecastService {
   int horizon_days() const { return horizon_days_; }
   int num_channels() const { return num_channels_; }
 
-  /// Predict-engine selection. The service starts on DefaultPredictEngine()
-  /// — kFlat unless the HOTSPOT_PREDICT_ENGINE=classic opt-out is set — and
-  /// can be switched at any time; scores are bitwise identical either way
-  /// (enforced by tests/flat_tree_test.cc).
-  static PredictEngine DefaultPredictEngine();
-  void set_predict_engine(PredictEngine engine) {
-    engine_.store(engine, std::memory_order_relaxed);
-  }
-  PredictEngine predict_engine() const {
-    return engine_.load(std::memory_order_relaxed);
-  }
-
-  /// Flat-kernel selection (scalar vs AVX2), same contract as the engine
-  /// switch: the service starts on ml::FlatForest::ChooseKernel() — the
-  /// CPUID-gated best kernel unless the HOTSPOT_FLAT_KERNEL=scalar env
-  /// opt-out is set — and can be repointed at any time. The env knob is a
-  /// process-wide *defaults layer*; these setters (and
-  /// pipeline::ServingPipeline::Options) are the primary API. Kernels are
-  /// bitwise-identical (enforced by tests/flat_tree_test.cc), so switching
-  /// never changes scores.
-  void set_flat_kernel(ml::FlatKernel kernel) {
-    kernel_.store(kernel, std::memory_order_relaxed);
-  }
-  ml::FlatKernel flat_kernel() const {
-    return kernel_.load(std::memory_order_relaxed);
-  }
-
-  /// The compiled flat forest the kFlat engine runs (never null). Same
+  /// The compiled flat forest every Predict runs (never null). Same
   /// stability caveat as bundle().
   const ml::FlatForest& flat_forest() const;
 
@@ -208,11 +175,10 @@ class ForecastService {
   }
 
   /// Shared batch core: extracts the feature row of each of `n` sectors
-  /// with `window_of` and scores them through the selected engine. The
-  /// flat path works in 8-row blocks (extract + PredictBatch per block,
-  /// one block per thread-pool task); the classic path is one sector per
-  /// task. Both write scores[i] from sector i only, so results are
-  /// bitwise-independent of HOTSPOT_NUM_THREADS and of the engine.
+  /// with `window_of` and scores them through the flat forest in blocks of
+  /// the kernel's preferred width (extract + PredictBatch per block, one
+  /// block per thread-pool task). scores[i] depends on sector i only, so
+  /// results are bitwise-independent of HOTSPOT_NUM_THREADS.
   std::vector<float> ScoreBatch(
       const ServingState& serving, int n,
       const std::function<Matrix<float>(int)>& window_of) const;
@@ -238,8 +204,6 @@ class ForecastService {
   int horizon_days_ = 0;
   int num_channels_ = 0;
 
-  std::atomic<PredictEngine> engine_{PredictEngine::kFlat};
-  std::atomic<ml::FlatKernel> kernel_{ml::FlatKernel::kScalar};
   features::RawExtractor raw_extractor_;
   features::DailyPercentileExtractor percentile_extractor_;
   features::HandcraftedExtractor handcrafted_extractor_;

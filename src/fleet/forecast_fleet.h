@@ -212,8 +212,7 @@ class ForecastFleet {
   /// Global sector ids owned by `shard`, ascending (position = local id).
   const std::vector<int>& shard_sectors(int shard) const;
   /// The shard's service, or null for an empty shard. The pointer is
-  /// stable for the fleet's lifetime; tests use it to steer engines and
-  /// read generations.
+  /// stable for the fleet's lifetime; tests use it to read generations.
   ForecastService* service(int shard);
   /// Phase accounting of one shard's pipeline ({} for an empty shard).
   std::vector<pipeline::StageStats> StageSnapshot(int shard) const;

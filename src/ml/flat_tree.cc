@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
@@ -33,44 +31,7 @@ void TraverseBlockScalar(const FlatView& view, const float* rows, int n,
   }
 }
 
-void TraverseQuantBlockScalar(const FlatView& view, const int32_t* bins,
-                              int n, int stride, double* acc) {
-  for (int r = 0; r < n; ++r) {
-    const int32_t* row = bins + static_cast<int64_t>(r) * stride;
-    for (int32_t t = 0; t < view.num_trees; ++t) {
-      int32_t node = view.roots[t];
-      while (view.feature[node] >= 0) {
-        const int32_t bin = row[view.quant_slot[node]];
-        node = bin <= view.quant_threshold[node] ? view.left[node]
-                                                 : view.right[node];
-      }
-      acc[r] += view.leaf_value[node];
-    }
-  }
-}
-
 }  // namespace flat_detail
-
-namespace {
-
-/// Exact replica of FeatureBinner::Bin over a copied cut vector: bin 0 for
-/// NaN, otherwise the least b with value <= cuts[b], plus one.
-int32_t BinValue(const std::vector<float>& cuts, float value) {
-  if (std::isnan(value)) return 0;
-  int lo = 0;
-  int hi = static_cast<int>(cuts.size());
-  while (lo < hi) {
-    int mid = (lo + hi) / 2;
-    if (value <= cuts[static_cast<size_t>(mid)]) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo + 1;
-}
-
-}  // namespace
 
 bool FlatForest::SimdCompiled() { return flat_detail::Avx2Compiled(); }
 
@@ -83,14 +44,9 @@ bool FlatForest::SimdSupported() {
 }
 
 FlatKernel FlatForest::ChooseKernel() {
-  if (const char* env = std::getenv("HOTSPOT_FLAT_KERNEL")) {
-    const std::string_view value(env);
-    if (value == "scalar") return FlatKernel::kScalar;
-    // Any other value (including "avx2") falls through to the supported
-    // default — an explicit avx2 request on a non-AVX2 host degrades to
-    // scalar rather than failing, and the scores are identical either way.
-  }
-  return SimdSupported() ? FlatKernel::kAvx2 : FlatKernel::kScalar;
+  static const FlatKernel kernel =
+      SimdSupported() ? FlatKernel::kAvx2 : FlatKernel::kScalar;
+  return kernel;
 }
 
 FlatForest FlatForest::Compile(const BinaryClassifier& model) {
@@ -174,22 +130,6 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
   out.num_features_ = model.num_features_;
   out.base_score_ = model.base_score_;
 
-  // Quantized-variant slots: only features that actually appear in a split
-  // get pre-binned per row block.
-  std::vector<int32_t> slot_of(static_cast<size_t>(model.num_features_), -1);
-  for (const auto& tree : model.trees_) {
-    for (const auto& node : tree.nodes) {
-      if (node.feature >= 0) slot_of[static_cast<size_t>(node.feature)] = 0;
-    }
-  }
-  for (int f = 0; f < model.num_features_; ++f) {
-    if (slot_of[static_cast<size_t>(f)] < 0) continue;
-    slot_of[static_cast<size_t>(f)] =
-        static_cast<int32_t>(out.used_features_.size());
-    out.used_features_.push_back(f);
-    out.cuts_.push_back(model.binner_.Thresholds(f));
-  }
-
   const auto grow = [&out](size_t n) {
     const size_t size = out.feature_.size() + n;
     out.feature_.resize(size);
@@ -198,8 +138,6 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
     out.left_.resize(size);
     out.right_.resize(size);
     out.leaf_value_.resize(size);
-    out.quant_threshold_.resize(size);
-    out.quant_slot_.resize(size);
   };
   for (const auto& tree : model.trees_) {
     const int32_t base = static_cast<int32_t>(out.feature_.size());
@@ -225,10 +163,6 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
       out.left_[slot] = leaf ? 0 : child;
       out.right_[slot] = leaf ? 0 : child + 1;
       out.leaf_value_[slot] = node.value;
-      out.quant_threshold_[slot] =
-          leaf ? 0 : static_cast<int32_t>(node.bin_threshold);
-      out.quant_slot_[slot] =
-          leaf ? 0 : slot_of[static_cast<size_t>(node.feature)];
       if (leaf) {
         out.threshold_[slot] = 0.0f;
         out.miss_left_[slot] = 0;
@@ -259,7 +193,6 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
       }
     }
   }
-  out.quantized_ = true;
   out.RebuildPacked();
   return out;
 }
@@ -301,10 +234,6 @@ flat_detail::FlatView FlatForest::View() const {
   }
   view.max_tree_nodes =
       contiguous ? max_tree_nodes : std::numeric_limits<int32_t>::max();
-  if (quantized_) {
-    view.quant_threshold = quant_threshold_.data();
-    view.quant_slot = quant_slot_.data();
-  }
   return view;
 }
 
@@ -321,60 +250,23 @@ double FlatForest::Aggregate(double acc) const {
   return acc;
 }
 
-void FlatForest::BinBlock(const float* rows, int n, int stride,
-                          int32_t* bins) const {
-  const int used = static_cast<int>(used_features_.size());
-  for (int r = 0; r < n; ++r) {
-    const float* row = rows + static_cast<int64_t>(r) * stride;
-    int32_t* out = bins + static_cast<int64_t>(r) * used;
-    for (int s = 0; s < used; ++s) {
-      out[s] = BinValue(cuts_[static_cast<size_t>(s)],
-                        row[used_features_[static_cast<size_t>(s)]]);
-    }
-  }
-}
-
 void FlatForest::PredictBatch(const float* rows, int num_rows, int stride,
-                              double* out, FlatKernel kernel,
-                              FlatVariant variant) const {
+                              double* out, FlatKernel kernel) const {
   HOTSPOT_CHECK(!empty()) << "FlatForest::PredictBatch before Compile";
   if (num_rows <= 0) return;
   HOTSPOT_CHECK(rows != nullptr);
   HOTSPOT_CHECK(out != nullptr);
   HOTSPOT_CHECK_GE(stride, num_features_);
-  bool quant = false;
-  switch (variant) {
-    case FlatVariant::kAuto:
-      // The float variant is the serving default even for Gbdt-compiled
-      // forests: it reads raw feature values directly, while the quantized
-      // variant must re-bin every row block first.
-      quant = false;
-      break;
-    case FlatVariant::kFloat:
-      quant = false;
-      break;
-    case FlatVariant::kQuantized:
-      HOTSPOT_CHECK(quantized_)
-          << "FlatForest: quantized variant needs a Gbdt-compiled forest";
-      quant = true;
-      break;
-  }
   // Graceful runtime fallback: the kernels are bitwise interchangeable.
   if (kernel == FlatKernel::kAvx2 && !SimdSupported()) {
     kernel = FlatKernel::kScalar;
   }
   const flat_detail::FlatView view = View();
-  const int used = static_cast<int>(used_features_.size());
-  std::vector<int32_t> bins;
-  if (quant) {
-    bins.resize(static_cast<size_t>(flat_detail::kBlockRows) *
-                static_cast<size_t>(std::max(used, 1)));
-  }
-  // The float vector kernel takes double-width (16-row) blocks when the
-  // AVX-512 upgrade is live; partial blocks step down to 8-row vector
-  // blocks and then to the scalar kernel. Every decomposition yields
-  // identical scores — out[i] depends only on row i.
-  const int simd_rows = (kernel == FlatKernel::kAvx2 && !quant)
+  // The vector kernel takes double-width (16-row) blocks when the AVX-512
+  // upgrade is live; partial blocks step down to 8-row vector blocks and
+  // then to the scalar kernel. Every decomposition yields identical
+  // scores — out[i] depends only on row i.
+  const int simd_rows = kernel == FlatKernel::kAvx2
                             ? flat_detail::SimdBlockRows()
                             : flat_detail::kBlockRows;
   double acc[2 * flat_detail::kBlockRows];
@@ -386,23 +278,11 @@ void FlatForest::PredictBatch(const float* rows, int num_rows, int stride,
     }
     for (int r = 0; r < n; ++r) acc[r] = base_score_;
     const float* block = rows + static_cast<int64_t>(begin) * stride;
-    const bool vector =
-        kernel == FlatKernel::kAvx2 &&
-        (n == simd_rows || n == flat_detail::kBlockRows);
-    if (quant) {
-      BinBlock(block, n, stride, bins.data());
-      if (vector) {
-        flat_detail::TraverseQuantBlockAvx2(view, bins.data(), n, used, acc);
-      } else {
-        flat_detail::TraverseQuantBlockScalar(view, bins.data(), n, used,
-                                              acc);
-      }
+    if (kernel == FlatKernel::kAvx2 &&
+        (n == simd_rows || n == flat_detail::kBlockRows)) {
+      flat_detail::TraverseBlockAvx2(view, block, n, stride, acc);
     } else {
-      if (vector) {
-        flat_detail::TraverseBlockAvx2(view, block, n, stride, acc);
-      } else {
-        flat_detail::TraverseBlockScalar(view, block, n, stride, acc);
-      }
+      flat_detail::TraverseBlockScalar(view, block, n, stride, acc);
     }
     for (int r = 0; r < n; ++r) out[begin + r] = Aggregate(acc[r]);
     begin += n;

@@ -23,14 +23,6 @@ class RandomForest;
 /// scores).
 enum class FlatKernel { kScalar, kAvx2 };
 
-/// Node representation for FlatForest::PredictBatch. kFloat compares raw
-/// feature values against float thresholds; kQuantized pre-bins each row
-/// block with the GBDT binner cuts and compares int32 bin indices (only
-/// available for forests compiled from a Gbdt). kAuto resolves to kFloat —
-/// the serving default; per-block re-binning makes the quantized variant
-/// slower at inference time, so it stays opt-in.
-enum class FlatVariant { kAuto, kFloat, kQuantized };
-
 namespace flat_detail {
 
 /// Rows per traversal block: one AVX2 register of row lanes. Blocking is
@@ -60,8 +52,6 @@ struct FlatView {
   /// INT32_MAX when the spans cannot be derived. The AVX-512 kernel keeps
   /// a whole tree in registers when this is at most 32.
   int32_t max_tree_nodes = 0;
-  const int32_t* quant_threshold = nullptr;  ///< bin-space thresholds
-  const int32_t* quant_slot = nullptr;       ///< used-feature slot per node
 };
 
 /// True when this binary contains the AVX2 kernel (HOTSPOT_SIMD=ON and the
@@ -86,12 +76,6 @@ void TraverseBlockScalar(const FlatView& view, const float* rows, int n,
 /// unchanged.
 void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
                        int stride, double* acc);
-/// Quantized traversal over pre-binned rows: bins[r * stride + slot] is
-/// the bin index of used-feature `slot` for row r.
-void TraverseQuantBlockScalar(const FlatView& view, const int32_t* bins,
-                              int n, int stride, double* acc);
-void TraverseQuantBlockAvx2(const FlatView& view, const int32_t* bins,
-                            int n, int stride, double* acc);
 
 }  // namespace flat_detail
 
@@ -103,11 +87,11 @@ void TraverseQuantBlockAvx2(const FlatView& view, const int32_t* bins,
 ///
 /// Contract: PredictBatch is bitwise identical to the source model's
 /// PredictProba for every input (including NaN payloads), for every
-/// kernel/variant, at any HOTSPOT_NUM_THREADS and any batch decomposition.
+/// kernel, at any HOTSPOT_NUM_THREADS and any batch decomposition.
 /// The GBDT bin-space rule `Bin(f, v) <= bin_threshold` is compiled to the
 /// exact float comparison `v <= cuts[bin_threshold - 1]` plus a NaN
-/// default-direction flag, so no traversal re-bins values in the float
-/// variant (see DESIGN §10 for the mapping table).
+/// default-direction flag, so no traversal re-bins values (see DESIGN §10
+/// for the mapping table).
 class FlatForest {
  public:
   /// How per-tree leaf sums aggregate into the final score; mirrors the
@@ -133,12 +117,10 @@ class FlatForest {
   /// out[i] depends only on row i.
   void PredictBatch(const float* rows, int num_rows, int stride,
                     double* out) const {
-    PredictBatch(rows, num_rows, stride, out, ChooseKernel(),
-                 FlatVariant::kAuto);
+    PredictBatch(rows, num_rows, stride, out, ChooseKernel());
   }
   void PredictBatch(const float* rows, int num_rows, int stride, double* out,
-                    FlatKernel kernel,
-                    FlatVariant variant = FlatVariant::kAuto) const;
+                    FlatKernel kernel) const;
 
   /// Single-row convenience (row must be num_features() wide).
   double PredictOne(const float* row) const;
@@ -148,18 +130,14 @@ class FlatForest {
   int num_nodes() const { return static_cast<int>(feature_.size()); }
   int num_features() const { return num_features_; }
   Aggregation aggregation() const { return agg_; }
-  /// True when the bin-space (quantized) node arrays were compiled (Gbdt
-  /// sources only).
-  bool has_quantized() const { return quantized_; }
 
   /// True when the AVX2 kernel is compiled in AND the host CPU reports
   /// AVX2 support (runtime CPUID).
   static bool SimdSupported();
   /// True when the AVX2 kernel is compiled into this binary.
   static bool SimdCompiled();
-  /// Kernel PredictBatch uses by default: AVX2 when supported, overridable
-  /// with HOTSPOT_FLAT_KERNEL=scalar|avx2 (an avx2 request on a host
-  /// without AVX2 falls back to scalar).
+  /// Kernel PredictBatch uses by default: AVX2 when supported (decided from
+  /// CPUID once per process), scalar otherwise.
   static FlatKernel ChooseKernel();
 
  private:
@@ -173,9 +151,6 @@ class FlatForest {
   /// Appends one DecisionTree as a flat tree (shared by the tree and
   /// forest compilers).
   static void AppendTree(const DecisionTree& tree, FlatForest* out);
-  /// Pre-bins the used features of `n` rows into bins (n x used_features
-  /// int32, row-major), replicating FeatureBinner::Bin exactly.
-  void BinBlock(const float* rows, int n, int stride, int32_t* bins) const;
 
   Aggregation agg_ = Aggregation::kSingleTree;
   int num_features_ = 0;
@@ -194,15 +169,6 @@ class FlatForest {
   std::vector<int32_t> packed_;  ///< see FlatView::packed; derived
   std::vector<double> leaf_value_;
   std::vector<int32_t> roots_;  ///< root node id per tree, in tree order
-
-  // Quantized (bin-space) variant, Gbdt sources only: traversal compares
-  // pre-binned values against the training bin thresholds — exact by
-  // construction because it replays the scalar path's own comparisons.
-  bool quantized_ = false;
-  std::vector<int32_t> quant_threshold_;
-  std::vector<int32_t> quant_slot_;       ///< index into used_features_
-  std::vector<int32_t> used_features_;    ///< sorted unique split features
-  std::vector<std::vector<float>> cuts_;  ///< binner cuts per used feature
 };
 
 }  // namespace hotspot::ml

@@ -175,7 +175,7 @@ __attribute__((target("avx512f"))) inline void Accumulate16(
       _mm512_add_pd(*acc_hi, _mm512_i32gather_pd(node_hi, leaf_value, 8));
 }
 
-/// 16-row float-variant traversal for forests whose largest tree fits the
+/// 16-row traversal for forests whose largest tree fits the
 /// register tables. Trees are traversed in pairs (independent chains hide
 /// the value-gather latency) and leaf values still accumulate in tree
 /// order, so the per-lane float addition sequence — and therefore the
@@ -305,43 +305,6 @@ void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
   _mm256_storeu_pd(acc + 4, acc_hi);
 }
 
-void TraverseQuantBlockAvx2(const FlatView& view, const int32_t* bins,
-                            int n, int stride, double* acc) {
-  HOTSPOT_CHECK_EQ(n, kBlockRows);
-  const __m256i lane_offset =
-      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                         _mm256_set1_epi32(stride));
-  const __m256i minus_one = _mm256_set1_epi32(-1);
-  __m256d acc_lo = _mm256_loadu_pd(acc);
-  __m256d acc_hi = _mm256_loadu_pd(acc + 4);
-  for (int32_t t = 0; t < view.num_trees; ++t) {
-    __m256i node = _mm256_set1_epi32(view.roots[t]);
-    for (;;) {
-      const __m256i feat = _mm256_i32gather_epi32(view.feature, node, 4);
-      const __m256i active = _mm256_cmpgt_epi32(feat, minus_one);
-      if (_mm256_testz_si256(active, active)) break;
-      // quant_slot is 0 at leaves, so the masked gather address is always
-      // in-bounds.
-      const __m256i slot = _mm256_i32gather_epi32(view.quant_slot, node, 4);
-      const __m256i bin_index = _mm256_add_epi32(lane_offset, slot);
-      const __m256i bin = _mm256_mask_i32gather_epi32(
-          _mm256_setzero_si256(), bins, bin_index, active, 4);
-      const __m256i bin_threshold =
-          _mm256_i32gather_epi32(view.quant_threshold, node, 4);
-      const __m256i left = _mm256_i32gather_epi32(view.left, node, 4);
-      // Left when bin <= bin_threshold, i.e. not (bin > bin_threshold);
-      // adjacent-sibling layout makes the right child left + 1.
-      const __m256i go_right = _mm256_cmpgt_epi32(bin, bin_threshold);
-      const __m256i next = _mm256_add_epi32(
-          left, _mm256_and_si256(go_right, _mm256_set1_epi32(1)));
-      node = _mm256_blendv_epi8(node, next, active);
-    }
-    AccumulateLeaves(view.leaf_value, node, &acc_lo, &acc_hi);
-  }
-  _mm256_storeu_pd(acc, acc_lo);
-  _mm256_storeu_pd(acc + 4, acc_hi);
-}
-
 #else  // !HOTSPOT_SIMD_AVX2
 
 bool Avx2Compiled() { return false; }
@@ -351,11 +314,6 @@ int SimdBlockRows() { return kBlockRows; }
 void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
                        int stride, double* acc) {
   TraverseBlockScalar(view, rows, n, stride, acc);
-}
-
-void TraverseQuantBlockAvx2(const FlatView& view, const int32_t* bins,
-                            int n, int stride, double* acc) {
-  TraverseQuantBlockScalar(view, bins, n, stride, acc);
 }
 
 #endif  // HOTSPOT_SIMD_AVX2

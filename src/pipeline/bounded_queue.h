@@ -29,8 +29,9 @@ struct QueueStats {
   double push_blocked_seconds = 0.0;
 };
 
-/// Bounded blocking MPSC/MPMC queue — the elastic register between two
-/// pipeline stages. The contract that makes the staged runtime lossless:
+/// Bounded blocking MPSC/MPMC queue — the hand-off between producers and
+/// one consumer thread (a pipeline's ingress, the adapt shadow queue). The
+/// contract that makes it lossless:
 ///
 ///   * Push on a full queue BLOCKS until a slot frees (or the queue is
 ///     closed); it never drops and never reorders — backpressure
@@ -42,8 +43,8 @@ struct QueueStats {
 ///     shutting down anyway).
 ///
 /// FIFO order is preserved per producer (and totally, with the single
-/// producer each linear stage boundary has), which is what keeps the
-/// staged serving path bitwise-identical to the direct-call path.
+/// producer a pipeline's ingress has), which is what keeps the streaming
+/// serving path bitwise-identical to the direct-call path.
 /// Plain mutex + two condvars: at the row-block/batch granularity the
 /// serving pipeline queues at, lock cost is noise next to stage work.
 template <typename T>

@@ -62,14 +62,6 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   window_hours_ = service_->window_hours();
   horizon_days_ = service_->horizon_days();
 
-  // Options are the primary engine/kernel/monitoring API; the env knobs
-  // only seeded the service's defaults before we got here.
-  if (options_.predict_engine.has_value()) {
-    service_->set_predict_engine(*options_.predict_engine);
-  }
-  if (options_.flat_kernel.has_value()) {
-    service_->set_flat_kernel(*options_.flat_kernel);
-  }
   if (options_.disable_monitoring) {
     service_->DisableMonitoring();
   } else if (options_.monitor.has_value()) {

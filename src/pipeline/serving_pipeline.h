@@ -14,7 +14,6 @@
 
 #include "core/forecast_service.h"
 #include "core/serving_ops.h"
-#include "ml/flat_tree.h"
 #include "monitor/monitor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -93,11 +92,7 @@ struct RowBlock {
 /// callback and tap in Options runs on the worker thread.
 class ServingPipeline {
  public:
-  /// Everything a serving path is configured by, in one place. The env
-  /// knobs (HOTSPOT_PREDICT_ENGINE, HOTSPOT_FLAT_KERNEL) remain a
-  /// process-wide *defaults layer* only: they seed the service's initial
-  /// engine/kernel, and the optional fields here override them per
-  /// pipeline — the setters are the primary API.
+  /// Everything a serving path is configured by, in one place.
   struct Options {
     // --- serving universe (must match the service's bundle) ---
     int num_sectors = 0;
@@ -123,10 +118,6 @@ class ServingPipeline {
     /// may run ahead of the worker before Push blocks (or TryPush
     /// refuses — for a fleet shard this is its admission budget).
     int row_queue_blocks = 64;
-
-    // --- engine / kernel selection (primary API; env = defaults) ---
-    std::optional<PredictEngine> predict_engine;
-    std::optional<ml::FlatKernel> flat_kernel;
 
     // --- monitoring toggles ---
     /// Feed matured daily labels back into the service's quality monitor.
@@ -179,9 +170,9 @@ class ServingPipeline {
   };
 
   /// `service` is not owned and must outlive the pipeline. Construction
-  /// applies the Options engine/kernel/monitoring selections to the
-  /// service and starts the worker thread; the pipeline is live
-  /// (accepting Push) when the constructor returns.
+  /// applies the Options monitoring selections to the service and starts
+  /// the worker thread; the pipeline is live (accepting Push) when the
+  /// constructor returns.
   ServingPipeline(ForecastService* service, const Options& options);
 
   /// Drains and joins (Finish) if the caller has not already.
@@ -326,13 +317,16 @@ class ServingPipeline {
   BoundedQueue<RowBlock> ingress_;
   std::thread worker_;
 
-  // Producer side (single-writer).
-  RowBlock input_block_;
+  // Producer side (single-writer). This section and the worker's each
+  // start on a cache line of their own, so the producer's per-row writes
+  // never share a line with worker state, whatever the size of the
+  // members above (replay's CPU per pass moves ~7% with that layout).
+  alignas(64) RowBlock input_block_;
   bool input_closed_ = false;
   Obs producer_obs_;
 
   // Worker state.
-  Obs obs_;
+  alignas(64) Obs obs_;
   /// Ordered rows the ingestor released for the block being processed;
   /// empty whenever the worker is idle.
   RowBlock ordered_;

@@ -205,8 +205,7 @@ Status WriteArtifactFile(const std::string& path, ArtifactKind kind,
 }
 
 Status ReadArtifactFile(const std::string& path, ArtifactKind expected_kind,
-                        std::vector<uint8_t>* payload,
-                        uint32_t* format_version) {
+                        std::vector<uint8_t>* payload) {
   HOTSPOT_CHECK(payload != nullptr);
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::Error("cannot open " + path);
@@ -229,14 +228,19 @@ Status ReadArtifactFile(const std::string& path, ArtifactKind expected_kind,
     return Status::Error(path + ": bad magic (not a hotspot artifact file)");
   }
   uint32_t version = reader.ReadU32();
-  if (version < kOldestFormatVersion || version > kFormatVersion) {
+  if (version > kFormatVersion) {
     return Status::Error(
         path + ": format version " + std::to_string(version) +
         " is newer than this binary supports (" +
         std::to_string(kFormatVersion) +
         "); rebuild, or bump kFormatVersion alongside the layout change");
   }
-  if (format_version != nullptr) *format_version = version;
+  if (version < kOldestFormatVersion) {
+    return Status::Error(path + ": format version " +
+                         std::to_string(version) +
+                         " is no longer supported (oldest readable: " +
+                         std::to_string(kOldestFormatVersion) + ")");
+  }
   uint32_t kind = reader.ReadU32();
   if (kind != static_cast<uint32_t>(expected_kind)) {
     return Status::Error(path + ": artifact kind " + std::to_string(kind) +

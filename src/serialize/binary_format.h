@@ -38,12 +38,10 @@ const char* ArtifactKindName(ArtifactKind kind);
 /// Current version of the container format. Bump whenever any payload
 /// layout changes; the loader rejects files with a newer version than it
 /// was built for (forward compatibility is not attempted), which is what
-/// the golden-file test pins. Older versions down to kOldestFormatVersion
-/// stay readable: decoders receive the file's version and take the
-/// matching legacy path (v1 = the pre-section bundle layout without the
-/// monitoring fingerprints).
+/// the golden-file test pins. It also rejects files older than
+/// kOldestFormatVersion: v1, the pre-section bundle layout, is not read.
 inline constexpr uint32_t kFormatVersion = 2;
-inline constexpr uint32_t kOldestFormatVersion = 1;
+inline constexpr uint32_t kOldestFormatVersion = 2;
 
 /// The 8-byte magic that opens every artifact file.
 inline constexpr char kMagic[8] = {'H', 'O', 'T', 'S', 'P', 'O', 'T', 'B'};
@@ -150,15 +148,13 @@ Status WriteArtifactFile(const std::string& path, ArtifactKind kind,
                          const std::vector<uint8_t>& payload);
 
 /// Reads and validates an artifact file: magic, version (files newer than
-/// kFormatVersion are rejected with a "bump" hint), kind, declared payload
+/// kFormatVersion are rejected with a "bump" hint, files older than
+/// kOldestFormatVersion as no longer supported), kind, declared payload
 /// size against the actual file size (truncation / trailing garbage), and
 /// the CRC (any flipped payload byte). On success `payload` holds the
-/// verified payload bytes and `format_version` (when non-null) the file's
-/// container version, so payload decoders can pick the legacy layout for
-/// older files.
+/// verified payload bytes.
 Status ReadArtifactFile(const std::string& path, ArtifactKind expected_kind,
-                        std::vector<uint8_t>* payload,
-                        uint32_t* format_version = nullptr);
+                        std::vector<uint8_t>* payload);
 
 }  // namespace hotspot::serialize
 

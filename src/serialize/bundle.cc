@@ -21,7 +21,7 @@ bool IsClassifierKind(ModelKind model) {
   }
 }
 
-/// The v2 bundle payload is a table of self-describing sections
+/// The bundle payload is a table of self-describing sections
 /// (id, version, size, bytes). Each section versions independently of the
 /// container, so a future layout change to, say, the fingerprints bumps
 /// one section version and the loader can name exactly which section it
@@ -53,16 +53,19 @@ const char* SectionName(uint32_t id) {
   return "unknown";
 }
 
-/// Newest version of each section this binary reads and writes.
+/// Newest version of each section this binary reads and writes. It is
+/// also the only version read: flat_forest v1 carried the quantized
+/// variant's arrays, which v2 dropped.
 uint32_t SupportedSectionVersion(uint32_t id) {
   switch (id) {
     case kScoreSection:
     case kNormalizationSection:
     case kClassifierSection:
     case kFingerprintsSection:
-    case kFlatForestSection:
     case kLineageSection:
       return 1;
+    case kFlatForestSection:
+      return 2;
   }
   return 0;  // unknown section id
 }
@@ -132,7 +135,7 @@ bool DecodeLineage(ByteReader* reader, BundleLineage* lineage) {
   return reader->ok();
 }
 
-/// Decodes the common header fields shared by the v1 and v2 layouts.
+/// Decodes the fixed header fields that precede the section table.
 bool DecodeHeader(ByteReader* reader, ForecastBundle* bundle) {
   uint32_t model = reader->ReadU32();
   bundle->window_days = reader->ReadI32();
@@ -173,10 +176,17 @@ bool DecodeSectioned(ByteReader* reader, ForecastBundle* bundle) {
                    " is not known to this binary");
       return false;
     }
-    if (version == 0 || version > supported) {
+    if (version > supported) {
       reader->Fail("bundle '" + std::string(SectionName(id)) +
                    "' section version " + std::to_string(version) +
                    " is newer than this binary supports (" +
+                   std::to_string(supported) + ")");
+      return false;
+    }
+    if (version < supported) {
+      reader->Fail("bundle '" + std::string(SectionName(id)) +
+                   "' section version " + std::to_string(version) +
+                   " is no longer supported (this binary reads version " +
                    std::to_string(supported) + ")");
       return false;
     }
@@ -320,19 +330,10 @@ void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer) {
   }
 }
 
-std::unique_ptr<ForecastBundle> DecodeBundle(ByteReader* reader,
-                                             uint32_t format_version) {
+std::unique_ptr<ForecastBundle> DecodeBundle(ByteReader* reader) {
   auto bundle = std::make_unique<ForecastBundle>();
   if (!DecodeHeader(reader, bundle.get())) return nullptr;
-  if (format_version >= 2) {
-    if (!DecodeSectioned(reader, bundle.get())) return nullptr;
-  } else {
-    // v1: flat score → normalization → classifier layout, no fingerprints
-    // (monitoring stays disabled for such bundles).
-    if (!DecodeScoreConfig(reader, &bundle->score)) return nullptr;
-    if (!DecodeNormalization(reader, &bundle->normalization)) return nullptr;
-    if (!DecodeClassifier(reader, bundle.get())) return nullptr;
-  }
+  if (!DecodeSectioned(reader, bundle.get())) return nullptr;
   if (!reader->ok()) return nullptr;
   return bundle;
 }
@@ -359,13 +360,11 @@ Status LoadBundle(const std::string& path,
                   std::unique_ptr<ForecastBundle>* bundle) {
   HOTSPOT_CHECK(bundle != nullptr);
   std::vector<uint8_t> payload;
-  uint32_t format_version = kFormatVersion;
-  Status status = ReadArtifactFile(path, ArtifactKind::kForecastBundle,
-                                   &payload, &format_version);
+  Status status =
+      ReadArtifactFile(path, ArtifactKind::kForecastBundle, &payload);
   if (!status.ok) return status;
   ByteReader reader(payload.data(), payload.size());
-  std::unique_ptr<ForecastBundle> loaded =
-      DecodeBundle(&reader, format_version);
+  std::unique_ptr<ForecastBundle> loaded = DecodeBundle(&reader);
   if (loaded == nullptr || !reader.ok()) {
     std::string what =
         reader.error().empty() ? "malformed payload" : reader.error();

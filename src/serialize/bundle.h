@@ -14,14 +14,13 @@ namespace hotspot::serialize {
 /// operator scoring configuration its labels came from, the per-study KPI
 /// normalization stats, the feature-window spec a server needs to turn
 /// incoming KPI windows into the rows the classifier was trained on, and
-/// (since format v2) the training-window distribution fingerprints the
-/// online drift monitor tests live traffic against.
+/// the training-window distribution fingerprints the online drift monitor
+/// tests live traffic against.
 ///
 /// A bundle is servable iff `model` is one of the classifier kinds (kTree,
 /// kRfRaw, kRfF1, kRfF2, kGbdt) and `classifier` is trained — the only
-/// states Save/Load produce. `fingerprints` may be null: v1 files predate
-/// the monitoring section, and such bundles serve with monitoring
-/// gracefully disabled.
+/// states Save/Load produce. `fingerprints` may be null: the section is
+/// optional, and such bundles serve with monitoring gracefully disabled.
 ///
 /// Provenance stamp of a bundle produced by the continual-learning loop
 /// (src/adapt): which champion it was retrained from and on what data.
@@ -63,13 +62,11 @@ struct ForecastBundle {
 };
 
 /// Payload codec; Decode returns null with the reason in reader->error().
-/// The v2 payload frames each part (score config, normalization,
-/// classifier, fingerprints) as a section carrying its own version, so
-/// version skew is reported per section by name; `format_version` selects
-/// the legacy flat layout for v1 files.
+/// The payload frames each part (score config, normalization, classifier,
+/// fingerprints, flat forest, lineage) as a section carrying its own
+/// version, so version skew is reported per section by name.
 void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer);
-std::unique_ptr<ForecastBundle> DecodeBundle(
-    ByteReader* reader, uint32_t format_version = kFormatVersion);
+std::unique_ptr<ForecastBundle> DecodeBundle(ByteReader* reader);
 
 /// Whole-file save/load in the versioned checksummed container.
 Status SaveBundle(const std::string& path, const ForecastBundle& bundle);

@@ -337,18 +337,6 @@ void ModelAccess::EncodeFlatForest(const ml::FlatForest& forest,
   }
   writer->WriteU64(forest.roots_.size());
   for (int32_t root : forest.roots_) writer->WriteI32(root);
-  writer->WriteBool(forest.quantized_);
-  if (forest.quantized_) {
-    for (int32_t bt : forest.quant_threshold_) writer->WriteI32(bt);
-    // quant_slot_ and used_features_ are re-derived on decode from the
-    // node features (the derivation is deterministic, so the byte stream
-    // stays a pure function of the source model); only the per-slot
-    // binner cuts need storing.
-    writer->WriteU64(forest.used_features_.size());
-    for (const std::vector<float>& cuts : forest.cuts_) {
-      writer->WriteF32Vector(cuts);
-    }
-  }
 }
 
 std::unique_ptr<ml::FlatForest> ModelAccess::DecodeFlatForest(
@@ -430,53 +418,6 @@ std::unique_ptr<ml::FlatForest> ModelAccess::DecodeFlatForest(
     if (root < 0 || root >= static_cast<int32_t>(num_nodes)) {
       reader->Fail("flat_forest root index out of range");
       return nullptr;
-    }
-  }
-  const uint8_t quantized = reader->ReadU8();
-  if (!reader->ok()) return nullptr;
-  if (quantized > 1) {
-    reader->Fail("flat_forest boolean field not canonical");
-    return nullptr;
-  }
-  forest->quantized_ = quantized != 0;
-  if (forest->quantized_) {
-    forest->quant_threshold_.resize(count);
-    for (int32_t& bt : forest->quant_threshold_) bt = reader->ReadI32();
-    if (!reader->ok()) return nullptr;
-    // Re-derive the used-feature slot table exactly the way the compiler
-    // builds it: sorted unique split features.
-    std::vector<int32_t> slot_of(
-        static_cast<size_t>(forest->num_features_), -1);
-    for (size_t index = 0; index < count; ++index) {
-      if (forest->feature_[index] >= 0) {
-        slot_of[static_cast<size_t>(forest->feature_[index])] = 0;
-      }
-    }
-    for (int f = 0; f < forest->num_features_; ++f) {
-      if (slot_of[static_cast<size_t>(f)] < 0) continue;
-      slot_of[static_cast<size_t>(f)] =
-          static_cast<int32_t>(forest->used_features_.size());
-      forest->used_features_.push_back(f);
-    }
-    forest->quant_slot_.resize(count, 0);
-    for (size_t index = 0; index < count; ++index) {
-      if (forest->feature_[index] >= 0) {
-        forest->quant_slot_[index] =
-            slot_of[static_cast<size_t>(forest->feature_[index])];
-      } else if (forest->quant_threshold_[index] != 0) {
-        reader->Fail("flat_forest leaf node not canonical");
-        return nullptr;
-      }
-    }
-    uint64_t used = reader->ReadU64();
-    if (!reader->ok() || used != forest->used_features_.size()) {
-      reader->Fail("flat_forest quantized slots do not match node features");
-      return nullptr;
-    }
-    forest->cuts_.resize(static_cast<size_t>(used));
-    for (std::vector<float>& cuts : forest->cuts_) {
-      cuts = reader->ReadF32Vector();
-      if (!reader->ok()) return nullptr;
     }
   }
   // packed_ is a derived array (never serialized); the kernels expect it

@@ -54,8 +54,7 @@ struct ModelAccess {
   /// FlatForest payload codec (the bundle's 'flat_forest' section). Decode
   /// re-validates the node graph (features in range, children strictly
   /// forward-pointing, roots valid) so a loaded flat forest can never loop
-  /// or index out of bounds, and re-derives the quantized slot table from
-  /// the node features. Encode(Compile(model)) is a pure function of the
+  /// or index out of bounds. Encode(Compile(model)) is a pure function of the
   /// model, which is what lets the bundle loader byte-compare a stored
   /// flat section against a recompile of the classifier it rode in with.
   static void EncodeFlatForest(const ml::FlatForest& forest,

@@ -1,8 +1,8 @@
 // Lockdown harness for the SIMD flat-tree inference engine. The contract
 // (same discipline as the serialization and streaming PRs): FlatForest
 // predictions are BITWISE identical to the scalar pointer-walking models —
-// for every kernel (scalar / AVX2), every variant (float / quantized),
-// every batch decomposition and every HOTSPOT_NUM_THREADS — on
+// for every kernel (scalar / AVX2 / AVX-512), every batch decomposition and
+// every HOTSPOT_NUM_THREADS — on
 //   * trained Gbdt / RandomForest / DecisionTree models over NaN-bearing
 //     data and the full golden study tensor, and
 //   * >= 1000 fuzzer-generated adversarial trees (degenerate chains,
@@ -42,7 +42,6 @@ namespace {
 
 using ml::FlatForest;
 using ml::FlatKernel;
-using ml::FlatVariant;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -81,30 +80,25 @@ std::vector<double> ScalarPredictions(const ml::BinaryClassifier& model,
 
 std::vector<double> FlatPredictions(const FlatForest& flat,
                                     const Matrix<float>& rows,
-                                    FlatKernel kernel, FlatVariant variant) {
+                                    FlatKernel kernel) {
   std::vector<double> out(static_cast<size_t>(rows.rows()));
   flat.PredictBatch(rows.Row(0), rows.rows(), rows.cols(), out.data(),
-                    kernel, variant);
+                    kernel);
   return out;
 }
 
-/// Sweeps every kernel x variant combination plus the one-row entry point
-/// and asserts each is bitwise identical to the scalar model.
+/// Sweeps every kernel plus the one-row entry point and asserts each is
+/// bitwise identical to the scalar model. The kAvx2 request covers the
+/// AVX-512 block kernel too on hosts that report AVX-512F.
 void ExpectFlatMatchesScalar(const ml::BinaryClassifier& model,
                              const FlatForest& flat,
                              const Matrix<float>& rows,
                              const std::string& what) {
   const std::vector<double> reference = ScalarPredictions(model, rows);
-  std::vector<FlatVariant> variants = {FlatVariant::kFloat};
-  if (flat.has_quantized()) variants.push_back(FlatVariant::kQuantized);
   for (FlatKernel kernel : {FlatKernel::kScalar, FlatKernel::kAvx2}) {
-    for (FlatVariant variant : variants) {
-      const std::string label =
-          what + (kernel == FlatKernel::kScalar ? " scalar" : " avx2") +
-          (variant == FlatVariant::kQuantized ? " quantized" : " float");
-      ExpectBitwiseEqual(FlatPredictions(flat, rows, kernel, variant),
-                        reference, label);
-    }
+    ExpectBitwiseEqual(FlatPredictions(flat, rows, kernel), reference,
+                       what + (kernel == FlatKernel::kScalar ? " scalar"
+                                                             : " avx2"));
   }
   // Row-at-a-time must agree with the batch (blocking is unobservable).
   for (int i = 0; i < rows.rows() && i < 16; ++i) {
@@ -215,7 +209,6 @@ TEST(FlatTreeTrained, GbdtBitwiseIdenticalAcrossKernelsAndThreads) {
     ml::Gbdt model(config);
     model.Fit(data);
     FlatForest flat = FlatForest::Compile(model);
-    EXPECT_TRUE(flat.has_quantized());
     EXPECT_EQ(flat.num_trees(), model.num_trees());
     ExpectFlatMatchesScalar(model, flat, data.features,
                             "gbdt@" + threads + " threads");
@@ -234,7 +227,6 @@ TEST(FlatTreeTrained, RandomForestBitwiseIdenticalAcrossKernelsAndThreads) {
     ml::RandomForest model(config);
     model.Fit(data);
     FlatForest flat = FlatForest::Compile(model);
-    EXPECT_FALSE(flat.has_quantized());
     EXPECT_EQ(flat.num_trees(), model.num_trees());
     ExpectFlatMatchesScalar(model, flat, data.features,
                             "forest@" + threads + " threads");
@@ -283,7 +275,7 @@ TEST(FlatTreeTrained, CompileDispatchesOnConcreteType) {
 /// One shared study per process (building it is the expensive part). The
 /// golden hot threshold yields an all-leaf model on this small network, so
 /// the threshold is lowered to give the classifier real internal nodes —
-/// otherwise the engine comparison would never traverse a split.
+/// otherwise the oracle comparison would never traverse a split.
 const Study& SharedStudy() {
   static const Study* const study = [] {
     StudyOptions options;
@@ -293,7 +285,7 @@ const Study& SharedStudy() {
   return *study;
 }
 
-TEST(FlatTreeServing, ServiceEnginesBitwiseIdenticalOverStudyTensor) {
+TEST(FlatTreeServing, ServiceMatchesPointerWalkOracleOverStudyTensor) {
   const Study& study = SharedStudy();
   Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
   ForecastConfig config = testing::GoldenForecastConfig();
@@ -301,41 +293,14 @@ TEST(FlatTreeServing, ServiceEnginesBitwiseIdenticalOverStudyTensor) {
       forecaster.TrainBundle(config);
   bundle->score = study.score_config;
   ForecastService service(std::move(bundle));
-  ASSERT_EQ(service.predict_engine(), PredictEngine::kFlat);
   // The comparison is only meaningful if the model actually branches.
   ASSERT_GT(service.flat_forest().num_nodes(),
             service.flat_forest().num_trees());
 
-  // Serial classic scores are the reference; every engine/thread
-  // combination must reproduce them bit for bit (memcmp over the float
-  // vectors, so NaNs — if any — would also have to match exactly).
-  std::vector<float> reference;
-  {
-    ScopedNumThreads serial("1");
-    service.set_predict_engine(PredictEngine::kClassic);
-    reference = service.PredictAtDay(study.features, config.t);
-    service.set_predict_engine(PredictEngine::kFlat);
-  }
-  ASSERT_EQ(static_cast<int>(reference.size()), study.num_sectors());
-  testing_util::ForEachThreadCount([&](const std::string& threads) {
-    for (PredictEngine engine :
-         {PredictEngine::kFlat, PredictEngine::kClassic}) {
-      service.set_predict_engine(engine);
-      std::vector<float> scores =
-          service.PredictAtDay(study.features, config.t);
-      ASSERT_EQ(scores.size(), reference.size());
-      EXPECT_EQ(std::memcmp(scores.data(), reference.data(),
-                            reference.size() * sizeof(float)),
-                0)
-          << (engine == PredictEngine::kFlat ? "flat" : "classic") << "@"
-          << threads << " threads";
-    }
-  });
-  service.set_predict_engine(PredictEngine::kFlat);
-
-  // The bundle-carried flat forest matches a fresh compile over the whole
-  // study tensor too (direct PredictBatch, both kernels).
+  // The oracle: the study's feature rows at day t, scored serially by the
+  // pointer-walking classifier.
   Matrix<float> rows(study.num_sectors(), service.bundle().feature_dim);
+  std::vector<float> reference(static_cast<size_t>(study.num_sectors()));
   {
     features::RawExtractor extractor;
     std::vector<float> row;
@@ -345,8 +310,25 @@ TEST(FlatTreeServing, ServiceEnginesBitwiseIdenticalOverStudyTensor) {
       extractor.Extract(window, &row);
       ASSERT_EQ(static_cast<int>(row.size()), rows.cols());
       std::memcpy(rows.Row(i), row.data(), row.size() * sizeof(float));
+      reference[static_cast<size_t>(i)] = static_cast<float>(
+          service.bundle().classifier->PredictProba(rows.Row(i)));
     }
   }
+
+  // Every thread count must reproduce the oracle bit for bit (memcmp over
+  // the float vectors, so NaNs — if any — would also have to match).
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    std::vector<float> scores =
+        service.PredictAtDay(study.features, config.t);
+    ASSERT_EQ(scores.size(), reference.size());
+    EXPECT_EQ(std::memcmp(scores.data(), reference.data(),
+                          reference.size() * sizeof(float)),
+              0)
+        << threads << " threads";
+  });
+
+  // The bundle-carried flat forest matches the oracle over the whole study
+  // tensor too (direct PredictBatch, every kernel).
   ExpectFlatMatchesScalar(*service.bundle().classifier,
                           service.flat_forest(), rows, "study tensor");
 }
@@ -487,7 +469,7 @@ TEST(FlatTreeFuzz, ThousandAdversarialTreesMatchScalar) {
 /// endpoints and empty/constant features) and bin thresholds thrown across
 /// and beyond the valid range, so every branch of the bin->float threshold
 /// conversion (nothing-left, NaN-only-left, cut compare, everything-left)
-/// is exercised, in both the float and quantized variants.
+/// is exercised.
 std::unique_ptr<ml::Gbdt> BuildFuzzGbdt(Rng* rng, int num_features,
                                         int num_trees) {
   serialize::ByteWriter writer;
@@ -554,7 +536,7 @@ std::unique_ptr<ml::Gbdt> BuildFuzzGbdt(Rng* rng, int num_features,
   return model;
 }
 
-TEST(FlatTreeFuzz, AdversarialGbdtsMatchScalarInBothVariants) {
+TEST(FlatTreeFuzz, AdversarialGbdtsMatchScalar) {
   for (uint64_t seed = 0; seed < 250; ++seed) {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 3);
     const int num_features = rng.UniformInt(1, 6);
@@ -563,7 +545,6 @@ TEST(FlatTreeFuzz, AdversarialGbdtsMatchScalarInBothVariants) {
         BuildFuzzGbdt(&rng, num_features, num_trees);
     ASSERT_NE(model, nullptr);
     FlatForest flat = FlatForest::Compile(*model);
-    ASSERT_TRUE(flat.has_quantized());
     Matrix<float> rows = AdversarialRows(24, num_features, seed + 700000);
     ExpectFlatMatchesScalar(*model, flat, rows,
                             "fuzz gbdt seed " + std::to_string(seed));
@@ -593,18 +574,13 @@ TEST(FlatTreeSimd, SupportImpliesCompiledAndFallbackIsGraceful) {
   model.Fit(data);
   FlatForest flat = FlatForest::Compile(model);
   std::vector<double> scalar =
-      FlatPredictions(flat, data.features, FlatKernel::kScalar,
-                      FlatVariant::kAuto);
-  std::vector<double> avx2 = FlatPredictions(
-      flat, data.features, FlatKernel::kAvx2, FlatVariant::kAuto);
+      FlatPredictions(flat, data.features, FlatKernel::kScalar);
+  std::vector<double> avx2 =
+      FlatPredictions(flat, data.features, FlatKernel::kAvx2);
   ExpectBitwiseEqual(avx2, scalar, "explicit avx2 request");
 }
 
-TEST(FlatTreeSimd, KernelEnvOverrideForcesScalar) {
-  ASSERT_EQ(::setenv("HOTSPOT_FLAT_KERNEL", "scalar", 1), 0);
-  EXPECT_EQ(FlatForest::ChooseKernel(), FlatKernel::kScalar);
-  ASSERT_EQ(::unsetenv("HOTSPOT_FLAT_KERNEL"), 0);
-  // Without the override the choice tracks the CPUID gate.
+TEST(FlatTreeSimd, DefaultKernelTracksCpuid) {
   EXPECT_EQ(FlatForest::ChooseKernel() == FlatKernel::kAvx2,
             FlatForest::SimdSupported());
 }

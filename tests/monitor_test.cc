@@ -569,7 +569,7 @@ TEST_F(MonitorServingTest, BundleWithoutFingerprintsServesUnmonitored) {
   std::unique_ptr<serialize::ForecastBundle> bundle =
       forecaster.TrainBundle(config);
   bundle->score = control.score_config;
-  bundle->fingerprints.reset();  // what loading a v1 file produces
+  bundle->fingerprints.reset();  // a bundle without the optional section
 
   ForecastService service(std::move(bundle));
   EXPECT_FALSE(service.monitoring_enabled());

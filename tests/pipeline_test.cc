@@ -5,8 +5,8 @@
 // or reordering a single row), queue-bound edge cases (capacity 1 and
 // capacity beyond the stream length), drain-on-shutdown via the
 // destructor, FlushInput serving a quiet feed's ready batches, the
-// one-worker-thread architecture, Options-over-env engine/kernel
-// selection, and per-phase accounting landing in the obs snapshot.
+// one-worker-thread architecture, and per-phase accounting landing in the
+// obs snapshot.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -366,45 +366,6 @@ TEST(ServingPipeline, DestructorMidStreamWithRowsQueuedAtEveryStage) {
                           batch[b].size() * sizeof(float)),
               0)
         << "end_day=" << delivered[b].end_day;
-  }
-}
-
-TEST(ServingPipeline, OptionsOverrideEnvDefaultsForEngineAndKernel) {
-  const Study& study = SharedStudy();
-  std::unique_ptr<ForecastService> service = MakeService(study);
-  // The service boots on the env-seeded defaults...
-  EXPECT_EQ(service->predict_engine(), ForecastService::DefaultPredictEngine());
-  EXPECT_EQ(service->flat_kernel(), ml::FlatForest::ChooseKernel());
-  // ...and the Options fields override them as the primary API.
-  ServingPipeline::Options options = OptionsFor(study);
-  options.predict_engine = PredictEngine::kClassic;
-  options.flat_kernel = ml::FlatKernel::kScalar;
-  {
-    ServingPipeline serving(service.get(), options);
-    EXPECT_EQ(service->predict_engine(), PredictEngine::kClassic);
-    EXPECT_EQ(service->flat_kernel(), ml::FlatKernel::kScalar);
-    serving.Finish();
-  }
-  // The setters are live API, not construction-only.
-  service->set_predict_engine(PredictEngine::kFlat);
-  service->set_flat_kernel(ml::FlatForest::ChooseKernel());
-  EXPECT_EQ(service->predict_engine(), PredictEngine::kFlat);
-}
-
-TEST(ServingPipeline, EngineSelectionViaOptionsKeepsScoresBitwiseEqual) {
-  const Study& study = SharedStudy();
-  std::unique_ptr<ForecastService> service = MakeService(study);
-  const std::vector<std::vector<float>> batch = BatchScores(study, *service);
-  for (PredictEngine engine :
-       {PredictEngine::kClassic, PredictEngine::kFlat}) {
-    ServingPipeline::Options options = OptionsFor(study);
-    options.predict_engine = engine;
-    options.flat_kernel = ml::FlatKernel::kScalar;
-    std::vector<StreamingPrediction> served =
-        RunPipelineServe(study, service.get(), options);
-    ExpectBitwiseEqualToBatch(served, batch, service->bundle().window_days,
-                              engine == PredictEngine::kFlat ? "flat"
-                                                             : "classic");
   }
 }
 

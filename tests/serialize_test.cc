@@ -2,10 +2,10 @@
 //   * round-trip determinism — Save → Load → predictions must be bitwise
 //     identical to the in-memory model, at HOTSPOT_NUM_THREADS 1 and 4,
 //     for the GBDT, the random forest, the single tree and the imputer;
-//   * corruption fuzz — truncations, byte flips, wrong magic, future
-//     format versions, kind mismatches and garbage payloads must all be
-//     rejected with a clear error and no undefined behavior (this suite
-//     runs under HOTSPOT_SANITIZE in CI);
+//   * corruption fuzz — truncations, byte flips, wrong magic, future or
+//     retired format versions, kind mismatches and garbage payloads must
+//     all be rejected with a clear error and no undefined behavior (this
+//     suite runs under HOTSPOT_SANITIZE in CI);
 //   * golden file — the checked-in fixed-seed bundle under tests/data/
 //     must load and reproduce its checked-in predictions exactly.
 #include <unistd.h>
@@ -588,27 +588,22 @@ TEST(SerializeGolden, CheckedInBundleReproducesGoldenPredictions) {
   EXPECT_EQ(forecaster.Run(config).predictions, golden);
 }
 
-TEST(SerializeGolden, FormatV1BundleServesWithMonitoringDisabled) {
-  // The checked-in v1 fixture (flat layout, no fingerprint section) must
-  // keep loading forever, produce the same golden predictions, and serve
-  // with monitoring gracefully off — old artifacts never break, they just
-  // don't get the new telemetry.
-  const std::string dir = HOTSPOT_TEST_DATA_DIR;
-  std::vector<float> golden;
-  ASSERT_TRUE(testing::ReadGoldenPredictions(
-      dir + "/" + testing::kGoldenPredictionsFile, &golden));
-
+TEST_F(SerializeTest, FormatV1BundleIsRefusedByVersion) {
+  // The pre-section v1 layout is no longer read: the golden bundle with its
+  // header version word (bytes 8..11, outside the checksummed payload) set
+  // to 1 must be refused by name, not parsed as a current-layout payload.
+  std::vector<uint8_t> bytes = ReadFile(std::string(HOTSPOT_TEST_DATA_DIR) +
+                                        "/" + testing::kGoldenBundleFile);
+  ASSERT_GT(bytes.size(), 32u);
+  bytes[8] = 1;
+  bytes[9] = bytes[10] = bytes[11] = 0;
+  WriteFile(Path("v1.hsb"), bytes);
   std::unique_ptr<ForecastService> service;
-  serialize::Status status =
-      ForecastService::Load(dir + "/golden_bundle_v1.hsb", &service);
-  ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_EQ(service->bundle().fingerprints, nullptr);
-  EXPECT_FALSE(service->monitoring_enabled());
-
-  const Study& study = SharedStudy();
-  ForecastConfig config = testing::GoldenForecastConfig();
-  EXPECT_EQ(service->PredictAtDay(study.features, config.t), golden);
-  EXPECT_FALSE(service->Health().monitoring_enabled);
+  serialize::Status status = ForecastService::Load(Path("v1.hsb"), &service);
+  ASSERT_FALSE(status.ok);
+  EXPECT_EQ(service, nullptr);
+  EXPECT_NE(status.error.find("format version 1"), std::string::npos)
+      << status.error;
 }
 
 // ---------------------------------------------------------------------------
@@ -723,6 +718,17 @@ TEST_F(SerializeSectionTest, SkewErrorNamesTheExactSection) {
     EXPECT_NE(error.find("newer"), std::string::npos) << error;
     payload_ = pristine;
   }
+}
+
+TEST_F(SerializeSectionTest, FlatSectionVersion1IsRefusedByName) {
+  // flat_forest v1 carried the quantized variant's arrays; v2 dropped them,
+  // so a v1 section is refused rather than misread.
+  size_t off = SectionOffset(5);
+  ASSERT_NE(off, std::string::npos);
+  WriteU32At(&payload_, off + 4, 1);  // the section's version field
+  std::string error = LoadPatched();
+  EXPECT_NE(error.find("'flat_forest'"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
 TEST_F(SerializeSectionTest, UnknownSectionIdIsRejectedByNumber) {
