@@ -1,11 +1,12 @@
-// Regenerates the golden serving fixture under tests/data/: a tiny
-// fixed-seed GBDT ForecastBundle plus the hex-float predictions it must
-// produce on the golden study. Run after any intentional change to the
-// binary format or to the training pipeline's numerics, then commit the
-// refreshed files:
+// Regenerates the golden fixtures under tests/data/: a tiny fixed-seed
+// GBDT ForecastBundle plus the hex-float predictions it must produce on the
+// golden study, and the CRC-64 digests of the golden GBDT fit shapes. Run
+// after any intentional change to the binary format or to the training
+// pipeline's numerics, then commit the refreshed files:
 //
 //   ./make_serialize_golden [output_dir]   (default: HOTSPOT_TEST_DATA_DIR)
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "core/forecast_service.h"
@@ -49,5 +50,17 @@ int main(int argc, char** argv) {
 
   std::printf("wrote %s and %s (%zu predictions)\n", bundle_path.c_str(),
               predictions_path.c_str(), predictions.size());
+
+  std::string fits_path = dir + "/" + testing::kGoldenGbdtFitsFile;
+  std::ofstream fits(fits_path);
+  for (const testing::GbdtFitShape& shape : testing::GoldenGbdtFitShapes()) {
+    fits << testing::GbdtFitDigestLine(shape) << "\n";
+  }
+  fits.flush();
+  if (!fits) {
+    std::fprintf(stderr, "cannot write %s\n", fits_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", fits_path.c_str());
   return 0;
 }

@@ -5,21 +5,35 @@
 /// (make_serialize_golden) and the golden-file test must build the exact
 /// same study and bundle, so both include this header. Predictions are
 /// stored as hex floats ("%a"), which round-trip through text bit for bit.
+///
+/// It also defines the golden GBDT fit shapes: hostile datasets (partial,
+/// exact and multi-tile feature counts; NaN, +-Inf, signed-zero, constant
+/// and 4-valued columns) fitted under varied bins, subsampling and depth.
+/// Each fit is pinned by two CRC-64 digests, so any change to the trained
+/// bits shows up without checking in the models themselves.
 
+#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/forecaster.h"
 #include "core/study.h"
+#include "ml/gbdt.h"
+#include "serialize/binary_format.h"
+#include "serialize/model_io.h"
 #include "simnet/generator.h"
+#include "util/rng.h"
 
 namespace hotspot::testing {
 
 inline constexpr char kGoldenBundleFile[] = "golden_bundle.hsb";
 inline constexpr char kGoldenPredictionsFile[] = "golden_predictions.txt";
+inline constexpr char kGoldenGbdtFitsFile[] = "golden_gbdt_fits.txt";
 
 inline simnet::GeneratorConfig GoldenNetworkConfig() {
   simnet::GeneratorConfig config;
@@ -74,6 +88,128 @@ inline bool ReadGoldenPredictions(const std::string& path,
     predictions->push_back(static_cast<float>(value));
   }
   return !predictions->empty();
+}
+
+/// One golden GBDT fit: an n x d hostile dataset and the config to fit.
+struct GbdtFitShape {
+  const char* name;
+  int rows;
+  int features;
+  ml::GbdtConfig config;
+};
+
+inline std::vector<GbdtFitShape> GoldenGbdtFitShapes() {
+  auto config = [](int iterations, int leaves, int max_depth, int max_bins,
+                   double feature_fraction, double bagging_fraction) {
+    ml::GbdtConfig c;
+    c.num_iterations = iterations;
+    c.num_leaves = leaves;
+    c.max_depth = max_depth;
+    c.max_bins = max_bins;
+    c.feature_fraction = feature_fraction;
+    c.bagging_fraction = bagging_fraction;
+    c.seed = 29;
+    return c;
+  };
+  return {
+      {"d1_bins2", 400, 1, config(6, 7, 8, 2, 1.0, 1.0)},
+      {"d31_bins16_ff07", 500, 31, config(10, 15, 8, 16, 0.7, 1.0)},
+      {"d32_bins255_depth0", 600, 32, config(8, 31, 0, 255, 1.0, 1.0)},
+      {"d33_bins64_bag08", 500, 33, config(10, 15, 8, 64, 1.0, 0.8)},
+      {"d70_bins32_ff05_bag08_depth3", 700, 70,
+       config(10, 15, 3, 32, 0.5, 0.8)},
+      {"d300_bins64_ff07_depth0", 400, 300, config(6, 31, 0, 64, 0.7, 1.0)},
+      {"d2160_bins32", 300, 2160, config(4, 15, 8, 32, 1.0, 1.0)},
+  };
+}
+
+/// The shape's dataset. Column kinds cycle with the feature index:
+/// Gaussian, Gaussian with 20% NaN, uniform with 5% -Inf and 5% +Inf,
+/// constant, 4-valued, signed zeros among Gaussians, integers 0..40 and
+/// {-Inf, +Inf, NaN} only. Labels follow a noisy logit of columns spread
+/// over the whole width; weights are uneven.
+inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
+  const int n = shape.rows;
+  const int d = shape.features;
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(static_cast<uint64_t>(n) * 7919u + static_cast<uint64_t>(d));
+  ml::Dataset data;
+  data.features = Matrix<float>(n, d);
+  for (int i = 0; i < n; ++i) {
+    for (int f = 0; f < d; ++f) {
+      float value = 0.0f;
+      switch (f % 8) {
+        case 0:
+          value = static_cast<float>(rng.Gaussian());
+          break;
+        case 1:
+          value = rng.Bernoulli(0.2) ? MissingValue()
+                                     : static_cast<float>(rng.Gaussian());
+          break;
+        case 2: {
+          double u = rng.UniformDouble();
+          value = u < 0.05   ? -inf
+                  : u < 0.1 ? inf
+                            : static_cast<float>(rng.Uniform(-3.0, 3.0));
+          break;
+        }
+        case 3:
+          value = 3.0f;
+          break;
+        case 4:
+          value = static_cast<float>(rng.UniformInt(0, 3)) - 1.0f;
+          break;
+        case 5:
+          value = rng.Bernoulli(0.3)
+                      ? (rng.Bernoulli(0.5) ? -0.0f : 0.0f)
+                      : static_cast<float>(rng.Gaussian());
+          break;
+        case 6:
+          value = static_cast<float>(rng.UniformInt(0, 40));
+          break;
+        default: {
+          int64_t pick = rng.UniformInt(0, 2);
+          value = pick == 0 ? -inf : pick == 1 ? inf : MissingValue();
+          break;
+        }
+      }
+      data.features(i, f) = value;
+    }
+  }
+  auto term = [&](int i, int f) {
+    float value = data.features(i, f);
+    if (std::isnan(value)) return 0.0;
+    return std::isinf(value) ? (value > 0 ? 1.0 : -1.0)
+                             : static_cast<double>(value);
+  };
+  data.labels.resize(static_cast<size_t>(n));
+  data.weights.resize(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    double logit = 0.8 * term(i, 0) + 0.6 * term(i, d / 2) -
+                   0.7 * term(i, d - 1) + 0.3 * term(i, (3 * d) / 4) +
+                   rng.Gaussian(0.0, 0.5);
+    data.labels[static_cast<size_t>(i)] = logit > 0.3 ? 1.0f : 0.0f;
+    data.weights[static_cast<size_t>(i)] = rng.Uniform(0.5, 2.0);
+  }
+  return data;
+}
+
+/// "<name> <crc64 of the EncodeGbdt bytes> <crc64 of training_loss()>".
+inline std::string GbdtFitDigestLine(const GbdtFitShape& shape) {
+  ml::Gbdt model(shape.config);
+  model.Fit(MakeGbdtFitData(shape));
+  serialize::ByteWriter model_bytes;
+  serialize::ModelAccess::EncodeGbdt(model, &model_bytes);
+  serialize::ByteWriter loss_bytes;
+  loss_bytes.WriteF64Vector(model.training_loss());
+  char line[160];
+  std::snprintf(line, sizeof(line), "%s %016" PRIx64 " %016" PRIx64,
+                shape.name,
+                serialize::Crc64(model_bytes.bytes().data(),
+                                 model_bytes.bytes().size()),
+                serialize::Crc64(loss_bytes.bytes().data(),
+                                 loss_bytes.bytes().size()));
+  return line;
 }
 
 }  // namespace hotspot::testing

@@ -7,7 +7,8 @@
 //     all be rejected with a clear error and no undefined behavior (this
 //     suite runs under HOTSPOT_SANITIZE in CI);
 //   * golden file — the checked-in fixed-seed bundle under tests/data/
-//     must load and reproduce its checked-in predictions exactly.
+//     must load and reproduce its checked-in predictions exactly, and the
+//     golden GBDT fit shapes must train to their checked-in digests.
 #include <unistd.h>
 
 #include <cstdint>
@@ -586,6 +587,28 @@ TEST(SerializeGolden, CheckedInBundleReproducesGoldenPredictions) {
   // the golden seed yields the same predictions as the checked-in file.
   Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
   EXPECT_EQ(forecaster.Run(config).predictions, golden);
+}
+
+TEST(SerializeGolden, GbdtFitsMatchCheckedInDigests) {
+  // Every golden fit shape must train to the same model and loss bytes as
+  // the checked-in digests, at every thread count: the GBDT fit path may be
+  // rewritten for speed, but not change a bit of what it trains.
+  std::ifstream in(std::string(HOTSPOT_TEST_DATA_DIR) + "/" +
+                   testing::kGoldenGbdtFitsFile);
+  ASSERT_TRUE(in) << "missing fixture; regenerate with make_serialize_golden";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) golden.push_back(line);
+  }
+  const std::vector<testing::GbdtFitShape> shapes =
+      testing::GoldenGbdtFitShapes();
+  ASSERT_EQ(golden.size(), shapes.size());
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      EXPECT_EQ(testing::GbdtFitDigestLine(shapes[s]), golden[s])
+          << threads << " threads";
+    }
+  });
 }
 
 TEST_F(SerializeTest, FormatV1BundleIsRefusedByVersion) {
