@@ -1,12 +1,14 @@
 #include "ml/gbdt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace hotspot::ml {
@@ -20,58 +22,119 @@ double Sigmoid(double x) {
   return z / (1.0 + z);
 }
 
-void FeatureBinner::Fit(const Matrix<float>& features, int max_bins) {
+namespace {
+
+/// Sorts non-NaN floats ascending with an LSD radix sort, one byte per
+/// pass, over keys that order like the values. The keys put -0 just below
+/// +0; the two compare equal, so they merge under std::unique whichever
+/// comes first, and a zero adjacent to a nonzero neighbour adds to it
+/// exactly, so the cuts match a comparison sort's bit for bit. A training
+/// column's comparisons mispredict often enough to make this several
+/// times faster than std::sort.
+void SortValues(std::vector<float>* values) {
+  const size_t n = values->size();
+  std::vector<uint32_t> keys(n);
+  std::vector<uint32_t> sorted(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t bits = std::bit_cast<uint32_t>((*values)[i]);
+    keys[i] = (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+  }
+  for (int shift = 0; shift < 32; shift += 8) {
+    size_t starts[257] = {};
+    for (uint32_t key : keys) ++starts[((key >> shift) & 0xffu) + 1];
+    // A byte every key shares leaves the order as it is.
+    if (n == 0 || starts[((keys[0] >> shift) & 0xffu) + 1] == n) continue;
+    for (int digit = 0; digit < 256; ++digit) {
+      starts[digit + 1] += starts[digit];
+    }
+    for (uint32_t key : keys) sorted[starts[(key >> shift) & 0xffu]++] = key;
+    keys.swap(sorted);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t key = keys[i];
+    (*values)[i] = std::bit_cast<float>(
+        (key & 0x80000000u) != 0 ? key & 0x7fffffffu : ~key);
+  }
+}
+
+}  // namespace
+
+void FeatureBinner::Fit(const Matrix<float>& features, int max_bins,
+                        BinTiles* bins) {
   HOTSPOT_CHECK_GE(max_bins, 2);
   HOTSPOT_CHECK_LE(max_bins, 255);
   const int n = features.rows();
   const int d = features.cols();
+  HOTSPOT_CHECK(bins == nullptr ||
+                (bins->rows() == n && bins->features() == d));
   thresholds_.assign(static_cast<size_t>(d), {});
-  // Parallel over features: each iteration only touches thresholds_[f], so
-  // any thread count produces the same cuts as the serial loop.
-  util::ParallelFor(0, d, [&](int64_t fi) {
-    const int f = static_cast<int>(fi);
-    std::vector<float> column;
-    for (int i = 0; i < n; ++i) {
-      float value = features.At(i, f);
-      if (!IsMissing(value)) column.push_back(value);
+  // Parallel over blocks of BinTiles::kWidth features: a block gathers its
+  // columns in one sweep over the rows (kWidth contiguous floats each)
+  // instead of one strided sweep per feature, then bins the block straight
+  // into its tile. Each block only touches its own thresholds and tile,
+  // and every column keeps its row order, so any thread count produces the
+  // serial loop's cuts and bins.
+  const int blocks = (d + BinTiles::kWidth - 1) / BinTiles::kWidth;
+  util::ParallelFor(0, blocks, [&](int64_t block) {
+    const int first = static_cast<int>(block) * BinTiles::kWidth;
+    const int width = std::min(BinTiles::kWidth, d - first);
+    std::vector<std::vector<float>> columns(static_cast<size_t>(width));
+    for (std::vector<float>& column : columns) {
+      column.reserve(static_cast<size_t>(n));
     }
-    std::sort(column.begin(), column.end());
-    column.erase(std::unique(column.begin(), column.end()), column.end());
-    std::vector<float>& cuts = thresholds_[static_cast<size_t>(f)];
-    int distinct = static_cast<int>(column.size());
-    if (distinct <= 1) return;  // constant feature: one finite bin
-    // max_bins-1 finite bins (bin 0 is the missing bin) need at most
-    // max_bins-2 cut points.
-    int num_cuts = std::min(distinct - 1, max_bins - 2);
-    if (num_cuts <= 0) num_cuts = 1;
-    for (int c = 1; c <= num_cuts; ++c) {
-      // Evenly spaced quantiles over the distinct values; the cut sits
-      // between two adjacent distinct values.
-      size_t pos = static_cast<size_t>(
-          static_cast<double>(c) * distinct / (num_cuts + 1));
-      pos = std::min(pos, column.size() - 1);
-      if (pos == 0) pos = 1;
-      float cut = 0.5f * (column[pos - 1] + column[pos]);
-      if (cuts.empty() || cut > cuts.back()) cuts.push_back(cut);
+    for (int i = 0; i < n; ++i) {
+      const float* row = features.Row(i) + first;
+      for (int k = 0; k < width; ++k) {
+        if (!IsMissing(row[k])) {
+          columns[static_cast<size_t>(k)].push_back(row[k]);
+        }
+      }
+    }
+    for (int k = 0; k < width; ++k) {
+      std::vector<float>& column = columns[static_cast<size_t>(k)];
+      SortValues(&column);
+      column.erase(std::unique(column.begin(), column.end()), column.end());
+      std::vector<float>& cuts = thresholds_[static_cast<size_t>(first + k)];
+      int distinct = static_cast<int>(column.size());
+      if (distinct <= 1) continue;  // constant feature: one finite bin
+      // max_bins-1 finite bins (bin 0 is the missing bin) need at most
+      // max_bins-2 cut points.
+      int num_cuts = std::min(distinct - 1, max_bins - 2);
+      if (num_cuts <= 0) num_cuts = 1;
+      for (int c = 1; c <= num_cuts; ++c) {
+        // Evenly spaced quantiles over the distinct values; the cut sits
+        // between two adjacent distinct values.
+        size_t pos = static_cast<size_t>(
+            static_cast<double>(c) * distinct / (num_cuts + 1));
+        pos = std::min(pos, column.size() - 1);
+        if (pos == 0) pos = 1;
+        float cut = 0.5f * (column[pos - 1] + column[pos]);
+        if (cuts.empty() || cut > cuts.back()) cuts.push_back(cut);
+      }
+    }
+    if (bins == nullptr) return;
+    uint8_t* tile = bins->tile(static_cast<int>(block));
+    for (int i = 0; i < n; ++i) {
+      const float* row = features.Row(i) + first;
+      uint8_t* dst = tile + static_cast<size_t>(i) * width;
+      for (int k = 0; k < width; ++k) {
+        dst[k] = static_cast<uint8_t>(Bin(first + k, row[k]));
+      }
     }
   });
 }
 
 int FeatureBinner::Bin(int feature, float value) const {
   if (IsMissing(value)) return 0;
-  const std::vector<float>& cuts = thresholds_[static_cast<size_t>(feature)];
-  // Bin b+1 holds values <= cuts[b]; the last bin holds the rest.
-  int lo = 0;
-  int hi = static_cast<int>(cuts.size());
-  while (lo < hi) {
-    int mid = (lo + hi) / 2;
-    if (value <= cuts[static_cast<size_t>(mid)]) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+  // Bin b+1 holds values <= cuts[b]; the last bin holds the rest. The cuts
+  // ascend, so the bin is one plus the number of cuts the value exceeds (a
+  // lone NaN cut counts as exceeded, as a binary search treats it). The
+  // count has no branches to mispredict, unlike a binary search.
+  int above = 0;
+  for (float cut : thresholds_[static_cast<size_t>(feature)]) {
+    above += !(value <= cut);
   }
-  return lo + 1;
+  return above + 1;
 }
 
 int FeatureBinner::NumBins(int feature) const {
@@ -113,6 +176,9 @@ double LeafObjective(double grad_sum, double hess_sum, double lambda) {
   return grad_sum * grad_sum / (hess_sum + lambda);
 }
 
+/// How many leaf rows ahead the histogram pass prefetches tile rows.
+constexpr size_t kPrefetchRows = 16;
+
 /// Best split of one feature during the parallel histogram scan.
 struct FeatureSplit {
   double gain = 0.0;
@@ -120,14 +186,25 @@ struct FeatureSplit {
   int bin = -1;
 };
 
+/// Features of one tile that one histogram pass covers: their columns
+/// within the tile and their slots in the tree's feature list. In the
+/// pass's flat histogram buffer the k-th feature's interleaved (grad,
+/// hess) bin pairs start at 2 * k * stride, stride being the most bins any
+/// of them has.
+struct TilePlan {
+  int tile = 0;
+  std::vector<int> columns;
+  std::vector<int> slots;
+  size_t stride = 0;
+};
+
 }  // namespace
 
-Gbdt::Tree Gbdt::BuildTree(const Matrix<uint8_t>& binned,
+Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
                            const std::vector<double>& grads,
                            const std::vector<double>& hessians,
                            const std::vector<int>& rows,
-                           const std::vector<int>& features, Rng* rng) {
-  (void)rng;
+                           const std::vector<int>& features) {
   // Hoisted out of the leaf loop: one registry lookup per tree, relaxed
   // sharded increments inside. Null context costs one pointer test here.
   obs::PipelineContext* ctx = obs::PipelineContext::Current();
@@ -136,6 +213,43 @@ Gbdt::Tree Gbdt::BuildTree(const Matrix<uint8_t>& binned,
                      : nullptr;
   Tree tree;
   std::vector<PendingLeaf> leaves;
+
+  // The tree's features grouped by tile, in tile order, as slots of the
+  // (possibly sampled, unsorted) `features` list, so the merge below still
+  // walks the candidates in `features` order.
+  std::vector<std::vector<int>> tile_slots(
+      static_cast<size_t>(bins.num_tiles()));
+  for (size_t slot = 0; slot < features.size(); ++slot) {
+    tile_slots[static_cast<size_t>(features[slot] / BinTiles::kWidth)]
+        .push_back(static_cast<int>(slot));
+  }
+  // One histogram pass per tile, unless there are fewer tiles than threads:
+  // then each tile's features are split into equal slices so every thread
+  // gets a pass. A feature's histogram is still built by one pass in
+  // leaf-row order, so the split changes the speed, not the bits.
+  const size_t used_tiles = static_cast<size_t>(std::count_if(
+      tile_slots.begin(), tile_slots.end(),
+      [](const std::vector<int>& slots) { return !slots.empty(); }));
+  const size_t slices =
+      used_tiles == 0 ? 1
+                      : (static_cast<size_t>(util::NumThreads()) +
+                         used_tiles - 1) / used_tiles;
+  std::vector<TilePlan> plans;
+  for (const std::vector<int>& slots : tile_slots) {
+    const size_t pieces = std::min(slices, slots.size());
+    for (size_t piece = 0; piece < pieces; ++piece) {
+      TilePlan& plan = plans.emplace_back();
+      for (size_t k = piece * slots.size() / pieces;
+           k < (piece + 1) * slots.size() / pieces; ++k) {
+        const int f = features[static_cast<size_t>(slots[k])];
+        plan.tile = f / BinTiles::kWidth;
+        plan.columns.push_back(f % BinTiles::kWidth);
+        plan.slots.push_back(slots[k]);
+        plan.stride =
+            std::max(plan.stride, static_cast<size_t>(binner_.NumBins(f)));
+      }
+    }
+  }
 
   auto make_leaf = [&](std::vector<int> leaf_rows, int depth) {
     PendingLeaf leaf;
@@ -165,50 +279,82 @@ Gbdt::Tree Gbdt::BuildTree(const Matrix<uint8_t>& binned,
     }
     double parent_obj =
         LeafObjective(leaf.grad_sum, leaf.hess_sum, config_.lambda_l2);
-    // Parallel over features: every feature builds its own histogram (the
-    // within-feature accumulation order is the row order, same as serial)
-    // and reports its best split; the merge below walks the candidates in
-    // feature order with the same strict `>` the serial scan used, so the
-    // chosen split is bitwise-identical at any thread count. Tiny leaves
-    // stay serial — same result, less scheduling overhead.
-    int split_threads =
-        leaf.rows.size() * features.size() < 4096 ? 1 : 0 /* NumThreads() */;
-    std::vector<FeatureSplit> candidates = util::ParallelMap<FeatureSplit>(
-        0, static_cast<int64_t>(features.size()),
-        [&](int64_t fi) {
-          const int f = features[static_cast<size_t>(fi)];
-          const int bins = binner_.NumBins(f);
-          std::vector<double> hist_grad(static_cast<size_t>(bins), 0.0);
-          std::vector<double> hist_hess(static_cast<size_t>(bins), 0.0);
-          for (int r : leaf.rows) {
-            int b = binned.At(r, f);
-            hist_grad[static_cast<size_t>(b)] += grads[static_cast<size_t>(r)];
-            hist_hess[static_cast<size_t>(b)] +=
-                hessians[static_cast<size_t>(r)];
-          }
-          FeatureSplit split;
-          split.feature = f;
-          double left_grad = 0.0;
-          double left_hess = 0.0;
-          for (int b = 0; b + 1 < bins; ++b) {
-            left_grad += hist_grad[static_cast<size_t>(b)];
-            left_hess += hist_hess[static_cast<size_t>(b)];
-            double right_grad = leaf.grad_sum - left_grad;
-            double right_hess = leaf.hess_sum - left_hess;
-            if (left_hess < config_.min_child_hessian ||
-                right_hess < config_.min_child_hessian) {
-              continue;
+    // Ordered gradients: the leaf's (grad, hess) pairs, gathered once in
+    // leaf-row order, so the tile passes below stream them sequentially.
+    const size_t num_rows = leaf.rows.size();
+    std::vector<double> ordered(2 * num_rows);
+    for (size_t i = 0; i < num_rows; ++i) {
+      const size_t r = static_cast<size_t>(leaf.rows[i]);
+      ordered[2 * i] = grads[r];
+      ordered[2 * i + 1] = hessians[r];
+    }
+    // Parallel over passes: one pass over the leaf rows fills the
+    // histograms of all its plan's features at once, each bin still adding
+    // its rows in leaf-row order, so every histogram is bitwise the one a
+    // per-feature pass builds. Each task writes only its own features'
+    // candidate slots; the merge below walks them in `features` order with
+    // the same strict `>` the serial scan used, so the chosen split is
+    // bitwise-identical at any thread count. Tiny leaves stay serial —
+    // same result, less scheduling overhead.
+    int split_threads = num_rows * features.size() < 4096 ? 1 : 0;
+    std::vector<FeatureSplit> candidates(features.size());
+    util::ParallelFor(
+        0, static_cast<int64_t>(plans.size()),
+        [&](int64_t pi) {
+          const TilePlan& plan = plans[static_cast<size_t>(pi)];
+          const size_t count = plan.columns.size();
+          const uint8_t* tile = bins.tile(plan.tile);
+          const size_t width = static_cast<size_t>(bins.width(plan.tile));
+          const size_t stride = plan.stride;
+          std::vector<double> hist(2 * count * stride, 0.0);
+          const int* columns = plan.columns.data();
+          for (size_t i = 0; i < num_rows; ++i) {
+            // A leaf's rows are scattered over the tile; fetch ahead.
+            if (i + kPrefetchRows < num_rows) {
+              __builtin_prefetch(
+                  tile + static_cast<size_t>(leaf.rows[i + kPrefetchRows]) *
+                             width);
             }
-            double gain =
-                LeafObjective(left_grad, left_hess, config_.lambda_l2) +
-                LeafObjective(right_grad, right_hess, config_.lambda_l2) -
-                parent_obj;
-            if (gain > split.gain) {
-              split.gain = gain;
-              split.bin = b;
+            const uint8_t* row_bins =
+                tile + static_cast<size_t>(leaf.rows[i]) * width;
+            const double g = ordered[2 * i];
+            const double h = ordered[2 * i + 1];
+            double* feature_pairs = hist.data();
+            for (size_t k = 0; k < count; ++k, feature_pairs += 2 * stride) {
+              double* pair = feature_pairs +
+                             2 * static_cast<size_t>(row_bins[columns[k]]);
+              pair[0] += g;
+              pair[1] += h;
             }
           }
-          return split;
+          for (size_t k = 0; k < count; ++k) {
+            const int f = features[static_cast<size_t>(plan.slots[k])];
+            const int num_bins = binner_.NumBins(f);
+            const double* pairs = hist.data() + 2 * k * stride;
+            FeatureSplit split;
+            split.feature = f;
+            double left_grad = 0.0;
+            double left_hess = 0.0;
+            for (int b = 0; b + 1 < num_bins; ++b) {
+              left_grad += pairs[2 * b];
+              left_hess += pairs[2 * b + 1];
+              double right_grad = leaf.grad_sum - left_grad;
+              double right_hess = leaf.hess_sum - left_hess;
+              if (left_hess < config_.min_child_hessian ||
+                  right_hess < config_.min_child_hessian) {
+                continue;
+              }
+              double gain =
+                  LeafObjective(left_grad, left_hess, config_.lambda_l2) +
+                  LeafObjective(right_grad, right_hess, config_.lambda_l2) -
+                  parent_obj;
+              if (gain > split.gain) {
+                split.gain = gain;
+                split.bin = b;
+              }
+            }
+            candidates[static_cast<size_t>(plan.slots[k])] = split;
+          }
         },
         split_threads);
     // Ordered merge: first feature wins ties, exactly like the serial scan.
@@ -244,7 +390,7 @@ Gbdt::Tree Gbdt::BuildTree(const Matrix<uint8_t>& binned,
     std::vector<int> left_rows;
     std::vector<int> right_rows;
     for (int r : leaf.rows) {
-      if (binned.At(r, leaf.best_feature) <= leaf.best_bin) {
+      if (bins.At(r, leaf.best_feature) <= leaf.best_bin) {
         left_rows.push_back(r);
       } else {
         right_rows.push_back(r);
@@ -285,17 +431,10 @@ void Gbdt::Fit(const Dataset& data) {
   num_features_ = data.num_features();
   gain_importances_.assign(static_cast<size_t>(num_features_), 0.0);
 
-  Matrix<uint8_t> binned(n, num_features_);
+  BinTiles bins(n, num_features_);
   {
     HOTSPOT_SPAN("gbdt/bin_build");
-    binner_.Fit(data.features, config_.max_bins);
-    util::ParallelFor(0, n, [&](int64_t i) {
-      const float* row = data.features.Row(static_cast<int>(i));
-      uint8_t* dst = binned.Row(static_cast<int>(i));
-      for (int f = 0; f < num_features_; ++f) {
-        dst[f] = static_cast<uint8_t>(binner_.Bin(f, row[f]));
-      }
-    });
+    binner_.Fit(data.features, config_.max_bins, &bins);
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/bin_builds").Increment();
     }
@@ -363,7 +502,7 @@ void Gbdt::Fit(const Dataset& data) {
     Tree tree;
     {
       HOTSPOT_SPAN("gbdt/build_tree");
-      tree = BuildTree(binned, grads, hessians, rows, features, &rng);
+      tree = BuildTree(bins, grads, hessians, rows, features);
     }
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/trees_built").Increment();
@@ -374,7 +513,7 @@ void Gbdt::Fit(const Dataset& data) {
       int node = 0;
       while (tree.nodes[static_cast<size_t>(node)].feature >= 0) {
         const Node& current = tree.nodes[static_cast<size_t>(node)];
-        node = binned.At(static_cast<int>(i), current.feature) <=
+        node = bins.At(static_cast<int>(i), current.feature) <=
                        current.bin_threshold
                    ? current.left
                    : current.right;

@@ -1,11 +1,11 @@
 #ifndef HOTSPOT_ML_GBDT_H_
 #define HOTSPOT_ML_GBDT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "ml/dataset.h"
-#include "util/rng.h"
 
 namespace hotspot::serialize {
 struct ModelAccess;
@@ -33,12 +33,53 @@ struct GbdtConfig {
   uint64_t seed = 1;
 };
 
+/// The bins of an n x d training matrix, stored feature-tiled for the
+/// histogram pass: features are grouped into tiles of kWidth, and each
+/// tile holds all n rows contiguously (row r at r * width(t)), the last
+/// tile partial. Together the tiles take exactly n x d bytes.
+class BinTiles {
+ public:
+  static constexpr int kWidth = 32;
+
+  BinTiles(int rows, int features)
+      : rows_(static_cast<size_t>(rows)),
+        features_(features),
+        bins_(rows_ * static_cast<size_t>(features)) {}
+
+  int rows() const { return static_cast<int>(rows_); }
+  int features() const { return features_; }
+  int num_tiles() const { return (features_ + kWidth - 1) / kWidth; }
+  int width(int tile) const {
+    return std::min(kWidth, features_ - tile * kWidth);
+  }
+  /// Start of tile `tile`; every tile before it is kWidth wide.
+  uint8_t* tile(int tile) {
+    return bins_.data() + static_cast<size_t>(tile) * kWidth * rows_;
+  }
+  const uint8_t* tile(int tile) const {
+    return bins_.data() + static_cast<size_t>(tile) * kWidth * rows_;
+  }
+  uint8_t At(int row, int feature) const {
+    const int t = feature / kWidth;
+    return tile(t)[static_cast<size_t>(row) * static_cast<size_t>(width(t)) +
+                   static_cast<size_t>(feature % kWidth)];
+  }
+
+ private:
+  size_t rows_;
+  int features_;
+  std::vector<uint8_t> bins_;
+};
+
 /// Quantile feature binner. Bin 0 is reserved for missing values; bins
 /// 1..num_bins(f)-1 partition the finite range by the training quantiles.
 class FeatureBinner {
  public:
-  /// Builds thresholds from the training features.
-  void Fit(const Matrix<float>& features, int max_bins);
+  /// Builds thresholds from the training features and, when `bins` is
+  /// given (sized like `features`), writes every training value's bin
+  /// into it.
+  void Fit(const Matrix<float>& features, int max_bins,
+           BinTiles* bins = nullptr);
 
   /// Bin index of `value` for `feature` (0 for NaN).
   int Bin(int feature, float value) const;
@@ -86,11 +127,10 @@ class Gbdt : public BinaryClassifier {
     std::vector<Node> nodes;
   };
 
-  Tree BuildTree(const Matrix<uint8_t>& binned,
-                 const std::vector<double>& grads,
+  Tree BuildTree(const BinTiles& bins, const std::vector<double>& grads,
                  const std::vector<double>& hessians,
                  const std::vector<int>& rows,
-                 const std::vector<int>& features, Rng* rng);
+                 const std::vector<int>& features);
 
   GbdtConfig config_;
   FeatureBinner binner_;

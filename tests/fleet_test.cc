@@ -8,6 +8,7 @@
 // tight loop while reader threads predict concurrently, every prediction
 // matching exactly one generation's expected output — no torn reads, no
 // drops — plus generation tags threaded through live fleet streams.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -106,6 +107,31 @@ FleetOptions FleetOptionsFor(const Study& study, int num_shards) {
   return options;
 }
 
+/// Offers row (i, j) until the fleet admits it and returns the final
+/// verdict. A shard over its admission budget rejects the row, and every
+/// reject is also a flight-recorder event, so the retry backs off: a few
+/// yields, then sleeps doubling from 20 us to 1 ms. That bounds the reject
+/// events per stall however slowly the shard workers get scheduled (under
+/// TSan, or beside a CPU-heavy test), which keeps the flight audits inside
+/// their ring.
+PushVerdict PushUntilAdmitted(ForecastFleet* fleet, const Study& study,
+                              int i, int j) {
+  constexpr int kYields = 8;
+  constexpr std::chrono::microseconds kMaxSleep(1000);
+  std::chrono::microseconds sleep(20);
+  for (int attempt = 0;; ++attempt) {
+    PushVerdict verdict = fleet->Push(i, j, study.network.kpis.Slice(i, j),
+                                      study.network.kpis.dim2());
+    if (verdict != PushVerdict::kRejectedOverload) return verdict;
+    if (attempt < kYields) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(sleep);
+      sleep = std::min(2 * sleep, kMaxSleep);
+    }
+  }
+}
+
 /// The batch references: PredictAtDay at every servable end day.
 std::vector<std::vector<float>> BatchScores(
     const Study& study, const serialize::ForecastBundle& bundle) {
@@ -127,13 +153,7 @@ std::vector<FleetPrediction> RunFleetServe(const Study& study,
   const int hours = study.network.num_hours();
   for (int j = 0; j < hours; ++j) {
     for (int i = 0; i < study.num_sectors(); ++i) {
-      PushVerdict verdict;
-      while ((verdict = fleet->Push(i, j, study.network.kpis.Slice(i, j),
-                                    study.network.kpis.dim2())) ==
-             PushVerdict::kRejectedOverload) {
-        std::this_thread::yield();
-      }
-      EXPECT_EQ(verdict, PushVerdict::kRouted);
+      EXPECT_EQ(PushUntilAdmitted(fleet, study, i, j), PushVerdict::kRouted);
     }
   }
   fleet->Finish();
@@ -352,13 +372,7 @@ TEST(ForecastFleet, FlushInputDuringLiveStreamKeepsBitwiseEquality) {
   const int hours = study.network.num_hours();
   for (int j = 0; j < hours; ++j) {
     for (int i = 0; i < study.num_sectors(); ++i) {
-      PushVerdict verdict;
-      while ((verdict = fleet.Push(i, j, study.network.kpis.Slice(i, j),
-                                   study.network.kpis.dim2())) ==
-             PushVerdict::kRejectedOverload) {
-        std::this_thread::yield();
-      }
-      ASSERT_EQ(verdict, PushVerdict::kRouted);
+      ASSERT_EQ(PushUntilAdmitted(&fleet, study, i, j), PushVerdict::kRouted);
     }
     // Flush while the shard workers are actively draining: pins (under
     // TSan) that flushing from the producer thread — every pipeline's
@@ -390,13 +404,7 @@ TEST(ForecastFleet, FlushInputServesAQuietFeedsReadyBatch) {
   // without waiting for the next hour's rows.
   for (int j = 0; j <= servable_hour; ++j) {
     for (int i = 0; i < study.num_sectors(); ++i) {
-      PushVerdict verdict;
-      while ((verdict = fleet.Push(i, j, study.network.kpis.Slice(i, j),
-                                   study.network.kpis.dim2())) ==
-             PushVerdict::kRejectedOverload) {
-        std::this_thread::yield();
-      }
-      ASSERT_EQ(verdict, PushVerdict::kRouted);
+      ASSERT_EQ(PushUntilAdmitted(&fleet, study, i, j), PushVerdict::kRouted);
     }
   }
   fleet.FlushInput();
@@ -728,13 +736,7 @@ TEST(ForecastFleet, PromoteUnderLiveStreamTagsEveryRowWithItsGeneration) {
       EXPECT_EQ(generation, 1u);
     }
     for (int i = 0; i < study.num_sectors(); ++i) {
-      PushVerdict verdict;
-      while ((verdict = fleet.Push(i, j, study.network.kpis.Slice(i, j),
-                                   study.network.kpis.dim2())) ==
-             PushVerdict::kRejectedOverload) {
-        std::this_thread::yield();
-      }
-      ASSERT_EQ(verdict, PushVerdict::kRouted);
+      ASSERT_EQ(PushUntilAdmitted(&fleet, study, i, j), PushVerdict::kRouted);
     }
   }
   fleet.Finish();
@@ -947,13 +949,7 @@ TEST(ForecastFleet, SwapStormFlightLogReconcilesWithCounters) {
   const int hours = study.network.num_hours();
   for (int j = 0; j < hours; ++j) {
     for (int i = 0; i < study.num_sectors(); ++i) {
-      PushVerdict verdict;
-      while ((verdict = fleet.Push(i, j, study.network.kpis.Slice(i, j),
-                                   study.network.kpis.dim2())) ==
-             PushVerdict::kRejectedOverload) {
-        std::this_thread::yield();
-      }
-      ASSERT_EQ(verdict, PushVerdict::kRouted);
+      ASSERT_EQ(PushUntilAdmitted(&fleet, study, i, j), PushVerdict::kRouted);
     }
   }
   promoter.join();

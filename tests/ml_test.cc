@@ -304,6 +304,31 @@ TEST(FeatureBinner, ConstantFeatureHasSingleFiniteBin) {
   EXPECT_EQ(binner.NumBins(0), 2);
 }
 
+TEST(FeatureBinner, TilesHoldEveryTrainingValuesBin) {
+  // 70 features: two full 32-wide tiles and a partial one of 6.
+  Matrix<float> features(50, 70);
+  Rng rng(21);
+  for (int i = 0; i < 50; ++i) {
+    for (int f = 0; f < 70; ++f) {
+      features(i, f) = (i + f) % 9 == 0
+                           ? MissingValue()
+                           : static_cast<float>(rng.UniformInt(0, f % 40));
+    }
+  }
+  BinTiles tiles(50, 70);
+  FeatureBinner binner;
+  binner.Fit(features, 16, &tiles);
+  ASSERT_EQ(tiles.num_tiles(), 3);
+  EXPECT_EQ(tiles.width(0), 32);
+  EXPECT_EQ(tiles.width(2), 6);
+  for (int i = 0; i < 50; ++i) {
+    for (int f = 0; f < 70; ++f) {
+      EXPECT_EQ(tiles.At(i, f), binner.Bin(f, features(i, f)))
+          << "row " << i << " feature " << f;
+    }
+  }
+}
+
 TEST(Gbdt, FitsSeparableData) {
   Dataset data = SeparableDataset(300, 15);
   GbdtConfig config;
