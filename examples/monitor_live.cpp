@@ -85,11 +85,12 @@ int main() {
 
   // 2. A healthy serving stretch, end to end through the pipeline.
   // The tuned monitor config — a drift window wide enough to blend
-  // several served days, so the KS tests compare like with like — is
-  // part of the pipeline Options, not a separate EnableMonitoring call.
+  // several served days, so the KS tests compare like with like — is set
+  // on the service, which owns the monitor the pipeline feeds.
   {
     monitor::MonitorConfig monitoring;
     monitoring.drift_window = 4096;
+    service->EnableMonitoring(monitoring);
 
     pipeline::ServingPipeline::Options options;
     options.num_sectors = healthy.num_sectors();
@@ -97,7 +98,6 @@ int main() {
     options.calendar = &healthy.network.calendar_matrix;
     options.score = healthy.score_config;
     options.history_weeks = healthy.num_weeks() + 1;
-    options.monitor = monitoring;
     pipeline::ServingPipeline serving(service.get(), options);
 
     // Hour-major delivery, as live feeds do: predictions stream out as

@@ -59,12 +59,11 @@ std::shared_ptr<ForecastService::ServingState> ForecastService::BuildState(
     *error = "bundle feature_dim does not match its extractor";
     return nullptr;
   }
-  // Bundles written before the flat_forest section (or hand-built ones)
-  // get their flat engine compiled here; loaded sections were already
-  // verified against the classifier by the bundle decoder.
+  // TrainBundle and DecodeBundle compile the flat engine; a bundle
+  // without one was built some other way and is refused.
   if (bundle->flat == nullptr) {
-    bundle->flat = std::make_unique<ml::FlatForest>(
-        ml::FlatForest::Compile(*bundle->classifier));
+    *error = "bundle has no compiled flat forest";
+    return nullptr;
   }
   if (bundle->flat->num_features() != bundle->feature_dim) {
     *error = "flat forest feature count does not match the bundle";

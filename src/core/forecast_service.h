@@ -82,7 +82,7 @@ class ForecastService {
 
   /// RCU hot swap: validates `bundle` (servable classifier, same serving
   /// universe — window_days, horizon_days, num_channels — as the current
-  /// bundle), compiles its flat engine if absent, arms its monitor when it
+  /// bundle, a compiled flat engine), arms its monitor when it
   /// carries fingerprints (reusing the current monitor config), and
   /// installs it atomically under live traffic. In-flight batches finish
   /// on the old bundle; the old state is freed when its last batch drops
@@ -157,7 +157,7 @@ class ForecastService {
   };
 
   /// Builds (and validates) the state for `bundle`: extractor selection by
-  /// model kind, flat-forest compile when absent, monitor when
+  /// model kind, flat-forest presence and width, monitor when
   /// fingerprints are present. Returns null with the reason in `error`.
   std::shared_ptr<ServingState> BuildState(
       std::shared_ptr<serialize::ForecastBundle> bundle, uint64_t generation,

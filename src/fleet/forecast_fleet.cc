@@ -86,29 +86,25 @@ void ForecastFleet::RefreshCounters() {
   obs::PipelineContext* ctx = obs::PipelineContext::Current();
   if (ctx == counter_context_) return;
   counter_context_ = ctx;
-  if (ctx == nullptr) {
-    rows_offered_ = nullptr;
-    rows_routed_ = nullptr;
-    rows_rejected_overload_ = nullptr;
-    rows_rejected_width_ = nullptr;
-    rows_rejected_finished_ = nullptr;
-    rows_rejected_sector_ = nullptr;
-    flight_ = nullptr;
-    for (Shard& shard : shards_) {
-      shard.rows_routed = nullptr;
-      shard.rows_rejected = nullptr;
-    }
-    return;
+  rows_offered_ = nullptr;
+  rows_by_verdict_.fill(nullptr);
+  flight_ = nullptr;
+  for (Shard& shard : shards_) {
+    shard.rows_routed = nullptr;
+    shard.rows_rejected = nullptr;
   }
+  if (ctx == nullptr) return;
   flight_ = &ctx->flight();
   obs::MetricsRegistry& metrics = ctx->metrics();
   rows_offered_ = &metrics.counter("fleet/rows_offered");
-  rows_routed_ = &metrics.counter("fleet/rows_routed");
-  rows_rejected_overload_ = &metrics.counter("fleet/rows_rejected_overload");
-  rows_rejected_width_ = &metrics.counter("fleet/rows_rejected_width");
-  rows_rejected_finished_ =
-      &metrics.counter("fleet/rows_rejected_finished");
-  rows_rejected_sector_ = &metrics.counter("fleet/rows_rejected_sector");
+  // In PushVerdict order.
+  static constexpr const char* kVerdictCounters[kNumVerdicts] = {
+      "fleet/rows_routed", "fleet/rows_rejected_overload",
+      "fleet/rows_rejected_width", "fleet/rows_rejected_finished",
+      "fleet/rows_rejected_sector"};
+  for (size_t v = 0; v < kNumVerdicts; ++v) {
+    rows_by_verdict_[v] = &metrics.counter(kVerdictCounters[v]);
+  }
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (shards_[i].sectors.empty()) continue;
     shards_[i].rows_routed = &metrics.counter(
@@ -118,12 +114,16 @@ void ForecastFleet::RefreshCounters() {
   }
 }
 
-void ForecastFleet::RecordReject(PushVerdict verdict, int sector,
-                                 int hour) {
-  if (flight_ != nullptr) {
+ForecastFleet::PushVerdict ForecastFleet::CountVerdict(PushVerdict verdict,
+                                                       int sector, int hour) {
+  if (obs::Counter* rows = rows_by_verdict_[static_cast<size_t>(verdict)]) {
+    rows->Increment();
+  }
+  if (verdict != PushVerdict::kRouted && flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kAdmissionReject,
                     static_cast<int64_t>(verdict), sector, hour);
   }
+  return verdict;
 }
 
 ForecastFleet::PushVerdict ForecastFleet::Push(int sector, int hour,
@@ -132,24 +132,16 @@ ForecastFleet::PushVerdict ForecastFleet::Push(int sector, int hour,
   RefreshCounters();
   if (rows_offered_ != nullptr) rows_offered_->Increment();
   if (input_closed_) {
-    if (rows_rejected_finished_ != nullptr) {
-      rows_rejected_finished_->Increment();
-    }
-    RecordReject(PushVerdict::kRejectedFinished, sector, hour);
-    return PushVerdict::kRejectedFinished;
+    return CountVerdict(PushVerdict::kRejectedFinished, sector, hour);
   }
   if (num_kpis != num_kpis_) {
-    if (rows_rejected_width_ != nullptr) rows_rejected_width_->Increment();
-    RecordReject(PushVerdict::kRejectedWidth, sector, hour);
-    return PushVerdict::kRejectedWidth;
+    return CountVerdict(PushVerdict::kRejectedWidth, sector, hour);
   }
   if (sector < 0 || sector >= num_sectors_) {
     // Admission-control surface: an unknown sector from an external feed
     // is a reject verdict, not a process abort. No shard counter — no
     // shard owns the row.
-    if (rows_rejected_sector_ != nullptr) rows_rejected_sector_->Increment();
-    RecordReject(PushVerdict::kRejectedSector, sector, hour);
-    return PushVerdict::kRejectedSector;
+    return CountVerdict(PushVerdict::kRejectedSector, sector, hour);
   }
   Shard& shard = shards_[static_cast<size_t>(
       shard_of_sector_[static_cast<size_t>(sector)])];
@@ -158,18 +150,14 @@ ForecastFleet::PushVerdict ForecastFleet::Push(int sector, int hour,
   // guaranteed to be served, so shedding never drops accepted data.
   // Admission stamps the row's block, so shard residency and
   // fleet/shardK/e2e_seconds include the ingress-queue wait.
-  if (!shard.pipeline->TryPush(local_of_sector_[static_cast<size_t>(sector)],
-                               hour, values)) {
-    if (rows_rejected_overload_ != nullptr) {
-      rows_rejected_overload_->Increment();
-    }
-    if (shard.rows_rejected != nullptr) shard.rows_rejected->Increment();
-    RecordReject(PushVerdict::kRejectedOverload, sector, hour);
-    return PushVerdict::kRejectedOverload;
-  }
-  if (rows_routed_ != nullptr) rows_routed_->Increment();
-  if (shard.rows_routed != nullptr) shard.rows_routed->Increment();
-  return PushVerdict::kRouted;
+  const bool admitted = shard.pipeline->TryPush(
+      local_of_sector_[static_cast<size_t>(sector)], hour, values);
+  const PushVerdict verdict = CountVerdict(
+      admitted ? PushVerdict::kRouted : PushVerdict::kRejectedOverload,
+      sector, hour);
+  obs::Counter* shard_rows = admitted ? shard.rows_routed : shard.rows_rejected;
+  if (shard_rows != nullptr) shard_rows->Increment();
+  return verdict;
 }
 
 void ForecastFleet::FlushInput() {

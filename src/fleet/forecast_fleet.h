@@ -1,6 +1,7 @@
 #ifndef HOTSPOT_FLEET_FORECAST_FLEET_H_
 #define HOTSPOT_FLEET_FORECAST_FLEET_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -238,12 +239,16 @@ class ForecastFleet {
     int shards_done = 0;
   };
 
+  static constexpr size_t kNumVerdicts =
+      static_cast<size_t>(PushVerdict::kRejectedSector) + 1;
+
   void RefreshCounters();
   void OnShardPrediction(int shard_index, const StreamingPrediction& pred);
   void PublishFinalStats();
-  /// Flight-records one admission reject (verdict code, sector, hour)
-  /// when a context is installed.
-  void RecordReject(PushVerdict verdict, int sector, int hour);
+  /// Push's one exit: counts `verdict` under its fleet counter and, for a
+  /// reject, flight-records it (verdict code, sector, hour) when a
+  /// context is installed.
+  PushVerdict CountVerdict(PushVerdict verdict, int sector, int hour);
 
   std::shared_ptr<const ShardMap> map_;
   FleetOptions options_;
@@ -254,13 +259,10 @@ class ForecastFleet {
   std::vector<int> local_of_sector_;  ///< global id → owning shard's local id
   std::vector<Shard> shards_;
 
-  // Producer-side cached fleet counters (single-writer).
+  // Producer-side cached fleet counters (single-writer): rows offered,
+  // and rows per Push verdict (fleet/rows_routed, fleet/rows_rejected_*).
   obs::Counter* rows_offered_ = nullptr;
-  obs::Counter* rows_routed_ = nullptr;
-  obs::Counter* rows_rejected_overload_ = nullptr;
-  obs::Counter* rows_rejected_width_ = nullptr;
-  obs::Counter* rows_rejected_finished_ = nullptr;
-  obs::Counter* rows_rejected_sector_ = nullptr;
+  std::array<obs::Counter*, kNumVerdicts> rows_by_verdict_{};
   obs::FlightRecorder* flight_ = nullptr;
   const void* counter_context_ = nullptr;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "ml/decision_tree.h"
@@ -104,10 +105,21 @@ void FlatForest::AppendTree(const DecisionTree& tree, FlatForest* out) {
   }
 }
 
+void FlatForest::Reserve(size_t nodes, size_t trees) {
+  feature_.reserve(nodes);
+  threshold_.reserve(nodes);
+  miss_left_.reserve(nodes);
+  left_.reserve(nodes);
+  right_.reserve(nodes);
+  leaf_value_.reserve(nodes);
+  roots_.reserve(trees);
+}
+
 FlatForest FlatForest::Compile(const DecisionTree& tree) {
   FlatForest out;
   out.agg_ = Aggregation::kSingleTree;
   out.num_features_ = tree.num_features_;
+  out.Reserve(tree.nodes_.size(), 1);
   AppendTree(tree, &out);
   out.RebuildPacked();
   return out;
@@ -118,6 +130,9 @@ FlatForest FlatForest::Compile(const RandomForest& forest) {
   FlatForest out;
   out.agg_ = Aggregation::kForestMean;
   out.num_features_ = forest.num_features_;
+  size_t nodes = 0;
+  for (const auto& tree : forest.trees_) nodes += tree->nodes_.size();
+  out.Reserve(nodes, forest.trees_.size());
   for (const auto& tree : forest.trees_) AppendTree(*tree, &out);
   out.RebuildPacked();
   return out;
@@ -129,6 +144,9 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
   out.agg_ = Aggregation::kGbdtSigmoid;
   out.num_features_ = model.num_features_;
   out.base_score_ = model.base_score_;
+  size_t nodes = 0;
+  for (const auto& tree : model.trees_) nodes += tree.nodes.size();
+  out.Reserve(nodes, model.trees_.size());
 
   const auto grow = [&out](size_t n) {
     const size_t size = out.feature_.size() + n;
@@ -195,6 +213,30 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
   }
   out.RebuildPacked();
   return out;
+}
+
+namespace {
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
+bool FlatForest::operator==(const FlatForest& other) const {
+  return agg_ == other.agg_ && num_features_ == other.num_features_ &&
+         std::memcmp(&base_score_, &other.base_score_,
+                     sizeof(base_score_)) == 0 &&
+         SameBits(feature_, other.feature_) &&
+         SameBits(threshold_, other.threshold_) &&
+         SameBits(miss_left_, other.miss_left_) &&
+         SameBits(left_, other.left_) && SameBits(right_, other.right_) &&
+         SameBits(packed_, other.packed_) &&
+         SameBits(leaf_value_, other.leaf_value_) &&
+         SameBits(roots_, other.roots_);
 }
 
 void FlatForest::RebuildPacked() {

@@ -6,10 +6,6 @@
 
 #include "ml/dataset.h"
 
-namespace hotspot::serialize {
-struct ModelAccess;
-}  // namespace hotspot::serialize
-
 namespace hotspot::ml {
 
 class DecisionTree;
@@ -125,6 +121,12 @@ class FlatForest {
   /// Single-row convenience (row must be num_features() wide).
   double PredictOne(const float* row) const;
 
+  /// Bit-for-bit equality of the compiled arrays: two compiles of one
+  /// model compare equal. Not defaulted — a GBDT split that sends only
+  /// missing values left compiles to a NaN threshold, which float ==
+  /// would call unequal to itself.
+  bool operator==(const FlatForest& other) const;
+
   bool empty() const { return roots_.empty(); }
   int num_trees() const { return static_cast<int>(roots_.size()); }
   int num_nodes() const { return static_cast<int>(feature_.size()); }
@@ -141,12 +143,15 @@ class FlatForest {
   static FlatKernel ChooseKernel();
 
  private:
-  friend struct ::hotspot::serialize::ModelAccess;
-
   flat_detail::FlatView View() const;
   double Aggregate(double acc) const;
+  /// Allocates every node array once, for `nodes` nodes (the source
+  /// model's node count: each node of a trained tree is reachable, so
+  /// the compile fills them exactly). Arrays grown node by node served
+  /// measurably slower and took more memory (DESIGN §10).
+  void Reserve(size_t nodes, size_t trees);
   /// Rebuilds packed_ from feature_/miss_left_; must run after compiling
-  /// or decoding the node arrays.
+  /// the node arrays.
   void RebuildPacked();
   /// Appends one DecisionTree as a flat tree (shared by the tree and
   /// forest compilers).

@@ -8,10 +8,6 @@
 #include "tensor/matrix.h"
 #include "util/rng.h"
 
-namespace hotspot::serialize {
-struct ModelAccess;
-}  // namespace hotspot::serialize
-
 namespace hotspot::nn {
 
 /// Architecture/training knobs of the denoising autoencoder of Sec. II-C.
@@ -53,8 +49,6 @@ class DenoisingAutoencoder {
   int code_dim() const { return code_dim_; }
 
  private:
-  friend struct ::hotspot::serialize::ModelAccess;
-
   AutoencoderConfig config_;
   int code_dim_ = 0;
   Sequential network_;

@@ -6,10 +6,6 @@
 #include "nn/autoencoder.h"
 #include "tensor/tensor3.h"
 
-namespace hotspot::serialize {
-struct ModelAccess;
-}  // namespace hotspot::serialize
-
 namespace hotspot::nn {
 
 /// Per-KPI mean/std over the finite cells of the tensor (stds of constant
@@ -73,8 +69,6 @@ class KpiImputer {
   const ImputerConfig& config() const { return config_; }
 
  private:
-  friend struct ::hotspot::serialize::ModelAccess;
-
   /// Builds the clean target, corrupted input, and observation mask for
   /// one (sector, week) slice, flattened to a single row. At least the
   /// missing cells are corrupted; extra observed cells are corrupted until

@@ -62,12 +62,6 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   window_hours_ = service_->window_hours();
   horizon_days_ = service_->horizon_days();
 
-  if (options_.disable_monitoring) {
-    service_->DisableMonitoring();
-  } else if (options_.monitor.has_value()) {
-    service_->EnableMonitoring(*options_.monitor);
-  }
-
   stream::FeatureEngineConfig feature_config;
   feature_config.num_sectors = options_.num_sectors;
   feature_config.num_kpis = options_.num_kpis;
@@ -329,9 +323,6 @@ void ServingPipeline::ServeReady(uint64_t now) {
     now = EndPhase(kMonitor, now, 1, 1);
   }
   if (end_day > first_end_day) pending_serve_born_ns_ = 0;
-  // Labels are shipped even with record_outcomes off, to keep the
-  // awaiting queue bounded; recording itself is gated in
-  // RecordReadyOutcomes.
   while (engine_->min_closed_days() > next_outcome_day_) {
     const int day = next_outcome_day_++;
     std::vector<float> labels = GatherDayLabels(*engine_, day);
@@ -361,12 +352,10 @@ void ServingPipeline::RecordReadyOutcomes() {
     const StreamingPrediction& front = awaiting_outcomes_.front();
     auto labels = matured_labels_.find(front.target_day);
     if (labels == matured_labels_.end()) break;
-    if (options_.record_outcomes) {
-      service_->RecordOutcomes(front.scores, labels->second);
-      if (obs_.outcomes_recorded != nullptr) {
-        obs_.outcomes_recorded->Add(
-            static_cast<uint64_t>(labels->second.size()));
-      }
+    service_->RecordOutcomes(front.scores, labels->second);
+    if (obs_.outcomes_recorded != nullptr) {
+      obs_.outcomes_recorded->Add(
+          static_cast<uint64_t>(labels->second.size()));
     }
     matured_labels_.erase(labels);
     awaiting_outcomes_.pop_front();

@@ -14,7 +14,6 @@
 
 #include "core/forecast_service.h"
 #include "core/serving_ops.h"
-#include "monitor/monitor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "pipeline/bounded_queue.h"
@@ -119,14 +118,6 @@ class ServingPipeline {
     /// refuses — for a fleet shard this is its admission budget).
     int row_queue_blocks = 64;
 
-    // --- monitoring toggles ---
-    /// Feed matured daily labels back into the service's quality monitor.
-    bool record_outcomes = true;
-    /// Restart monitoring with this config at pipeline construction.
-    std::optional<monitor::MonitorConfig> monitor;
-    /// Turn the service's monitor off entirely for this serving path.
-    bool disable_monitoring = false;
-
     // --- delivery ---
     /// Optional push delivery: called on the worker for every served
     /// batch, in end-day order. Predictions are also always collected for
@@ -169,10 +160,11 @@ class ServingPipeline {
     std::function<void(int end_day)> predict_fault_for_test;
   };
 
-  /// `service` is not owned and must outlive the pipeline. Construction
-  /// applies the Options monitoring selections to the service and starts
-  /// the worker thread; the pipeline is live (accepting Push) when the
-  /// constructor returns.
+  /// `service` is not owned and must outlive the pipeline; its monitoring
+  /// is configured on the service (ForecastService::EnableMonitoring), and
+  /// the pipeline feeds matured labels to whatever monitor it runs.
+  /// Construction starts the worker thread; the pipeline is live
+  /// (accepting Push) when the constructor returns.
   ServingPipeline(ForecastService* service, const Options& options);
 
   /// Drains and joins (Finish) if the caller has not already.

@@ -7,27 +7,13 @@
 
 namespace hotspot::serialize {
 
-const char* ArtifactKindName(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kGbdt:
-      return "gbdt";
-    case ArtifactKind::kRandomForest:
-      return "random_forest";
-    case ArtifactKind::kDecisionTree:
-      return "decision_tree";
-    case ArtifactKind::kImputer:
-      return "imputer";
-    case ArtifactKind::kScoreConfig:
-      return "score_config";
-    case ArtifactKind::kNormalization:
-      return "normalization";
-    case ArtifactKind::kForecastBundle:
-      return "forecast_bundle";
-  }
-  return "unknown";
-}
-
 namespace {
+
+/// The header's artifact-kind word. A ForecastBundle is the only artifact
+/// file; the word stays in the header and is checked on read, so a file
+/// of a retired kind (1-6: the single-model formats) fails cleanly
+/// instead of having its payload misread as a bundle.
+constexpr uint32_t kBundleArtifactKind = 7;
 
 /// Lazily built CRC-64/XZ table (ECMA-182 polynomial, reflected).
 const uint64_t* Crc64Table() {
@@ -184,12 +170,12 @@ std::vector<double> ByteReader::ReadF64Vector() {
   return values;
 }
 
-Status WriteArtifactFile(const std::string& path, ArtifactKind kind,
+Status WriteArtifactFile(const std::string& path,
                          const std::vector<uint8_t>& payload) {
   ByteWriter header;
   for (char c : kMagic) header.WriteU8(static_cast<uint8_t>(c));
   header.WriteU32(kFormatVersion);
-  header.WriteU32(static_cast<uint32_t>(kind));
+  header.WriteU32(kBundleArtifactKind);
   header.WriteU64(payload.size());
   header.WriteU64(Crc64(payload.data(), payload.size()));
 
@@ -204,7 +190,7 @@ Status WriteArtifactFile(const std::string& path, ArtifactKind kind,
   return Status::Ok();
 }
 
-Status ReadArtifactFile(const std::string& path, ArtifactKind expected_kind,
+Status ReadArtifactFile(const std::string& path,
                         std::vector<uint8_t>* payload) {
   HOTSPOT_CHECK(payload != nullptr);
   std::ifstream in(path, std::ios::binary);
@@ -242,10 +228,11 @@ Status ReadArtifactFile(const std::string& path, ArtifactKind expected_kind,
                          std::to_string(kOldestFormatVersion) + ")");
   }
   uint32_t kind = reader.ReadU32();
-  if (kind != static_cast<uint32_t>(expected_kind)) {
+  if (kind != kBundleArtifactKind) {
     return Status::Error(path + ": artifact kind " + std::to_string(kind) +
-                         " where " + ArtifactKindName(expected_kind) +
-                         " was expected");
+                         " where forecast_bundle (" +
+                         std::to_string(kBundleArtifactKind) +
+                         ") was expected");
   }
   uint64_t payload_size = reader.ReadU64();
   uint64_t stored_crc = reader.ReadU64();

@@ -20,21 +20,6 @@ struct Status {
   }
 };
 
-/// What a serialized artifact file contains. The kind is part of the
-/// header, so loading a forest file as a GBDT fails cleanly instead of
-/// misinterpreting payload bytes.
-enum class ArtifactKind : uint32_t {
-  kGbdt = 1,
-  kRandomForest = 2,
-  kDecisionTree = 3,
-  kImputer = 4,
-  kScoreConfig = 5,
-  kNormalization = 6,
-  kForecastBundle = 7,
-};
-
-const char* ArtifactKindName(ArtifactKind kind);
-
 /// Current version of the container format. Bump whenever any payload
 /// layout changes; the loader rejects files with a newer version than it
 /// was built for (forward compatibility is not attempted), which is what
@@ -112,11 +97,6 @@ class ByteReader {
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
-  /// Current read position (valid for `remaining()` bytes). Together with
-  /// Skip() this lets section-table decoders hand a sub-reader bounded to
-  /// exactly one section body, so a corrupt section can neither read into
-  /// its neighbours nor fail with an unattributed end-of-payload error.
-  const uint8_t* Cursor() const { return data_ + pos_; }
   /// Advances past `count` bytes (trips the failure flag when fewer
   /// remain).
   void Skip(size_t count) {
@@ -140,11 +120,11 @@ class ByteReader {
 /// File layout (all little-endian):
 ///   [0..7]    magic "HOTSPOTB"
 ///   [8..11]   u32 format version (kFormatVersion)
-///   [12..15]  u32 artifact kind
+///   [12..15]  u32 artifact kind (7: ForecastBundle, the only kind)
 ///   [16..23]  u64 payload size in bytes
 ///   [24..31]  u64 CRC-64 of the payload bytes
 ///   [32..]    payload
-Status WriteArtifactFile(const std::string& path, ArtifactKind kind,
+Status WriteArtifactFile(const std::string& path,
                          const std::vector<uint8_t>& payload);
 
 /// Reads and validates an artifact file: magic, version (files newer than
@@ -153,7 +133,7 @@ Status WriteArtifactFile(const std::string& path, ArtifactKind kind,
 /// size against the actual file size (truncation / trailing garbage), and
 /// the CRC (any flipped payload byte). On success `payload` holds the
 /// verified payload bytes.
-Status ReadArtifactFile(const std::string& path, ArtifactKind expected_kind,
+Status ReadArtifactFile(const std::string& path,
                         std::vector<uint8_t>* payload);
 
 }  // namespace hotspot::serialize

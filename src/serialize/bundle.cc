@@ -25,7 +25,9 @@ bool IsClassifierKind(ModelKind model) {
 /// (id, version, size, bytes). Each section versions independently of the
 /// container, so a future layout change to, say, the fingerprints bumps
 /// one section version and the loader can name exactly which section it
-/// cannot read.
+/// cannot read. Id 5 is retired: it held the compiled flat forest, a pure
+/// function of the classifier, which DecodeBundle compiles instead.
+/// Bundles that still carry a v2 section 5 load with it skipped.
 enum BundleSection : uint32_t {
   kScoreSection = 1,
   kNormalizationSection = 2,
@@ -53,9 +55,10 @@ const char* SectionName(uint32_t id) {
   return "unknown";
 }
 
-/// Newest version of each section this binary reads and writes. It is
-/// also the only version read: flat_forest v1 carried the quantized
-/// variant's arrays, which v2 dropped.
+/// Newest version of each section this binary reads (and, but for the
+/// retired flat_forest, writes). It is also the only version read:
+/// flat_forest v1 carried the quantized variant's arrays and stays
+/// refused by name.
 uint32_t SupportedSectionVersion(uint32_t id) {
   switch (id) {
     case kScoreSection:
@@ -223,29 +226,11 @@ bool DecodeSectioned(ByteReader* reader, ForecastBundle* bundle) {
         bundle->fingerprints = std::move(fingerprints);
         break;
       }
-      case kFlatForestSection: {
-        // Decoded through a sub-reader bounded to exactly this section's
-        // body: a corrupt flat section can neither read into a
-        // neighbouring section nor fail with an unattributed
-        // end-of-payload error — every truncation, byte flip, or bad
-        // child offset surfaces as a 'flat_forest' error.
-        ByteReader section(reader->Cursor(), static_cast<size_t>(size));
-        bundle->flat = ModelAccess::DecodeFlatForest(&section);
-        if (bundle->flat == nullptr || !section.ok()) {
-          reader->Fail("bundle 'flat_forest' section is malformed: " +
-                       (section.error().empty() ? "unreadable"
-                                                : section.error()));
-          return false;
-        }
-        if (!section.AtEnd()) {
-          reader->Fail(
-              "bundle 'flat_forest' section has trailing bytes after its "
-              "contents");
-          return false;
-        }
+      case kFlatForestSection:
+        // Written by older binaries; the flat forest is compiled from the
+        // classifier instead (DecodeBundle).
         reader->Skip(size);
         break;
-      }
       case kLineageSection: {
         auto lineage = std::make_unique<BundleLineage>();
         if (!DecodeLineage(reader, lineage.get())) return false;
@@ -267,25 +252,6 @@ bool DecodeSectioned(ByteReader* reader, ForecastBundle* bundle) {
       return false;
     }
   }
-  if (bundle->flat != nullptr) {
-    // The flat forest is a derived artifact: a stored section must be
-    // byte-identical to a fresh compile of the classifier it shipped with
-    // (Encode∘Compile is a pure function of the model, pinned by the
-    // property tests). This makes every flat-section corruption that
-    // survives the structural checks — e.g. a flipped leaf value —
-    // detectable, and guarantees the flat engine cannot diverge from the
-    // pointer-walking model it stands in for.
-    ByteWriter stored;
-    ModelAccess::EncodeFlatForest(*bundle->flat, &stored);
-    ByteWriter rebuilt;
-    ModelAccess::EncodeFlatForest(ml::FlatForest::Compile(*bundle->classifier),
-                                  &rebuilt);
-    if (stored.bytes() != rebuilt.bytes()) {
-      reader->Fail(
-          "bundle 'flat_forest' section does not match its classifier");
-      return false;
-    }
-  }
   return true;
 }
 
@@ -302,7 +268,6 @@ void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer) {
   writer->WriteI32(bundle.feature_dim);
 
   writer->WriteU32(3u + (bundle.fingerprints != nullptr ? 1u : 0u) +
-                   (bundle.flat != nullptr ? 1u : 0u) +
                    (bundle.lineage != nullptr ? 1u : 0u));
   ByteWriter score;
   EncodeScoreConfig(bundle.score, &score);
@@ -318,11 +283,6 @@ void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer) {
     monitor::EncodeFingerprints(*bundle.fingerprints, &fingerprints);
     WriteSection(kFingerprintsSection, fingerprints, writer);
   }
-  if (bundle.flat != nullptr) {
-    ByteWriter flat;
-    ModelAccess::EncodeFlatForest(*bundle.flat, &flat);
-    WriteSection(kFlatForestSection, flat, writer);
-  }
   if (bundle.lineage != nullptr) {
     ByteWriter lineage;
     EncodeLineage(*bundle.lineage, &lineage);
@@ -335,6 +295,9 @@ std::unique_ptr<ForecastBundle> DecodeBundle(ByteReader* reader) {
   if (!DecodeHeader(reader, bundle.get())) return nullptr;
   if (!DecodeSectioned(reader, bundle.get())) return nullptr;
   if (!reader->ok()) return nullptr;
+  // The classifier decoders refuse every model Compile cannot build.
+  bundle->flat = std::make_unique<ml::FlatForest>(
+      ml::FlatForest::Compile(*bundle->classifier));
   return bundle;
 }
 
@@ -352,16 +315,14 @@ std::unique_ptr<ForecastBundle> CloneBundle(const ForecastBundle& bundle) {
 Status SaveBundle(const std::string& path, const ForecastBundle& bundle) {
   ByteWriter writer;
   EncodeBundle(bundle, &writer);
-  return WriteArtifactFile(path, ArtifactKind::kForecastBundle,
-                           writer.bytes());
+  return WriteArtifactFile(path, writer.bytes());
 }
 
 Status LoadBundle(const std::string& path,
                   std::unique_ptr<ForecastBundle>* bundle) {
   HOTSPOT_CHECK(bundle != nullptr);
   std::vector<uint8_t> payload;
-  Status status =
-      ReadArtifactFile(path, ArtifactKind::kForecastBundle, &payload);
+  Status status = ReadArtifactFile(path, &payload);
   if (!status.ok) return status;
   ByteReader reader(payload.data(), payload.size());
   std::unique_ptr<ForecastBundle> loaded = DecodeBundle(&reader);

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/forecaster.h"
+#include "ml/flat_tree.h"
 #include "monitor/fingerprint.h"
 #include "serialize/model_io.h"
 
@@ -41,12 +42,11 @@ struct BundleLineage {
   std::string source;
 };
 
-/// `flat` is the classifier re-compiled into the SoA predict engine
-/// (ml::FlatForest). It is a derived artifact: when the optional
-/// 'flat_forest' section is present on load it must byte-match a fresh
-/// compile of the classifier (the loader rejects the file otherwise), and
-/// when absent (files written before the section existed) ForecastService
-/// simply rebuilds it, so older bundles stay loadable.
+/// `flat` is the classifier compiled into the SoA predict engine
+/// (ml::FlatForest) that ForecastService serves through. It is derived,
+/// never serialized: the two places that create bundles fill it —
+/// Forecaster::TrainBundle and DecodeBundle, each with one
+/// FlatForest::Compile.
 struct ForecastBundle {
   ModelKind model = ModelKind::kGbdt;
   int window_days = 7;   ///< w of Eq. 6: the classifier reads 24·w hours
@@ -63,8 +63,9 @@ struct ForecastBundle {
 
 /// Payload codec; Decode returns null with the reason in reader->error().
 /// The payload frames each part (score config, normalization, classifier,
-/// fingerprints, flat forest, lineage) as a section carrying its own
-/// version, so version skew is reported per section by name.
+/// fingerprints, lineage) as a section carrying its own version, so
+/// version skew is reported per section by name. Decode compiles `flat`
+/// from the decoded classifier.
 void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer);
 std::unique_ptr<ForecastBundle> DecodeBundle(ByteReader* reader);
 

@@ -1,9 +1,9 @@
 #include "serialize/model_io.h"
 
-#include <cmath>
+#include <string>
 #include <utility>
 
-#include "util/logging.h"
+#include "nn/imputer.h"
 
 namespace hotspot::serialize {
 
@@ -15,8 +15,10 @@ namespace {
 /// inside ByteReader.
 constexpr uint64_t kMaxNodes = 1u << 28;
 constexpr uint64_t kMaxTrees = 1u << 20;
-constexpr int kMaxInputDim = 1 << 24;
-constexpr int kMaxEncoderLayers = 40;
+/// Encoded node sizes: a node count is also gated by what the payload can
+/// hold before the node array is allocated.
+constexpr uint64_t kGbdtNodeBytes = 4 * 4 + 8;
+constexpr uint64_t kTreeNodeBytes = 5 * 4;
 
 void EncodeGbdtConfig(const ml::GbdtConfig& config, ByteWriter* writer) {
   writer->WriteI32(config.num_iterations);
@@ -101,36 +103,26 @@ bool DecodeForestConfig(ByteReader* reader, ml::ForestConfig* config) {
   return true;
 }
 
-void EncodeImputerConfig(const nn::ImputerConfig& config,
-                         ByteWriter* writer) {
-  writer->WriteI32(config.slice_hours);
-  writer->WriteI32(config.encoder_layers);
-  writer->WriteI32(config.batch_size);
-  writer->WriteI32(config.epochs);
-  writer->WriteF64(config.learning_rate);
-  writer->WriteF64(config.rms_decay);
-  writer->WriteF64(config.corruption_fraction);
-  writer->WriteU64(config.seed);
-}
-
-bool DecodeImputerConfig(ByteReader* reader, nn::ImputerConfig* config) {
-  config->slice_hours = reader->ReadI32();
-  config->encoder_layers = reader->ReadI32();
-  config->batch_size = reader->ReadI32();
-  config->epochs = reader->ReadI32();
-  config->learning_rate = reader->ReadF64();
-  config->rms_decay = reader->ReadF64();
-  config->corruption_fraction = reader->ReadF64();
-  config->seed = reader->ReadU64();
-  if (!reader->ok()) return false;
-  if (config->slice_hours <= 0 || config->batch_size <= 0 ||
-      config->epochs <= 0 ||
-      !(config->corruption_fraction >= 0.0 &&
-        config->corruption_fraction <= 1.0)) {
-    reader->Fail("imputer config out of range");
-    return false;
+/// Why an internal node's children break the tree shape, or null when they
+/// do not. Children must be in range and strictly forward (the builders
+/// append children after their parent), so traversal terminates; and no
+/// node may be the child of two parents (left == right included), so the
+/// nodes form a tree and FlatForest::Compile — which copies a node once
+/// per path that reaches it — stays linear in the node count instead of
+/// doubling per shared level. `claimed` has one flag per node of the tree.
+const char* ChildError(int self, int left, int right,
+                       std::vector<uint8_t>* claimed) {
+  const int size = static_cast<int>(claimed->size());
+  if (left <= self || left >= size || right <= self || right >= size) {
+    return "node graph invalid";
   }
-  return true;
+  uint8_t& left_claimed = (*claimed)[static_cast<size_t>(left)];
+  uint8_t& right_claimed = (*claimed)[static_cast<size_t>(right)];
+  if (left == right || left_claimed != 0 || right_claimed != 0) {
+    return "node graph has a shared child";
+  }
+  left_claimed = right_claimed = 1;
+  return nullptr;
 }
 
 }  // namespace
@@ -192,14 +184,20 @@ std::unique_ptr<ml::Gbdt> ModelAccess::DecodeGbdt(ByteReader* reader) {
     reader->Fail("gbdt tree count out of range");
     return nullptr;
   }
+  if (num_trees == 0) {
+    reader->Fail("gbdt has no trees");
+    return nullptr;
+  }
   model->trees_.resize(static_cast<size_t>(num_trees));
   for (ml::Gbdt::Tree& tree : model->trees_) {
     uint64_t num_nodes = reader->ReadU64();
-    if (!reader->ok() || num_nodes == 0 || num_nodes > kMaxNodes) {
+    if (!reader->ok() || num_nodes == 0 || num_nodes > kMaxNodes ||
+        num_nodes > reader->remaining() / kGbdtNodeBytes) {
       reader->Fail("gbdt node count out of range");
       return nullptr;
     }
     tree.nodes.resize(static_cast<size_t>(num_nodes));
+    std::vector<uint8_t> claimed(tree.nodes.size(), 0);
     for (size_t index = 0; index < tree.nodes.size(); ++index) {
       ml::Gbdt::Node& node = tree.nodes[index];
       node.feature = reader->ReadI32();
@@ -208,17 +206,15 @@ std::unique_ptr<ml::Gbdt> ModelAccess::DecodeGbdt(ByteReader* reader) {
       node.right = reader->ReadI32();
       node.value = reader->ReadF64();
       if (!reader->ok()) return nullptr;
-      if (node.feature >= 0) {
-        // Internal node: feature in range, children strictly forward (the
-        // builders append children after their parent), so traversal
-        // terminates and never indexes out of bounds.
-        const int size = static_cast<int>(num_nodes);
-        const int self = static_cast<int>(index);
-        if (node.feature >= model->num_features_ || node.left <= self ||
-            node.left >= size || node.right <= self || node.right >= size) {
-          reader->Fail("gbdt node graph invalid");
-          return nullptr;
-        }
+      if (node.feature < 0) continue;
+      const char* why =
+          node.feature >= model->num_features_
+              ? "node graph invalid"
+              : ChildError(static_cast<int>(index), node.left, node.right,
+                           &claimed);
+      if (why != nullptr) {
+        reader->Fail(std::string("gbdt ") + why);
+        return nullptr;
       }
     }
   }
@@ -263,11 +259,17 @@ std::unique_ptr<ml::DecisionTree> ModelAccess::DecodeTree(
     return nullptr;
   }
   uint64_t num_nodes = reader->ReadU64();
-  if (!reader->ok() || num_nodes > kMaxNodes) {
+  if (!reader->ok() || num_nodes > kMaxNodes ||
+      num_nodes > reader->remaining() / kTreeNodeBytes) {
     reader->Fail("tree node count out of range");
     return nullptr;
   }
+  if (num_nodes == 0) {
+    reader->Fail("tree has no nodes");
+    return nullptr;
+  }
   model->nodes_.resize(static_cast<size_t>(num_nodes));
+  std::vector<uint8_t> claimed(model->nodes_.size(), 0);
   for (size_t index = 0; index < model->nodes_.size(); ++index) {
     ml::DecisionTree::Node& node = model->nodes_[index];
     node.feature = reader->ReadI32();
@@ -276,14 +278,15 @@ std::unique_ptr<ml::DecisionTree> ModelAccess::DecodeTree(
     node.right = reader->ReadI32();
     node.prob = reader->ReadF32();
     if (!reader->ok()) return nullptr;
-    if (node.feature >= 0) {
-      const int size = static_cast<int>(num_nodes);
-      const int self = static_cast<int>(index);
-      if (node.feature >= model->num_features_ || node.left <= self ||
-          node.left >= size || node.right <= self || node.right >= size) {
-        reader->Fail("tree node graph invalid");
-        return nullptr;
-      }
+    if (node.feature < 0) continue;
+    const char* why =
+        node.feature >= model->num_features_
+            ? "node graph invalid"
+            : ChildError(static_cast<int>(index), node.left, node.right,
+                         &claimed);
+    if (why != nullptr) {
+      reader->Fail(std::string("tree ") + why);
+      return nullptr;
     }
   }
   model->importances_ = reader->ReadF64Vector();
@@ -312,201 +315,23 @@ std::unique_ptr<ml::RandomForest> ModelAccess::DecodeForest(
     reader->Fail("forest tree count out of range");
     return nullptr;
   }
+  if (num_trees == 0) {
+    reader->Fail("forest has no trees");
+    return nullptr;
+  }
   model->trees_.reserve(static_cast<size_t>(num_trees));
   for (uint64_t t = 0; t < num_trees; ++t) {
     std::unique_ptr<ml::DecisionTree> tree = DecodeTree(reader);
     if (tree == nullptr) return nullptr;
+    // Every tree reads the forest's rows: a wider tree could index past
+    // them.
+    if (tree->num_features_ != model->num_features_) {
+      reader->Fail("forest tree feature count does not match the forest");
+      return nullptr;
+    }
     model->trees_.push_back(std::move(tree));
   }
   return model;
-}
-
-void ModelAccess::EncodeFlatForest(const ml::FlatForest& forest,
-                                   ByteWriter* writer) {
-  writer->WriteU32(static_cast<uint32_t>(forest.agg_));
-  writer->WriteI32(forest.num_features_);
-  writer->WriteF64(forest.base_score_);
-  writer->WriteU64(forest.feature_.size());
-  for (size_t i = 0; i < forest.feature_.size(); ++i) {
-    writer->WriteI32(forest.feature_[i]);
-    writer->WriteF32(forest.threshold_[i]);
-    writer->WriteBool(forest.miss_left_[i] != 0);
-    writer->WriteI32(forest.left_[i]);
-    writer->WriteI32(forest.right_[i]);
-    writer->WriteF64(forest.leaf_value_[i]);
-  }
-  writer->WriteU64(forest.roots_.size());
-  for (int32_t root : forest.roots_) writer->WriteI32(root);
-}
-
-std::unique_ptr<ml::FlatForest> ModelAccess::DecodeFlatForest(
-    ByteReader* reader) {
-  auto forest = std::make_unique<ml::FlatForest>();
-  uint32_t aggregation = reader->ReadU32();
-  forest->num_features_ = reader->ReadI32();
-  forest->base_score_ = reader->ReadF64();
-  if (!reader->ok() ||
-      aggregation >
-          static_cast<uint32_t>(ml::FlatForest::Aggregation::kGbdtSigmoid)) {
-    reader->Fail("flat_forest aggregation out of range");
-    return nullptr;
-  }
-  forest->agg_ = static_cast<ml::FlatForest::Aggregation>(aggregation);
-  if (forest->num_features_ <= 0) {
-    reader->Fail("flat_forest feature count out of range");
-    return nullptr;
-  }
-  uint64_t num_nodes = reader->ReadU64();
-  if (!reader->ok() || num_nodes == 0 || num_nodes > kMaxNodes) {
-    reader->Fail("flat_forest node count out of range");
-    return nullptr;
-  }
-  const size_t count = static_cast<size_t>(num_nodes);
-  forest->feature_.resize(count);
-  forest->threshold_.resize(count);
-  forest->miss_left_.resize(count);
-  forest->left_.resize(count);
-  forest->right_.resize(count);
-  forest->leaf_value_.resize(count);
-  for (size_t index = 0; index < count; ++index) {
-    forest->feature_[index] = reader->ReadI32();
-    forest->threshold_[index] = reader->ReadF32();
-    // Booleans must be canonical (0/1): ReadBool would accept any nonzero
-    // byte and re-encode it as 1, which would let a flipped bool byte
-    // slip past the load-time byte comparison against the recompiled
-    // classifier.
-    const uint8_t miss = reader->ReadU8();
-    if (reader->ok() && miss > 1) {
-      reader->Fail("flat_forest boolean field not canonical");
-      return nullptr;
-    }
-    forest->miss_left_[index] = miss != 0 ? -1 : 0;
-    forest->left_[index] = reader->ReadI32();
-    forest->right_[index] = reader->ReadI32();
-    forest->leaf_value_[index] = reader->ReadF64();
-    if (!reader->ok()) return nullptr;
-    const int32_t size = static_cast<int32_t>(num_nodes);
-    const int32_t self = static_cast<int32_t>(index);
-    if (forest->feature_[index] >= 0) {
-      // Same guarantee as the pointer-walking decoders: features in range
-      // and children strictly forward-pointing, so the branchless kernels
-      // can never loop or gather out of bounds. The compiler lays sibling
-      // pairs adjacently (right == left + 1) and the AVX2 kernel derives
-      // the right child from that invariant, so it is structural here.
-      if (forest->feature_[index] >= forest->num_features_ ||
-          forest->left_[index] <= self || forest->left_[index] >= size ||
-          forest->right_[index] != forest->left_[index] + 1 ||
-          forest->right_[index] >= size) {
-        reader->Fail("flat_forest node graph invalid");
-        return nullptr;
-      }
-    } else if (forest->feature_[index] != -1 || forest->left_[index] != 0 ||
-               forest->right_[index] != 0) {
-      reader->Fail("flat_forest leaf node not canonical");
-      return nullptr;
-    }
-  }
-  uint64_t num_trees = reader->ReadU64();
-  if (!reader->ok() || num_trees == 0 || num_trees > kMaxTrees) {
-    reader->Fail("flat_forest tree count out of range");
-    return nullptr;
-  }
-  forest->roots_.resize(static_cast<size_t>(num_trees));
-  for (int32_t& root : forest->roots_) {
-    root = reader->ReadI32();
-    if (!reader->ok()) return nullptr;
-    if (root < 0 || root >= static_cast<int32_t>(num_nodes)) {
-      reader->Fail("flat_forest root index out of range");
-      return nullptr;
-    }
-  }
-  // packed_ is a derived array (never serialized); the kernels expect it
-  // in sync with feature_/miss_left_.
-  forest->RebuildPacked();
-  return forest;
-}
-
-void ModelAccess::EncodeImputer(const nn::KpiImputer& imputer,
-                                ByteWriter* writer) {
-  EncodeImputerConfig(imputer.config_, writer);
-  writer->WriteF64Vector(imputer.feature_means_);
-  writer->WriteF64Vector(imputer.feature_stds_);
-  writer->WriteBool(imputer.network_ != nullptr);
-  if (imputer.network_ == nullptr) return;
-
-  const nn::DenoisingAutoencoder& net = *imputer.network_;
-  writer->WriteI32(net.config_.input_dim);
-  writer->WriteI32(net.config_.encoder_layers);
-  writer->WriteF64(net.config_.learning_rate);
-  writer->WriteF64(net.config_.rms_decay);
-  writer->WriteU64(net.config_.seed);
-  // Trained weights via the generic parameter views, in layer order. The
-  // architecture is a pure function of the config, so sizes are layout
-  // metadata only — verified on load against the rebuilt network.
-  // Params() is non-const by interface; serialization only reads values.
-  nn::Sequential& network =
-      const_cast<nn::DenoisingAutoencoder&>(net).network_;
-  std::vector<nn::ParamView> params = network.Params();
-  writer->WriteU64(params.size());
-  for (const nn::ParamView& param : params) {
-    writer->WriteU64(param.size);
-    for (size_t i = 0; i < param.size; ++i) {
-      writer->WriteF32(param.values[i]);
-    }
-  }
-}
-
-std::unique_ptr<nn::KpiImputer> ModelAccess::DecodeImputer(
-    ByteReader* reader) {
-  nn::ImputerConfig config;
-  if (!DecodeImputerConfig(reader, &config)) return nullptr;
-  auto imputer = std::make_unique<nn::KpiImputer>(config);
-  imputer->feature_means_ = reader->ReadF64Vector();
-  imputer->feature_stds_ = reader->ReadF64Vector();
-  bool has_network = reader->ReadBool();
-  if (!reader->ok()) return nullptr;
-  if (imputer->feature_means_.size() != imputer->feature_stds_.size()) {
-    reader->Fail("imputer normalization size mismatch");
-    return nullptr;
-  }
-  if (!has_network) return imputer;
-
-  nn::AutoencoderConfig net_config;
-  net_config.input_dim = reader->ReadI32();
-  net_config.encoder_layers = reader->ReadI32();
-  net_config.learning_rate = reader->ReadF64();
-  net_config.rms_decay = reader->ReadF64();
-  net_config.seed = reader->ReadU64();
-  if (!reader->ok()) return nullptr;
-  if (net_config.input_dim <= 0 || net_config.input_dim > kMaxInputDim ||
-      net_config.encoder_layers <= 0 ||
-      net_config.encoder_layers > kMaxEncoderLayers ||
-      (net_config.input_dim >> net_config.encoder_layers) <= 0) {
-    reader->Fail("autoencoder config out of range");
-    return nullptr;
-  }
-  // Rebuild the architecture from the config (deterministic), then
-  // overwrite every trainable parameter with the stored weights.
-  auto network = std::make_unique<nn::DenoisingAutoencoder>(net_config);
-  std::vector<nn::ParamView> params = network->network_.Params();
-  uint64_t stored_params = reader->ReadU64();
-  if (!reader->ok() || stored_params != params.size()) {
-    reader->Fail("autoencoder parameter group count mismatch");
-    return nullptr;
-  }
-  for (nn::ParamView& param : params) {
-    uint64_t size = reader->ReadU64();
-    if (!reader->ok() || size != param.size) {
-      reader->Fail("autoencoder parameter size mismatch");
-      return nullptr;
-    }
-    for (size_t i = 0; i < param.size; ++i) {
-      param.values[i] = reader->ReadF32();
-    }
-  }
-  if (!reader->ok()) return nullptr;
-  imputer->network_ = std::move(network);
-  return imputer;
 }
 
 void EncodeScoreConfig(const ScoreConfig& config, ByteWriter* writer) {
@@ -551,143 +376,6 @@ bool DecodeNormalization(ByteReader* reader, NormalizationStats* stats) {
     return false;
   }
   return true;
-}
-
-namespace {
-
-/// Shared save/load plumbing for single-artifact files: frame the payload,
-/// or read+verify it and hand the bytes to the decoder. The decoder must
-/// consume the payload exactly — trailing bytes mean a writer/reader skew
-/// and are rejected.
-template <typename EncodeFn>
-Status SaveArtifact(const std::string& path, ArtifactKind kind,
-                    EncodeFn&& encode) {
-  ByteWriter writer;
-  encode(&writer);
-  return WriteArtifactFile(path, kind, writer.bytes());
-}
-
-template <typename DecodeFn>
-Status LoadArtifact(const std::string& path, ArtifactKind kind,
-                    DecodeFn&& decode) {
-  std::vector<uint8_t> payload;
-  Status status = ReadArtifactFile(path, kind, &payload);
-  if (!status.ok) return status;
-  ByteReader reader(payload.data(), payload.size());
-  if (!decode(&reader) || !reader.ok()) {
-    std::string what =
-        reader.error().empty() ? "malformed payload" : reader.error();
-    return Status::Error(path + ": " + what);
-  }
-  if (!reader.AtEnd()) {
-    return Status::Error(path + ": trailing bytes after payload");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status SaveGbdt(const std::string& path, const ml::Gbdt& model) {
-  return SaveArtifact(path, ArtifactKind::kGbdt, [&](ByteWriter* writer) {
-    ModelAccess::EncodeGbdt(model, writer);
-  });
-}
-
-Status LoadGbdt(const std::string& path, std::unique_ptr<ml::Gbdt>* model) {
-  HOTSPOT_CHECK(model != nullptr);
-  return LoadArtifact(path, ArtifactKind::kGbdt, [&](ByteReader* reader) {
-    *model = ModelAccess::DecodeGbdt(reader);
-    return *model != nullptr;
-  });
-}
-
-Status SaveDecisionTree(const std::string& path,
-                        const ml::DecisionTree& model) {
-  return SaveArtifact(path, ArtifactKind::kDecisionTree,
-                      [&](ByteWriter* writer) {
-                        ModelAccess::EncodeTree(model, writer);
-                      });
-}
-
-Status LoadDecisionTree(const std::string& path,
-                        std::unique_ptr<ml::DecisionTree>* model) {
-  HOTSPOT_CHECK(model != nullptr);
-  return LoadArtifact(path, ArtifactKind::kDecisionTree,
-                      [&](ByteReader* reader) {
-                        *model = ModelAccess::DecodeTree(reader);
-                        return *model != nullptr;
-                      });
-}
-
-Status SaveRandomForest(const std::string& path,
-                        const ml::RandomForest& model) {
-  return SaveArtifact(path, ArtifactKind::kRandomForest,
-                      [&](ByteWriter* writer) {
-                        ModelAccess::EncodeForest(model, writer);
-                      });
-}
-
-Status LoadRandomForest(const std::string& path,
-                        std::unique_ptr<ml::RandomForest>* model) {
-  HOTSPOT_CHECK(model != nullptr);
-  return LoadArtifact(path, ArtifactKind::kRandomForest,
-                      [&](ByteReader* reader) {
-                        *model = ModelAccess::DecodeForest(reader);
-                        return *model != nullptr;
-                      });
-}
-
-Status SaveImputer(const std::string& path, const nn::KpiImputer& imputer) {
-  return SaveArtifact(path, ArtifactKind::kImputer, [&](ByteWriter* writer) {
-    ModelAccess::EncodeImputer(imputer, writer);
-  });
-}
-
-Status LoadImputer(const std::string& path,
-                   std::unique_ptr<nn::KpiImputer>* imputer) {
-  HOTSPOT_CHECK(imputer != nullptr);
-  return LoadArtifact(path, ArtifactKind::kImputer, [&](ByteReader* reader) {
-    *imputer = ModelAccess::DecodeImputer(reader);
-    return *imputer != nullptr;
-  });
-}
-
-Status SaveScoreConfig(const std::string& path, const ScoreConfig& config) {
-  return SaveArtifact(path, ArtifactKind::kScoreConfig,
-                      [&](ByteWriter* writer) {
-                        EncodeScoreConfig(config, writer);
-                      });
-}
-
-Status LoadScoreConfig(const std::string& path, ScoreConfig* config) {
-  HOTSPOT_CHECK(config != nullptr);
-  ScoreConfig loaded;
-  Status status = LoadArtifact(path, ArtifactKind::kScoreConfig,
-                               [&](ByteReader* reader) {
-                                 return DecodeScoreConfig(reader, &loaded);
-                               });
-  if (status.ok) *config = std::move(loaded);
-  return status;
-}
-
-Status SaveNormalization(const std::string& path,
-                         const NormalizationStats& stats) {
-  return SaveArtifact(path, ArtifactKind::kNormalization,
-                      [&](ByteWriter* writer) {
-                        EncodeNormalization(stats, writer);
-                      });
-}
-
-Status LoadNormalization(const std::string& path,
-                         NormalizationStats* stats) {
-  HOTSPOT_CHECK(stats != nullptr);
-  NormalizationStats loaded;
-  Status status = LoadArtifact(path, ArtifactKind::kNormalization,
-                               [&](ByteReader* reader) {
-                                 return DecodeNormalization(reader, &loaded);
-                               });
-  if (status.ok) *stats = std::move(loaded);
-  return status;
 }
 
 }  // namespace hotspot::serialize

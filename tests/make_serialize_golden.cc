@@ -22,14 +22,8 @@ int main(int argc, char** argv) {
   std::string dir = argc > 1 ? argv[1] : HOTSPOT_TEST_DATA_DIR;
 
   Study study = testing::BuildGoldenStudy();
-  Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
-  ForecastConfig config = testing::GoldenForecastConfig();
-
   std::unique_ptr<serialize::ForecastBundle> bundle =
-      forecaster.TrainBundle(config);
-  bundle->score = study.score_config;
-  bundle->normalization =
-      serialize::NormalizationFromKpis(study.network.kpis);
+      testing::BuildGoldenBundle(study);
 
   std::string bundle_path = dir + "/" + testing::kGoldenBundleFile;
   serialize::Status status = serialize::SaveBundle(bundle_path, *bundle);
@@ -40,7 +34,7 @@ int main(int argc, char** argv) {
 
   ForecastService service(std::move(bundle));
   std::vector<float> predictions =
-      service.PredictAtDay(study.features, config.t);
+      service.PredictAtDay(study.features, testing::GoldenForecastConfig().t);
   std::string predictions_path =
       dir + "/" + testing::kGoldenPredictionsFile;
   if (!testing::WriteGoldenPredictions(predictions_path, predictions)) {

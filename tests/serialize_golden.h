@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "core/study.h"
 #include "ml/gbdt.h"
 #include "serialize/binary_format.h"
+#include "serialize/bundle.h"
 #include "serialize/model_io.h"
 #include "simnet/generator.h"
 #include "util/rng.h"
@@ -59,6 +61,19 @@ inline ForecastConfig GoldenForecastConfig() {
 
 inline Study BuildGoldenStudy() {
   return BuildStudy(StudyInput(GoldenNetworkConfig()), StudyOptions{});
+}
+
+/// The golden bundle: the golden study's GBDT at the golden config, with
+/// the study's score config and KPI normalization.
+inline std::unique_ptr<serialize::ForecastBundle> BuildGoldenBundle(
+    const Study& study) {
+  Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
+  std::unique_ptr<serialize::ForecastBundle> bundle =
+      forecaster.TrainBundle(GoldenForecastConfig());
+  bundle->score = study.score_config;
+  bundle->normalization =
+      serialize::NormalizationFromKpis(study.network.kpis);
+  return bundle;
 }
 
 inline bool WriteGoldenPredictions(const std::string& path,

@@ -1,20 +1,24 @@
 // Lockdown tests for the versioned model-serialization subsystem:
-//   * round-trip determinism — Save → Load → predictions must be bitwise
-//     identical to the in-memory model, at HOTSPOT_NUM_THREADS 1 and 4,
-//     for the GBDT, the random forest, the single tree and the imputer;
+//   * round-trip determinism — encode → decode → predictions must be
+//     bitwise identical to the in-memory model over the thread matrix, for
+//     the GBDT, the random forest and the single tree, and a saved bundle
+//     must serve Run()'s predictions bit for bit;
 //   * corruption fuzz — truncations, byte flips, wrong magic, future or
-//     retired format versions, kind mismatches and garbage payloads must
-//     all be rejected with a clear error and no undefined behavior (this
-//     suite runs under HOTSPOT_SANITIZE in CI);
+//     retired format versions, kind mismatches, garbage payloads and
+//     hostile classifier sections must all be rejected with a named error
+//     and no undefined behavior (this suite runs under HOTSPOT_SANITIZE);
 //   * golden file — the checked-in fixed-seed bundle under tests/data/
-//     must load and reproduce its checked-in predictions exactly, and the
-//     golden GBDT fit shapes must train to their checked-in digests.
+//     must load and reproduce its checked-in predictions exactly, must be
+//     byte-identical to the bundle retrained from source, and the golden
+//     GBDT fit shapes must train to their checked-in digests.
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/forecast_service.h"
@@ -23,7 +27,6 @@
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
-#include "nn/imputer.h"
 #include "serialize/bundle.h"
 #include "serialize/model_io.h"
 #include "serialize_golden.h"
@@ -88,6 +91,22 @@ std::vector<double> Predictions(const ml::BinaryClassifier& model,
   return predictions;
 }
 
+/// Encodes `model` with its ModelAccess codec and decodes the bytes back;
+/// the decoder must accept them and consume them exactly.
+template <typename Model>
+std::unique_ptr<Model> RoundTrip(
+    const Model& model,
+    void (*encode)(const Model&, serialize::ByteWriter*),
+    std::unique_ptr<Model> (*decode)(serialize::ByteReader*)) {
+  serialize::ByteWriter writer;
+  encode(model, &writer);
+  serialize::ByteReader reader(writer.bytes().data(), writer.bytes().size());
+  std::unique_ptr<Model> decoded = decode(&reader);
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_TRUE(reader.AtEnd()) << "decoder left bytes unread";
+  return decoded;
+}
+
 // ---------------------------------------------------------------------------
 // Round-trip determinism
 // ---------------------------------------------------------------------------
@@ -105,11 +124,9 @@ TEST_F(SerializeTest, GbdtRoundTripBitwiseIdentical) {
     ml::Gbdt model(config);
     model.Fit(data);
 
-    ASSERT_TRUE(serialize::SaveGbdt(Path("model.hsb"), model).ok);
-    std::unique_ptr<ml::Gbdt> loaded;
-    serialize::Status status = serialize::LoadGbdt(Path("model.hsb"),
-                                                   &loaded);
-    ASSERT_TRUE(status.ok) << status.error;
+    std::unique_ptr<ml::Gbdt> loaded =
+        RoundTrip(model, &serialize::ModelAccess::EncodeGbdt,
+                  &serialize::ModelAccess::DecodeGbdt);
     ASSERT_NE(loaded, nullptr);
 
     // Exact (==) comparisons throughout: the contract is bitwise identity.
@@ -135,11 +152,9 @@ TEST_F(SerializeTest, RandomForestRoundTripBitwiseIdentical) {
     ml::RandomForest model(config);
     model.Fit(data);
 
-    ASSERT_TRUE(serialize::SaveRandomForest(Path("forest.hsb"), model).ok);
-    std::unique_ptr<ml::RandomForest> loaded;
-    serialize::Status status =
-        serialize::LoadRandomForest(Path("forest.hsb"), &loaded);
-    ASSERT_TRUE(status.ok) << status.error;
+    std::unique_ptr<ml::RandomForest> loaded =
+        RoundTrip(model, &serialize::ModelAccess::EncodeForest,
+                  &serialize::ModelAccess::DecodeForest);
     ASSERT_NE(loaded, nullptr);
 
     EXPECT_EQ(Predictions(*loaded, data), Predictions(model, data))
@@ -157,11 +172,9 @@ TEST_F(SerializeTest, DecisionTreeRoundTripBitwiseIdentical) {
     ml::DecisionTree model(config);
     model.Fit(data);
 
-    ASSERT_TRUE(serialize::SaveDecisionTree(Path("tree.hsb"), model).ok);
-    std::unique_ptr<ml::DecisionTree> loaded;
-    serialize::Status status =
-        serialize::LoadDecisionTree(Path("tree.hsb"), &loaded);
-    ASSERT_TRUE(status.ok) << status.error;
+    std::unique_ptr<ml::DecisionTree> loaded =
+        RoundTrip(model, &serialize::ModelAccess::EncodeTree,
+                  &serialize::ModelAccess::DecodeTree);
     ASSERT_NE(loaded, nullptr);
 
     EXPECT_EQ(Predictions(*loaded, data), Predictions(model, data))
@@ -181,69 +194,6 @@ Tensor3<float> MakeKpis(int sectors, int hours, int kpis, uint64_t seed) {
   return tensor;
 }
 
-TEST_F(SerializeTest, ImputerRoundTripBitwiseIdentical) {
-  Tensor3<float> kpis = MakeKpis(4, 24 * 7, 3, 61);
-  testing_util::ForEachThreadCount([&](const std::string& threads) {
-    nn::ImputerConfig config;
-    config.slice_hours = 24;
-    config.encoder_layers = 2;
-    config.batch_size = 8;
-    config.epochs = 2;
-    config.seed = 41;
-    nn::KpiImputer imputer(config);
-    imputer.Fit(kpis);
-
-    Tensor3<float> reference = kpis;
-    imputer.Impute(&reference);
-
-    ASSERT_TRUE(serialize::SaveImputer(Path("imputer.hsb"), imputer).ok);
-    std::unique_ptr<nn::KpiImputer> loaded;
-    serialize::Status status =
-        serialize::LoadImputer(Path("imputer.hsb"), &loaded);
-    ASSERT_TRUE(status.ok) << status.error;
-    ASSERT_NE(loaded, nullptr);
-
-    Tensor3<float> imputed = kpis;
-    loaded->Impute(&imputed);
-    EXPECT_EQ(imputed.data(), reference.data()) << threads << " threads";
-  });
-}
-
-TEST_F(SerializeTest, ScoreConfigRoundTrip) {
-  ScoreConfig config;
-  config.indicators = {{1.5, 0.25, true}, {0.5, 0.9, false}, {2.0, 0.4,
-                                                              true}};
-  config.hot_threshold = 0.55;
-  ASSERT_TRUE(serialize::SaveScoreConfig(Path("score.hsb"), config).ok);
-  ScoreConfig loaded;
-  serialize::Status status =
-      serialize::LoadScoreConfig(Path("score.hsb"), &loaded);
-  ASSERT_TRUE(status.ok) << status.error;
-  ASSERT_EQ(loaded.num_indicators(), config.num_indicators());
-  for (int k = 0; k < config.num_indicators(); ++k) {
-    EXPECT_EQ(loaded.indicators[static_cast<size_t>(k)].weight,
-              config.indicators[static_cast<size_t>(k)].weight);
-    EXPECT_EQ(loaded.indicators[static_cast<size_t>(k)].threshold,
-              config.indicators[static_cast<size_t>(k)].threshold);
-    EXPECT_EQ(loaded.indicators[static_cast<size_t>(k)].higher_is_worse,
-              config.indicators[static_cast<size_t>(k)].higher_is_worse);
-  }
-  EXPECT_EQ(loaded.hot_threshold, config.hot_threshold);
-}
-
-TEST_F(SerializeTest, NormalizationRoundTrip) {
-  Tensor3<float> kpis = MakeKpis(3, 48, 4, 77);
-  serialize::NormalizationStats stats =
-      serialize::NormalizationFromKpis(kpis);
-  ASSERT_EQ(stats.means.size(), 4u);
-  ASSERT_TRUE(serialize::SaveNormalization(Path("norm.hsb"), stats).ok);
-  serialize::NormalizationStats loaded;
-  serialize::Status status =
-      serialize::LoadNormalization(Path("norm.hsb"), &loaded);
-  ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_EQ(loaded, stats);
-}
-
 // ---------------------------------------------------------------------------
 // Bundle + warm-start serving
 // ---------------------------------------------------------------------------
@@ -251,6 +201,18 @@ TEST_F(SerializeTest, NormalizationRoundTrip) {
 /// One shared golden study per process (building it is the expensive part).
 const Study& SharedStudy() {
   static const Study* study = new Study(testing::BuildGoldenStudy());
+  return *study;
+}
+
+/// The golden network under a lower hot threshold. The golden study's
+/// threshold leaves no positive labels to split on, so its GBDT is all
+/// leaves; this one's has real internal nodes.
+const Study& SplitStudy() {
+  static const Study* study = [] {
+    StudyOptions options;
+    options.hot_threshold_override = 0.5;
+    return new Study(BuildStudy(testing::GoldenNetworkConfig(), options));
+  }();
   return *study;
 }
 
@@ -332,6 +294,37 @@ TEST_F(SerializeTest, BundleRoundTripForEveryClassifierKind) {
   }
 }
 
+TEST_F(SerializeTest, BundleRoundTripPreservesScoreAndNormalization) {
+  // The score config and normalization stats ride only inside a bundle;
+  // a save/load pair must hand both back exactly.
+  const Study& study = SharedStudy();
+  Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
+  std::unique_ptr<serialize::ForecastBundle> bundle =
+      forecaster.TrainBundle(testing::GoldenForecastConfig());
+  ScoreConfig score;
+  score.indicators = {{1.5, 0.25, true}, {0.5, 0.9, false}, {2.0, 0.4, true}};
+  score.hot_threshold = 0.55;
+  bundle->score = score;
+  bundle->normalization =
+      serialize::NormalizationFromKpis(MakeKpis(3, 48, 4, 77));
+  ASSERT_EQ(bundle->normalization.means.size(), 4u);
+  ASSERT_TRUE(serialize::SaveBundle(Path("meta.hsb"), *bundle).ok);
+
+  std::unique_ptr<serialize::ForecastBundle> loaded;
+  serialize::Status status = serialize::LoadBundle(Path("meta.hsb"), &loaded);
+  ASSERT_TRUE(status.ok) << status.error;
+  ASSERT_EQ(loaded->score.num_indicators(), score.num_indicators());
+  for (size_t k = 0; k < score.indicators.size(); ++k) {
+    EXPECT_EQ(loaded->score.indicators[k].weight, score.indicators[k].weight);
+    EXPECT_EQ(loaded->score.indicators[k].threshold,
+              score.indicators[k].threshold);
+    EXPECT_EQ(loaded->score.indicators[k].higher_is_worse,
+              score.indicators[k].higher_is_worse);
+  }
+  EXPECT_EQ(loaded->score.hot_threshold, score.hot_threshold);
+  EXPECT_EQ(loaded->normalization, bundle->normalization);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption fuzz
 // ---------------------------------------------------------------------------
@@ -352,24 +345,27 @@ class SerializeFuzzTest : public SerializeTest {
  protected:
   void SetUp() override {
     SerializeTest::SetUp();
-    ml::Dataset data = MakeDataset(120, 6, 7);
-    ml::GbdtConfig config;
-    config.num_iterations = 5;
-    config.num_leaves = 4;
-    config.max_bins = 8;
-    ml::Gbdt model(config);
-    model.Fit(data);
-    ASSERT_TRUE(serialize::SaveGbdt(Path("valid.hsb"), model).ok);
+    // A saved bundle of the golden study's model. The payload is encoded
+    // once per process; every test frames it into its own file.
+    static const std::vector<uint8_t>* const payload = [] {
+      const Study& study = SharedStudy();
+      std::unique_ptr<serialize::ForecastBundle> bundle =
+          testing::BuildGoldenBundle(study);
+      serialize::ByteWriter writer;
+      serialize::EncodeBundle(*bundle, &writer);
+      return new std::vector<uint8_t>(writer.TakeBytes());
+    }();
+    ASSERT_TRUE(serialize::WriteArtifactFile(Path("valid.hsb"), *payload).ok);
     valid_ = ReadFile(Path("valid.hsb"));
     ASSERT_GT(valid_.size(), 32u);
   }
 
-  /// Loads `bytes` as a GBDT artifact; returns the (expected) error text.
+  /// Loads `bytes` as a bundle; returns the (expected) error text.
   std::string LoadCorrupt(const std::vector<uint8_t>& bytes) {
     WriteFile(Path("corrupt.hsb"), bytes);
-    std::unique_ptr<ml::Gbdt> loaded;
+    std::unique_ptr<serialize::ForecastBundle> loaded;
     serialize::Status status =
-        serialize::LoadGbdt(Path("corrupt.hsb"), &loaded);
+        serialize::LoadBundle(Path("corrupt.hsb"), &loaded);
     EXPECT_FALSE(status.ok) << "corrupt file accepted";
     EXPECT_FALSE(status.error.empty());
     EXPECT_EQ(loaded, nullptr) << "output written despite failure";
@@ -418,15 +414,16 @@ TEST_F(SerializeFuzzTest, FutureFormatVersionNamed) {
 }
 
 TEST_F(SerializeFuzzTest, WrongArtifactKindNamed) {
-  ScoreConfig config;
-  config.indicators = {{1.0, 0.5, true}};
-  ASSERT_TRUE(serialize::SaveScoreConfig(Path("score.hsb"), config).ok);
-  std::unique_ptr<ml::Gbdt> loaded;
-  serialize::Status status = serialize::LoadGbdt(Path("score.hsb"),
-                                                 &loaded);
-  ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("kind"), std::string::npos) << status.error;
-  EXPECT_EQ(loaded, nullptr);
+  // Kinds 1-6 were the retired single-model formats; the kind word
+  // (bytes 12..15) sits outside the checksummed payload.
+  for (uint8_t kind : {uint8_t{1}, uint8_t{6}, uint8_t{8}}) {
+    std::vector<uint8_t> other = valid_;
+    other[12] = kind;
+    std::string error = LoadCorrupt(other);
+    EXPECT_NE(error.find("artifact kind " + std::to_string(kind)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST_F(SerializeFuzzTest, TrailingGarbageRejected) {
@@ -437,32 +434,72 @@ TEST_F(SerializeFuzzTest, TrailingGarbageRejected) {
 }
 
 TEST_F(SerializeFuzzTest, ChecksummedGarbagePayloadRejected) {
-  // A well-framed file whose payload is random bytes: the container checks
-  // pass, so this exercises the structural validation of the decoder.
+  // Random payload bytes go straight to each classifier decoder and to the
+  // bundle decoder, and framed as a well-formed file (the container checks
+  // pass) through LoadBundle: this exercises the decoders' structural
+  // validation. Every decode must fail with a reason and no crash.
+  using serialize::ByteReader;
+  using serialize::ModelAccess;
+  const std::vector<
+      std::pair<const char*, std::function<bool(ByteReader*)>>>
+      decoders = {
+          {"gbdt",
+           [](ByteReader* r) { return ModelAccess::DecodeGbdt(r) != nullptr; }},
+          {"forest",
+           [](ByteReader* r) {
+             return ModelAccess::DecodeForest(r) != nullptr;
+           }},
+          {"tree",
+           [](ByteReader* r) { return ModelAccess::DecodeTree(r) != nullptr; }},
+          {"bundle",
+           [](ByteReader* r) {
+             return serialize::DecodeBundle(r) != nullptr;
+           }},
+      };
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     Rng rng(seed);
     std::vector<uint8_t> payload(256 + static_cast<size_t>(seed) * 97);
     for (uint8_t& b : payload) {
       b = static_cast<uint8_t>(rng.NextUint64() & 0xff);
     }
-    ASSERT_TRUE(serialize::WriteArtifactFile(Path("garbage.hsb"),
-                                             serialize::ArtifactKind::kGbdt,
-                                             payload)
-                    .ok);
-    std::unique_ptr<ml::Gbdt> loaded;
+    for (const auto& [name, decode] : decoders) {
+      ByteReader reader(payload.data(), payload.size());
+      EXPECT_FALSE(decode(&reader)) << name << " seed " << seed;
+      EXPECT_FALSE(reader.ok()) << name << " seed " << seed;
+      EXPECT_FALSE(reader.error().empty()) << name << " seed " << seed;
+    }
+    ASSERT_TRUE(
+        serialize::WriteArtifactFile(Path("garbage.hsb"), payload).ok);
+    std::unique_ptr<serialize::ForecastBundle> loaded;
     serialize::Status status =
-        serialize::LoadGbdt(Path("garbage.hsb"), &loaded);
+        serialize::LoadBundle(Path("garbage.hsb"), &loaded);
     EXPECT_FALSE(status.ok) << "seed " << seed;
     EXPECT_EQ(loaded, nullptr);
   }
 }
 
 TEST_F(SerializeFuzzTest, CorruptBundleRejectedByService) {
-  // valid.hsb is a GBDT artifact, not a bundle: the service must refuse it.
+  // A single-GBDT file as older binaries wrote them (artifact kind 1): the
+  // service must refuse it by kind rather than read a GBDT as a bundle.
+  ml::GbdtConfig config;
+  config.num_iterations = 5;
+  config.num_leaves = 4;
+  config.max_bins = 8;
+  ml::Gbdt model(config);
+  model.Fit(MakeDataset(120, 6, 7));
+  serialize::ByteWriter writer;
+  serialize::ModelAccess::EncodeGbdt(model, &writer);
+  ASSERT_TRUE(
+      serialize::WriteArtifactFile(Path("gbdt.hsb"), writer.bytes()).ok);
+  std::vector<uint8_t> bytes = ReadFile(Path("gbdt.hsb"));
+  bytes[12] = 1;
+  WriteFile(Path("gbdt.hsb"), bytes);
   std::unique_ptr<ForecastService> service;
   serialize::Status status =
-      ForecastService::Load(Path("valid.hsb"), &service);
+      ForecastService::Load(Path("gbdt.hsb"), &service);
   EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("artifact kind 1"), std::string::npos)
+      << status.error;
   EXPECT_EQ(service, nullptr);
 }
 
@@ -527,10 +564,8 @@ TEST_F(SerializeFuzzTest, CorruptedBundlePromotionFailsAtomically) {
     // count, then the first section's [id u32][version u32] at offset 24.
     payload[28] = 99;
     payload[29] = payload[30] = payload[31] = 0;
-    ASSERT_TRUE(serialize::WriteArtifactFile(
-                    Path("swap_future.hsb"),
-                    serialize::ArtifactKind::kForecastBundle, payload)
-                    .ok);
+    ASSERT_TRUE(
+        serialize::WriteArtifactFile(Path("swap_future.hsb"), payload).ok);
     std::unique_ptr<serialize::ForecastBundle> next;
     serialize::Status status =
         serialize::LoadBundle(Path("swap_future.hsb"), &next);
@@ -584,9 +619,21 @@ TEST(SerializeGolden, CheckedInBundleReproducesGoldenPredictions) {
   EXPECT_EQ(service->PredictAtDay(study.features, config.t), golden);
 
   // And the bundle's training is reproducible from source: retraining at
-  // the golden seed yields the same predictions as the checked-in file.
+  // the golden seed yields the same predictions as the checked-in file,
+  // and the retrained bundle encodes to its payload byte for byte (the
+  // writer emits exactly the sections the fixture holds).
   Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
   EXPECT_EQ(forecaster.Run(config).predictions, golden);
+  std::vector<uint8_t> checked_in;
+  status = serialize::ReadArtifactFile(dir + "/" + testing::kGoldenBundleFile,
+                                       &checked_in);
+  ASSERT_TRUE(status.ok) << status.error;
+  serialize::ByteWriter retrained;
+  serialize::EncodeBundle(*testing::BuildGoldenBundle(study), &retrained);
+  EXPECT_TRUE(retrained.bytes() == checked_in)
+      << "retrained golden bundle encodes to " << retrained.bytes().size()
+      << " payload bytes, the checked-in file holds " << checked_in.size()
+      << "; regenerate with make_serialize_golden if the change is intended";
 }
 
 TEST(SerializeGolden, GbdtFitsMatchCheckedInDigests) {
@@ -658,21 +705,30 @@ void WriteU32At(std::vector<uint8_t>* bytes, size_t pos, uint32_t value) {
   }
 }
 
+void WriteU64At(std::vector<uint8_t>* bytes, size_t pos, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[pos + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
 class SerializeSectionTest : public SerializeTest {
  protected:
   void SetUp() override {
     SerializeTest::SetUp();
-    // Extract the sectioned payload of a freshly trained bundle.
-    const Study& study = SharedStudy();
-    Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
-    std::unique_ptr<serialize::ForecastBundle> bundle =
-        forecaster.TrainBundle(testing::GoldenForecastConfig());
-    bundle->score = study.score_config;
-    ASSERT_TRUE(serialize::SaveBundle(Path("bundle.hsb"), *bundle).ok);
-    serialize::Status status = serialize::ReadArtifactFile(
-        Path("bundle.hsb"), serialize::ArtifactKind::kForecastBundle,
-        &payload_);
-    ASSERT_TRUE(status.ok) << status.error;
+    // The sectioned payload of a bundle whose GBDT has internal nodes,
+    // encoded once per process.
+    static const std::vector<uint8_t>* const cached = [] {
+      const Study& study = SplitStudy();
+      Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
+      std::unique_ptr<serialize::ForecastBundle> bundle =
+          forecaster.TrainBundle(testing::GoldenForecastConfig());
+      bundle->score = study.score_config;
+      serialize::ByteWriter writer;
+      serialize::EncodeBundle(*bundle, &writer);
+      return new std::vector<uint8_t>(writer.TakeBytes());
+    }();
+    payload_ = *cached;
   }
 
   /// Byte offset of the (id, version, size) frame of the section with
@@ -689,18 +745,43 @@ class SerializeSectionTest : public SerializeTest {
     return std::string::npos;
   }
 
+  /// Swaps the body of section `id` for `body`, fixing its size field.
+  void ReplaceSectionBody(uint32_t id, const std::vector<uint8_t>& body) {
+    const size_t frame = SectionOffset(id);
+    ASSERT_NE(frame, std::string::npos) << "section " << id;
+    const auto start = payload_.begin() + static_cast<ptrdiff_t>(frame + 16);
+    payload_.erase(start, start + static_cast<ptrdiff_t>(
+                                      ReadU64At(payload_, frame + 8)));
+    payload_.insert(payload_.begin() + static_cast<ptrdiff_t>(frame + 16),
+                    body.begin(), body.end());
+    WriteU64At(&payload_, frame + 8, body.size());
+  }
+
+  /// Appends a section frame and counts it in the section table.
+  void AppendSection(uint32_t id, uint32_t version,
+                     const std::vector<uint8_t>& body) {
+    serialize::ByteWriter frame;
+    frame.WriteU32(id);
+    frame.WriteU32(version);
+    frame.WriteU64(body.size());
+    frame.WriteRaw(body.data(), body.size());
+    payload_.insert(payload_.end(), frame.bytes().begin(),
+                    frame.bytes().end());
+    WriteU32At(&payload_, 20, ReadU32At(payload_, 20) + 1);
+  }
+
   /// Re-frames the (possibly patched) payload with a fresh checksum and
-  /// loads it as a bundle, returning the load error ("" on success).
-  std::string LoadPatched() {
-    EXPECT_TRUE(serialize::WriteArtifactFile(
-                    Path("patched.hsb"),
-                    serialize::ArtifactKind::kForecastBundle, payload_)
-                    .ok);
+  /// loads it as a bundle, returning the load error ("" on success). The
+  /// loaded bundle goes to `out` when given.
+  std::string LoadPatched(
+      std::unique_ptr<serialize::ForecastBundle>* out = nullptr) {
+    EXPECT_TRUE(serialize::WriteArtifactFile(Path("patched.hsb"), payload_).ok);
     std::unique_ptr<serialize::ForecastBundle> bundle;
     serialize::Status status =
         serialize::LoadBundle(Path("patched.hsb"), &bundle);
     if (status.ok) {
       EXPECT_NE(bundle, nullptr);
+      if (out != nullptr) *out = std::move(bundle);
       return "";
     }
     EXPECT_EQ(bundle, nullptr);
@@ -710,11 +791,19 @@ class SerializeSectionTest : public SerializeTest {
   std::vector<uint8_t> payload_;
 };
 
-TEST_F(SerializeSectionTest, UnpatchedPayloadHasAllFiveSections) {
-  for (uint32_t id : {1u, 2u, 3u, 4u, 5u}) {
+TEST_F(SerializeSectionTest, UnpatchedPayloadHasItsFourSections) {
+  for (uint32_t id : {1u, 2u, 3u, 4u}) {
     EXPECT_NE(SectionOffset(id), std::string::npos) << "section " << id;
   }
-  EXPECT_EQ(LoadPatched(), "");
+  // The flat forest is compiled on decode, never written.
+  EXPECT_EQ(SectionOffset(5), std::string::npos);
+  std::unique_ptr<serialize::ForecastBundle> bundle;
+  EXPECT_EQ(LoadPatched(&bundle), "");
+  ASSERT_NE(bundle, nullptr);
+  ASSERT_NE(bundle->flat, nullptr);
+  EXPECT_TRUE(*bundle->flat == ml::FlatForest::Compile(*bundle->classifier));
+  EXPECT_GT(bundle->flat->num_nodes(), bundle->flat->num_trees())
+      << "the fixture's model has no internal nodes";
 }
 
 TEST_F(SerializeSectionTest, SkewErrorNamesTheExactSection) {
@@ -726,8 +815,7 @@ TEST_F(SerializeSectionTest, SkewErrorNamesTheExactSection) {
   } kSections[] = {{1, "score_config"},
                    {2, "normalization"},
                    {3, "classifier"},
-                   {4, "fingerprints"},
-                   {5, "flat_forest"}};
+                   {4, "fingerprints"}};
   for (const auto& section : kSections) {
     std::vector<uint8_t> pristine = payload_;
     size_t off = SectionOffset(section.id);
@@ -743,12 +831,51 @@ TEST_F(SerializeSectionTest, SkewErrorNamesTheExactSection) {
   }
 }
 
-TEST_F(SerializeSectionTest, FlatSectionVersion1IsRefusedByName) {
-  // flat_forest v1 carried the quantized variant's arrays; v2 dropped them,
-  // so a v1 section is refused rather than misread.
-  size_t off = SectionOffset(5);
-  ASSERT_NE(off, std::string::npos);
-  WriteU32At(&payload_, off + 4, 1);  // the section's version field
+/// A v2 'flat_forest' section body as older binaries wrote it: one
+/// single-leaf tree (u32 aggregation, i32 num_features, f64 base_score,
+/// u64 node count, 25-byte nodes, u64 tree count, i32 roots). The loader
+/// skips the body unread.
+std::vector<uint8_t> RetiredFlatSectionBody(int num_features) {
+  serialize::ByteWriter body;
+  body.WriteU32(2);  // kGbdtSigmoid
+  body.WriteI32(num_features);
+  body.WriteF64(0.0);
+  body.WriteU64(1);
+  body.WriteI32(-1);    // feature: leaf
+  body.WriteF32(0.0f);  // threshold
+  body.WriteU8(0);      // miss_left
+  body.WriteI32(0);     // left
+  body.WriteI32(0);     // right
+  body.WriteF64(0.25);  // leaf value
+  body.WriteU64(1);
+  body.WriteI32(0);
+  return body.TakeBytes();
+}
+
+TEST_F(SerializeSectionTest, RetiredFlatSectionIsSkippedAtV2RefusedAtV1) {
+  // Bundles written before the flat forest was dropped from the format
+  // carry it as section 5. A v2 section must change nothing: the bundle
+  // loads and serves the same bits as without it. A v1 section (the
+  // quantized layout) stays refused by name.
+  const Study& study = SplitStudy();
+  const int t = testing::GoldenForecastConfig().t;
+  const std::vector<uint8_t> pristine = payload_;
+  std::unique_ptr<serialize::ForecastBundle> plain;
+  ASSERT_EQ(LoadPatched(&plain), "");
+  const std::vector<float> expected =
+      ForecastService(std::move(plain)).PredictAtDay(study.features, t);
+
+  AppendSection(5, 2, RetiredFlatSectionBody(1));
+  std::unique_ptr<serialize::ForecastBundle> with_flat;
+  ASSERT_EQ(LoadPatched(&with_flat), "");
+  EXPECT_TRUE(*with_flat->flat ==
+              ml::FlatForest::Compile(*with_flat->classifier));
+  EXPECT_EQ(ForecastService(std::move(with_flat)).PredictAtDay(study.features,
+                                                               t),
+            expected);
+
+  payload_ = pristine;
+  AppendSection(5, 1, RetiredFlatSectionBody(1));
   std::string error = LoadPatched();
   EXPECT_NE(error.find("'flat_forest'"), std::string::npos) << error;
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
@@ -760,182 +887,6 @@ TEST_F(SerializeSectionTest, UnknownSectionIdIsRejectedByNumber) {
   WriteU32At(&payload_, off, 77);  // an id this binary has never heard of
   std::string error = LoadPatched();
   EXPECT_NE(error.find("section id 77"), std::string::npos) << error;
-}
-
-// ---------------------------------------------------------------------------
-// Flat-forest section fuzz: the SIMD engine's serialized form is a derived
-// artifact, so ANY corruption of its section — truncation, byte flip, bad
-// child offset — must fail the load with an error naming 'flat_forest'
-// (never a generic parse error, never an out-of-bounds read; the latter is
-// what the HOTSPOT_SANITIZE builds of this suite pin).
-// ---------------------------------------------------------------------------
-
-class FlatSectionFuzzTest : public SerializeSectionTest {
- protected:
-  static constexpr uint32_t kFlatId = 5;
-
-  void SetUp() override {
-    SerializeTest::SetUp();
-    // The golden study's hot threshold yields an all-leaf model (no
-    // positive labels to split on), which would leave the node-graph
-    // checks unexercised. A lower threshold gives the same pipeline a
-    // classifier with real internal nodes. The payload is built once and
-    // cached — the study build dominates this suite's runtime.
-    static const std::vector<uint8_t>* const cached = [] {
-      StudyOptions options;
-      options.hot_threshold_override = 0.5;
-      Study study = BuildStudy(testing::GoldenNetworkConfig(), options);
-      Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
-      std::unique_ptr<serialize::ForecastBundle> bundle =
-          forecaster.TrainBundle(testing::GoldenForecastConfig());
-      bundle->score = study.score_config;
-      serialize::ByteWriter writer;
-      serialize::EncodeBundle(*bundle, &writer);
-      return new std::vector<uint8_t>(writer.bytes());
-    }();
-    payload_ = *cached;
-  }
-
-  /// Offset of the first body byte of the flat section.
-  size_t BodyOffset() const {
-    size_t off = SectionOffset(kFlatId);
-    EXPECT_NE(off, std::string::npos);
-    return off + 16;
-  }
-  size_t BodySize() const {
-    return static_cast<size_t>(ReadU64At(payload_, SectionOffset(kFlatId) + 8));
-  }
-};
-
-TEST_F(FlatSectionFuzzTest, EveryBodyByteFlipNamesTheFlatSection) {
-  const std::vector<uint8_t> pristine = payload_;
-  const size_t body = BodyOffset();
-  const size_t size = BodySize();
-  ASSERT_GT(size, 0u);
-  // Exhaustive single-byte corruption of the whole section body: XOR-0xFF
-  // plus a single-bit flip at every position. Either the structural
-  // validation rejects the section or the recompile-and-byte-compare
-  // against the classifier does; both name flat_forest.
-  int checked = 0;
-  for (size_t pos = 0; pos < size; ++pos) {
-    for (uint8_t mask : {uint8_t{0xFF}, uint8_t{0x01}}) {
-      payload_ = pristine;
-      payload_[body + pos] ^= mask;
-      std::string error = LoadPatched();
-      ASSERT_FALSE(error.empty())
-          << "flip at body byte " << pos << " mask " << int(mask)
-          << " loaded successfully";
-      ASSERT_NE(error.find("flat_forest"), std::string::npos)
-          << "flip at body byte " << pos << " mask " << int(mask)
-          << " produced an unattributed error: " << error;
-      ++checked;
-    }
-  }
-  EXPECT_GE(checked, 2 * static_cast<int>(size));
-  payload_ = pristine;
-}
-
-TEST_F(FlatSectionFuzzTest, TruncationsInsideTheFlatSectionAreNamed) {
-  const std::vector<uint8_t> pristine = payload_;
-  const size_t body = BodyOffset();
-  const size_t size = BodySize();
-  // The flat section is written last, so cutting the payload anywhere
-  // inside its body makes the declared section size exceed what remains.
-  for (size_t keep : {size_t{0}, size_t{1}, size / 2, size - 1}) {
-    payload_ = pristine;
-    payload_.resize(body + keep);
-    std::string error = LoadPatched();
-    ASSERT_FALSE(error.empty()) << "keep=" << keep;
-    EXPECT_NE(error.find("flat_forest"), std::string::npos)
-        << "keep=" << keep << ": " << error;
-    EXPECT_NE(error.find("exceeds payload"), std::string::npos)
-        << "keep=" << keep << ": " << error;
-  }
-  // Shrinking the declared size instead bounds the sub-reader short of
-  // the real contents: the decode runs out mid-field and the error still
-  // names the section.
-  payload_ = pristine;
-  const size_t frame = SectionOffset(kFlatId);
-  for (uint64_t declared : {uint64_t{0}, uint64_t{24}, uint64_t{size / 2}}) {
-    payload_ = pristine;
-    for (int i = 0; i < 8; ++i) {
-      payload_[frame + 8 + static_cast<size_t>(i)] =
-          static_cast<uint8_t>(declared >> (8 * i));
-    }
-    // Keep the overall payload well-formed by also cutting the body to
-    // the declared size (the section is last).
-    payload_.resize(frame + 16 + static_cast<size_t>(declared));
-    std::string error = LoadPatched();
-    ASSERT_FALSE(error.empty()) << "declared=" << declared;
-    EXPECT_NE(error.find("flat_forest"), std::string::npos)
-        << "declared=" << declared << ": " << error;
-  }
-  payload_ = pristine;
-}
-
-TEST_F(FlatSectionFuzzTest, ChildOffsetOutOfRangeIsStructurallyRejected) {
-  const std::vector<uint8_t> pristine = payload_;
-  const size_t body = BodyOffset();
-  // Body layout: u32 aggregation, i32 num_features, f64 base_score,
-  // u64 num_nodes, then 25-byte nodes (i32 feature, f32 threshold,
-  // u8 miss_left, i32 left, i32 right, f64 leaf_value).
-  const uint64_t num_nodes = ReadU64At(payload_, body + 16);
-  ASSERT_GT(num_nodes, 0u);
-  const size_t nodes = body + 24;
-  // Find the first internal node (feature >= 0).
-  size_t internal = std::string::npos;
-  for (uint64_t i = 0; i < num_nodes; ++i) {
-    const size_t node = nodes + static_cast<size_t>(i) * 25;
-    if (static_cast<int32_t>(ReadU32At(payload_, node)) >= 0) {
-      internal = node;
-      break;
-    }
-  }
-  ASSERT_NE(internal, std::string::npos) << "model has no internal nodes";
-  const struct {
-    size_t field_offset;  // within the node record
-    uint32_t value;
-    const char* what;
-  } kPatches[] = {
-      {9, 0x7FFFFFFFu, "left child past the node array"},
-      {13, 0x7FFFFFFFu, "right child past the node array"},
-      {9, 0u, "left child pointing backwards"},
-      {13, static_cast<uint32_t>(-1), "negative right child"},
-  };
-  for (const auto& patch : kPatches) {
-    payload_ = pristine;
-    WriteU32At(&payload_, internal + patch.field_offset, patch.value);
-    std::string error = LoadPatched();
-    ASSERT_FALSE(error.empty()) << patch.what;
-    EXPECT_NE(error.find("flat_forest"), std::string::npos)
-        << patch.what << ": " << error;
-    EXPECT_NE(error.find("node graph invalid"), std::string::npos)
-        << patch.what << ": " << error;
-  }
-  payload_ = pristine;
-}
-
-TEST_F(FlatSectionFuzzTest, LeafValueFlipIsCaughtByTheClassifierCheck) {
-  // A flipped leaf payload survives every structural check — only the
-  // recompile-and-byte-compare against the shipped classifier can catch
-  // it. Find a node with feature == -1 and flip a bit of its leaf value.
-  const size_t body = BodyOffset();
-  const uint64_t num_nodes = ReadU64At(payload_, body + 16);
-  const size_t nodes = body + 24;
-  size_t leaf = std::string::npos;
-  for (uint64_t i = 0; i < num_nodes; ++i) {
-    const size_t node = nodes + static_cast<size_t>(i) * 25;
-    if (static_cast<int32_t>(ReadU32At(payload_, node)) == -1) {
-      leaf = node;
-      break;
-    }
-  }
-  ASSERT_NE(leaf, std::string::npos);
-  payload_[leaf + 17] ^= 0x01;  // low mantissa bit of the f64 leaf value
-  std::string error = LoadPatched();
-  ASSERT_FALSE(error.empty());
-  EXPECT_NE(error.find("does not match its classifier"), std::string::npos)
-      << error;
 }
 
 TEST_F(SerializeSectionTest, MissingRequiredSectionIsNamed) {
@@ -951,6 +902,188 @@ TEST_F(SerializeSectionTest, MissingRequiredSectionIsNamed) {
   std::string error = LoadPatched();
   EXPECT_NE(error.find("missing"), std::string::npos) << error;
   EXPECT_NE(error.find("normalization"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Hostile classifier sections: hand-built classifier bytes spliced into a
+// bundle. Each must be refused by LoadBundle with a named reason — never
+// reach FlatForest::Compile, which aborts on an empty model and copies a
+// shared child once per path to it (a 21-node chain whose nodes send both
+// children to the next node compiles to 2^21 - 1 nodes).
+// ---------------------------------------------------------------------------
+
+/// One hand-built node: feature < 0 marks a leaf.
+struct HandNode {
+  int feature;
+  int left;
+  int right;
+};
+
+const std::vector<HandNode> kStump = {{0, 1, 2}, {-1, 0, 0}, {-1, 0, 0}};
+/// Nodes 1 and 2 share their children.
+const std::vector<HandNode> kSharedChildren = {
+    {0, 1, 2}, {0, 3, 4}, {0, 3, 4}, {-1, 0, 0}, {-1, 0, 0}};
+
+/// `nodes` internal nodes each sending both children to the next node,
+/// then one leaf.
+std::vector<HandNode> DoubledChain(int nodes) {
+  std::vector<HandNode> chain;
+  for (int i = 0; i + 1 < nodes; ++i) chain.push_back({0, i + 1, i + 1});
+  chain.push_back({-1, 0, 0});
+  return chain;
+}
+
+/// A GBDT payload ('classifier' section body) of `trees` copies of `nodes`
+/// over `features` features with one cut each. `declared_nodes` overrides
+/// the per-tree node count field.
+std::vector<uint8_t> GbdtBytes(int features, int trees,
+                               const std::vector<HandNode>& nodes,
+                               uint64_t declared_nodes = ~uint64_t{0}) {
+  serialize::ByteWriter w;
+  w.WriteI32(10);    // num_iterations
+  w.WriteF64(0.1);   // learning_rate
+  w.WriteI32(7);     // num_leaves
+  w.WriteI32(8);     // max_depth
+  w.WriteI32(16);    // max_bins
+  w.WriteF64(1.0);   // lambda_l2
+  w.WriteF64(1e-3);  // min_child_hessian
+  w.WriteF64(1.0);   // feature_fraction
+  w.WriteF64(1.0);   // bagging_fraction
+  w.WriteU64(1);     // seed
+  w.WriteI32(features);
+  w.WriteF64(0.0);  // base_score
+  w.WriteU64(static_cast<uint64_t>(features));
+  for (int f = 0; f < features; ++f) w.WriteF32Vector({0.5f});
+  w.WriteU64(static_cast<uint64_t>(trees));
+  for (int t = 0; t < trees; ++t) {
+    w.WriteU64(declared_nodes != ~uint64_t{0} ? declared_nodes
+                                              : nodes.size());
+    for (const HandNode& node : nodes) {
+      w.WriteI32(node.feature);
+      w.WriteI32(1);  // bin_threshold
+      w.WriteI32(node.left);
+      w.WriteI32(node.right);
+      w.WriteF64(0.125);
+    }
+  }
+  w.WriteF64Vector(std::vector<double>(static_cast<size_t>(features), 0.0));
+  w.WriteF64Vector({});  // training_loss
+  return w.TakeBytes();
+}
+
+void WriteTree(int features, const std::vector<HandNode>& nodes,
+               serialize::ByteWriter* w) {
+  w->WriteF64(1.0);    // max_features_fraction
+  w->WriteBool(false);  // max_features_sqrt
+  w->WriteF64(0.0);    // min_weight_fraction
+  w->WriteI32(0);      // max_depth
+  w->WriteU64(1);      // seed
+  w->WriteI32(features);
+  w->WriteF64(1.0);  // total_weight
+  w->WriteI32(1);    // depth
+  w->WriteU64(nodes.size());
+  for (const HandNode& node : nodes) {
+    w->WriteI32(node.feature);
+    w->WriteF32(0.5f);  // threshold
+    w->WriteI32(node.left);
+    w->WriteI32(node.right);
+    w->WriteF32(0.25f);  // prob
+  }
+  w->WriteF64Vector(std::vector<double>(static_cast<size_t>(features), 0.0));
+}
+
+std::vector<uint8_t> TreeBytes(int features,
+                               const std::vector<HandNode>& nodes) {
+  serialize::ByteWriter w;
+  WriteTree(features, nodes, &w);
+  return w.TakeBytes();
+}
+
+/// A random-forest payload of `trees` copies of `nodes`; each tree claims
+/// `tree_features` features, the forest `features`.
+std::vector<uint8_t> ForestBytes(int features, int tree_features, int trees,
+                                 const std::vector<HandNode>& nodes) {
+  serialize::ByteWriter w;
+  w.WriteI32(trees > 0 ? trees : 1);  // num_trees config
+  w.WriteF64(0.0);                    // min_weight_fraction
+  w.WriteI32(0);                      // max_depth
+  w.WriteBool(true);                  // bootstrap
+  w.WriteU64(1);                      // seed
+  w.WriteI32(features);
+  w.WriteU64(static_cast<uint64_t>(trees));
+  for (int t = 0; t < trees; ++t) WriteTree(tree_features, nodes, &w);
+  return w.TakeBytes();
+}
+
+TEST_F(SerializeSectionTest, HostileClassifierSectionsAreRefusedByName) {
+  const int dim = 8;
+  struct Case {
+    ModelKind model;
+    const char* what;
+    std::vector<uint8_t> classifier;
+    const char* error;  ///< nullptr: a well-formed control that loads
+  };
+  std::vector<Case> cases = {
+      {ModelKind::kGbdt, "gbdt stump", GbdtBytes(dim, 2, kStump), nullptr},
+      {ModelKind::kGbdt, "gbdt without trees", GbdtBytes(dim, 0, kStump),
+       "gbdt has no trees"},
+      {ModelKind::kGbdt, "gbdt tree without nodes", GbdtBytes(dim, 1, {}),
+       "gbdt node count out of range"},
+      {ModelKind::kGbdt, "gbdt node count beyond the payload",
+       GbdtBytes(dim, 1, kStump, uint64_t{1} << 27),
+       "gbdt node count out of range"},
+      {ModelKind::kGbdt, "gbdt doubled chain",
+       GbdtBytes(dim, 1, DoubledChain(21)),
+       "gbdt node graph has a shared child"},
+      {ModelKind::kGbdt, "gbdt shared children",
+       GbdtBytes(dim, 1, kSharedChildren),
+       "gbdt node graph has a shared child"},
+      {ModelKind::kTree, "tree stump", TreeBytes(dim, kStump), nullptr},
+      {ModelKind::kTree, "tree without nodes", TreeBytes(dim, {}),
+       "tree has no nodes"},
+      {ModelKind::kTree, "tree doubled chain",
+       TreeBytes(dim, DoubledChain(21)), "tree node graph has a shared child"},
+      {ModelKind::kTree, "tree shared children",
+       TreeBytes(dim, kSharedChildren), "tree node graph has a shared child"},
+  };
+  for (ModelKind forest : {ModelKind::kRfRaw, ModelKind::kRfF1,
+                           ModelKind::kRfF2}) {
+    cases.push_back({forest, "forest of stumps",
+                     ForestBytes(dim, dim, 3, kStump), nullptr});
+    cases.push_back({forest, "forest without trees",
+                     ForestBytes(dim, dim, 0, kStump), "forest has no trees"});
+    cases.push_back({forest, "forest tree without nodes",
+                     ForestBytes(dim, dim, 2, {}), "tree has no nodes"});
+    cases.push_back({forest, "forest doubled chain",
+                     ForestBytes(dim, dim, 2, DoubledChain(21)),
+                     "tree node graph has a shared child"});
+    cases.push_back({forest, "forest shared children",
+                     ForestBytes(dim, dim, 2, kSharedChildren),
+                     "tree node graph has a shared child"});
+    cases.push_back({forest, "forest tree wider than the forest",
+                     ForestBytes(dim, dim + 1, 2, kStump),
+                     "forest tree feature count does not match the forest"});
+  }
+  const std::vector<uint8_t> pristine = payload_;
+  for (const Case& c : cases) {
+    payload_ = pristine;
+    WriteU32At(&payload_, 0, static_cast<uint32_t>(c.model));
+    ReplaceSectionBody(3, c.classifier);
+    std::unique_ptr<serialize::ForecastBundle> bundle;
+    std::string error = LoadPatched(&bundle);
+    const std::string label =
+        std::string(ModelName(c.model)) + " / " + c.what;
+    if (c.error == nullptr) {
+      ASSERT_EQ(error, "") << label;
+      ASSERT_NE(bundle->flat, nullptr) << label;
+      EXPECT_TRUE(*bundle->flat ==
+                  ml::FlatForest::Compile(*bundle->classifier))
+          << label;
+      continue;
+    }
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << label << ": " << error;
+  }
 }
 
 }  // namespace
