@@ -90,9 +90,8 @@ void AdaptationController::AttachTaps(
     if (chain_row) chain_row(sector, hour, row, channels);
   };
   auto chain_predict = std::move(options->predict_tee);
-  options->predict_tee = [this, chain_predict](
-                             int end_day, int target_day,
-                             const Tensor3<float>& windows) {
+  options->predict_tee = [this, chain_predict](int end_day, int target_day,
+                                               const WindowBatch& windows) {
     OnPredictTee(end_day, target_day, windows);
     if (chain_predict) chain_predict(end_day, target_day, windows);
   };
@@ -118,12 +117,20 @@ void AdaptationController::OnFeatureRow(int sector, int hour,
 }
 
 void AdaptationController::OnPredictTee(int end_day, int target_day,
-                                        const Tensor3<float>& windows) {
+                                        const WindowBatch& windows) {
   if (!shadow_active_.load(std::memory_order_acquire)) return;
   ShadowWork work;
   work.end_day = end_day;
   work.target_day = target_day;
-  work.windows = windows;  // deep copy: the pipeline owns the original
+  // Deep copy: the view reads the pipeline's engine, which moves on.
+  const size_t window_floats = static_cast<size_t>(windows.hours) *
+                               static_cast<size_t>(windows.channels);
+  work.windows = Tensor3<float>(windows.count, windows.hours,
+                                windows.channels);
+  for (int i = 0; i < windows.count; ++i) {
+    std::copy(windows.Window(i), windows.Window(i) + window_floats,
+              work.windows.data().data() + i * window_floats);
+  }
   if (options_.shadow_blocking) {
     shadow_queue_.Push(std::move(work));
   } else if (!shadow_queue_.TryPush(work)) {

@@ -192,8 +192,7 @@ class AdaptationController {
 
   // Tap bodies (hot paths; see AttachTaps).
   void OnFeatureRow(int sector, int hour, const float* row, int channels);
-  void OnPredictTee(int end_day, int target_day,
-                    const Tensor3<float>& windows);
+  void OnPredictTee(int end_day, int target_day, const WindowBatch& windows);
   void OnPrediction(const StreamingPrediction& prediction);
   void OnOutcome(int day, const std::vector<float>& labels);
 

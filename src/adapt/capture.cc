@@ -48,15 +48,17 @@ bool FeatureCapture::Snapshot(int min_days, TrainingSlice* out) const {
   std::lock_guard<std::mutex> lock(mutex_);
   // The span every sector still holds: ends at the slowest sector's
   // frontier, starts where the fastest sector's ring began overwriting.
-  // Frontiers advance in whole weeks (rows finalize at week close), so
-  // both bounds are already day-aligned.
-  const int end_hour =
+  // Rows arrive a week at a time per sector, but a snapshot can land
+  // while a sector is part-way through its week, so both bounds round
+  // inward to whole days.
+  const int min_frontier =
       *std::min_element(frontier_hours_.begin(), frontier_hours_.end());
   const int max_frontier =
       *std::max_element(frontier_hours_.begin(), frontier_hours_.end());
-  const int begin_hour = std::max(0, max_frontier - capture_hours_);
-  HOTSPOT_CHECK_EQ(begin_hour % kHoursPerDay, 0);
-  HOTSPOT_CHECK_EQ(end_hour % kHoursPerDay, 0);
+  const int end_hour = min_frontier / kHoursPerDay * kHoursPerDay;
+  const int begin_hour =
+      (std::max(0, max_frontier - capture_hours_) + kHoursPerDay - 1) /
+      kHoursPerDay * kHoursPerDay;
   const int num_days = (end_hour - begin_hour) / kHoursPerDay;
   if (num_days < min_days) return false;
 

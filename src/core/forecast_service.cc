@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "features/window.h"
 #include "obs/pipeline_context.h"
+#include "tensor/temporal.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -37,11 +37,13 @@ std::shared_ptr<ForecastService::ServingState> ForecastService::BuildState(
     return nullptr;
   }
   auto state = std::make_shared<ServingState>();
+  // Raw-window models keep extractor null: RawExtractor's output is the
+  // window itself, 24·w·channels floats.
+  int feature_dim = kHoursPerDay * bundle->window_days * bundle->num_channels;
   switch (bundle->model) {
     case ModelKind::kTree:
     case ModelKind::kRfRaw:
     case ModelKind::kGbdt:
-      state->extractor = &raw_extractor_;
       break;
     case ModelKind::kRfF1:
       state->extractor = &percentile_extractor_;
@@ -53,9 +55,11 @@ std::shared_ptr<ForecastService::ServingState> ForecastService::BuildState(
       *error = "bundle model is not a servable classifier";
       return nullptr;
   }
-  if (state->extractor->OutputDim(bundle->window_days,
-                                  bundle->num_channels) !=
-      bundle->feature_dim) {
+  if (state->extractor != nullptr) {
+    feature_dim = state->extractor->OutputDim(bundle->window_days,
+                                              bundle->num_channels);
+  }
+  if (feature_dim != bundle->feature_dim) {
     *error = "bundle feature_dim does not match its extractor";
     return nullptr;
   }
@@ -212,13 +216,30 @@ serialize::Status ForecastService::Load(
   return serialize::Status::Ok();
 }
 
-std::vector<float> ForecastService::ScoreBatch(
-    const ServingState& serving, int n,
-    const std::function<Matrix<float>(int)>& window_of) const {
-  const serialize::ForecastBundle& bundle = *serving.bundle;
+std::vector<float> ForecastService::Predict(
+    const WindowBatch& windows, uint64_t* served_generation) const {
+  HOTSPOT_CHECK_EQ(windows.hours, window_hours());
+  HOTSPOT_CHECK_EQ(windows.channels, num_channels_);
+  const int n = windows.count;
+  const size_t window_floats = static_cast<size_t>(windows.hours) *
+                               static_cast<size_t>(windows.channels);
+  // The kernel takes an int stride; windows may not overlap.
+  HOTSPOT_CHECK(windows.stride >= window_floats &&
+                windows.stride <= static_cast<size_t>(INT32_MAX));
+  HOTSPOT_SPAN("serve/predict");
+  Stopwatch watch;
+  // The batch's one snapshot: everything below reads this state, so the
+  // whole batch is served by one generation even while a promotion lands.
+  std::shared_ptr<const ServingState> serving = state();
+  if (served_generation != nullptr) *served_generation = serving->generation;
+  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
+    ctx->metrics().counter("serve/requests").Increment();
+    ctx->metrics().counter("serve/windows").Add(static_cast<uint64_t>(n));
+  }
+  const features::FeatureExtractor* extractor = serving->extractor;
+  const ml::FlatForest& flat = *serving->bundle->flat;
+  const int dim = serving->bundle->feature_dim;
   std::vector<float> scores(static_cast<size_t>(n));
-  const ml::FlatForest& flat = *bundle.flat;
-  const int dim = bundle.feature_dim;
   // 16 rows where the AVX-512 kernel is live, 8 otherwise; `out` is sized
   // for the wider block.
   const int block = ml::flat_detail::SimdBlockRows();
@@ -229,82 +250,53 @@ std::vector<float> ForecastService::ScoreBatch(
   util::ParallelFor(0, num_blocks, [&](int64_t b64) {
     const int begin = static_cast<int>(b64) * block;
     const int count = std::min(block, n - begin);
-    Matrix<float> rows(count, dim);
-    std::vector<float> row;
-    for (int r = 0; r < count; ++r) {
-      Matrix<float> window = window_of(begin + r);
-      serving.extractor->Extract(window, &row);
-      HOTSPOT_CHECK_EQ(static_cast<int>(row.size()), bundle.feature_dim);
-      std::copy(row.begin(), row.end(), rows.Row(r));
-    }
     double out[2 * ml::flat_detail::kBlockRows];
-    flat.PredictBatch(rows.Row(0), count, dim, out);
+    if (extractor == nullptr) {
+      // The window is the feature row: the kernel reads it in place.
+      flat.PredictBatch(windows.Window(begin), count,
+                        static_cast<int>(windows.stride), out);
+    } else {
+      Matrix<float> window(windows.hours, windows.channels);
+      Matrix<float> rows(count, dim);
+      std::vector<float> row;
+      for (int r = 0; r < count; ++r) {
+        const float* src = windows.Window(begin + r);
+        std::copy(src, src + window_floats, window.Row(0));
+        extractor->Extract(window, &row);
+        HOTSPOT_CHECK_EQ(static_cast<int>(row.size()), dim);
+        std::copy(row.begin(), row.end(), rows.Row(r));
+      }
+      flat.PredictBatch(rows.Row(0), count, dim, out);
+    }
     for (int r = 0; r < count; ++r) {
       scores[static_cast<size_t>(begin + r)] = static_cast<float>(out[r]);
     }
   });
+  const double seconds = watch.ElapsedSeconds();
+  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
+    ctx->metrics()
+        .histogram("serve/latency_seconds", obs::DefaultLatencySeconds())
+        .Observe(seconds);
+  }
+  if (serving->monitor != nullptr) {
+    serving->monitor->ObserveBatch(windows, scores, seconds);
+  }
   return scores;
 }
 
 std::vector<float> ForecastService::Predict(
     const Tensor3<float>& windows, uint64_t* served_generation) const {
-  HOTSPOT_CHECK_EQ(windows.dim1(), window_hours());
-  HOTSPOT_CHECK_EQ(windows.dim2(), num_channels_);
-  HOTSPOT_SPAN("serve/predict");
-  Stopwatch watch;
-  // The batch's one snapshot: everything below reads this state, so the
-  // whole batch is served by one generation even while a promotion lands.
-  std::shared_ptr<const ServingState> serving = state();
-  if (served_generation != nullptr) *served_generation = serving->generation;
-  const int n = windows.dim0();
-  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-    ctx->metrics().counter("serve/requests").Increment();
-    ctx->metrics().counter("serve/windows").Add(static_cast<uint64_t>(n));
-  }
-  std::vector<float> scores = ScoreBatch(*serving, n, [&](int i) {
-    return windows.SectorSlab(i, 0, windows.dim1());
-  });
-  const double seconds = watch.ElapsedSeconds();
-  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-    ctx->metrics()
-        .histogram("serve/latency_seconds", obs::DefaultLatencySeconds())
-        .Observe(seconds);
-  }
-  if (serving->monitor != nullptr) {
-    serving->monitor->ObserveBatch(windows, 0, windows.dim1(), scores,
-                                   seconds);
-  }
-  return scores;
+  return Predict(WindowBatch::Of(windows, 0, windows.dim1()),
+                 served_generation);
 }
 
 std::vector<float> ForecastService::PredictAtDay(
     const features::FeatureTensor& features, int end_day,
     uint64_t* served_generation) const {
-  HOTSPOT_CHECK_EQ(features.num_channels(), num_channels_);
-  HOTSPOT_SPAN("serve/predict");
-  Stopwatch watch;
-  std::shared_ptr<const ServingState> serving = state();
-  if (served_generation != nullptr) *served_generation = serving->generation;
-  const int n = features.num_sectors();
-  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-    ctx->metrics().counter("serve/requests").Increment();
-    ctx->metrics().counter("serve/windows").Add(static_cast<uint64_t>(n));
-  }
-  std::vector<float> scores = ScoreBatch(*serving, n, [&](int i) {
-    return features::ExtractWindow(features, i, end_day, window_days_);
-  });
-  const double seconds = watch.ElapsedSeconds();
-  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-    ctx->metrics()
-        .histogram("serve/latency_seconds", obs::DefaultLatencySeconds())
-        .Observe(seconds);
-  }
-  if (serving->monitor != nullptr) {
-    serving->monitor->ObserveBatch(features.tensor(),
-                                   24 * (end_day - window_days_),
-                                   24 * end_day, scores, seconds);
-  }
-  return scores;
+  return Predict(WindowBatch::Of(features.tensor(),
+                                 kHoursPerDay * (end_day - window_days_),
+                                 kHoursPerDay * end_day),
+                 served_generation);
 }
 
 }  // namespace hotspot

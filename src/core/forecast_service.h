@@ -2,7 +2,6 @@
 #define HOTSPOT_CORE_FORECAST_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,6 +11,7 @@
 #include "monitor/monitor.h"
 #include "serialize/bundle.h"
 #include "tensor/tensor3.h"
+#include "tensor/window_batch.h"
 
 namespace hotspot {
 
@@ -20,15 +20,18 @@ namespace hotspot {
 /// lifetime — the deployment half of the train-offline / serve-online
 /// split the bundle format exists for.
 ///
-/// Serving reuses the training-time feature path (the extractor the
-/// bundle's model kind pins) on caller-provided windows, scores them with
-/// the classifier compiled into an ml::FlatForest — bitwise identical to
-/// the pointer-walking BinaryClassifier::PredictProba, which stays as the
-/// test oracle — through the thread pool (one row block per task,
-/// index-owned writes, so results are bitwise-independent of
-/// HOTSPOT_NUM_THREADS), and reports under the `serve/` observability
-/// namespace: counters serve/requests and serve/windows, spans serve/load
-/// and serve/predict, and the serve/latency_seconds histogram.
+/// Serving scores caller-provided windows — a WindowBatch view, read in
+/// place — with the classifier compiled into an ml::FlatForest, bitwise
+/// identical to the pointer-walking BinaryClassifier::PredictProba, which
+/// stays as the test oracle. For Tree, RF-R and GBDT bundles the window
+/// is itself the feature row (RawExtractor's output), so the kernel reads
+/// the view's rows where they lie; RF-F1 and RF-F2 bundles copy each
+/// window out for their extractor, the training-time feature path. Work
+/// runs through the thread pool (one row block per task, index-owned
+/// writes, so results are bitwise-independent of HOTSPOT_NUM_THREADS),
+/// and reports under the `serve/` observability namespace: counters
+/// serve/requests and serve/windows, spans serve/load and serve/predict,
+/// and the serve/latency_seconds histogram.
 ///
 /// When the bundle carries monitoring fingerprints, the service also
 /// runs an online ServingMonitor: every Predict batch feeds
@@ -65,17 +68,23 @@ class ForecastService {
   static serialize::Status Load(const std::string& path,
                                 std::unique_ptr<ForecastService>* service);
 
-  /// Scores one batch of sector windows. `windows` is a
-  /// sectors x (24·window_days) x channels tensor — each sector's slab is
-  /// the X_{i, t−w : t, :} slice of Eq. 6 — and the result is one hot-spot
-  /// score per sector for day t+h. When `served_generation` is non-null it
-  /// receives the generation tag of the bundle that scored this batch —
-  /// the whole batch, every row (batches never straddle a swap).
+  /// Scores one batch of sector windows, read in place: each window is
+  /// the X_{i, t−w : t, :} slice of Eq. 6 (window_hours() rows of
+  /// num_channels() floats), and the result is one hot-spot score per
+  /// sector for day t+h. When `served_generation` is non-null it receives
+  /// the generation tag of the bundle that scored this batch — the whole
+  /// batch, every row (batches never straddle a swap). The serving core:
+  /// the overloads below are views onto it.
+  std::vector<float> Predict(const WindowBatch& windows,
+                             uint64_t* served_generation = nullptr) const;
+
+  /// Scores a sectors x (24·window_days) x channels tensor of windows.
   std::vector<float> Predict(const Tensor3<float>& windows,
                              uint64_t* served_generation = nullptr) const;
 
   /// Convenience for callers that hold a full feature tensor: scores the
-  /// windows ending at `end_day` for every sector.
+  /// windows ending at `end_day` for every sector, read from the tensor
+  /// itself (stride num_hours × channels).
   std::vector<float> PredictAtDay(const features::FeatureTensor& features,
                                   int end_day,
                                   uint64_t* served_generation = nullptr) const;
@@ -151,6 +160,8 @@ class ForecastService {
   /// consistent view of all four.
   struct ServingState {
     std::shared_ptr<serialize::ForecastBundle> bundle;
+    /// Null for raw-window models (Tree, RF-R, GBDT): the window is the
+    /// feature row, scored in place.
     const features::FeatureExtractor* extractor = nullptr;
     std::shared_ptr<monitor::ServingMonitor> monitor;
     uint64_t generation = 0;
@@ -174,15 +185,6 @@ class ForecastService {
     state_ = std::move(next);
   }
 
-  /// Shared batch core: extracts the feature row of each of `n` sectors
-  /// with `window_of` and scores them through the flat forest in blocks of
-  /// the kernel's preferred width (extract + PredictBatch per block, one
-  /// block per thread-pool task). scores[i] depends on sector i only, so
-  /// results are bitwise-independent of HOTSPOT_NUM_THREADS.
-  std::vector<float> ScoreBatch(
-      const ServingState& serving, int n,
-      const std::function<Matrix<float>(int)>& window_of) const;
-
   /// The RCU publication point: readers snapshot the pointer once per
   /// batch, writers (PromoteBundle, monitoring toggles — serialized by
   /// `swap_mutex_`) publish a fresh immutable state. The cell is a
@@ -204,7 +206,6 @@ class ForecastService {
   int horizon_days_ = 0;
   int num_channels_ = 0;
 
-  features::RawExtractor raw_extractor_;
   features::DailyPercentileExtractor percentile_extractor_;
   features::HandcraftedExtractor handcrafted_extractor_;
 };

@@ -30,17 +30,16 @@ struct StreamingPrediction {
   uint64_t born_ns = 0;
 };
 
-/// Cuts the per-sector serving windows (Eq. 6) ending at `end_day` out of
-/// the engine's finalized history into a sectors x window_hours x channels
-/// tensor — the exact input ForecastService::Predict scores. Fans out over
-/// the thread pool; sector i only writes its own slab, so the assembled
-/// tensor is bitwise-independent of the thread count. The span
-/// [24*end_day - window_hours, 24*end_day) must be finalized and within
-/// the engine's retention for every sector.
+/// Copies the per-sector serving windows (Eq. 6) ending at `end_day` out
+/// of the engine's finalized history into a sectors x window_hours x
+/// channels tensor. Fans out over the thread pool; sector i only writes
+/// its own slab, so the assembled tensor is bitwise-independent of the
+/// thread count. The span [24*end_day - window_hours, 24*end_day) must be
+/// finalized and within the engine's retention for every sector.
 ///
-/// The pipeline::ServingPipeline's window-assembly primitive —
-/// one implementation shared with direct callers (tests, tools) is what
-/// keeps streamed and batch scores bitwise-identical by construction.
+/// The owning counterpart of IncrementalFeatureEngine::ServingWindows,
+/// which ServingPipeline scores in place: for callers that must keep the
+/// windows, or cut any window length without a mirrored history.
 Tensor3<float> AssembleServingWindows(
     const stream::IncrementalFeatureEngine& engine, int window_hours,
     int end_day);

@@ -150,6 +150,10 @@ Gbdt::Gbdt(const GbdtConfig& config) : config_(config) {
   HOTSPOT_CHECK_GT(config.num_iterations, 0);
   HOTSPOT_CHECK_GT(config.learning_rate, 0.0);
   HOTSPOT_CHECK_GE(config.num_leaves, 2);
+  // A split may not leave a child empty; with a floor of 0 (or NaN, which
+  // no comparison trips) an empty child would pass the hessian test.
+  HOTSPOT_CHECK(config.min_child_hessian > 0.0)
+      << "min_child_hessian must be > 0, got " << config.min_child_hessian;
   HOTSPOT_CHECK(config.feature_fraction > 0.0 &&
                 config.feature_fraction <= 1.0);
   HOTSPOT_CHECK(config.bagging_fraction > 0.0 &&

@@ -75,19 +75,17 @@ ServingMonitor::ServingMonitor(const BundleFingerprints* fingerprints,
   }
 }
 
-void ServingMonitor::ObserveBatch(const Tensor3<float>& tensor,
-                                  int hour_begin, int hour_end,
+void ServingMonitor::ObserveBatch(const WindowBatch& windows,
                                   const std::vector<float>& scores,
                                   double latency_seconds) {
-  HOTSPOT_CHECK(hour_begin >= 0 && hour_end <= tensor.dim1() &&
-                hour_begin < hour_end);
-  HOTSPOT_CHECK_EQ(tensor.dim2(), drift_.num_channels());
+  HOTSPOT_CHECK_GT(windows.hours, 0);
+  HOTSPOT_CHECK_EQ(windows.channels, drift_.num_channels());
   const int sectors =
-      std::min(tensor.dim0(), static_cast<int>(scores.size()));
-  // Sample the freshest day (or the whole span when shorter), at a
+      std::min(windows.count, static_cast<int>(scores.size()));
+  // Sample the freshest day (or the whole window when shorter), at a
   // deterministic stride — no RNG, so monitoring stays reproducible.
-  const int span_begin = std::max(hour_begin, hour_end - 24);
-  const int span = hour_end - span_begin;
+  const int span_begin = std::max(0, windows.hours - 24);
+  const int span = windows.hours - span_begin;
   int samples = std::min(config_.input_sample_hours, span);
   // Per-batch observation budget: refresh at most a quarter of the
   // rolling window per batch. Refilling the whole window every batch
@@ -118,7 +116,7 @@ void ServingMonitor::ObserveBatch(const Tensor3<float>& tensor,
           span_begin +
           static_cast<int>((static_cast<int64_t>(s) * sectors + i) * span /
                            (static_cast<int64_t>(samples) * sectors));
-      const float* values = tensor.Slice(i, j);
+      const float* values = windows.Row(i, j);
       for (int k : monitored_channels_) {
         drift_.ObserveInput(k, values[k]);
       }

@@ -9,7 +9,7 @@
 #include "monitor/health.h"
 #include "monitor/quality.h"
 #include "obs/metrics.h"
-#include "tensor/tensor3.h"
+#include "tensor/window_batch.h"
 
 namespace hotspot::monitor {
 
@@ -66,12 +66,10 @@ class ServingMonitor {
   ServingMonitor& operator=(const ServingMonitor&) = delete;
 
   /// Records one served batch: strided input samples from the freshest
-  /// day of each sector's window (tensor hours [hour_begin, hour_end) are
-  /// the served window span), the predicted scores, and the batch
-  /// latency. `tensor` holds one sector per dim0 entry matching `scores`.
-  void ObserveBatch(const Tensor3<float>& tensor, int hour_begin,
-                    int hour_end, const std::vector<float>& scores,
-                    double latency_seconds);
+  /// day of each sector's window, the predicted scores, and the batch
+  /// latency. `windows` holds one sector per window, matching `scores`.
+  void ObserveBatch(const WindowBatch& windows,
+                    const std::vector<float>& scores, double latency_seconds);
 
   /// Feeds matured ground-truth labels back (same ordering contract as
   /// Predict: scores[i] and labels[i] belong to the same sector/day).

@@ -1,6 +1,7 @@
 #ifndef HOTSPOT_PIPELINE_BOUNDED_QUEUE_H_
 #define HOTSPOT_PIPELINE_BOUNDED_QUEUE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -75,13 +76,7 @@ class BoundedQueue {
               .count();
     }
     if (closed_) return false;
-    items_.push_back(std::move(item));
-    ++pushed_;
-    if (static_cast<int>(items_.size()) > high_water_) {
-      high_water_ = static_cast<int>(items_.size());
-    }
-    lock.unlock();
-    not_empty_.notify_one();
+    Enqueue(std::move(lock), std::move(item));
     return true;
   }
 
@@ -93,13 +88,7 @@ class BoundedQueue {
   bool TryPush(T& item) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (closed_ || static_cast<int>(items_.size()) >= capacity_) return false;
-    items_.push_back(std::move(item));
-    ++pushed_;
-    if (static_cast<int>(items_.size()) > high_water_) {
-      high_water_ = static_cast<int>(items_.size());
-    }
-    lock.unlock();
-    not_empty_.notify_one();
+    Enqueue(std::move(lock), std::move(item));
     return true;
   }
 
@@ -155,6 +144,16 @@ class BoundedQueue {
   }
 
  private:
+  /// The one enqueue path: appends under the caller's lock, books the
+  /// push and the high-water mark, then wakes the consumer unlocked.
+  void Enqueue(std::unique_lock<std::mutex> lock, T&& item) {
+    items_.push_back(std::move(item));
+    ++pushed_;
+    high_water_ = std::max(high_water_, static_cast<int>(items_.size()));
+    lock.unlock();
+    not_empty_.notify_one();
+  }
+
   const int capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;

@@ -59,7 +59,7 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   HOTSPOT_CHECK_GT(options_.num_kpis, 0);
   HOTSPOT_CHECK(options_.calendar != nullptr);
   HOTSPOT_CHECK_GE(options_.row_block_rows, 1);
-  window_hours_ = service_->window_hours();
+  const int window_hours = service_->window_hours();
   horizon_days_ = service_->horizon_days();
 
   stream::FeatureEngineConfig feature_config;
@@ -69,6 +69,7 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   feature_config.score =
       options_.score.value_or(service_->bundle_snapshot()->score);
   feature_config.history_weeks = options_.history_weeks;
+  feature_config.window_hours = window_hours;
   engine_ =
       std::make_unique<stream::IncrementalFeatureEngine>(feature_config);
   HOTSPOT_CHECK_EQ(engine_->channels(), service_->num_channels());
@@ -79,7 +80,7 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   // the frontier can run up to one week past the last served day, so
   // retention needs the window plus that slack (the runner's check).
   HOTSPOT_CHECK_GE(engine_->history_hours(),
-                   window_hours_ + kHoursPerWeek);
+                   window_hours + kHoursPerWeek);
 
   stream::IngestorConfig ingest_config;
   ingest_config.num_sectors = options_.num_sectors;
@@ -288,11 +289,7 @@ void ServingPipeline::ServeReady(uint64_t now) {
     // Batches opened by the same consumed rows share the oldest
     // contributing stamp — residency measures worst-case row age.
     prediction.born_ns = pending_serve_born_ns_;
-    Tensor3<float> windows;
-    {
-      HOTSPOT_SPAN("pipeline/assemble");
-      windows = AssembleServingWindows(*engine_, window_hours_, end_day);
-    }
+    const WindowBatch windows = engine_->ServingWindows(end_day);
     next_end_day_.store(++end_day, std::memory_order_relaxed);
     now = EndPhase(kFeatures, now, 0, 1);
 

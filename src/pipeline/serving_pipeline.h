@@ -57,7 +57,8 @@ struct RowBlock {
 ///       ingest    reorder/dedup/gap-fill (KpiStreamIngestor)
 ///       features  incremental Eq.1/2 features (IncrementalFeatureEngine)
 ///     then for every end-day the block made servable, in order:
-///       predict   window assembly, ForecastService::Predict (pool fan-out)
+///       predict   ForecastService::Predict over the engine's rows, in
+///                 place (pool fan-out)
 ///       monitor   delivery; matured labels → RecordOutcomes
 ///
 /// The ingress queue is a BoundedQueue and the only place the pipeline
@@ -72,8 +73,10 @@ struct RowBlock {
 ///
 /// Determinism: one consumer of a FIFO queue runs the phases as plain
 /// calls, so rows, windows and scores flow in the exact order of the
-/// direct-call path; the heavy work (window assembly, inference) fans out
-/// over the shared deterministic thread pool with index-owned writes.
+/// direct-call path; inference fans out over the shared deterministic
+/// thread pool with index-owned writes. A batch's windows are the
+/// engine's mirrored history rows (IncrementalFeatureEngine::
+/// ServingWindows), read in place — nothing is assembled per batch.
 /// Streamed scores are bitwise-identical to batch PredictAtDay at any
 /// HOTSPOT_NUM_THREADS and any queue bound — pinned by
 /// tests/pipeline_test.cc, slow-predict injection included.
@@ -134,13 +137,13 @@ class ServingPipeline {
     /// duration of the call.
     stream::FeatureRowSink feature_row_tap;
     /// Shadow-scoring tee: called on the worker for every prediction
-    /// batch BEFORE the champion scores it, with the assembled windows.
-    /// The windows are the pipeline's and valid only for the call — a
-    /// consumer that scores asynchronously must copy. Blocking here
-    /// backpressures the pipeline (deliberate: lossless shadow comparison
-    /// beats a fast one).
+    /// batch BEFORE the champion scores it, with the windows it scores.
+    /// The view reads the engine's history and is valid only for the
+    /// call — a consumer that scores asynchronously must copy. Blocking
+    /// here backpressures the pipeline (deliberate: lossless shadow
+    /// comparison beats a fast one).
     std::function<void(int end_day, int target_day,
-                       const Tensor3<float>& windows)>
+                       const WindowBatch& windows)>
         predict_tee;
     /// Champion-score tee: called on the worker for every served batch,
     /// like on_prediction — which the fleet reserves for its aggregation,
@@ -299,7 +302,6 @@ class ServingPipeline {
 
   ForecastService* service_;
   Options options_;
-  int window_hours_ = 0;
   // Cached serving-universe invariant (fixed across bundle promotions), so
   // the worker never dereferences the swappable bundle.
   int horizon_days_ = 0;

@@ -33,14 +33,18 @@ IncrementalFeatureEngine::IncrementalFeatureEngine(
   HOTSPOT_CHECK_EQ(config_.calendar->cols(), 5);
   HOTSPOT_CHECK_EQ(config_.score.num_indicators(), config_.num_kpis);
   HOTSPOT_CHECK_GE(config_.history_weeks, 1);
+  HOTSPOT_CHECK(config_.window_hours >= 0 &&
+                config_.window_hours <= history_hours())
+      << "window_hours " << config_.window_hours
+      << " must lie in [0, history_hours " << history_hours() << "]";
   sectors_.resize(static_cast<size_t>(config_.num_sectors));
+  ring_stride_ = static_cast<size_t>(history_hours() + config_.window_hours) *
+                 static_cast<size_t>(channels());
+  feature_history_.assign(sectors_.size() * ring_stride_, 0.0f);
   const size_t l = static_cast<size_t>(config_.num_kpis);
   for (SectorState& state : sectors_) {
     state.week_values.assign(static_cast<size_t>(kHoursPerWeek) * l, 0.0f);
     state.week_scores.assign(static_cast<size_t>(kHoursPerWeek), 0.0f);
-    state.feature_history.assign(static_cast<size_t>(history_hours()) *
-                                     static_cast<size_t>(channels()),
-                                 0.0f);
     state.label_history.assign(
         static_cast<size_t>(config_.history_weeks * kDaysPerWeek), 0.0f);
     state.recent_day_scores.assign(static_cast<size_t>(kRecentDays),
@@ -149,11 +153,11 @@ void IncrementalFeatureEngine::CloseWeek(int sector, SectorState* state,
   // ‖ up(S^w) ‖ up(Y^d).
   const int l = config_.num_kpis;
   const int ch = channels();
+  float* ring = Ring(sector);
   for (int h = 0; h < kHoursPerWeek; ++h) {
     const int hour = week * kHoursPerWeek + h;
-    float* row = state->feature_history.data() +
-                 static_cast<size_t>(hour % history_hours()) *
-                     static_cast<size_t>(ch);
+    const int slot = hour % history_hours();
+    float* row = ring + static_cast<size_t>(slot) * static_cast<size_t>(ch);
     const float* kpi = state->week_values.data() +
                        static_cast<size_t>(h) * static_cast<size_t>(l);
     int c = 0;
@@ -164,6 +168,12 @@ void IncrementalFeatureEngine::CloseWeek(int sector, SectorState* state,
     row[c++] = state->day_scores[h / kHoursPerDay];
     row[c++] = week_score;
     row[c++] = state->day_labels[h / kHoursPerDay];
+    // The mirror: a window that runs off the ring's end reads on here.
+    if (slot < config_.window_hours) {
+      std::memcpy(ring + static_cast<size_t>(history_hours() + slot) *
+                             static_cast<size_t>(ch),
+                  row, static_cast<size_t>(ch) * sizeof(float));
+    }
     if (row_sink_ != nullptr) row_sink_(sector, hour, row, ch);
   }
   state->finalized_hours = (week + 1) * kHoursPerWeek;
@@ -208,6 +218,28 @@ float IncrementalFeatureEngine::DailyLabel(int sector, int day) const {
   return state.label_history[static_cast<size_t>(day % history_days)];
 }
 
+WindowBatch IncrementalFeatureEngine::ServingWindows(int end_day) const {
+  const int window = config_.window_hours;
+  HOTSPOT_CHECK_GT(window, 0) << "ServingWindows needs a mirrored history";
+  const int first_hour = kHoursPerDay * end_day - window;
+  HOTSPOT_CHECK_GE(first_hour, 0);
+  // Every sector shares the slot arithmetic, so one offset serves all —
+  // provided no sector's frontier has left the span or overwritten it.
+  for (const SectorState& state : sectors_) {
+    HOTSPOT_CHECK_LE(first_hour + window, state.finalized_hours);
+    HOTSPOT_CHECK_GE(first_hour, state.finalized_hours - history_hours());
+  }
+  WindowBatch batch;
+  batch.data = feature_history_.data() +
+               static_cast<size_t>(first_hour % history_hours()) *
+                   static_cast<size_t>(channels());
+  batch.count = config_.num_sectors;
+  batch.hours = window;
+  batch.channels = channels();
+  batch.stride = ring_stride_;
+  return batch;
+}
+
 void IncrementalFeatureEngine::CopyFeatureRows(int sector, int first_hour,
                                                int num_hours,
                                                float* dst) const {
@@ -218,11 +250,10 @@ void IncrementalFeatureEngine::CopyFeatureRows(int sector, int first_hour,
   HOTSPOT_CHECK_LE(first_hour + num_hours, state.finalized_hours);
   HOTSPOT_CHECK_GE(first_hour, state.finalized_hours - history_hours());
   const size_t ch = static_cast<size_t>(channels());
+  const float* ring = Ring(sector);
   for (int h = 0; h < num_hours; ++h) {
-    const float* src = state.feature_history.data() +
-                       static_cast<size_t>((first_hour + h) %
-                                           history_hours()) *
-                           ch;
+    const float* src =
+        ring + static_cast<size_t>((first_hour + h) % history_hours()) * ch;
     std::memcpy(dst + static_cast<size_t>(h) * ch, src,
                 ch * sizeof(float));
   }

@@ -9,6 +9,7 @@
 #include "stream/kpi_stream.h"
 #include "tensor/matrix.h"
 #include "tensor/temporal.h"
+#include "tensor/window_batch.h"
 
 namespace hotspot::stream {
 
@@ -28,6 +29,12 @@ struct FeatureEngineConfig {
   /// weeks. Must cover the serving window plus at least one week of slack
   /// (ServingPipeline checks).
   int history_weeks = 8;
+  /// The served bundle's window, in hours (ForecastService::window_hours(),
+  /// which ServingPipeline passes). Rows landing in the history ring's
+  /// first `window_hours` slots are written a second time past its end,
+  /// so every window of this length is contiguous and ServingWindows()
+  /// hands it out in place. 0 = no mirror (CopyFeatureRows only).
+  int window_hours = 0;
 };
 
 /// Per-sector rolling summary the engine maintains as a byproduct of
@@ -68,11 +75,14 @@ using FeatureRowSink = std::function<void(int sector, int hour,
 /// enclosing day's and week's integrated scores (Eq. 2 upsampling), so an
 /// hour's vector is only final once hour 167 of its week has been
 /// consumed. Finalized rows land in a bounded per-sector history ring
-/// (history_weeks) that the serving runner cuts prediction windows from.
+/// (history_weeks). Every sector's ring sits in one allocation at a
+/// uniform stride, with its first window_hours slots mirrored past its
+/// end, so the serving windows of one end day are a strided view
+/// (ServingWindows) the predict kernel reads in place.
 ///
-/// Single-writer, like the ingestor. Reads (CopyFeatureRows, State) are
-/// safe from other threads only while no Consume is running — the pattern
-/// the runner's fan-out uses.
+/// Single-writer, like the ingestor. Reads (ServingWindows,
+/// CopyFeatureRows, State) are safe from other threads only while no
+/// Consume is running — the pattern the runner's fan-out uses.
 class IncrementalFeatureEngine {
  public:
   explicit IncrementalFeatureEngine(const FeatureEngineConfig& config);
@@ -114,6 +124,13 @@ class IncrementalFeatureEngine {
   /// window (Eq. 4 on the day's integrated score).
   float DailyLabel(int sector, int day) const;
 
+  /// The serving windows ending at day `end_day`, read in place: window
+  /// i holds sector i's rows [24·end_day − window_hours, 24·end_day)
+  /// (config().window_hours of them) — what CopyFeatureRows would copy
+  /// out. Requires the mirror (window_hours > 0) and the span finalized
+  /// and within history for every sector. Valid until the next Consume.
+  WindowBatch ServingWindows(int end_day) const;
+
   /// Copies `num_hours` finalized feature rows starting at `first_hour`
   /// into `dst` (num_hours x channels, row-major — one sector slab of the
   /// batch tensor). The span must be finalized and within history.
@@ -132,7 +149,6 @@ class IncrementalFeatureEngine {
     std::vector<float> week_scores;  ///< current week's hourly scores, 168
     float day_scores[kDaysPerWeek];  ///< closed days of the current week
     float day_labels[kDaysPerWeek];
-    std::vector<float> feature_history;  ///< history_hours x channels ring
     std::vector<float> label_history;    ///< history_days daily-label ring
     std::vector<float> recent_day_scores;  ///< last kRecentDays scores ring
     int consumed_hours = 0;
@@ -157,10 +173,24 @@ class IncrementalFeatureEngine {
 
   void CloseDay(int sector, SectorState* state, int day);
   void CloseWeek(int sector, SectorState* state, int week);
+  /// Sector `sector`'s history ring: history_hours() + window_hours slots
+  /// of channels() floats; hour h lives in slot h % history_hours(), and
+  /// slot history_hours() + s repeats slot s for s < window_hours.
+  float* Ring(int sector) {
+    return feature_history_.data() +
+           static_cast<size_t>(sector) * ring_stride_;
+  }
+  const float* Ring(int sector) const {
+    return feature_history_.data() +
+           static_cast<size_t>(sector) * ring_stride_;
+  }
 
   FeatureEngineConfig config_;
   FeatureRowSink row_sink_;
   std::vector<SectorState> sectors_;
+  /// Every sector's ring, one after another, ring_stride_ floats apart.
+  std::vector<float> feature_history_;
+  size_t ring_stride_ = 0;
   Counters counters_;
 };
 

@@ -259,6 +259,52 @@ TEST(FeatureCapture, SnapshotRebuildsBatchTrainingInputsBitwise) {
       capture.Snapshot(config.capture_weeks * kDaysPerWeek + 1, &slice));
 }
 
+TEST(FeatureCapture, SnapshotMidWeekRoundsInwardToWholeDays) {
+  // The engine emits a sector's rows a week at a time, and the retrain
+  // thread can snapshot while a sector is part-way through its week, off
+  // the day grid: the span every sector holds rounds inward to whole days.
+  const Study& study = ControlStudy();
+  const Tensor3<float>& batch = study.features.tensor();
+  adapt::CaptureConfig config;
+  config.num_sectors = 2;
+  config.num_kpis = study.network.num_kpis();
+  config.capture_weeks = 2;
+  adapt::FeatureCapture capture(config);
+  int frontier[2] = {0, 0};
+  auto feed = [&](int sector, int end_hour) {
+    for (int& j = frontier[sector]; j < end_hour; ++j) {
+      capture.OnRow(sector, j, batch.Slice(sector, j), batch.dim2());
+    }
+  };
+  auto expect_span = [&](int base_day, int num_days) {
+    adapt::TrainingSlice slice;
+    ASSERT_TRUE(capture.Snapshot(1, &slice));
+    EXPECT_EQ(slice.base_day, base_day);
+    ASSERT_EQ(slice.num_days, num_days);
+    const Tensor3<float>& rebuilt = slice.features.tensor();
+    for (int i = 0; i < 2; ++i) {
+      for (int j = 0; j < rebuilt.dim1(); ++j) {
+        ASSERT_EQ(std::memcmp(rebuilt.Slice(i, j),
+                              batch.Slice(i, base_day * kHoursPerDay + j),
+                              static_cast<size_t>(batch.dim2()) *
+                                  sizeof(float)),
+                  0)
+            << "sector " << i << " hour " << j;
+      }
+    }
+  };
+  // The slowest sector is 5 rows into its third week: the span ends at
+  // its last whole day (hour 336) and starts where the fastest sector's
+  // two-week ring begins (hour 168).
+  feed(0, 3 * kHoursPerWeek);
+  feed(1, 2 * kHoursPerWeek + 5);
+  expect_span(7, 7);
+  // The fastest sector is 5 rows into its fourth week: its ring now
+  // starts at hour 173, so the span starts at the next whole day.
+  feed(0, 3 * kHoursPerWeek + 5);
+  expect_span(8, 6);
+}
+
 // ---------------------------------------------------------------------------
 // Champion/challenger comparison
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // The sharded serving fleet's lockdown suite: shard-map routing
 // properties (total, stable, partitioning), fleet output bitwise-equal to
 // a single ForecastService over the whole universe for shard counts
-// 1/2/7 across the thread matrix, admission-control fault injection (a
-// stalled shard sheds only its own load while every other shard stays
-// bit-for-bit correct, with obs counters accounting for every offered
-// row), and the RCU hot-swap contract: a writer promoting bundles in a
-// tight loop while reader threads predict concurrently, every prediction
-// matching exactly one generation's expected output — no torn reads, no
-// drops — plus generation tags threaded through live fleet streams.
+// 1/2/7 across the thread matrix (also at the smallest history, whose
+// ring wraps under the served windows), admission-control fault
+// injection (a stalled shard sheds only its own load while every other
+// shard stays bit-for-bit correct, with obs counters accounting for
+// every offered row), and the RCU hot-swap contract: a writer promoting
+// bundles in a tight loop while reader threads predict concurrently,
+// every prediction matching exactly one generation's expected output —
+// no torn reads, no drops — plus generation tags threaded through live
+// fleet streams.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -282,6 +284,36 @@ TEST(ForecastFleet, BitwiseEqualSingleServiceAcrossShardCountsAndThreads) {
           ASSERT_EQ(generation, 0u) << tag;
         }
       }
+    });
+  }
+}
+
+TEST(ForecastFleet, SmallestHistoryWrapsTheRingBitwiseEqualAcrossThreads) {
+  // Two weeks of retention is the least a 3-day window admits, so every
+  // shard's history ring wraps and windows straddle its end into the
+  // mirror; a shard's rings share one allocation, so a read past one
+  // sector's mirror would land in the next sector's ring unseen by ASan.
+  // RF-R scores the rows in place and its trees split on many hours of
+  // the window, so a stale or foreign row shows in its scores.
+  const Study& study = SharedStudy();
+  ForecastConfig config;
+  config.model = ModelKind::kRfRaw;
+  config.t = 55;
+  config.h = 1;
+  config.w = 3;
+  config.forest.num_trees = 5;
+  std::unique_ptr<serialize::ForecastBundle> bundle =
+      study.MakeForecaster(TargetKind::kBeHotSpot).TrainBundle(config);
+  bundle->score = study.score_config;
+  const std::vector<std::vector<float>> batch = BatchScores(study, *bundle);
+  for (int num_shards : {1, 7}) {
+    testing_util::ForEachThreadCount([&](const std::string& threads) {
+      FleetOptions options = FleetOptionsFor(study, num_shards);
+      options.serving.history_weeks = 2;
+      ForecastFleet fleet(serialize::CloneBundle(*bundle), options);
+      ExpectFleetBitwiseEqualToBatch(
+          RunFleetServe(study, &fleet), batch, config.w,
+          "shards=" + std::to_string(num_shards) + " threads=" + threads);
     });
   }
 }

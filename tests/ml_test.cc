@@ -408,6 +408,16 @@ TEST(Gbdt, RespectsMaxDepthOne) {
   EXPECT_LT(Accuracy(model, data), 0.8);
 }
 
+TEST(GbdtDeathTest, RefusesNonPositiveOrNanMinChildHessian) {
+  // A floor of 0, or NaN (which no comparison trips), lets a split leave
+  // a child empty; the constructor refuses it by name.
+  for (double floor : {0.0, -1.0, std::nan("")}) {
+    GbdtConfig config;
+    config.min_child_hessian = floor;
+    EXPECT_DEATH(Gbdt{config}, "min_child_hessian must be > 0") << floor;
+  }
+}
+
 TEST(Sigmoid, StableAtExtremes) {
   EXPECT_NEAR(Sigmoid(0.0), 0.5, 1e-12);
   EXPECT_NEAR(Sigmoid(40.0), 1.0, 1e-12);

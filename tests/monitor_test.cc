@@ -269,7 +269,7 @@ TEST(HealthReport, JsonCarriesTheSchemaContract) {
   for (float& v : tensor.data()) v = static_cast<float>(rng.Gaussian());
   std::vector<float> scores(8, 0.5f);
   for (int batch = 0; batch < 8; ++batch) {
-    monitor.ObserveBatch(tensor, 0, 24, scores, 0.004);
+    monitor.ObserveBatch(WindowBatch::Of(tensor, 0, 24), scores, 0.004);
   }
   std::vector<float> labels(8, 0.0f);
   labels[0] = 1.0f;
@@ -314,7 +314,7 @@ TEST(HealthReport, LatencySloViolationsEscalate) {
   std::vector<float> scores(1, 0.5f);
   // 10 batches, 3 of which blow the 10 ms SLO: in-SLO 70 % < 95 % → DRIFT.
   for (int batch = 0; batch < 10; ++batch) {
-    monitor.ObserveBatch(tensor, 0, 24, scores,
+    monitor.ObserveBatch(WindowBatch::Of(tensor, 0, 24), scores,
                          batch < 3 ? 0.200 : 0.001);
   }
   monitor::HealthReport report = monitor.Report();
@@ -370,7 +370,7 @@ TEST(HealthReport, SubsidedDriftWalksDownTheLadderWithoutOscillating) {
       std::copy(values.begin(), values.end(), tensor.data().begin());
       // Scores stay in-distribution throughout: this test isolates the
       // input-drift ladder (constant scores would trip the score sketch).
-      monitor.ObserveBatch(tensor, 0, 24,
+      monitor.ObserveBatch(WindowBatch::Of(tensor, 0, 24),
                            GaussianSample(11, 0.5, 0.1, seed + 1000),
                            0.001);
     }

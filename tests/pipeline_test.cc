@@ -2,11 +2,13 @@
 // drain semantics, the ServingPipeline facade's bitwise parity with the
 // direct-call batch path at every thread-matrix count (slow-predict
 // injection included — ingress backpressure must engage without dropping
-// or reordering a single row), queue-bound edge cases (capacity 1 and
-// capacity beyond the stream length), drain-on-shutdown via the
-// destructor, FlushInput serving a quiet feed's ready batches, the
-// one-worker-thread architecture, and per-phase accounting landing in the
-// obs snapshot.
+// or reordering a single row — for every classifier kind, and at the
+// smallest history, whose ring wraps under the served windows),
+// queue-bound edge cases (capacity 1 and capacity beyond the stream
+// length), drain-on-shutdown via the destructor, FlushInput serving a
+// quiet feed's ready batches, the one-worker-thread architecture, and
+// per-phase accounting landing in the obs snapshot.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -15,6 +17,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +217,53 @@ TEST(ServingPipeline, BitwiseEqualBatchPredictAtDayAcrossThreads) {
                               "threads=" + threads);
   });
 }
+
+// Every classifier kind through the pipeline, one body instantiated per
+// kind: raw-window bundles (Tree, RF-R, GBDT) score the engine's rows in
+// place, RF-F1 and RF-F2 copy each window out for their extractor. Two
+// weeks is the least history a 3-day window admits (window plus a week
+// of frontier slack), so over the 9-week stream the ring wraps four
+// times and windows straddle its end into the mirror. Every sector's
+// ring shares one allocation: a read past one sector's mirror lands in
+// the next sector's ring, which only a memcmp can see.
+class EveryClassifierKind : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(EveryClassifierKind, StreamedBatchesBitwiseEqualPredictAtDay) {
+  const Study& study = SharedStudy();
+  ForecastConfig config;
+  config.model = GetParam();
+  config.t = 55;
+  config.h = 1;
+  config.w = 3;
+  config.forest.num_trees = 5;
+  config.gbdt.num_iterations = 10;
+  config.gbdt.num_leaves = 15;
+  config.gbdt.max_bins = 32;
+  std::unique_ptr<serialize::ForecastBundle> bundle =
+      study.MakeForecaster(TargetKind::kBeHotSpot).TrainBundle(config);
+  bundle->score = study.score_config;
+  ForecastService service(std::move(bundle));
+  const std::vector<std::vector<float>> batch = BatchScores(study, service);
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    ServingPipeline::Options options = OptionsFor(study);
+    options.history_weeks = 2;
+    std::vector<StreamingPrediction> served =
+        RunPipelineServe(study, &service, options);
+    ExpectBitwiseEqualToBatch(
+        served, batch, config.w,
+        std::string(ModelName(GetParam())) + " threads=" + threads);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServingPipeline, EveryClassifierKind,
+    ::testing::Values(ModelKind::kTree, ModelKind::kRfRaw, ModelKind::kRfF1,
+                      ModelKind::kRfF2, ModelKind::kGbdt),
+    [](const ::testing::TestParamInfo<ModelKind>& info) {
+      std::string name = ModelName(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(ServingPipeline, SlowPredictStageEngagesBackpressureWithoutLoss) {
   const Study& study = SharedStudy();

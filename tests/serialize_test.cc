@@ -935,10 +935,11 @@ std::vector<HandNode> DoubledChain(int nodes) {
 
 /// A GBDT payload ('classifier' section body) of `trees` copies of `nodes`
 /// over `features` features with one cut each. `declared_nodes` overrides
-/// the per-tree node count field.
+/// the per-tree node count field, `min_child_hessian` the config's.
 std::vector<uint8_t> GbdtBytes(int features, int trees,
                                const std::vector<HandNode>& nodes,
-                               uint64_t declared_nodes = ~uint64_t{0}) {
+                               uint64_t declared_nodes = ~uint64_t{0},
+                               double min_child_hessian = 1e-3) {
   serialize::ByteWriter w;
   w.WriteI32(10);    // num_iterations
   w.WriteF64(0.1);   // learning_rate
@@ -946,7 +947,7 @@ std::vector<uint8_t> GbdtBytes(int features, int trees,
   w.WriteI32(8);     // max_depth
   w.WriteI32(16);    // max_bins
   w.WriteF64(1.0);   // lambda_l2
-  w.WriteF64(1e-3);  // min_child_hessian
+  w.WriteF64(min_child_hessian);
   w.WriteF64(1.0);   // feature_fraction
   w.WriteF64(1.0);   // bagging_fraction
   w.WriteU64(1);     // seed
@@ -1038,6 +1039,9 @@ TEST_F(SerializeSectionTest, HostileClassifierSectionsAreRefusedByName) {
       {ModelKind::kGbdt, "gbdt shared children",
        GbdtBytes(dim, 1, kSharedChildren),
        "gbdt node graph has a shared child"},
+      {ModelKind::kGbdt, "gbdt zero min_child_hessian",
+       GbdtBytes(dim, 2, kStump, ~uint64_t{0}, 0.0),
+       "gbdt config out of range"},
       {ModelKind::kTree, "tree stump", TreeBytes(dim, kStump), nullptr},
       {ModelKind::kTree, "tree without nodes", TreeBytes(dim, {}),
        "tree has no nodes"},

@@ -1,8 +1,9 @@
 // The streaming subsystem's contract tests: ingestion ordering policy
 // (in-watermark reorder, beyond-watermark drop, duplicates, gap fill),
 // the batch/streaming bitwise feature-equivalence guarantee over a
-// multi-week synthetic trace, and end-to-end streaming serving parity
-// with ForecastService::PredictAtDay at several thread counts.
+// multi-week synthetic trace, the in-place serving windows of the
+// mirrored history ring, and end-to-end streaming serving parity with
+// ForecastService::PredictAtDay at several thread counts.
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -99,6 +100,56 @@ TEST(IncrementalFeatures, BitwiseEqualToBatchTensorOverMultiWeekTrace) {
   EXPECT_EQ(std::memcmp(streamed.data().data(), batch.data().data(),
                         batch.size() * sizeof(float)),
             0);
+}
+
+TEST(IncrementalFeatures, ServingWindowsHoldTheRowsCopyFeatureRowsCopies) {
+  // Two weeks of history, so the ring wraps four times over the 9-week
+  // trace and windows straddle its end into the mirror. Every sector's
+  // ring shares one allocation: a read past one sector's mirror lands in
+  // the next sector's ring, invisible to ASan, so every row of every
+  // servable window is compared.
+  const Study& study = SharedStudy();
+  const int n = study.num_sectors();
+  for (int window_days : {2, 3, 7}) {
+    FeatureEngineConfig config = EngineConfigFor(study, 2);
+    config.window_hours = kHoursPerDay * window_days;
+    IncrementalFeatureEngine engine(config);
+    const size_t window_floats =
+        static_cast<size_t>(config.window_hours) * engine.channels();
+    std::vector<float> copied(window_floats);
+    int straddling = 0;
+    for (int j = 0; j < study.network.num_hours(); ++j) {
+      for (int i = 0; i < n; ++i) {
+        engine.Consume(i, j, study.network.kpis.Slice(i, j),
+                       study.network.kpis.dim2());
+      }
+      if ((j + 1) % kHoursPerWeek != 0) continue;
+      const int finalized = engine.min_finalized_hours();
+      for (int end_day = window_days; kHoursPerDay * end_day <= finalized;
+           ++end_day) {
+        const int first_hour = kHoursPerDay * end_day - config.window_hours;
+        if (first_hour < finalized - engine.history_hours()) continue;
+        const WindowBatch windows = engine.ServingWindows(end_day);
+        ASSERT_EQ(windows.count, n);
+        ASSERT_EQ(windows.hours, config.window_hours);
+        ASSERT_EQ(windows.channels, engine.channels());
+        for (int i = 0; i < n; ++i) {
+          engine.CopyFeatureRows(i, first_hour, config.window_hours,
+                                 copied.data());
+          ASSERT_EQ(std::memcmp(windows.Window(i), copied.data(),
+                                window_floats * sizeof(float)),
+                    0)
+              << "window_days=" << window_days << " end_day=" << end_day
+              << " sector=" << i;
+        }
+        if (first_hour % engine.history_hours() + config.window_hours >
+            engine.history_hours()) {
+          ++straddling;
+        }
+      }
+    }
+    EXPECT_GT(straddling, 0) << "window_days=" << window_days;
+  }
 }
 
 TEST(IncrementalFeatures, RollingStateTracksRunsAndPercentiles) {
