@@ -24,8 +24,6 @@ struct QueueStats {
   /// Push calls that found the queue full and had to wait — the
   /// backpressure events of the stage boundary this queue implements.
   uint64_t push_waits = 0;
-  /// Pop calls that found the queue empty and had to wait (starvation).
-  uint64_t pop_waits = 0;
   /// Total wall time producers spent blocked in Push.
   double push_blocked_seconds = 0.0;
 };
@@ -34,9 +32,10 @@ struct QueueStats {
 /// one consumer thread (a pipeline's ingress, the adapt shadow queue). The
 /// contract that makes it lossless:
 ///
-///   * Push on a full queue BLOCKS until a slot frees (or the queue is
-///     closed); it never drops and never reorders — backpressure
-///     propagates upstream instead of data loss propagating downstream.
+///   * Push on a full queue BLOCKS until the consumer has drained it to
+///     half its capacity (or the queue is closed); it never drops and
+///     never reorders — backpressure propagates upstream instead of data
+///     loss propagating downstream.
 ///   * Pop on an empty open queue blocks until an item arrives; once the
 ///     queue is closed Pop drains the remaining items and then returns
 ///     false — the downstream stage's signal to enter its drain state.
@@ -46,8 +45,10 @@ struct QueueStats {
 /// FIFO order is preserved per producer (and totally, with the single
 /// producer a pipeline's ingress has), which is what keeps the streaming
 /// serving path bitwise-identical to the direct-call path.
-/// Plain mutex + two condvars: at the row-block/batch granularity the
-/// serving pipeline queues at, lock cost is noise next to stage work.
+/// Plain mutex + two condvars. At row-block granularity the hand-off is
+/// not noise next to stage work, so a producer parked on a full queue is
+/// woken once the consumer has drained it to capacity / 2, not on every
+/// Pop. TryPush ignores the rule: it takes any free slot.
 template <typename T>
 class BoundedQueue {
  public:
@@ -58,17 +59,17 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while the queue is full. Returns true when the item was
-  /// enqueued, false when the queue was closed (item dropped — only
-  /// happens during teardown, and Close() is only called by the producer
-  /// side in the serving pipeline, so a drain never loses data).
+  /// Blocks on a full queue until it has drained to half. Returns true
+  /// when the item was enqueued, false when the queue was closed (item
+  /// dropped — only in teardown: only the serving pipeline's producer
+  /// side calls Close(), so a drain never loses data).
   bool Push(T item) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (static_cast<int>(items_.size()) >= capacity_ && !closed_) {
       ++push_waits_;
       const auto blocked_from = std::chrono::steady_clock::now();
       not_full_.wait(lock, [&] {
-        return closed_ || static_cast<int>(items_.size()) < capacity_;
+        return closed_ || static_cast<int>(items_.size()) <= capacity_ / 2;
       });
       push_blocked_seconds_ +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -93,19 +94,19 @@ class BoundedQueue {
   }
 
   /// Blocks while the queue is empty and open. Returns true with an item,
-  /// or false once the queue is closed AND drained.
+  /// or false, `*out` untouched, once the queue is closed AND drained.
   bool Pop(T* out) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (items_.empty() && !closed_) {
-      ++pop_waits_;
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    }
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;  // closed and drained
     *out = std::move(items_.front());
     items_.pop_front();
     ++popped_;
+    // Producers park only on a full queue, so every drain that can release
+    // one passes this depth; all wake, as a second one gets no other call.
+    const bool wake = static_cast<int>(items_.size()) == capacity_ / 2;
     lock.unlock();
-    not_full_.notify_one();
+    if (wake) not_full_.notify_all();
     return true;
   }
 
@@ -119,16 +120,6 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  int depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<int>(items_.size());
-  }
-
   QueueStats Stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     QueueStats stats;
@@ -138,7 +129,6 @@ class BoundedQueue {
     stats.pushed = pushed_;
     stats.popped = popped_;
     stats.push_waits = push_waits_;
-    stats.pop_waits = pop_waits_;
     stats.push_blocked_seconds = push_blocked_seconds_;
     return stats;
   }
@@ -164,7 +154,6 @@ class BoundedQueue {
   uint64_t pushed_ = 0;
   uint64_t popped_ = 0;
   uint64_t push_waits_ = 0;
-  uint64_t pop_waits_ = 0;
   double push_blocked_seconds_ = 0.0;
 };
 

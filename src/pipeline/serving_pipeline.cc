@@ -96,8 +96,6 @@ ServingPipeline::ServingPipeline(ForecastService* service,
                                values + num_kpis);
       });
 
-  ResetInputBlock();
-  ordered_.num_kpis = options_.num_kpis;
   next_end_day_.store(service_->window_days(), std::memory_order_relaxed);
   next_outcome_day_ = service_->window_days() + horizon_days_;
 
@@ -123,7 +121,7 @@ bool ServingPipeline::Push(int sector, int hour, const float* values,
     return false;
   }
   Append(sector, hour, values);
-  if (input_block_.rows() >= options_.row_block_rows) FlushInputBlock();
+  if (input_block_.rows() >= options_.row_block_rows) FlushInput();
   return true;
 }
 
@@ -132,7 +130,7 @@ bool ServingPipeline::TryPush(int sector, int hour, const float* values) {
   // Make room before accepting, so a refused row is still the caller's.
   if (input_block_.rows() >= options_.row_block_rows) {
     if (!ingress_.TryPush(input_block_)) return false;
-    ResetInputBlock();  // TryPush moved the block in; reset the husk
+    ResetInputBlock();  // TryPush moved the block in; refill the husk
   }
   Append(sector, hour, values);
   return true;
@@ -149,25 +147,24 @@ void ServingPipeline::Append(int sector, int hour, const float* values) {
 }
 
 void ServingPipeline::FlushInput() {
-  if (input_closed_) return;
-  FlushInputBlock();
-}
-
-void ServingPipeline::FlushInputBlock() {
-  if (input_block_.rows() == 0) return;
+  if (input_closed_ || input_block_.rows() == 0) return;
   ingress_.Push(std::move(input_block_));
   ResetInputBlock();
 }
 
 void ServingPipeline::ResetInputBlock() {
-  input_block_.Clear();
-  input_block_.num_kpis = options_.num_kpis;
+  // Without a recycled block, the moved-from husk stays: empty, no
+  // capacity, for Append to grow.
+  std::lock_guard<std::mutex> lock(free_blocks_mutex_);
+  if (free_blocks_.empty()) return;
+  input_block_ = std::move(free_blocks_.back());
+  free_blocks_.pop_back();
 }
 
 void ServingPipeline::Finish() {
   if (input_closed_) return;
+  FlushInput();
   input_closed_ = true;
-  FlushInputBlock();
   ingress_.Close();
   worker_.join();
   if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
@@ -203,21 +200,18 @@ std::vector<StageStats> ServingPipeline::StageSnapshot() const {
 
 void ServingPipeline::WorkerLoop() {
   RowBlock block;
-  while (ingress_.Pop(&block)) {
+  while (true) {
+    // Closed and drained, Pop leaves `block` empty (the cleared husk of
+    // the last recycled block), and RunBlock ends the stream.
+    const bool open = ingress_.Pop(&block);
     obs_.Refresh();
     NoteIngress();
     RunBlock(block);
+    if (!open) return;
+    block.Clear();
+    std::lock_guard<std::mutex> lock(free_blocks_mutex_);
+    free_blocks_.push_back(std::move(block));
   }
-  // End of stream: finalize the last watermark window (gap-filling
-  // interior holes) and serve everything it makes ready.
-  obs_.Refresh();
-  NoteIngress();
-  const uint64_t start = SteadyNowNs();
-  ingestor_->Flush();
-  const uint64_t now = EndPhase(kIngest, start, 0,
-                                static_cast<uint64_t>(ordered_.rows()));
-  if (ordered_.rows() > 0) RunFeatures(/*born_ns=*/0, now);
-  if (obs_.ingress_depth != nullptr) obs_.ingress_depth->Set(0.0);
 }
 
 void ServingPipeline::NoteIngress() {
@@ -246,13 +240,23 @@ void ServingPipeline::NoteIngress() {
 void ServingPipeline::RunBlock(const RowBlock& block) {
   const uint64_t start = SteadyNowNs();
   ObserveResidency(kIngest, block.born_ns, block.rows(), start);
-  const size_t width = static_cast<size_t>(block.num_kpis);
+  const size_t width = static_cast<size_t>(options_.num_kpis);
   for (int r = 0; r < block.rows(); ++r) {
     const size_t row = static_cast<size_t>(r);
+    if (block.hours[row] >= options_.calendar->rows()) {
+      // No calendar row can featurize this hour, and the ingestor would
+      // gap-fill up to it: refused, and counted as a negative hour is.
+      if (obs_.rows_offered != nullptr) {
+        obs_.rows_offered->Increment();
+        obs_.rows_rejected->Increment();
+      }
+      continue;
+    }
     ingestor_->Push(block.sectors[row], block.hours[row],
-                    block.values.data() + row * width, block.num_kpis);
+                    block.values.data() + row * width, options_.num_kpis);
   }
-  const uint64_t now = EndPhase(kIngest, start, 1,
+  if (block.rows() == 0) ingestor_->Flush();
+  const uint64_t now = EndPhase(kIngest, start, block.rows() > 0 ? 1 : 0,
                                 static_cast<uint64_t>(ordered_.rows()));
   // Rows the ingestor still holds in its reorder window come out with a
   // later block; a block that released none leaves the engine unchanged.
@@ -265,12 +269,12 @@ void ServingPipeline::RunFeatures(uint64_t born_ns, uint64_t now) {
   // The released rows came out while this block was unpacked, so its
   // stamp stands for them (an upper bound for rows the ingestor held).
   MergeBorn(&pending_serve_born_ns_, born_ns);
-  const size_t width = static_cast<size_t>(ordered_.num_kpis);
+  const size_t width = static_cast<size_t>(options_.num_kpis);
   for (int r = 0; r < rows; ++r) {
     const size_t row = static_cast<size_t>(r);
     engine_->Consume(ordered_.sectors[row], ordered_.hours[row],
                      ordered_.values.data() + row * width,
-                     ordered_.num_kpis);
+                     options_.num_kpis);
   }
   ordered_.Clear();
   ServeReady(EndPhase(kFeatures, now, static_cast<uint64_t>(rows), 0));

@@ -31,8 +31,7 @@ namespace hotspot::pipeline {
 struct RowBlock {
   std::vector<int> sectors;
   std::vector<int> hours;
-  std::vector<float> values;  ///< rows() x num_kpis, row-major
-  int num_kpis = 0;
+  std::vector<float> values;  ///< rows() x Options::num_kpis, row-major
   /// Telemetry stamp: SteadyNowNs() when the block's first row entered the
   /// serving stack (0 = unstamped) — the base of every residency the
   /// pipeline records for the block's rows.
@@ -180,8 +179,8 @@ class ServingPipeline {
   /// missing reading. Blocks while the ingress queue is full. Returns
   /// false — and drops the row — only when `num_kpis` mismatches the
   /// configured width (counted under stream/rows_rejected) or the
-  /// pipeline is already finished; the reorder/duplicate/late verdicts
-  /// land asynchronously in the stream/rows_* counters.
+  /// pipeline is already finished; every other verdict (an hour past
+  /// Options::calendar too) lands asynchronously in stream/rows_*.
   bool Push(int sector, int hour, const float* values, int num_kpis);
   bool Push(int sector, int hour, const std::vector<float>& values) {
     return Push(sector, hour, values.data(),
@@ -193,7 +192,7 @@ class ServingPipeline {
   /// ingress queue to take the current block it returns false and leaves
   /// the row with the caller. A row is only ever refused while it is
   /// still the caller's: once accepted it is served, never dropped.
-  /// `values` must hold options().num_kpis floats (the caller checks the
+  /// `values` must hold Options::num_kpis floats (the caller checks the
   /// width); false as well once the pipeline is finished.
   bool TryPush(int sector, int hour, const float* values);
 
@@ -233,9 +232,6 @@ class ServingPipeline {
   /// The ingress queue's accounting (also StageSnapshot()[0].input).
   QueueStats IngressStats() const { return ingress_.Stats(); }
 
-  ForecastService& service() { return *service_; }
-  const Options& options() const { return options_; }
-
  private:
   enum Phase { kIngest = 0, kFeatures, kPredict, kMonitor, kNumPhases };
 
@@ -271,12 +267,13 @@ class ServingPipeline {
 
   // Producer side.
   void Append(int sector, int hour, const float* values);
-  void FlushInputBlock();
   void ResetInputBlock();
 
   // Worker side.
   void WorkerLoop();
   /// Ingest, then features on whatever ordered rows the block released.
+  /// An empty block ends the stream: it finalizes the ingestor's
+  /// watermark window (gap-filling interior holes) instead.
   void RunBlock(const RowBlock& block);
   /// Feeds the ordered-row scratch to the engine, then serves what that
   /// made ready.
@@ -318,6 +315,12 @@ class ServingPipeline {
   alignas(64) RowBlock input_block_;
   bool input_closed_ = false;
   Obs producer_obs_;
+
+  // Blocks the worker has run, cleared but keeping their capacity, for the
+  // producer's next input block: in steady state Append never grows a
+  // vector, and every buffer is freed by the thread that allocated it.
+  alignas(64) std::mutex free_blocks_mutex_;
+  std::vector<RowBlock> free_blocks_;
 
   // Worker state.
   alignas(64) Obs obs_;

@@ -651,12 +651,20 @@ TEST(ForecastFleet, AdmissionVerdictsForMalformedAndFinishedRows) {
   EXPECT_EQ(fleet.Push(0, 0, study.network.kpis.Slice(0, 0),
                        study.network.kpis.dim2()),
             PushVerdict::kRouted);
+  // Nor may an hour past the calendar: routed, then refused by the shard's
+  // worker before its ingestor can gap-fill up to it.
+  EXPECT_EQ(fleet.Push(0, study.network.calendar_matrix.rows() + 100,
+                       study.network.kpis.Slice(0, 0),
+                       study.network.kpis.dim2()),
+            PushVerdict::kRouted);
   fleet.Finish();
   EXPECT_EQ(fleet.Push(0, 1, study.network.kpis.Slice(0, 1),
                        study.network.kpis.dim2()),
             PushVerdict::kRejectedFinished);
-  EXPECT_EQ(context.metrics().counter("fleet/rows_offered").Total(), 5u);
-  EXPECT_EQ(context.metrics().counter("fleet/rows_routed").Total(), 1u);
+  EXPECT_EQ(context.metrics().counter("fleet/rows_offered").Total(), 6u);
+  EXPECT_EQ(context.metrics().counter("fleet/rows_routed").Total(), 2u);
+  EXPECT_EQ(context.metrics().counter("stream/rows_rejected").Total(), 1u);
+  EXPECT_EQ(context.metrics().counter("stream/rows_accepted").Total(), 1u);
   EXPECT_EQ(context.metrics().counter("fleet/rows_rejected_width").Total(),
             1u);
   EXPECT_EQ(

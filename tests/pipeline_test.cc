@@ -1,13 +1,15 @@
-// The serving runtime's contract tests: BoundedQueue backpressure and
-// drain semantics, the ServingPipeline facade's bitwise parity with the
-// direct-call batch path at every thread-matrix count (slow-predict
-// injection included — ingress backpressure must engage without dropping
-// or reordering a single row — for every classifier kind, and at the
-// smallest history, whose ring wraps under the served windows),
-// queue-bound edge cases (capacity 1 and capacity beyond the stream
-// length), drain-on-shutdown via the destructor, FlushInput serving a
-// quiet feed's ready batches, the one-worker-thread architecture, and
-// per-phase accounting landing in the obs snapshot.
+// The serving runtime's contract tests: BoundedQueue backpressure, its
+// half-drain wake rule and drain semantics, the ServingPipeline facade's
+// bitwise parity with the direct-call batch path at every thread-matrix
+// count (slow-predict injection included — ingress backpressure must
+// engage without dropping or reordering a single row — for every
+// classifier kind, and at the smallest history, whose ring wraps under
+// the served windows), queue-bound edge cases (capacity 1 and capacity
+// beyond the stream length), recycled row blocks of every size carrying
+// no stale rows, drain-on-shutdown via the destructor, FlushInput serving
+// a quiet feed's ready batches, rows past the calendar refused
+// mid-stream, the one-worker-thread architecture, and per-phase
+// accounting landing in the obs snapshot.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -46,7 +48,7 @@ using pipeline::StageStats;
 TEST(BoundedQueue, FifoOrderAndStats) {
   BoundedQueue<int> queue(4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.Push(i));
-  EXPECT_EQ(queue.depth(), 4);
+  EXPECT_EQ(queue.Stats().depth, 4);
   int out = -1;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(queue.Pop(&out));
@@ -81,6 +83,33 @@ TEST(BoundedQueue, PushBlocksOnFullUntilPopFreesASlot) {
   EXPECT_EQ(out, 2);
   EXPECT_GE(queue.Stats().push_waits, 1u);
   EXPECT_GT(queue.Stats().push_blocked_seconds, 0.0);
+}
+
+TEST(BoundedQueue, ParkedProducerResumesOnlyOnceHalfDrained) {
+  BoundedQueue<int> queue(4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.Push(i));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.Push(4));
+    pushed.store(true);
+  });
+  // The wait is booked under the queue's lock just before the producer
+  // parks, and the lock is held until it does.
+  while (queue.Stats().push_waits == 0) std::this_thread::yield();
+  int out = -1;
+  ASSERT_TRUE(queue.Pop(&out));  // depth 3: a slot is free, not half
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load());
+  ASSERT_TRUE(queue.Pop(&out));  // depth 2 = capacity / 2: the one wake
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  const QueueStats stats = queue.Stats();
+  EXPECT_EQ(stats.push_waits, 1u);
+  EXPECT_EQ(stats.depth, 3);
+  for (int expected = 2; expected <= 4; ++expected) {
+    ASSERT_TRUE(queue.Pop(&out));
+    EXPECT_EQ(out, expected);
+  }
 }
 
 TEST(BoundedQueue, CloseDrainsPendingItemsThenPopReturnsFalse) {
@@ -158,17 +187,28 @@ ServingPipeline::Options OptionsFor(const Study& study) {
 
 /// Streams the study's KPI tensor hour-major (all sectors advance
 /// together, as live feeds do) through a pipeline built from `options`,
-/// finishes it, and returns every served prediction.
+/// finishes it, and returns every served prediction. A non-empty
+/// `flush_after` calls FlushInput after each of its row counts in turn,
+/// cycling.
 std::vector<StreamingPrediction> RunPipelineServe(
     const Study& study, ForecastService* service,
     const ServingPipeline::Options& options,
-    std::vector<StageStats>* final_stages = nullptr) {
+    std::vector<StageStats>* final_stages = nullptr,
+    const std::vector<int>& flush_after = {}) {
   ServingPipeline serving(service, options);
   const int hours = study.network.num_hours();
+  size_t next_flush = 0;
+  int rows_since_flush = 0;
   for (int j = 0; j < hours; ++j) {
     for (int i = 0; i < study.num_sectors(); ++i) {
       EXPECT_TRUE(serving.Push(i, j, study.network.kpis.Slice(i, j),
                                study.network.kpis.dim2()));
+      if (!flush_after.empty() &&
+          ++rows_since_flush == flush_after[next_flush]) {
+        serving.FlushInput();
+        rows_since_flush = 0;
+        next_flush = (next_flush + 1) % flush_after.size();
+      }
     }
   }
   serving.Finish();
@@ -344,6 +384,32 @@ TEST(ServingPipeline, QueueCapacityBeyondStreamLengthNeverBlocks) {
   }
 }
 
+// Partial blocks of many sizes through a small queue: a block is refilled
+// at a different size than it was run at. A stale row left in one reaches
+// the ingestor again and is dropped as a duplicate or late row, which the
+// scores cannot show and the counters do.
+TEST(ServingPipeline, RecycledBlocksOfEverySizeCarryNoStaleRows) {
+  const Study& study = SharedStudy();
+  std::unique_ptr<ForecastService> service = MakeService(study);
+  const std::vector<std::vector<float>> batch = BatchScores(study, *service);
+  obs::PipelineContext context;
+  obs::PipelineContext::ScopedInstall install(&context);
+  ServingPipeline::Options options = OptionsFor(study);
+  options.row_queue_blocks = 4;
+  std::vector<StreamingPrediction> served =
+      RunPipelineServe(study, service.get(), options, nullptr,
+                       {1, 7, 63, 64, 65, 2, 130, 33, 5});
+  ExpectBitwiseEqualToBatch(served, batch, service->bundle().window_days,
+                            "irregular flushes");
+  const uint64_t total_rows = static_cast<uint64_t>(
+      study.num_sectors() * study.network.num_hours());
+  obs::MetricsRegistry& metrics = context.metrics();
+  EXPECT_EQ(metrics.counter("stream/rows_offered").Total(), total_rows);
+  EXPECT_EQ(metrics.counter("stream/rows_accepted").Total(), total_rows);
+  EXPECT_EQ(metrics.counter("stream/rows_duplicate_dropped").Total(), 0u);
+  EXPECT_EQ(metrics.counter("stream/rows_late_dropped").Total(), 0u);
+}
+
 TEST(ServingPipeline, DestructorDrainsInFlightWorkCleanly) {
   const Study& study = SharedStudy();
   std::unique_ptr<ForecastService> service = MakeService(study);
@@ -422,19 +488,42 @@ TEST(ServingPipeline, DestructorMidStreamWithRowsQueuedAtEveryStage) {
 TEST(ServingPipeline, RejectsWrongWidthRowsWithoutStallingTheStream) {
   const Study& study = SharedStudy();
   std::unique_ptr<ForecastService> service = MakeService(study);
+  const std::vector<std::vector<float>> batch = BatchScores(study, *service);
   obs::PipelineContext context;
   obs::PipelineContext::ScopedInstall install(&context);
   ServingPipeline serving(service.get(), OptionsFor(study));
   std::vector<float> bad_row(
       static_cast<size_t>(study.network.num_kpis() + 1), 0.0f);
-  EXPECT_FALSE(serving.Push(0, 0, bad_row));
-  EXPECT_TRUE(serving.Push(0, 0, study.network.kpis.Slice(0, 0),
-                           study.network.kpis.dim2()));
+  const int hours = study.network.num_hours();
+  const int calendar_hours = study.network.calendar_matrix.rows();
+  for (int j = 0; j < hours; ++j) {
+    if (j == hours / 2) {
+      EXPECT_FALSE(serving.Push(0, j, bad_row));
+      // Hours at and past the calendar's end are taken, then refused on
+      // the worker before the ingestor can gap-fill up to them.
+      for (int hour : {calendar_hours, calendar_hours + 100}) {
+        EXPECT_TRUE(serving.Push(0, hour, study.network.kpis.Slice(0, j),
+                                 study.network.kpis.dim2()));
+      }
+    }
+    for (int i = 0; i < study.num_sectors(); ++i) {
+      ASSERT_TRUE(serving.Push(i, j, study.network.kpis.Slice(i, j),
+                               study.network.kpis.dim2()));
+    }
+  }
   serving.Finish();
   EXPECT_FALSE(serving.Push(0, 1, study.network.kpis.Slice(0, 1),
                             study.network.kpis.dim2()));
-  EXPECT_EQ(context.metrics().counter("stream/rows_rejected").Total(), 1u);
-  EXPECT_EQ(context.metrics().counter("stream/rows_accepted").Total(), 1u);
+  const uint64_t total_rows =
+      static_cast<uint64_t>(study.num_sectors() * hours);
+  EXPECT_EQ(context.metrics().counter("stream/rows_offered").Total(),
+            total_rows + 3);
+  EXPECT_EQ(context.metrics().counter("stream/rows_rejected").Total(), 3u);
+  EXPECT_EQ(context.metrics().counter("stream/rows_accepted").Total(),
+            total_rows);
+  ExpectBitwiseEqualToBatch(serving.TakePredictions(), batch,
+                            service->bundle().window_days,
+                            "rejected rows mid-stream");
 }
 
 TEST(ServingPipeline, StageAccountingLandsInObsSnapshot) {
