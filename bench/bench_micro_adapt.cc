@@ -9,14 +9,15 @@
 //   1. baseline — the champion alone through the serving pipeline (the
 //      tail of the stream timed, once warm);
 //   2. shadow — the same stream with an AdaptationController holding a
-//      challenger in permanent shadow (losslessness and the adapt/
-//      counters checked on the live run), plus a single-threaded replay
-//      of exactly the work the taps add to the serving worker: the
-//      replay over the baseline's phase busy-seconds is the serving-path
-//      overhead percentage, which must stay ≤ 10 (the budget DESIGN §14
-//      promises; enforced in uninstrumented builds — the shadow's own
-//      Predict runs off the serving path and is deliberately excluded);
-//   3. closed loop — a real retrain from captured rows, promotion
+//      challenger in permanent shadow (every served batch shadow-scored,
+//      and the adapt/ counters checked on the live run), plus a
+//      single-threaded replay of exactly the work the taps add to the
+//      serving worker: the replay over the baseline's phase busy-seconds
+//      is the serving-path overhead percentage, which must stay ≤ 10 (the
+//      budget DESIGN §14 promises; enforced in uninstrumented builds —
+//      the shadow's own Predict runs in Poll(), off the serving path, and
+//      is deliberately excluded);
+//   3. closed loop — a real retrain from the engine's history, promotion
 //      through the RCU path, the retrain wall time read back from the
 //      adapt/retrain_seconds histogram and the promote-to-first-serve
 //      latency from its gauge, and the flight log reconciled event by
@@ -28,14 +29,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/adaptation_controller.h"
@@ -49,6 +48,7 @@
 #include "serialize/bundle.h"
 #include "simnet/generator.h"
 #include "tensor/temporal.h"
+#include "tensor/window_batch.h"
 #include "util/stopwatch.h"
 
 // Timing assertions only mean something without sanitizer
@@ -115,8 +115,9 @@ AdaptFixture& Fixture() {
 }
 
 /// Streams the whole study hour-major, polling `controller` (when given)
-/// at every day close and pausing the feed while a retrain is in flight
-/// (the deterministic driver the tests use). Hours at and after
+/// at every day close — a Poll() that trains holds the feed, as in the
+/// tests — and once more after Finish(), so the batches served after the
+/// last day close are shadow-scored too. Hours at and after
 /// `tail_start_hour` are timed separately into `tail_seconds` — the
 /// steady-state window the overhead comparison runs on. Returns rows.
 int64_t StreamOnce(AdaptFixture& fixture, pipeline::ServingPipeline* serving,
@@ -134,20 +135,14 @@ int64_t StreamOnce(AdaptFixture& fixture, pipeline::ServingPipeline* serving,
       ++rows;
     }
     if (controller != nullptr && (j + 1) % kHoursPerDay == 0) {
-      if (controller->Poll() == AdaptState::kRetraining) {
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(300);
-        while (controller->state() == AdaptState::kRetraining &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      }
+      controller->Poll();
     }
   }
   serving->Finish();
   if (tail_seconds != nullptr) {
     *tail_seconds = tail_watch.ElapsedSeconds() - before_tail;
   }
+  if (controller != nullptr) controller->Poll();
   if (served != nullptr) *served = serving->TakePredictions();
   return rows;
 }
@@ -164,36 +159,34 @@ double ServingBusySeconds(const pipeline::ServingPipeline& serving) {
 }
 
 /// The synchronous work the controller's taps add to the serving worker,
-/// replayed single-threaded: the per-row FeatureCapture append (the
-/// literal features-phase tap code path), one deep copy of the predict
-/// window tensor per teed batch, and the per-batch/per-day score and
-/// label map copies in the monitor phase. The shadow service's Predict
-/// is deliberately absent — it runs on the controller's own thread, off
-/// the serving path; that is the point of the design. This replay is the
-/// number the ≤ 10% budget governs: on a host with fewer cores than
-/// threads, any wall measure of the live run charges the shadow's CPU
-/// and the scheduler's churn to whichever handler was preempted, which
-/// says nothing about what serving actually pays.
+/// replayed single-threaded: one deep copy of the predict windows per
+/// teed batch (the tee's allocation and per-window copies, from a strided
+/// view like the engine's), and the per-batch/per-day score and label map
+/// copies in the monitor phase. The shadow service's Predict is
+/// deliberately absent — it runs in Poll(), on the caller's thread, off
+/// the serving path; that is the point of the design. So is the one
+/// training-slice cut per retrain, which the shadow leg never asks for.
+/// This replay is the number the ≤ 10% budget governs: on a host with
+/// fewer cores than threads, any wall measure of the live run charges
+/// the shadow's CPU and the scheduler's churn to whichever handler was
+/// preempted, which says nothing about what serving actually pays.
 double TapReplaySeconds(const AdaptFixture& fixture, uint64_t shadow_batches,
                         uint64_t prediction_batches) {
   const Tensor3<float>& rows = fixture.study.features.tensor();
-  adapt::CaptureConfig config;
-  config.num_sectors = fixture.study.num_sectors();
-  config.num_kpis = fixture.study.network.num_kpis();
-  config.capture_weeks = 4;
-  adapt::FeatureCapture capture(config);
+  const int window_hours = fixture.config.w * kHoursPerDay;
+  const WindowBatch windows = WindowBatch::Of(rows, 0, window_hours);
+  const size_t window_floats =
+      static_cast<size_t>(window_hours) * static_cast<size_t>(rows.dim2());
   Stopwatch watch;
-  for (int j = 0; j < rows.dim1(); ++j) {
-    for (int i = 0; i < rows.dim0(); ++i) {
-      capture.OnRow(i, j, rows.Slice(i, j), rows.dim2());
-    }
-  }
-  const Tensor3<float> windows(fixture.study.num_sectors(),
-                               fixture.config.w * kHoursPerDay, rows.dim2());
   float sink = 0.0f;
   for (uint64_t batch = 0; batch < shadow_batches; ++batch) {
-    Tensor3<float> copy = windows;  // the tee's deep copy, same shape
-    sink += copy.At(0, 0, 0);
+    std::vector<float> copy;
+    copy.reserve(window_floats * static_cast<size_t>(windows.count));
+    for (int i = 0; i < windows.count; ++i) {
+      copy.insert(copy.end(), windows.Window(i),
+                  windows.Window(i) + window_floats);
+    }
+    sink += copy.back();
   }
   std::map<int, std::vector<float>> scores, labels;
   const std::vector<float> row(
@@ -255,14 +248,15 @@ bool WriteAdaptJson(const std::string& path, const AdaptFixture& fixture,
   std::fprintf(file, "  \"promote_to_first_serve_seconds\": %.6f,\n",
                trajectory.promote_to_first_serve_seconds);
   std::fprintf(file,
-               "  \"contract\": \"shadow scoring rides the predict tee "
-               "off-thread, so champion serving stays bitwise-identical "
-               "until PromoteBundle; the serving path pays only the taps' "
-               "synchronous work (capture append, window copy, score/label "
-               "retention), measured by single-threaded replay against the "
-               "baseline phase busy-seconds, within the 10%% budget; a "
-               "full retrain-from-capture and RCU promotion complete "
-               "without pausing the stream\"\n");
+               "  \"contract\": \"the predict tee copies each batch's "
+               "windows and Poll() scores them with the shadow on the "
+               "caller's thread, so champion serving stays "
+               "bitwise-identical until PromoteBundle; the serving path "
+               "pays only the taps' synchronous work (window copy, "
+               "score/label retention), measured by single-threaded "
+               "replay against the baseline phase busy-seconds, within "
+               "the 10%% budget; a retrain from a slice of the engine's "
+               "own history and an RCU promotion close the loop\"\n");
   std::fprintf(file, "}\n");
   std::fclose(file);
   return true;
@@ -323,9 +317,9 @@ int ReconcileFlightLog(obs::PipelineContext* context,
 int Smoke() {
   AdaptFixture& fixture = Fixture();
   // The tail window starts once a shadow episode is guaranteed live in
-  // the shadow leg: the always-armed trigger dispatches at the first
-  // matured day and the clone challenger stands up in milliseconds, well
-  // before week 3 closes.
+  // the shadow leg: the always-armed trigger fires at the first day
+  // close, and Poll() stands the clone challenger up before returning,
+  // before the first batch is served.
   const int tail_start_hour = 3 * kHoursPerWeek;
   AdaptTrajectory trajectory;
   int failures = 0;
@@ -351,8 +345,6 @@ int Smoke() {
     obs::PipelineContext::ScopedInstall install(&context);
     ForecastService service(serialize::CloneBundle(*fixture.bundle));
     adapt::AdaptOptions options;
-    options.num_sectors = fixture.study.num_sectors();
-    options.capture_weeks = 4;
     options.train = fixture.config;
     options.policy.trigger = monitor::AlertState::kOk;  // always armed
     options.policy.min_shadow_days = 1000000;           // never conclude
@@ -397,9 +389,12 @@ int Smoke() {
                    static_cast<unsigned long long>(shadow_rows));
       ++failures;
     }
-    // Blocking tee: lossless by construction.
-    if (metrics.counter("adapt/shadow_dropped").Total() != 0) {
-      std::fprintf(stderr, "FAIL: blocking shadow tee dropped batches\n");
+    // The shadow is live before the first batch is served, and the last
+    // Poll() scores what the tee copied since the one before it.
+    if (trajectory.shadow_batches != prediction_batches) {
+      std::fprintf(stderr, "FAIL: shadow scored %llu of %llu batches\n",
+                   static_cast<unsigned long long>(trajectory.shadow_batches),
+                   static_cast<unsigned long long>(prediction_batches));
       ++failures;
     }
   }
@@ -453,7 +448,7 @@ int Smoke() {
   }
 #endif
 
-  // Leg 3: the loop closed for real — retrain from captured rows,
+  // Leg 3: the loop closed for real — retrain from the engine's history,
   // permissive promotion gates (the bench measures cost, not the
   // verdict), guard disarmed, flight log reconciled at quiesce.
   {
@@ -461,8 +456,6 @@ int Smoke() {
     obs::PipelineContext::ScopedInstall install(&context);
     ForecastService service(serialize::CloneBundle(*fixture.bundle));
     adapt::AdaptOptions options;
-    options.num_sectors = fixture.study.num_sectors();
-    options.capture_weeks = 4;
     options.train = fixture.config;
     options.policy.trigger = monitor::AlertState::kOk;  // always armed
     options.policy.training_days = 10;
@@ -565,8 +558,6 @@ void BM_AdaptShadowServe(benchmark::State& state) {
   for (auto _ : state) {
     ForecastService service(serialize::CloneBundle(*fixture.bundle));
     adapt::AdaptOptions options;
-    options.num_sectors = fixture.study.num_sectors();
-    options.capture_weeks = 4;
     options.train = fixture.config;
     options.policy.trigger = monitor::AlertState::kOk;
     options.policy.min_shadow_days = 1000000;

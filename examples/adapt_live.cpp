@@ -8,16 +8,18 @@
 //      chronically overloaded. The champion's training distribution no
 //      longer matches the world it will serve.
 //   3. Stand up the monitored serving path — ForecastService behind a
-//      ServingPipeline — with an adapt::AdaptationController's
-//      taps attached: feature-row capture, the shadow predict tee, the
-//      champion-score tee and the matured-label tee.
+//      ServingPipeline — with an adapt::AdaptationController's three
+//      taps attached: the shadow predict tee, the champion-score tee and
+//      the matured-label tee.
 //   4. Stream the shifted KPI tensor hour-major, polling the controller
-//      at every day close. The monitor confirms drift; the controller
-//      retrains a challenger from the rows captured off the live stream
-//      (warm start, the champion's score config carried over), scores
-//      live traffic with it in shadow, compares on matured labels with
-//      bootstrap CIs, and promotes the winner through the service's RCU
-//      PromoteBundle path — serving never pauses. A guard window then
+//      at every day close. The monitor confirms drift; at the next day
+//      close the matured-label tee cuts the newest days out of the
+//      serving engine's own history, and the next Poll() retrains a
+//      challenger on them (warm start, the champion's score config
+//      carried over). Later polls score the live traffic the predict tee
+//      copied with the challenger in shadow, compare on matured labels
+//      with bootstrap CIs, and promote the winner through the service's
+//      RCU PromoteBundle path — serving never pauses. A guard window then
 //      watches the promotion with the archived champion still shadowing;
 //      a regression would roll the swap back automatically.
 //   5. Audit: the AdaptReport, the per-generation served-row split, the
@@ -27,18 +29,16 @@
 // Until the promotion lands, champion predictions are bitwise-identical
 // to a controller-free run (the taps are pure observers); the unit suite
 // pins that, this example demonstrates the loop end to end. The
-// narration is timing-dependent: the pipeline's worker (capture and
-// monitor taps included) runs asynchronously to the day-close Poll, and
-// retraining and shadow scoring run on the controller's own threads, so
-// the exact day each ladder transition lands (and with it the
-// per-generation batch split and the verdict's sample) varies run to run
-// — the closing invariants checked below do not.
+// narration is timing-dependent: retraining and shadow scoring run inside
+// Poll() on this thread, but the pipeline's worker (and its taps) runs
+// asynchronously to the day-close Poll, so the exact day each ladder
+// transition lands (and with it the per-generation batch split and the
+// verdict's sample) varies run to run — the closing invariants checked
+// below do not.
 //
 // Build: cmake -B build -G Ninja && cmake --build build
 // Run:   ./build/examples/example_adapt_live
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "hotspot.h"
 
@@ -85,8 +85,6 @@ int main() {
   ForecastService service(std::move(champion));
 
   adapt::AdaptOptions options;
-  options.num_sectors = shifted.num_sectors();
-  options.capture_weeks = 4;
   options.train = config;
   options.policy.trigger = monitor::AlertState::kDrift;
   options.policy.training_days = 10;
@@ -110,9 +108,9 @@ int main() {
     pipeline::ServingPipeline serving(&service, serve_options);
 
     // 4. Stream hour-major; poll the ladder at every day close and
-    // narrate each state change. While a retrain is in flight the feed
-    // waits for the handoff so the shadow episode spans whole stream
-    // days (a live deployment would just keep feeding).
+    // narrate each state change. The Poll() that retrains holds the feed
+    // until the challenger is built, so the shadow episode spans whole
+    // stream days (a live deployment would poll from another thread).
     const Tensor3<float>& kpis = shifted.network.kpis;
     adapt::AdaptState previous = adapt::AdaptState::kIdle;
     for (int hour = 0; hour < kpis.dim1(); ++hour) {
@@ -124,16 +122,7 @@ int main() {
         }
       }
       if ((hour + 1) % kHoursPerDay != 0) continue;
-      adapt::AdaptState state = controller.Poll();
-      if (state == adapt::AdaptState::kRetraining) {
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(120);
-        while (controller.state() == adapt::AdaptState::kRetraining &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        state = controller.state();
-      }
+      const adapt::AdaptState state = controller.Poll();
       if (state != previous) {
         std::printf("day %d: %s -> %s\n", (hour + 1) / kHoursPerDay - 1,
                     adapt::AdaptStateName(previous),
@@ -192,8 +181,8 @@ int main() {
     std::fprintf(stderr, "the loop did not close cleanly\n");
     return 1;
   }
-  std::printf("drift detected, challenger retrained from captured rows, "
-              "shadow-validated, promoted, guard window passed — the loop "
-              "closed without pausing the stream\n");
+  std::printf("drift detected, challenger retrained from the serving "
+              "engine's own history, shadow-validated, promoted, guard "
+              "window passed — the loop closed\n");
   return 0;
 }

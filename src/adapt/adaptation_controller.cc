@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/serving_ops.h"
 #include "obs/pipeline_context.h"
 #include "pipeline/stage.h"
 #include "tensor/temporal.h"
+#include "tensor/tensor3.h"
 #include "util/logging.h"
 
 namespace hotspot::adapt {
@@ -45,54 +47,74 @@ const char* AdaptStateName(AdaptState state) {
   return "unknown";
 }
 
-AdaptationController::AdaptationController(ForecastService* service,
-                                           const AdaptOptions& options)
-    : service_(service),
-      options_(options),
-      capture_(CaptureConfig{options.num_sectors,
-                             service->num_channels() - 9,
-                             options.capture_weeks}),
-      shadow_queue_(std::max(1, options.shadow_queue_capacity)) {
-  HOTSPOT_CHECK(service != nullptr);
-  HOTSPOT_CHECK_GT(options.num_sectors, 0);
-  // The capture must be able to hold one full training snapshot: the
-  // pooled label days plus the serving window and horizon they reach
-  // back over (Snapshot's min_days), with a week of frontier slack
-  // (rows finalize at week close, so up to a week of the ring is still
-  // pre-frontier when drift fires).
-  const int needed_days = options.policy.training_days +
-                          service->window_days() + service->horizon_days() +
-                          kDaysPerWeek;
-  HOTSPOT_CHECK_GE(options.capture_weeks * kDaysPerWeek, needed_days);
-  retrain_thread_ = std::thread(&AdaptationController::RetrainLoop, this);
-  shadow_thread_ = std::thread(&AdaptationController::ShadowLoop, this);
+bool CutTrainingSlice(const stream::IncrementalFeatureEngine& engine,
+                      int num_days, TrainingSlice* out) {
+  HOTSPOT_CHECK(out != nullptr);
+  HOTSPOT_CHECK_GE(num_days, 1);
+  // Finalized frontiers are whole weeks, so the span is whole days.
+  const int end_hour = engine.min_finalized_hours();
+  const int hours = num_days * kHoursPerDay;
+  const int begin_hour = end_hour - hours;
+  const int n = engine.config().num_sectors;
+  for (int i = 0; i < n; ++i) {
+    if (!engine.HoldsSpan(i, begin_hour, hours)) return false;
+  }
+  Tensor3<float> tensor =
+      AssembleServingWindows(engine, hours, end_hour / kHoursPerDay);
+  // up(S^d) and up(Y^d) are constant within a day, so the first hour of
+  // each day carries the day's integrated score and hot-spot label.
+  const int num_kpis = engine.config().num_kpis;
+  const int score_channel = num_kpis + 5 + 1;
+  const int label_channel = num_kpis + 5 + 3;
+  Matrix<float> daily_scores(n, num_days, 0.0f);
+  Matrix<float> target_labels(n, num_days, 0.0f);
+  for (int i = 0; i < n; ++i) {
+    for (int d = 0; d < num_days; ++d) {
+      const float* row = tensor.Slice(i, d * kHoursPerDay);
+      daily_scores.At(i, d) = row[score_channel];
+      target_labels.At(i, d) = row[label_channel];
+    }
+  }
+  out->base_day = begin_hour / kHoursPerDay;
+  out->num_days = num_days;
+  out->features =
+      features::FeatureTensor::FromChannels(std::move(tensor), num_kpis);
+  out->daily_scores = std::move(daily_scores);
+  out->target_labels = std::move(target_labels);
+  return true;
 }
 
-AdaptationController::~AdaptationController() {
-  stopping_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(retrain_mutex_);
-    retrain_cv_.notify_all();
+AdaptationController::AdaptationController(ForecastService* service,
+                                           const AdaptOptions& options)
+    : service_(service), options_(options) {
+  HOTSPOT_CHECK(service != nullptr);
+  // The label days TrainBundle pools (a Tree champion's override included;
+  // retrains keep the champion's model kind), `stride` apart back from
+  // t_local = slice_days_ - 1: the oldest one's window must start inside
+  // the slice, or pooling would stop short of the configured days.
+  int pooled_days = options.policy.training_days;
+  if (service->bundle_snapshot()->model == ModelKind::kTree &&
+      options.train.tree_training_days > 0) {
+    pooled_days = options.train.tree_training_days;
   }
-  shadow_queue_.Close();
-  if (retrain_thread_.joinable()) retrain_thread_.join();
-  if (shadow_thread_.joinable()) shadow_thread_.join();
+  const int stride = options.train.training_day_stride;
+  HOTSPOT_CHECK_GE(pooled_days, 1);
+  HOTSPOT_CHECK_GE(stride, 1);
+  slice_days_ = (pooled_days - 1) * stride + service->window_days() +
+                service->horizon_days() + 1;
 }
 
 void AdaptationController::AttachTaps(
     pipeline::ServingPipeline::Options* options) {
   HOTSPOT_CHECK(options != nullptr);
-  auto chain_row = std::move(options->feature_row_tap);
-  options->feature_row_tap = [this, chain_row](int sector, int hour,
-                                               const float* row,
-                                               int channels) {
-    OnFeatureRow(sector, hour, row, channels);
-    if (chain_row) chain_row(sector, hour, row, channels);
-  };
+  HOTSPOT_CHECK_GE(options->history_weeks * kDaysPerWeek,
+                   slice_days_ + kDaysPerWeek)
+      << "history_weeks must keep a " << slice_days_
+      << "-day training slice plus a week";
   auto chain_predict = std::move(options->predict_tee);
   options->predict_tee = [this, chain_predict](int end_day, int target_day,
                                                const WindowBatch& windows) {
-    OnPredictTee(end_day, target_day, windows);
+    OnPredictTee(target_day, windows);
     if (chain_predict) chain_predict(end_day, target_day, windows);
   };
   auto chain_prediction = std::move(options->prediction_tee);
@@ -102,40 +124,33 @@ void AdaptationController::AttachTaps(
         if (chain_prediction) chain_prediction(prediction);
       };
   auto chain_outcome = std::move(options->outcome_tee);
-  options->outcome_tee = [this, chain_outcome](
-                             int day, const std::vector<float>& labels) {
-    OnOutcome(day, labels);
-    if (chain_outcome) chain_outcome(day, labels);
-  };
+  options->outcome_tee =
+      [this, chain_outcome](int day, const std::vector<float>& labels,
+                            const stream::IncrementalFeatureEngine& engine) {
+        OnOutcome(day, labels, engine);
+        if (chain_outcome) chain_outcome(day, labels, engine);
+      };
 }
 
-void AdaptationController::OnFeatureRow(int sector, int hour,
-                                        const float* row, int channels) {
-  // The capture runs in every state: the rolling corpus must already
-  // span the drifted regime by the time the trigger fires.
-  capture_.OnRow(sector, hour, row, channels);
-}
-
-void AdaptationController::OnPredictTee(int end_day, int target_day,
+void AdaptationController::OnPredictTee(int target_day,
                                         const WindowBatch& windows) {
   if (!shadow_active_.load(std::memory_order_acquire)) return;
   ShadowWork work;
-  work.end_day = end_day;
   work.target_day = target_day;
-  // Deep copy: the view reads the pipeline's engine, which moves on.
+  work.count = windows.count;
+  work.hours = windows.hours;
+  work.channels = windows.channels;
+  // Deep copy, with no zero fill first: the view reads the pipeline's
+  // engine, which moves on.
   const size_t window_floats = static_cast<size_t>(windows.hours) *
                                static_cast<size_t>(windows.channels);
-  work.windows = Tensor3<float>(windows.count, windows.hours,
-                                windows.channels);
+  work.windows.reserve(window_floats * static_cast<size_t>(windows.count));
   for (int i = 0; i < windows.count; ++i) {
-    std::copy(windows.Window(i), windows.Window(i) + window_floats,
-              work.windows.data().data() + i * window_floats);
+    work.windows.insert(work.windows.end(), windows.Window(i),
+                        windows.Window(i) + window_floats);
   }
-  if (options_.shadow_blocking) {
-    shadow_queue_.Push(std::move(work));
-  } else if (!shadow_queue_.TryPush(work)) {
-    Count("adapt/shadow_dropped");
-  }
+  std::lock_guard<std::mutex> lock(data_mutex_);
+  teed_batches_.push_back(std::move(work));
 }
 
 void AdaptationController::OnPrediction(const StreamingPrediction& prediction) {
@@ -154,8 +169,9 @@ void AdaptationController::OnPrediction(const StreamingPrediction& prediction) {
                                              prediction.generation};
 }
 
-void AdaptationController::OnOutcome(int day,
-                                     const std::vector<float>& labels) {
+void AdaptationController::OnOutcome(
+    int day, const std::vector<float>& labels,
+    const stream::IncrementalFeatureEngine& engine) {
   std::lock_guard<std::mutex> lock(data_mutex_);
   // The maturation frontier always advances (the kIdle trigger's
   // cooldown is denominated in it); the label payload is only retained
@@ -164,45 +180,44 @@ void AdaptationController::OnOutcome(int day,
   if (shadow_active_.load(std::memory_order_acquire)) {
     matured_labels_[day] = labels;
   }
-}
-
-void AdaptationController::RetrainLoop() {
-  for (;;) {
-    uint32_t index = 0;
-    {
-      std::unique_lock<std::mutex> lock(retrain_mutex_);
-      retrain_cv_.wait(lock, [&] {
-        return retrain_requested_ || stopping_.load(std::memory_order_acquire);
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      retrain_requested_ = false;
-      index = retrain_index_;
-    }
-    const bool ok = BuildChallenger(index);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != AdaptState::kRetraining) continue;  // torn down meanwhile
-    if (ok) {
-      // Compare only target days that mature from here on: days already
-      // matured were never shadow-scored.
-      {
-        std::lock_guard<std::mutex> data_lock(data_mutex_);
-        compare_after_day_ = last_matured_day_;
-      }
-      shadow_active_.store(true, std::memory_order_release);
-      TransitionLocked(AdaptState::kShadowing);
-    } else {
-      Count("adapt/retrain_failures");
-      TransitionLocked(AdaptState::kIdle);
-    }
+  if (slice_state_ == SliceState::kRequested) {
+    slice_state_ = CutTrainingSlice(engine, slice_days_, &slice_)
+                       ? SliceState::kCut
+                       : SliceState::kRefused;
   }
 }
 
-bool AdaptationController::BuildChallenger(uint32_t retrain_index) {
+void AdaptationController::ScoreTeedBatchesLocked() {
+  std::vector<ShadowWork> teed;
+  {
+    std::lock_guard<std::mutex> lock(data_mutex_);
+    teed.swap(teed_batches_);
+  }
+  // Batches teed while an episode was ending have no shadow to score them.
+  if (shadow_service_ == nullptr) return;
+  for (const ShadowWork& work : teed) {
+    // The copy's own shape, so Predict's shape checks refuse a shadow
+    // whose window or channel count differs from the champion's.
+    WindowBatch windows;
+    windows.data = work.windows.data();
+    windows.count = work.count;
+    windows.hours = work.hours;
+    windows.channels = work.channels;
+    windows.stride = static_cast<size_t>(work.hours) *
+                     static_cast<size_t>(work.channels);
+    std::vector<float> scores = shadow_service_->Predict(windows);
+    Count("adapt/shadow_batches");
+    Count("adapt/shadow_rows", scores.size());
+    shadow_scores_[work.target_day] = std::move(scores);
+  }
+}
+
+bool AdaptationController::BuildChallengerLocked(const TrainingSlice* slice) {
   std::shared_ptr<const serialize::ForecastBundle> champion =
       service_->bundle_snapshot();
   std::unique_ptr<serialize::ForecastBundle> challenger;
   const uint64_t started_ns = pipeline::SteadyNowNs();
-  if (options_.challenger_for_test) {
+  if (slice == nullptr) {
     challenger = options_.challenger_for_test(*champion);
     if (challenger == nullptr) return false;
     if (challenger->lineage == nullptr) {
@@ -210,23 +225,15 @@ bool AdaptationController::BuildChallenger(uint32_t retrain_index) {
       challenger->lineage->source = "adapt/test_override";
     }
     challenger->lineage->parent_generation = service_->generation();
-    challenger->lineage->retrain_index = retrain_index;
+    challenger->lineage->retrain_index = retrains_;
   } else {
-    const int w = champion->window_days;
-    const int h = champion->horizon_days;
-    // Enough matured days that the pooled training window is fully
-    // usable: t_local = num_days - 1, and the oldest pooled day's window
-    // must not start before the slice.
-    const int min_days = options_.policy.training_days + w + h;
-    TrainingSlice slice;
-    if (!capture_.Snapshot(min_days, &slice)) return false;
-    Forecaster forecaster(&slice.features, &slice.daily_scores,
-                          &slice.target_labels);
+    Forecaster forecaster(&slice->features, &slice->daily_scores,
+                          &slice->target_labels);
     ForecastConfig config = options_.train;
     config.model = champion->model;
-    config.w = w;
-    config.h = h;
-    config.t = slice.num_days - 1;
+    config.w = champion->window_days;
+    config.h = champion->horizon_days;
+    config.t = slice->num_days - 1;
     config.training_days = options_.policy.training_days;
     challenger = forecaster.TrainBundle(config);
     if (challenger == nullptr) return false;
@@ -236,8 +243,8 @@ bool AdaptationController::BuildChallenger(uint32_t retrain_index) {
     challenger->normalization = champion->normalization;
     challenger->lineage = std::make_unique<serialize::BundleLineage>();
     challenger->lineage->parent_generation = service_->generation();
-    challenger->lineage->retrain_index = retrain_index;
-    challenger->lineage->trained_end_day = slice.base_day + config.t;
+    challenger->lineage->retrain_index = retrains_;
+    challenger->lineage->trained_end_day = slice->base_day + config.t;
     challenger->lineage->source = "adapt/drift";
   }
   if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
@@ -250,36 +257,32 @@ bool AdaptationController::BuildChallenger(uint32_t retrain_index) {
   // Stand up the shadow service on a clone; the original is retained for
   // promotion. Monitoring off: the shadow answers comparison queries,
   // it is not a second alerting surface.
-  auto shadow = std::make_shared<ForecastService>(
-      serialize::CloneBundle(*challenger));
-  shadow->DisableMonitoring();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    challenger_bundle_ = std::move(challenger);
-  }
-  std::lock_guard<std::mutex> data_lock(data_mutex_);
-  shadow_service_ = std::move(shadow);
-  champion_scores_.clear();
+  shadow_service_ =
+      std::make_unique<ForecastService>(serialize::CloneBundle(*challenger));
+  shadow_service_->DisableMonitoring();
+  challenger_bundle_ = std::move(challenger);
   shadow_scores_.clear();
+  std::lock_guard<std::mutex> data_lock(data_mutex_);
+  teed_batches_.clear();
+  champion_scores_.clear();
   matured_labels_.clear();
   return true;
 }
 
-void AdaptationController::ShadowLoop() {
-  ShadowWork work;
-  while (shadow_queue_.Pop(&work)) {
-    std::shared_ptr<ForecastService> shadow;
-    {
-      std::lock_guard<std::mutex> lock(data_mutex_);
-      shadow = shadow_service_;
-    }
-    if (shadow == nullptr) continue;  // teardown raced a queued batch
-    std::vector<float> scores = shadow->Predict(work.windows);
-    Count("adapt/shadow_batches");
-    Count("adapt/shadow_rows", scores.size());
-    std::lock_guard<std::mutex> lock(data_mutex_);
-    shadow_scores_[work.target_day] = std::move(scores);
+void AdaptationController::FinishRetrainLocked(bool built) {
+  if (!built) {
+    Count("adapt/retrain_failures");
+    TransitionLocked(AdaptState::kIdle);
+    return;
   }
+  // Compare only target days that mature from here on: days already
+  // matured were never shadow-scored.
+  {
+    std::lock_guard<std::mutex> data_lock(data_mutex_);
+    compare_after_day_ = last_matured_day_;
+  }
+  shadow_active_.store(true, std::memory_order_release);
+  TransitionLocked(AdaptState::kShadowing);
 }
 
 ComparisonSample AdaptationController::JoinSample(int after_day,
@@ -311,6 +314,7 @@ ComparisonSample AdaptationController::JoinSample(int after_day,
 
 AdaptState AdaptationController::Poll() {
   std::lock_guard<std::mutex> lock(mutex_);
+  ScoreTeedBatchesLocked();
   switch (state_) {
     case AdaptState::kIdle: {
       int matured = -1;
@@ -329,15 +333,30 @@ AdaptState AdaptationController::Poll() {
         ++retrains_;
         Count("adapt/retrains");
         TransitionLocked(AdaptState::kRetraining);
-        std::lock_guard<std::mutex> retrain_lock(retrain_mutex_);
-        retrain_requested_ = true;
-        retrain_index_ = retrains_;
-        retrain_cv_.notify_all();
+        if (options_.challenger_for_test) {
+          FinishRetrainLocked(BuildChallengerLocked(nullptr));
+        } else {
+          std::lock_guard<std::mutex> data_lock(data_mutex_);
+          slice_state_ = SliceState::kRequested;
+        }
       }
       break;
     }
-    case AdaptState::kRetraining:
-      break;  // the retrain worker owns the next edge
+    case AdaptState::kRetraining: {
+      // The outcome tee answers the request at the next day close.
+      SliceState answer = SliceState::kNone;
+      TrainingSlice slice;
+      {
+        std::lock_guard<std::mutex> data_lock(data_mutex_);
+        answer = slice_state_;
+        if (answer == SliceState::kRequested) break;
+        slice = std::move(slice_);
+        slice_state_ = SliceState::kNone;
+      }
+      FinishRetrainLocked(answer == SliceState::kCut &&
+                          BuildChallengerLocked(&slice));
+      break;
+    }
     case AdaptState::kShadowing: {
       const ComparisonSample sample = JoinSample(compare_after_day_, 0);
       const bool enough =
@@ -421,14 +440,14 @@ void AdaptationController::PromoteChallengerLocked() {
   Count("adapt/promotions");
   // The roles swap for the guard window: the archived champion takes
   // over shadow duty against the promoted bundle's live traffic.
-  auto guard_shadow = std::make_shared<ForecastService>(
+  shadow_service_ = std::make_unique<ForecastService>(
       serialize::CloneBundle(*archived_champion_));
-  guard_shadow->DisableMonitoring();
+  shadow_service_->DisableMonitoring();
+  shadow_scores_.clear();
   {
     std::lock_guard<std::mutex> data_lock(data_mutex_);
-    shadow_service_ = std::move(guard_shadow);
+    teed_batches_.clear();
     champion_scores_.clear();
-    shadow_scores_.clear();
     matured_labels_.clear();
     compare_after_day_ = last_matured_day_;
   }
@@ -454,10 +473,11 @@ void AdaptationController::EndEpisodeLocked() {
   first_serve_latency_pending_.store(false, std::memory_order_release);
   challenger_bundle_.reset();
   archived_champion_.reset();
-  std::lock_guard<std::mutex> data_lock(data_mutex_);
   shadow_service_.reset();
-  champion_scores_.clear();
   shadow_scores_.clear();
+  std::lock_guard<std::mutex> data_lock(data_mutex_);
+  teed_batches_.clear();
+  champion_scores_.clear();
   matured_labels_.clear();
 }
 
@@ -477,7 +497,6 @@ void AdaptationController::TransitionLocked(AdaptState next,
   }
   Count("adapt/transitions");
   state_ = next;
-  state_cv_.notify_all();
 }
 
 AdaptState AdaptationController::state() const {
@@ -500,13 +519,6 @@ AdaptReport AdaptationController::Report() const {
   }
   report.last_verdict = last_verdict_;
   return report;
-}
-
-bool AdaptationController::WaitForState(AdaptState target,
-                                        std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return state_cv_.wait_for(lock, timeout,
-                            [&] { return state_ == target; });
 }
 
 }  // namespace hotspot::adapt

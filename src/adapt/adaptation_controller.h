@@ -2,32 +2,29 @@
 #define HOTSPOT_ADAPT_ADAPTATION_CONTROLLER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "adapt/capture.h"
 #include "adapt/champion_challenger.h"
 #include "core/forecast_service.h"
 #include "core/forecaster.h"
+#include "features/feature_tensor.h"
 #include "monitor/drift.h"
-#include "pipeline/bounded_queue.h"
 #include "pipeline/serving_pipeline.h"
-#include "tensor/tensor3.h"
+#include "stream/incremental_features.h"
+#include "tensor/matrix.h"
+#include "tensor/window_batch.h"
 
 namespace hotspot::adapt {
 
 /// Where the closed loop stands. The ladder:
 ///
 ///   kIdle ──trigger──▶ kRetraining ──bundle ready──▶ kShadowing
-///     ▲                    │ capture too thin            │ verdict
+///     ▲                    │ history too thin            │ verdict
 ///     │                    ▼                             ▼
 ///     │◀─cooldown── (back to kIdle)      kPromoted / kRejected
 ///     │                                       │ guard window
@@ -80,34 +77,45 @@ struct AdaptPolicy {
 /// Everything an AdaptationController is configured by.
 struct AdaptOptions {
   AdaptPolicy policy;
-  /// Serving-universe shape (must match the pipeline the taps attach to;
-  /// the channel count comes from the service).
-  int num_sectors = 0;
   /// Hyperparameter template for retrains. model/w/h are overridden from
-  /// the champion bundle (the serving universe is fixed); t and
-  /// training_days are chosen per retrain from the capture window.
+  /// the champion bundle (the serving universe is fixed), training_days
+  /// from the policy, and t from the training slice, which is cut long
+  /// enough for training_day_stride and tree_training_days to pool every
+  /// configured day.
   ForecastConfig train;
-  /// Finalized feature rows captured per sector, in weeks. Must cover
-  /// policy.training_days plus the serving window, horizon and one week
-  /// of maturation slack (checked at construction).
-  int capture_weeks = 8;
-  /// Shadow tee handoff depth, in batches. In blocking mode a full queue
-  /// backpressures the pipeline's worker; otherwise overflow batches are
-  /// dropped and counted under adapt/shadow_dropped.
-  int shadow_queue_capacity = 8;
-  /// Lossless (deterministic) shadow scoring: the tee blocks when the
-  /// shadow scorer falls behind, so champion and challenger see exactly
-  /// the same batches — the mode every test runs. False trades holes in
-  /// the comparison sample for zero added predict latency.
-  bool shadow_blocking = true;
   /// Fault-injection seam: when set, retraining is bypassed and this
   /// returns the challenger (e.g. a deliberately broken bundle for the
-  /// rollback drill). Runs on the retrain worker thread with the
-  /// champion bundle the retrain would have forked from.
+  /// rollback drill). Poll() calls it when the trigger fires, with the
+  /// champion bundle the retrain would have forked from; no training
+  /// slice is cut.
   std::function<std::unique_ptr<serialize::ForecastBundle>(
       const serialize::ForecastBundle& champion)>
       challenger_for_test;
 };
+
+/// The training inputs cut from the serving engine's history, in stream
+/// coordinates: tensor day d is stream day `base_day + d`. The daily
+/// score and label matrices are exact reconstructions from the row
+/// channels (up(S^d) and up(Y^d) are constant within a day, so the hour
+/// 24·d sample IS the day's value) — the same matrices the batch study
+/// would have produced over this span.
+struct TrainingSlice {
+  int base_day = 0;
+  int num_days = 0;
+  features::FeatureTensor features;
+  Matrix<float> daily_scores;
+  Matrix<float> target_labels;
+};
+
+/// Cuts the `num_days` whole days that end at the engine's slowest
+/// finalized frontier (min_finalized_hours()) into `out`, every row
+/// bitwise the one the live model was served from. Returns false, leaving
+/// `out` alone, when that span is not finalized and inside every
+/// sector's history ring — a sector that ran a week ahead may already
+/// have overwritten the span's start. Reads the engine, so call it where
+/// the engine is not being fed (the pipeline's outcome tee).
+bool CutTrainingSlice(const stream::IncrementalFeatureEngine& engine,
+                      int num_days, TrainingSlice* out);
 
 /// One Report() snapshot of the controller.
 struct AdaptReport {
@@ -125,85 +133,101 @@ struct AdaptReport {
 
 /// The subsystem that closes the monitor → model loop: watches
 /// ForecastService::Health() for the policy trigger, retrains a
-/// challenger on a rolling window of rows captured from the live serving
-/// path (warm start: Forecaster::TrainBundle's exact seed-stream
-/// discipline over the captured tensor, the champion's score config and
-/// normalization carried over), scores live traffic with the challenger
-/// in shadow via the ServingPipeline predict tee (shadow results never
-/// leave the process), compares on matured labels with bootstrap CIs,
-/// promotes winners through the service's RCU PromoteBundle path — and
-/// rolls back to the archived champion if the promotion regresses within
-/// a guard window (the archive keeps shadow-scoring after the swap, so
-/// the regression check runs on live matured labels too).
+/// challenger on the newest days of the serving engine's own history
+/// (warm start: Forecaster::TrainBundle's exact seed-stream discipline
+/// over the cut slice, the champion's score config and normalization
+/// carried over), scores live traffic with the challenger in shadow via
+/// the ServingPipeline predict tee (shadow results never leave the
+/// process), compares on matured labels with bootstrap CIs, promotes
+/// winners through the service's RCU PromoteBundle path — and rolls back
+/// to the archived champion if the promotion regresses within a guard
+/// window (the archive keeps shadow-scoring after the swap, so the
+/// regression check runs on live matured labels too).
 ///
 /// Wiring: construct the controller, call AttachTaps() on the pipeline
 /// Options BEFORE constructing the pipeline, and destroy the pipeline
 /// before the controller (the taps hold a pointer to it). The controller
-/// never blocks serving: heavy work (TrainBundle, shadow Predict) runs on
-/// its own worker threads, and until PromoteBundle the serving path is
-/// untouched — champion predictions are bitwise-identical to a
-/// controller-free run (pinned by tests/adapt_test.cc).
+/// has no threads of its own. On the pipeline's worker the taps only
+/// copy: the windows of each batch while a shadow is live, the champion's
+/// scores, the matured labels, and — once, at the first day close after
+/// a retrain is requested — the training slice out of the engine's
+/// history. Training and shadow scoring run inside Poll(), on the
+/// caller's thread. Until PromoteBundle the serving path is untouched —
+/// champion predictions are bitwise-identical to a controller-free run
+/// (pinned by tests/adapt_test.cc).
 ///
-/// Poll() is the deterministic driver: call it from any thread (tests
-/// poll at stream milestones; examples poll per ingested week). Every
-/// state transition lands as a FlightRecorder kAdaptTransition event and
-/// in the adapt/* counters; the flight log reconciles the counters
-/// exactly (pinned by the tests and the bench_micro_adapt smoke).
+/// Poll() drives the ladder: call it from any thread, at least once per
+/// stream day while a shadow is live — the batches the predict tee
+/// copied wait, unbounded, for the next Poll() to score them (feeders
+/// poll at every day close; a chained outcome tee may poll too,
+/// which runs the ladder on the worker, on the stream clock, and costs
+/// the worker the Poll). A Poll() that trains takes as long as
+/// TrainBundle does. Every state transition lands as a FlightRecorder
+/// kAdaptTransition event and in the adapt/* counters; the flight log
+/// reconciles the counters exactly (pinned by the tests and the
+/// bench_micro_adapt smoke).
 class AdaptationController {
  public:
   /// `service` is the champion's ForecastService (the one the pipeline
   /// serves); not owned, must outlive the controller.
   AdaptationController(ForecastService* service, const AdaptOptions& options);
 
-  /// Joins the worker threads. The pipeline whose taps point here must
-  /// already be destroyed (or Finish()ed and quiescent).
-  ~AdaptationController();
-
   AdaptationController(const AdaptationController&) = delete;
   AdaptationController& operator=(const AdaptationController&) = delete;
 
-  /// Installs the controller's four taps (feature-row capture, shadow
-  /// predict tee, champion-score tee, matured-label tee) onto pipeline
-  /// options. Chains with — never replaces — taps already present.
+  /// Installs the controller's three taps (shadow predict tee,
+  /// champion-score tee, matured-label tee) onto pipeline options.
+  /// Chains with — never replaces — taps already present. Checks that
+  /// options->history_weeks keeps a training slice (the pooled label
+  /// days, training_day_stride apart, plus the serving window and
+  /// horizon) with a week to spare: at a day close the fastest sector's
+  /// ring can be a week ahead of the slice's end.
   void AttachTaps(pipeline::ServingPipeline::Options* options);
 
-  /// Advances the ladder one step: checks the trigger in kIdle, the
-  /// verdict gates in kShadowing, the guard window in kPromoted, and
-  /// un-latches terminal states. Thread-safe, cheap when nothing changed;
-  /// returns the state after the step.
+  /// Advances the ladder one step, after scoring every batch the predict
+  /// tee copied since the last Poll(): checks the trigger in kIdle, trains
+  /// the challenger once the outcome tee has cut its slice in
+  /// kRetraining, the verdict gates in kShadowing, the guard window in
+  /// kPromoted, and un-latches terminal states. Thread-safe; returns the
+  /// state after the step.
   AdaptState Poll();
 
   AdaptState state() const;
   AdaptReport Report() const;
 
-  /// Blocks until the ladder reaches `target` (true) or `timeout` passes
-  /// (false). States are latched until the next Poll(), so a waiter
-  /// always observes transient states like kPromoted.
-  bool WaitForState(AdaptState target, std::chrono::milliseconds timeout);
-
  private:
-  /// One queued shadow batch: a deep copy of the windows the champion
+  /// One teed shadow batch: a deep copy of the windows the champion
   /// scored, made on the pipeline's worker thread inside the tee.
   struct ShadowWork {
-    int end_day = 0;
     int target_day = 0;
-    Tensor3<float> windows;
+    int count = 0;
+    int hours = 0;
+    int channels = 0;
+    /// `count` windows of hours x channels floats, back to back.
+    std::vector<float> windows;
   };
 
+  /// Where the retrain's training slice stands (guarded by data_mutex_):
+  /// Poll() requests it, the outcome tee answers at the next day close.
+  enum class SliceState { kNone, kRequested, kCut, kRefused };
+
   // Tap bodies (hot paths; see AttachTaps).
-  void OnFeatureRow(int sector, int hour, const float* row, int channels);
-  void OnPredictTee(int end_day, int target_day, const WindowBatch& windows);
+  void OnPredictTee(int target_day, const WindowBatch& windows);
   void OnPrediction(const StreamingPrediction& prediction);
-  void OnOutcome(int day, const std::vector<float>& labels);
+  void OnOutcome(int day, const std::vector<float>& labels,
+                 const stream::IncrementalFeatureEngine& engine);
 
-  // Worker loops.
-  void RetrainLoop();
-  void ShadowLoop();
+  /// Scores the batches the predict tee copied since the last call with
+  /// the shadow service, outside data_mutex_. Caller holds mutex_.
+  void ScoreTeedBatchesLocked();
 
-  /// Builds the challenger for `retrain_index` (capture snapshot →
-  /// TrainBundle, or the test override) and stands up the shadow service.
-  /// Returns false when the capture is still too thin.
-  bool BuildChallenger(uint32_t retrain_index);
+  /// Builds the challenger (TrainBundle over `slice`, or the test
+  /// override when `slice` is null) and stands up the shadow service.
+  /// Returns false when no challenger came out. Caller holds mutex_.
+  bool BuildChallengerLocked(const TrainingSlice* slice);
+  /// Ends the retrain: kShadowing when `built`, else back to kIdle with
+  /// adapt/retrain_failures counted.
+  void FinishRetrainLocked(bool built);
 
   /// Joins champion scores, shadow scores and matured labels over target
   /// days in (`after_day`, last matured], restricted to champion rows
@@ -223,10 +247,14 @@ class AdaptationController {
 
   ForecastService* service_;
   AdaptOptions options_;
-  FeatureCapture capture_;
+  /// Days in a training slice: the span of the pooled label days
+  /// (training_day_stride apart) plus the serving window and horizon the
+  /// oldest of them reaches back over.
+  int slice_days_ = 0;
 
+  /// Guards the ladder and everything Poll() owns. Held through training
+  /// and shadow scoring, so Report() waits for a training Poll().
   mutable std::mutex mutex_;
-  std::condition_variable state_cv_;
   AdaptState state_ = AdaptState::kIdle;
   uint32_t retrains_ = 0;
   uint32_t promotions_ = 0;
@@ -250,28 +278,21 @@ class AdaptationController {
   /// champion clone takes over shadow duty for the guard window.
   std::unique_ptr<serialize::ForecastBundle> challenger_bundle_;
   std::unique_ptr<serialize::ForecastBundle> archived_champion_;
-  std::shared_ptr<ForecastService> shadow_service_;
+  std::unique_ptr<ForecastService> shadow_service_;
   std::atomic<bool> shadow_active_{false};
-
-  /// Joined evaluation state, fed by the taps (guarded by data_mutex_ —
-  /// never take mutex_ inside it; tap hot paths must not contend with a
-  /// Poll() holding mutex_ through a verdict).
-  mutable std::mutex data_mutex_;
-  std::map<int, std::pair<std::vector<float>, uint64_t>> champion_scores_;
+  /// The shadow's scores per target day.
   std::map<int, std::vector<float>> shadow_scores_;
+
+  /// State the taps write, guarded by data_mutex_ — never take mutex_
+  /// inside it, and never hold it while training or scoring: the taps
+  /// run on the serving worker, which must not wait out a Poll().
+  mutable std::mutex data_mutex_;
+  std::vector<ShadowWork> teed_batches_;
+  std::map<int, std::pair<std::vector<float>, uint64_t>> champion_scores_;
   std::map<int, std::vector<float>> matured_labels_;
   int last_matured_day_ = -1;
-
-  pipeline::BoundedQueue<ShadowWork> shadow_queue_;
-  std::atomic<bool> stopping_{false};
-
-  std::mutex retrain_mutex_;
-  std::condition_variable retrain_cv_;
-  bool retrain_requested_ = false;
-  uint32_t retrain_index_ = 0;
-
-  std::thread retrain_thread_;
-  std::thread shadow_thread_;
+  SliceState slice_state_ = SliceState::kNone;
+  TrainingSlice slice_;
 };
 
 }  // namespace hotspot::adapt

@@ -16,10 +16,6 @@ ForecastFleet::ForecastFleet(
   HOTSPOT_CHECK(bundle != nullptr);
   HOTSPOT_CHECK_GT(options_.serving.num_sectors, 0);
   HOTSPOT_CHECK_GT(options_.serving.num_kpis, 0);
-  // on_prediction is the fleet's aggregation channel; a caller-supplied
-  // delivery callback would race it on the shard pipelines.
-  HOTSPOT_CHECK(!options_.serving.on_prediction)
-      << "FleetOptions::serving.on_prediction is reserved for the fleet";
   num_sectors_ = options_.serving.num_sectors;
   num_kpis_ = options_.serving.num_kpis;
 
@@ -66,9 +62,13 @@ ForecastFleet::ForecastFleet(
 
     pipeline::ServingPipeline::Options serving = options_.serving;
     serving.num_sectors = static_cast<int>(shard.sectors.size());
-    serving.on_prediction = [this, shard_index](
-                                const StreamingPrediction& prediction) {
+    // The aggregator runs first, then the caller's tee, on the shard's
+    // worker.
+    serving.prediction_tee = [this, shard_index,
+                              tee = options_.serving.prediction_tee](
+                                 const StreamingPrediction& prediction) {
       OnShardPrediction(shard_index, prediction);
+      if (tee) tee(prediction);
     };
     if (options_.shard_options_for_test) {
       options_.shard_options_for_test(shard_index, &serving);

@@ -22,9 +22,9 @@ namespace hotspot::fleet {
 
 /// Everything a fleet is configured by. `serving` is the per-shard
 /// pipeline template: `serving.num_sectors` is the GLOBAL sector count
-/// (the fleet rewrites it to each shard's local population), and
-/// `serving.on_prediction` is reserved for the fleet's own aggregation
-/// callback (set it and construction fails).
+/// (the fleet rewrites it to each shard's local population), and a
+/// `serving.prediction_tee` sees each shard's local batches after the
+/// fleet's own aggregator has taken them.
 ///
 /// The admission budget is `serving.row_queue_blocks`: the capacity, in
 /// row blocks, of each shard pipeline's ingress queue. Once a shard's
@@ -95,7 +95,7 @@ struct FleetHealth {
 ///
 ///   Push(sector,…) ─route, TryPush─▶ [shard pipeline's ingress queue]
 ///       ─shard worker: ingest → features → predict → monitor─▶
-///       on_prediction ─▶ fleet aggregator ─▶ TakePredictions()
+///       prediction_tee ─▶ fleet aggregator ─▶ TakePredictions()
 ///
 /// Equivalence: scoring is per-sector independent end to end (features,
 /// windows, per-row tree traversal), so the fleet's scattered output is

@@ -25,7 +25,6 @@
 ///              champion/challenger promotion (adapt::AdaptationController)
 
 #include "adapt/adaptation_controller.h"
-#include "adapt/capture.h"
 #include "adapt/champion_challenger.h"
 #include "core/config.h"
 #include "core/dynamics.h"

@@ -1,8 +1,11 @@
 #include "io/csv_io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -32,10 +35,17 @@ bool ParseFloatField(const std::string& field, float* value) {
   return end == field.c_str() + field.size();
 }
 
+/// Parses an int field. Returns false on a malformed number and on one
+/// that does not fit in an int (never wraps it into range).
 bool ParseIntField(const std::string& field, int* value) {
   char* end = nullptr;
-  long parsed = std::strtol(field.c_str(), &end, 10);
+  errno = 0;
+  const long long parsed = std::strtoll(field.c_str(), &end, 10);
   if (end != field.c_str() + field.size() || field.empty()) return false;
+  if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    return false;
+  }
   *value = static_cast<int>(parsed);
   return true;
 }
@@ -300,13 +310,14 @@ IoStatus ReadKpiTensorCsv(const std::string& path, Tensor3<float>* kpis,
   }
   if (!reader.status().ok) return reader.status();
   if (cells.empty()) return IoStatus::Error(path + ": no data rows");
-  long long expected = static_cast<long long>(max_sector + 1) *
-                       static_cast<long long>(max_hour + 1);
-  if (static_cast<long long>(cells.size()) != expected) {
+  // In 64 bits: an id of INT_MAX must not wrap the grid's extent.
+  const long long num_sectors = static_cast<long long>(max_sector) + 1;
+  const long long num_hours = static_cast<long long>(max_hour) + 1;
+  if (static_cast<long long>(cells.size()) != num_sectors * num_hours) {
     return IoStatus::Error(path + ": sparse (sector, hour) coverage — " +
                            std::to_string(cells.size()) + " rows for a " +
-                           std::to_string(max_sector + 1) + "x" +
-                           std::to_string(max_hour + 1) + " grid");
+                           std::to_string(num_sectors) + "x" +
+                           std::to_string(num_hours) + " grid");
   }
   // All validation passed — only now touch the outputs, so a failed load
   // never leaves a partially-filled tensor or name list behind.

@@ -29,8 +29,8 @@ struct QueueStats {
 };
 
 /// Bounded blocking MPSC/MPMC queue — the hand-off between producers and
-/// one consumer thread (a pipeline's ingress, the adapt shadow queue). The
-/// contract that makes it lossless:
+/// one consumer thread (a pipeline's ingress). The contract that makes it
+/// lossless:
 ///
 ///   * Push on a full queue BLOCKS until the consumer has drained it to
 ///     half its capacity (or the queue is closed); it never drops and

@@ -73,9 +73,6 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   engine_ =
       std::make_unique<stream::IncrementalFeatureEngine>(feature_config);
   HOTSPOT_CHECK_EQ(engine_->channels(), service_->num_channels());
-  if (options_.feature_row_tap) {
-    engine_->set_row_sink(options_.feature_row_tap);
-  }
   // A window must still be in history when its end-day becomes servable;
   // the frontier can run up to one week past the last served day, so
   // retention needs the window plus that slack (the runner's check).
@@ -328,7 +325,7 @@ void ServingPipeline::ServeReady(uint64_t now) {
     const int day = next_outcome_day_++;
     std::vector<float> labels = GatherDayLabels(*engine_, day);
     now = EndPhase(kFeatures, now, 0, 1);
-    if (options_.outcome_tee) options_.outcome_tee(day, labels);
+    if (options_.outcome_tee) options_.outcome_tee(day, labels, *engine_);
     matured_labels_[day] = std::move(labels);
     RecordReadyOutcomes();
     now = EndPhase(kMonitor, now, 1, 0);
@@ -339,7 +336,6 @@ void ServingPipeline::Deliver(StreamingPrediction prediction) {
   awaiting_outcomes_.push_back(prediction);
   pending_outcomes_.store(static_cast<int>(awaiting_outcomes_.size()),
                           std::memory_order_relaxed);
-  if (options_.on_prediction) options_.on_prediction(prediction);
   if (options_.prediction_tee) options_.prediction_tee(prediction);
   {
     std::lock_guard<std::mutex> lock(results_mutex_);

@@ -120,37 +120,27 @@ class ServingPipeline {
     /// refuses — for a fleet shard this is its admission budget).
     int row_queue_blocks = 64;
 
-    // --- delivery ---
-    /// Optional push delivery: called on the worker for every served
-    /// batch, in end-day order. Predictions are also always collected for
-    /// TakePredictions().
-    std::function<void(const StreamingPrediction&)> on_prediction;
-
-    // --- adaptation taps (src/adapt; all optional, and strictly
-    // read-only with respect to the serving path — with no taps installed
-    // nothing changes, and with them installed the champion's scores stay
-    // bitwise-identical) ---
-    /// Called on the worker for every finalized feature row (installed as
-    /// the engine's row sink): the adaptation controller's rolling
-    /// training-data capture. The row pointer is valid only for the
-    /// duration of the call.
-    stream::FeatureRowSink feature_row_tap;
+    // --- taps (all optional, and strictly read-only with respect to the
+    // serving path — with none installed nothing changes, and with them
+    // installed the served scores stay bitwise-identical; src/adapt
+    // chains its three onto these) ---
     /// Shadow-scoring tee: called on the worker for every prediction
     /// batch BEFORE the champion scores it, with the windows it scores.
     /// The view reads the engine's history and is valid only for the
-    /// call — a consumer that scores asynchronously must copy. Blocking
-    /// here backpressures the pipeline (deliberate: lossless shadow
-    /// comparison beats a fast one).
+    /// call — a consumer that scores asynchronously must copy.
     std::function<void(int end_day, int target_day,
                        const WindowBatch& windows)>
         predict_tee;
-    /// Champion-score tee: called on the worker for every served batch,
-    /// like on_prediction — which the fleet reserves for its aggregation,
-    /// hence the second hook.
+    /// Push delivery: called on the worker for every served batch, in
+    /// end-day order. Predictions are also always collected for
+    /// TakePredictions().
     std::function<void(const StreamingPrediction&)> prediction_tee;
     /// Matured-label tee: called on the worker when a day's ground-truth
-    /// labels close in the stream.
-    std::function<void(int day, const std::vector<float>& labels)>
+    /// labels close in the stream, with the feature engine — valid only
+    /// for the call, and not being fed during it — so a consumer can cut
+    /// training inputs out of the served history.
+    std::function<void(int day, const std::vector<float>& labels,
+                       const stream::IncrementalFeatureEngine& engine)>
         outcome_tee;
 
     // --- test / chaos knob ---

@@ -174,7 +174,6 @@ void IncrementalFeatureEngine::CloseWeek(int sector, SectorState* state,
                              static_cast<size_t>(ch),
                   row, static_cast<size_t>(ch) * sizeof(float));
     }
-    if (row_sink_ != nullptr) row_sink_(sector, hour, row, ch);
   }
   state->finalized_hours = (week + 1) * kHoursPerWeek;
   if (counters_.weeks != nullptr) counters_.weeks->Increment();
@@ -218,16 +217,24 @@ float IncrementalFeatureEngine::DailyLabel(int sector, int day) const {
   return state.label_history[static_cast<size_t>(day % history_days)];
 }
 
+bool IncrementalFeatureEngine::HoldsSpan(int sector, int first_hour,
+                                         int num_hours) const {
+  HOTSPOT_CHECK(sector >= 0 && sector < config_.num_sectors);
+  const int finalized = sectors_[static_cast<size_t>(sector)].finalized_hours;
+  return first_hour >= 0 && first_hour + num_hours <= finalized &&
+         first_hour >= finalized - history_hours();
+}
+
 WindowBatch IncrementalFeatureEngine::ServingWindows(int end_day) const {
   const int window = config_.window_hours;
   HOTSPOT_CHECK_GT(window, 0) << "ServingWindows needs a mirrored history";
   const int first_hour = kHoursPerDay * end_day - window;
-  HOTSPOT_CHECK_GE(first_hour, 0);
   // Every sector shares the slot arithmetic, so one offset serves all —
   // provided no sector's frontier has left the span or overwritten it.
-  for (const SectorState& state : sectors_) {
-    HOTSPOT_CHECK_LE(first_hour + window, state.finalized_hours);
-    HOTSPOT_CHECK_GE(first_hour, state.finalized_hours - history_hours());
+  for (int i = 0; i < config_.num_sectors; ++i) {
+    HOTSPOT_CHECK(HoldsSpan(i, first_hour, window))
+        << "sector " << i << " does not hold hours [" << first_hour << ", "
+        << first_hour + window << ")";
   }
   WindowBatch batch;
   batch.data = feature_history_.data() +
@@ -243,12 +250,10 @@ WindowBatch IncrementalFeatureEngine::ServingWindows(int end_day) const {
 void IncrementalFeatureEngine::CopyFeatureRows(int sector, int first_hour,
                                                int num_hours,
                                                float* dst) const {
-  HOTSPOT_CHECK(sector >= 0 && sector < config_.num_sectors);
   HOTSPOT_CHECK(dst != nullptr);
-  const SectorState& state = sectors_[static_cast<size_t>(sector)];
-  HOTSPOT_CHECK_GE(first_hour, 0);
-  HOTSPOT_CHECK_LE(first_hour + num_hours, state.finalized_hours);
-  HOTSPOT_CHECK_GE(first_hour, state.finalized_hours - history_hours());
+  HOTSPOT_CHECK(HoldsSpan(sector, first_hour, num_hours))
+      << "sector " << sector << " does not hold hours [" << first_hour
+      << ", " << first_hour + num_hours << ")";
   const size_t ch = static_cast<size_t>(channels());
   const float* ring = Ring(sector);
   for (int h = 0; h < num_hours; ++h) {

@@ -50,12 +50,6 @@ struct SectorStreamState {
   double day_score_p95 = 0.0;   ///< daily scores (NaN while no day closed)
 };
 
-/// Receives each finalized feature row: `row` has `channels` floats laid
-/// out exactly like one (sector, hour) slice of the batch FeatureTensor.
-/// Valid only for the duration of the call.
-using FeatureRowSink = std::function<void(int sector, int hour,
-                                          const float* row, int channels)>;
-
 /// Incremental replacement for the batch score → label → FeatureTensor
 /// pipeline: consumes in-order per-sector KPI rows (the KpiStreamIngestor
 /// sink contract) and maintains rolling state — the current week's KPI
@@ -91,10 +85,6 @@ class IncrementalFeatureEngine {
   IncrementalFeatureEngine& operator=(const IncrementalFeatureEngine&) =
       delete;
 
-  /// Optional per-row tap, e.g. for tests or downstream fan-out. Called
-  /// under the Consume thread.
-  void set_row_sink(FeatureRowSink sink) { row_sink_ = std::move(sink); }
-
   /// Applies one in-order row (hour must equal the sector's consumed
   /// frontier; the ingestor guarantees this). NaN values mark missing
   /// readings.
@@ -124,16 +114,22 @@ class IncrementalFeatureEngine {
   /// window (Eq. 4 on the day's integrated score).
   float DailyLabel(int sector, int day) const;
 
+  /// Whether sector `sector` has finalized hours [first_hour, first_hour
+  /// + num_hours) and its history ring still holds them: the one
+  /// retention rule ServingWindows and CopyFeatureRows check, and what a
+  /// caller asks before cutting a span that may be gone.
+  bool HoldsSpan(int sector, int first_hour, int num_hours) const;
+
   /// The serving windows ending at day `end_day`, read in place: window
   /// i holds sector i's rows [24·end_day − window_hours, 24·end_day)
   /// (config().window_hours of them) — what CopyFeatureRows would copy
-  /// out. Requires the mirror (window_hours > 0) and the span finalized
-  /// and within history for every sector. Valid until the next Consume.
+  /// out. Requires the mirror (window_hours > 0) and HoldsSpan for every
+  /// sector. Valid until the next Consume.
   WindowBatch ServingWindows(int end_day) const;
 
   /// Copies `num_hours` finalized feature rows starting at `first_hour`
   /// into `dst` (num_hours x channels, row-major — one sector slab of the
-  /// batch tensor). The span must be finalized and within history.
+  /// batch tensor). Requires HoldsSpan.
   void CopyFeatureRows(int sector, int first_hour, int num_hours,
                        float* dst) const;
 
@@ -186,7 +182,6 @@ class IncrementalFeatureEngine {
   }
 
   FeatureEngineConfig config_;
-  FeatureRowSink row_sink_;
   std::vector<SectorState> sectors_;
   /// Every sector's ring, one after another, ring_stride_ floats apart.
   std::vector<float> feature_history_;

@@ -1,10 +1,13 @@
 // Lockdown tests for the continual-learning subsystem (src/adapt):
-//   * FeatureCapture — the rolling training corpus rebuilt from the live
-//     serving path must be bitwise the batch study's tensors;
+//   * the engine cut — training inputs cut from the serving engine's
+//     history ring must be bitwise the batch study's tensors, and a span
+//     the ring no longer holds must be refused, not fabricated;
 //   * champion/challenger comparison — paired-bootstrap verdict semantics
 //     on synthetic rankings, including the degenerate no-positives case;
 //   * paired percentile bootstrap — determinism and CI sanity;
 //   * bundle lineage — codec round trip of the retrain provenance;
+//   * the controller's wiring — no threads of its own, and a history too
+//     short for a training slice refused at AttachTaps;
 //   * end-to-end closed loop — a served stream whose network shifted away
 //     from the champion's training era must walk kIdle → kRetraining →
 //     kShadowing → kPromoted → kIdle with the challenger genuinely
@@ -15,18 +18,19 @@
 //   * fault drills — an injected regressing challenger must be promoted
 //     and then rolled back inside the guard window; an injected
 //     no-better challenger must be rejected at the maximum shadow age
-//     and start the cooldown.
+//     and start the cooldown (polled on the stream clock, so the phase
+//     the stream ends in is exact);
+//   * strided retrains — with training_day_stride 2 the slice is cut long
+//     enough that the retrain pools every configured label day.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "adapt/adaptation_controller.h"
-#include "adapt/capture.h"
 #include "adapt/champion_challenger.h"
 #include "core/forecast_service.h"
 #include "core/study.h"
@@ -36,8 +40,10 @@
 #include "pipeline/serving_pipeline.h"
 #include "serialize/bundle.h"
 #include "stats/bootstrap.h"
+#include "stream/incremental_features.h"
 #include "tensor/temporal.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hotspot {
 namespace {
@@ -112,9 +118,9 @@ pipeline::ServingPipeline::Options ServeOptionsFor(const Study& study) {
 }
 
 /// Streams `kpis` hour-major through the pipeline, polling the controller
-/// at every day close. While a retrain is in flight the feed pauses until
-/// the worker hands off — that pins the shadow episode's day span to the
-/// stream clock instead of the scheduler's.
+/// at every day close. A Poll() that trains runs on this thread, so the
+/// feed pauses until the challenger is built — that pins the shadow
+/// episode's day span to the stream clock instead of the scheduler's.
 void StreamWithPolls(const Tensor3<float>& kpis,
                      pipeline::ServingPipeline* serving,
                      adapt::AdaptationController* controller,
@@ -124,18 +130,7 @@ void StreamWithPolls(const Tensor3<float>& kpis,
       EXPECT_TRUE(serving->Push(i, j, kpis.Slice(i, j), kpis.dim2()));
     }
     if ((j + 1) % kHoursPerDay != 0) continue;
-    AdaptState state = controller->Poll();
-    if (state == AdaptState::kRetraining) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(120);
-      while (controller->state() == AdaptState::kRetraining &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      EXPECT_NE(controller->state(), AdaptState::kRetraining)
-          << "retrain worker stuck past the deadline";
-    }
-    states->push_back(controller->state());
+    states->push_back(controller->Poll());
   }
 }
 
@@ -194,55 +189,47 @@ void ReconcileFlightLog(obs::PipelineContext* context,
 }
 
 // ---------------------------------------------------------------------------
-// FeatureCapture
+// The engine cut
 // ---------------------------------------------------------------------------
 
-TEST(FeatureCapture, SnapshotRebuildsBatchTrainingInputsBitwise) {
-  const Study& study = ControlStudy();
-  const Tensor3<float>& batch = study.features.tensor();
-  const int num_kpis = study.network.num_kpis();
-
-  adapt::CaptureConfig config;
+stream::FeatureEngineConfig EngineConfigFor(const Study& study,
+                                            int history_weeks) {
+  stream::FeatureEngineConfig config;
   config.num_sectors = study.num_sectors();
-  config.num_kpis = num_kpis;
-  config.capture_weeks = 4;
-  adapt::FeatureCapture capture(config);
-  ASSERT_EQ(capture.channels(), batch.dim2());
+  config.num_kpis = study.network.num_kpis();
+  config.calendar = &study.network.calendar_matrix;
+  config.score = study.score_config;
+  config.history_weeks = history_weeks;
+  return config;
+}
 
-  // Nothing captured yet: a snapshot must refuse, not fabricate.
-  adapt::TrainingSlice slice;
-  EXPECT_FALSE(capture.Snapshot(1, &slice));
-
-  // Feed the study's finalized feature rows in the engine's order.
-  for (int j = 0; j < batch.dim1(); ++j) {
-    for (int i = 0; i < batch.dim0(); ++i) {
-      capture.OnRow(i, j, batch.Slice(i, j), batch.dim2());
-    }
+/// Feeds `sector` the study's KPI rows from its consumed frontier up to
+/// `end_hour`.
+void Feed(const Study& study, int sector, int end_hour,
+          stream::IncrementalFeatureEngine* engine) {
+  const Tensor3<float>& kpis = study.network.kpis;
+  for (int j = engine->State(sector).consumed_hours; j < end_hour; ++j) {
+    engine->Consume(sector, j, kpis.Slice(sector, j), kpis.dim2());
   }
-  EXPECT_EQ(capture.min_captured_hours(), batch.dim1());
+}
 
-  ASSERT_TRUE(capture.Snapshot(config.capture_weeks * kDaysPerWeek, &slice));
-  EXPECT_EQ(slice.num_days, config.capture_weeks * kDaysPerWeek);
-  EXPECT_EQ(slice.base_day, study.num_days() - slice.num_days);
-
-  // The rebuilt feature tensor is bitwise the tail of the batch tensor —
-  // no second feature path exists to diverge.
+/// The slice must be bitwise the batch study's tensors over its span: no
+/// second feature path exists to diverge.
+void ExpectBatchSpan(const Study& study, const adapt::TrainingSlice& slice) {
+  const Tensor3<float>& batch = study.features.tensor();
   const Tensor3<float>& rebuilt = slice.features.tensor();
   ASSERT_EQ(rebuilt.dim0(), batch.dim0());
   ASSERT_EQ(rebuilt.dim1(), slice.num_days * kHoursPerDay);
   ASSERT_EQ(rebuilt.dim2(), batch.dim2());
   const int base_hour = slice.base_day * kHoursPerDay;
   for (int i = 0; i < batch.dim0(); ++i) {
-    for (int j = 0; j < rebuilt.dim1(); ++j) {
-      ASSERT_EQ(std::memcmp(rebuilt.Slice(i, j),
-                            batch.Slice(i, base_hour + j),
-                            static_cast<size_t>(batch.dim2()) *
-                                sizeof(float)),
-                0)
-          << "sector " << i << " hour " << j;
-    }
+    ASSERT_EQ(std::memcmp(rebuilt.Slice(i, 0), batch.Slice(i, base_hour),
+                          static_cast<size_t>(rebuilt.dim1()) *
+                              static_cast<size_t>(batch.dim2()) *
+                              sizeof(float)),
+              0)
+        << "sector " << i;
   }
-
   // The daily score and label matrices are exact reconstructions of the
   // study's — up(S^d) and up(Y^d) are constant within a day.
   for (int i = 0; i < batch.dim0(); ++i) {
@@ -253,56 +240,72 @@ TEST(FeatureCapture, SnapshotRebuildsBatchTrainingInputsBitwise) {
                 study.daily_labels.At(i, slice.base_day + d));
     }
   }
-
-  // A snapshot deeper than the ring keeps refusing.
-  EXPECT_FALSE(
-      capture.Snapshot(config.capture_weeks * kDaysPerWeek + 1, &slice));
 }
 
-TEST(FeatureCapture, SnapshotMidWeekRoundsInwardToWholeDays) {
-  // The engine emits a sector's rows a week at a time, and the retrain
-  // thread can snapshot while a sector is part-way through its week, off
-  // the day grid: the span every sector holds rounds inward to whole days.
+TEST(EngineCut, RebuildsBatchTrainingInputsBitwise) {
+  // Three weeks of history over the 9-week stream: the ring wraps twice.
   const Study& study = ControlStudy();
-  const Tensor3<float>& batch = study.features.tensor();
-  adapt::CaptureConfig config;
-  config.num_sectors = 2;
-  config.num_kpis = study.network.num_kpis();
-  config.capture_weeks = 2;
-  adapt::FeatureCapture capture(config);
-  int frontier[2] = {0, 0};
-  auto feed = [&](int sector, int end_hour) {
-    for (int& j = frontier[sector]; j < end_hour; ++j) {
-      capture.OnRow(sector, j, batch.Slice(sector, j), batch.dim2());
+  stream::IncrementalFeatureEngine engine(EngineConfigFor(study, 3));
+  ASSERT_EQ(engine.channels(), study.features.tensor().dim2());
+
+  // Nothing finalized yet: a cut must refuse, not fabricate.
+  adapt::TrainingSlice slice;
+  EXPECT_FALSE(adapt::CutTrainingSlice(engine, 1, &slice));
+
+  const Tensor3<float>& kpis = study.network.kpis;
+  for (int j = 0; j < kpis.dim1(); ++j) {
+    for (int i = 0; i < kpis.dim0(); ++i) {
+      engine.Consume(i, j, kpis.Slice(i, j), kpis.dim2());
     }
-  };
-  auto expect_span = [&](int base_day, int num_days) {
-    adapt::TrainingSlice slice;
-    ASSERT_TRUE(capture.Snapshot(1, &slice));
-    EXPECT_EQ(slice.base_day, base_day);
-    ASSERT_EQ(slice.num_days, num_days);
-    const Tensor3<float>& rebuilt = slice.features.tensor();
-    for (int i = 0; i < 2; ++i) {
-      for (int j = 0; j < rebuilt.dim1(); ++j) {
-        ASSERT_EQ(std::memcmp(rebuilt.Slice(i, j),
-                              batch.Slice(i, base_day * kHoursPerDay + j),
-                              static_cast<size_t>(batch.dim2()) *
-                                  sizeof(float)),
-                  0)
-            << "sector " << i << " hour " << j;
-      }
-    }
-  };
-  // The slowest sector is 5 rows into its third week: the span ends at
-  // its last whole day (hour 336) and starts where the fastest sector's
-  // two-week ring begins (hour 168).
-  feed(0, 3 * kHoursPerWeek);
-  feed(1, 2 * kHoursPerWeek + 5);
-  expect_span(7, 7);
-  // The fastest sector is 5 rows into its fourth week: its ring now
-  // starts at hour 173, so the span starts at the next whole day.
-  feed(0, 3 * kHoursPerWeek + 5);
-  expect_span(8, 6);
+  }
+  const int ring_days = 3 * kDaysPerWeek;
+  ASSERT_TRUE(adapt::CutTrainingSlice(engine, ring_days, &slice));
+  EXPECT_EQ(slice.num_days, ring_days);
+  EXPECT_EQ(slice.base_day, study.num_days() - ring_days);
+  ExpectBatchSpan(study, slice);
+
+  // A span deeper than the ring keeps refusing.
+  EXPECT_FALSE(adapt::CutTrainingSlice(engine, ring_days + 1, &slice));
+}
+
+TEST(EngineCut, SectorsAtDifferentWeekFrontiersCutAtTheSlowest) {
+  // Every other sector is a week ahead: the span ends at the slow
+  // sectors' frontier (hour 840) and may reach back to where the fast
+  // sectors' three-week rings begin (hour 504), 14 days.
+  const Study& study = ControlStudy();
+  stream::IncrementalFeatureEngine engine(EngineConfigFor(study, 3));
+  for (int i = 0; i < study.num_sectors(); ++i) {
+    Feed(study, i, (i % 2 == 0 ? 6 : 5) * kHoursPerWeek, &engine);
+  }
+  ASSERT_EQ(engine.min_finalized_hours(), 5 * kHoursPerWeek);
+  adapt::TrainingSlice slice;
+  ASSERT_TRUE(adapt::CutTrainingSlice(engine, 14, &slice));
+  EXPECT_EQ(slice.base_day, 5 * kDaysPerWeek - 14);
+  EXPECT_EQ(slice.num_days, 14);
+  ExpectBatchSpan(study, slice);
+}
+
+TEST(EngineCut, RefusesOnceTheFastestRingOverwroteTheSpanStart) {
+  const Study& study = ControlStudy();
+  stream::IncrementalFeatureEngine engine(EngineConfigFor(study, 3));
+  for (int i = 0; i < study.num_sectors(); ++i) {
+    Feed(study, i, 5 * kHoursPerWeek, &engine);
+  }
+  // 15 days ending at hour 840 start at hour 480, inside every ring.
+  adapt::TrainingSlice slice;
+  ASSERT_TRUE(adapt::CutTrainingSlice(engine, 15, &slice));
+  EXPECT_EQ(slice.base_day, 20);
+
+  // One sector closes its sixth week: its ring now starts at hour 504,
+  // so the same span is gone for it — refused, and `slice` left alone.
+  Feed(study, 0, 6 * kHoursPerWeek, &engine);
+  ASSERT_EQ(engine.min_finalized_hours(), 5 * kHoursPerWeek);
+  slice.base_day = -1;
+  EXPECT_FALSE(adapt::CutTrainingSlice(engine, 15, &slice));
+  EXPECT_EQ(slice.base_day, -1);
+  // The 14 days from hour 504 are still in every ring.
+  ASSERT_TRUE(adapt::CutTrainingSlice(engine, 14, &slice));
+  ExpectBatchSpan(study, slice);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +432,92 @@ TEST(BundleLineage, SurvivesCloneRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Controller wiring
+// ---------------------------------------------------------------------------
+
+/// Threads of this process: one /proc/self/task entry each.
+int LiveThreads() {
+  int threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(AdaptationController, StartsNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  ForecastService service(TrainChampion(ControlStudy()));
+  // The pool starts its workers on first use: start them all now, so the
+  // count below sees only the controller's own threads.
+  util::ParallelFor(0, 1 << 10, [](int64_t) {});
+  const int before = LiveThreads();
+  adapt::AdaptationController controller(&service, adapt::AdaptOptions{});
+  EXPECT_EQ(LiveThreads(), before);
+}
+
+TEST(AdaptationControllerDeathTest, AttachTapsRefusesTooShortAHistory) {
+  const Study& study = ControlStudy();
+  ForecastService service(TrainChampion(study));
+  adapt::AdaptOptions options;
+  options.policy.training_days = 10;  // + w 3 + h 1: a 14-day slice
+  adapt::AdaptationController controller(&service, options);
+  pipeline::ServingPipeline::Options serve_options = ServeOptionsFor(study);
+  // Two weeks hold the slice but not the week a fast sector can be ahead.
+  serve_options.history_weeks = 2;
+  EXPECT_DEATH(controller.AttachTaps(&serve_options), "history_weeks");
+  serve_options.history_weeks = 3;
+  controller.AttachTaps(&serve_options);
+  EXPECT_TRUE(serve_options.outcome_tee);
+
+  // Pooling every other day stretches the slice: 9 · 2 + 3 + 1 + 1 = 23
+  // days, which four weeks no longer hold with a week to spare.
+  options.train.training_day_stride = 2;
+  adapt::AdaptationController strided(&service, options);
+  serve_options = ServeOptionsFor(study);
+  serve_options.history_weeks = 4;
+  EXPECT_DEATH(strided.AttachTaps(&serve_options), "23-day training slice");
+  serve_options.history_weeks = 5;
+  strided.AttachTaps(&serve_options);
+}
+
+TEST(AdaptationControllerDeathTest, ShadowOfAnotherWindowLengthIsRefused) {
+  // The statement streams through a pipeline and the pool, whose threads
+  // a forked child would not have: re-execute the binary instead.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Study& study = ControlStudy();
+  ForecastService service(TrainChampion(study));
+  adapt::AdaptOptions options;
+  options.policy.trigger = monitor::AlertState::kOk;
+  // A challenger that reads four-day windows where the champion serves
+  // three: the teed copies are a day short for it, so scoring them must
+  // stop at Predict's shape check instead of reading past their end.
+  options.challenger_for_test =
+      [&study](const serialize::ForecastBundle& /*champion*/) {
+        ForecastConfig config = ChampionConfig();
+        config.w = 4;
+        std::unique_ptr<serialize::ForecastBundle> bundle =
+            study.MakeForecaster(TargetKind::kBeHotSpot).TrainBundle(config);
+        bundle->score = study.score_config;
+        return bundle;
+      };
+  adapt::AdaptationController controller(&service, options);
+  EXPECT_DEATH(
+      {
+        pipeline::ServingPipeline::Options serve_options =
+            ServeOptionsFor(study);
+        controller.AttachTaps(&serve_options);
+        pipeline::ServingPipeline serving(&service, serve_options);
+        std::vector<AdaptState> states;
+        StreamWithPolls(study.network.kpis, &serving, &controller, &states);
+      },
+      "windows.hours");
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: the closed loop on a shifted network
 // ---------------------------------------------------------------------------
 
@@ -472,8 +561,6 @@ TEST(ClosedLoop, DriftRetrainShadowPromoteOnShiftedNetwork) {
   ASSERT_TRUE(service.monitoring_enabled());
 
   adapt::AdaptOptions options;
-  options.num_sectors = shifted.num_sectors();
-  options.capture_weeks = 4;
   options.train = ChampionConfig();
   options.policy.trigger = monitor::AlertState::kDrift;
   options.policy.training_days = 10;
@@ -555,7 +642,6 @@ TEST(ClosedLoop, DriftRetrainShadowPromoteOnShiftedNetwork) {
   obs::MetricsRegistry& metrics = context.metrics();
   EXPECT_GT(metrics.counter("adapt/shadow_batches").Total(), 0u);
   EXPECT_GT(metrics.counter("adapt/shadow_rows").Total(), 0u);
-  EXPECT_EQ(metrics.counter("adapt/shadow_dropped").Total(), 0u);
   EXPECT_GE(metrics.histogram("adapt/retrain_seconds").Count(), 1u);
   EXPECT_GT(metrics.gauge("adapt/promote_to_first_serve_seconds").Value(),
             0.0);
@@ -594,8 +680,6 @@ TEST(ClosedLoop, RegressingChallengerIsRolledBackInsideGuardWindow) {
   ForecastService service(serialize::CloneBundle(*champion));
 
   adapt::AdaptOptions options;
-  options.num_sectors = study.num_sectors();
-  options.capture_weeks = 4;
   options.train = ChampionConfig();
   // Always-armed test trigger plus gates lax enough that the regressing
   // challenger IS promoted — the guard window is the safety net under
@@ -661,8 +745,6 @@ TEST(ClosedLoop, NoBetterChallengerIsRejectedAtMaxShadowAge) {
   ForecastService service(serialize::CloneBundle(*champion));
 
   adapt::AdaptOptions options;
-  options.num_sectors = study.num_sectors();
-  options.capture_weeks = 4;
   options.train = ChampionConfig();
   options.policy.trigger = monitor::AlertState::kOk;  // always armed
   options.policy.min_shadow_days = 2;
@@ -679,14 +761,29 @@ TEST(ClosedLoop, NoBetterChallengerIsRejectedAtMaxShadowAge) {
       };
   adapt::AdaptationController controller(&service, options);
 
+  // Polled from the matured-label tee — on the worker, once per matured
+  // day, after every batch and label that day made ready — the ladder is
+  // a function of the stream alone: no feed thread races the worker, so
+  // the phase the stream ends in is fixed too.
   std::vector<AdaptState> states;
   {
     pipeline::ServingPipeline::Options serve_options = ServeOptionsFor(study);
+    serve_options.outcome_tee =
+        [&controller, &states](int /*day*/, const std::vector<float>&,
+                               const stream::IncrementalFeatureEngine&) {
+          states.push_back(controller.Poll());
+        };
     controller.AttachTaps(&serve_options);
     pipeline::ServingPipeline serving(&service, serve_options);
-    StreamWithPolls(study.network.kpis, &serving, &controller, &states);
+    const Tensor3<float>& kpis = study.network.kpis;
+    for (int j = 0; j < kpis.dim1(); ++j) {
+      for (int i = 0; i < kpis.dim0(); ++i) {
+        EXPECT_TRUE(serving.Push(i, j, kpis.Slice(i, j), kpis.dim2()));
+      }
+    }
     serving.Finish();
   }
+  ASSERT_FALSE(states.empty());
 
   auto visited = [&states](AdaptState state) {
     return std::find(states.begin(), states.end(), state) != states.end();
@@ -701,6 +798,11 @@ TEST(ClosedLoop, NoBetterChallengerIsRejectedAtMaxShadowAge) {
   EXPECT_TRUE(states.back() == AdaptState::kIdle ||
               states.back() == AdaptState::kShadowing)
       << "ended in " << adapt::AdaptStateName(states.back());
+  // A latched kRejected lasts exactly one Poll().
+  for (size_t day = 0; day + 1 < states.size(); ++day) {
+    if (states[day] != AdaptState::kRejected) continue;
+    EXPECT_EQ(states[day + 1], AdaptState::kIdle) << "poll " << day;
+  }
 
   adapt::AdaptReport report = controller.Report();
   EXPECT_GE(report.rejections, 1u);
@@ -712,6 +814,61 @@ TEST(ClosedLoop, NoBetterChallengerIsRejectedAtMaxShadowAge) {
   // Every episode that ran to a verdict was rejected; at most the
   // trailing in-flight audition is unaccounted for.
   EXPECT_LE(report.retrains - report.rejections, 1u);
+
+  ReconcileFlightLog(&context, report);
+}
+
+TEST(ClosedLoop, StridedRetrainPoolsEveryConfiguredDay) {
+  const Study& study = ControlStudy();
+  obs::PipelineContext context;
+  obs::PipelineContext::ScopedInstall install(&context);
+  ForecastService service(TrainChampion(study));
+
+  adapt::AdaptOptions options;
+  options.train = ChampionConfig();
+  options.train.training_day_stride = 2;
+  options.policy.training_days = 6;
+  // Always armed, and gates that promote the first challenger trained
+  // and never roll it back: the test reads the retrain off the bundle
+  // left serving.
+  options.policy.trigger = monitor::AlertState::kOk;
+  options.policy.min_shadow_days = 1;
+  options.policy.min_compared_rows = 1;
+  options.policy.comparison.min_lift_delta = -1e9;
+  options.policy.comparison.require_ci_separation = false;
+  options.policy.rollback_lift_margin = 1e9;
+  options.policy.cooldown_days = 60;  // one episode per stream
+  adapt::AdaptationController controller(&service, options);
+
+  std::vector<AdaptState> states;
+  {
+    pipeline::ServingPipeline::Options serve_options = ServeOptionsFor(study);
+    controller.AttachTaps(&serve_options);
+    pipeline::ServingPipeline serving(&service, serve_options);
+    StreamWithPolls(study.network.kpis, &serving, &controller, &states);
+    serving.Finish();
+  }
+  adapt::AdaptReport report = controller.Report();
+  ASSERT_EQ(report.promotions, 1u);
+  std::shared_ptr<const serialize::ForecastBundle> promoted =
+      service.bundle_snapshot();
+  ASSERT_NE(promoted->lineage, nullptr);
+  EXPECT_EQ(promoted->lineage->source, "adapt/drift");
+  ASSERT_NE(promoted->fingerprints, nullptr);
+
+  // The fingerprints span exactly the pooled windows, in slice hours:
+  // from the oldest label day's window start to the newest's end.
+  const int w = promoted->window_days;
+  const int h = promoted->horizon_days;
+  const int stride = options.train.training_day_stride;
+  const int newest = promoted->fingerprints->last_hour / kHoursPerDay + h;
+  const int oldest = promoted->fingerprints->first_hour / kHoursPerDay + h + w;
+  EXPECT_EQ((newest - oldest) / stride + 1, options.policy.training_days)
+      << "pooled label days";
+  // The slice was cut no longer than that: t_local is its last day, and
+  // the oldest window starts at its first hour.
+  EXPECT_EQ(newest, (options.policy.training_days - 1) * stride + w + h);
+  EXPECT_EQ(promoted->fingerprints->first_hour, 0);
 
   ReconcileFlightLog(&context, report);
 }

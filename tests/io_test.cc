@@ -200,12 +200,28 @@ TEST_F(IoTest, KpiTensorErrorNamesValueAndKpiColumn) {
 }
 
 TEST_F(IoTest, KpiTensorRejectsBadIds) {
-  std::ofstream(Path("bad.csv")) << "sector,hour,kpi\n-1,0,1\n";
-  Tensor3<float> loaded;
-  IoStatus status = ReadKpiTensorCsv(Path("bad.csv"), &loaded, nullptr);
-  ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("sector/hour"), std::string::npos)
-      << status.error;
+  // Ids past the int range must be refused, not wrapped: 4294967297 is
+  // 2^32 + 1, which a cast to int turns into 1 — a valid 2x1 tensor.
+  // INT_MAX itself parses, and its grid extent must not overflow.
+  const struct {
+    const char* rows;
+    const char* error;
+  } kCases[] = {
+      {"-1,0,1\n", "bad sector/hour ids '-1,0'"},
+      {"0,0,1\n4294967297,0,2\n", "bad sector/hour ids '4294967297,0'"},
+      {"0,0,1\n0,4294967297,2\n", "bad sector/hour ids '0,4294967297'"},
+      {"0,-4294967295,1\n", "bad sector/hour ids '0,-4294967295'"},
+      {"99999999999999999999,0,1\n", "bad sector/hour ids"},
+      {"2147483647,0,1\n", "1 rows for a 2147483648x1 grid"},
+  };
+  for (const auto& c : kCases) {
+    std::ofstream(Path("bad.csv")) << "sector,hour,kpi\n" << c.rows;
+    Tensor3<float> loaded;
+    IoStatus status = ReadKpiTensorCsv(Path("bad.csv"), &loaded, nullptr);
+    ASSERT_FALSE(status.ok) << c.rows;
+    EXPECT_NE(status.error.find(c.error), std::string::npos)
+        << status.error;
+  }
 }
 
 TEST_F(IoTest, KpiTensorFailedLoadLeavesOutputsUntouched) {
@@ -273,6 +289,22 @@ TEST_F(IoTest, StreamReaderErrorNamesFileLineAndColumn) {
   EXPECT_EQ(reader.line_number(), 3);
 }
 
+TEST_F(IoTest, StreamReaderRefusesIdsOutsideTheIntRange) {
+  std::ofstream(Path("s.csv")) << "sector,hour,kpi\n"
+                               << "0,0,1\n4294967297,0,2\n";
+  KpiCsvStreamReader reader;
+  ASSERT_TRUE(reader.Open(Path("s.csv")).ok);
+  int sector = -1, hour = -1;
+  std::vector<float> values;
+  ASSERT_TRUE(reader.Next(&sector, &hour, &values));
+  // Not sector 1: the row is refused.
+  EXPECT_FALSE(reader.Next(&sector, &hour, &values));
+  EXPECT_EQ(sector, 0);
+  EXPECT_NE(reader.status().error.find("bad sector/hour ids"),
+            std::string::npos)
+      << reader.status().error;
+}
+
 TEST_F(IoTest, StreamReaderReportsMissingFile) {
   KpiCsvStreamReader reader;
   IoStatus status = reader.Open(Path("nonexistent.csv"));
@@ -319,6 +351,19 @@ TEST_F(IoTest, TopologyErrorNamesValueAndColumn) {
   EXPECT_NE(status.error.find("'north'"), std::string::npos)
       << status.error;
   EXPECT_NE(status.error.find("'y_km'"), std::string::npos) << status.error;
+}
+
+TEST_F(IoTest, TopologyRejectsIdsOutsideTheIntRange) {
+  // 4294967296 is 2^32: cast to int it would alias the dense id 0.
+  std::ofstream(Path("topo.csv"))
+      << "sector,tower,patch,city,x_km,y_km,azimuth_deg,archetype\n"
+      << "4294967296,0,0,0,1.0,2.0,0.0,residential\n";
+  simnet::Topology loaded;
+  IoStatus status = ReadTopologyCsv(Path("topo.csv"), &loaded);
+  ASSERT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("'4294967296' in column 'sector'"),
+            std::string::npos)
+      << status.error;
 }
 
 TEST_F(IoTest, TopologyRejectsNonDenseIds) {

@@ -420,7 +420,7 @@ TEST(ServingPipeline, DestructorDrainsInFlightWorkCleanly) {
     options.predict_fault_for_test = [](int) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     };
-    options.on_prediction = [&](const StreamingPrediction& prediction) {
+    options.prediction_tee = [&](const StreamingPrediction& prediction) {
       delivered.push_back(prediction);
     };
     ServingPipeline serving(service.get(), options);
@@ -457,7 +457,7 @@ TEST(ServingPipeline, DestructorMidStreamWithRowsQueuedAtEveryStage) {
     options.predict_fault_for_test = [](int) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     };
-    options.on_prediction = [&](const StreamingPrediction& prediction) {
+    options.prediction_tee = [&](const StreamingPrediction& prediction) {
       delivered.push_back(prediction);
     };
     ServingPipeline serving(service.get(), options);
@@ -616,7 +616,7 @@ TEST(ServingPipeline, FlushInputServesAQuietFeedsReadyBatch) {
   std::condition_variable served_cv;
   std::vector<StreamingPrediction> served;
   ServingPipeline::Options options = OptionsFor(study);
-  options.on_prediction = [&](const StreamingPrediction& prediction) {
+  options.prediction_tee = [&](const StreamingPrediction& prediction) {
     std::lock_guard<std::mutex> lock(mutex);
     served.push_back(prediction);
     served_cv.notify_all();

@@ -65,15 +65,6 @@ Tensor3<float> StreamFeatures(const Study& study) {
   const int hours = study.network.num_hours();
   IncrementalFeatureEngine engine(
       EngineConfigFor(study, study.num_weeks() + 1));
-  Tensor3<float> streamed(n, hours, engine.channels(),
-                          std::nanf("unwritten"));
-  int emitted = 0;
-  engine.set_row_sink(
-      [&](int sector, int hour, const float* row, int channels) {
-        std::memcpy(streamed.Slice(sector, hour), row,
-                    static_cast<size_t>(channels) * sizeof(float));
-        ++emitted;
-      });
   IngestorConfig ingest;
   ingest.num_sectors = n;
   ingest.num_kpis = study.network.num_kpis();
@@ -86,7 +77,13 @@ Tensor3<float> StreamFeatures(const Study& study) {
       EXPECT_EQ(result, PushResult::kAccepted);
     }
   }
-  EXPECT_EQ(emitted, n * hours);
+  // The history ring holds the whole trace: copy every finalized row out.
+  Tensor3<float> streamed(n, hours, engine.channels(),
+                          std::nanf("unwritten"));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(engine.finalized_hours(i), hours) << "sector " << i;
+    engine.CopyFeatureRows(i, 0, hours, streamed.Slice(i, 0));
+  }
   return streamed;
 }
 
@@ -348,12 +345,6 @@ TEST(IncrementalFeatures, GapFilledHoursMatchBatchOnHoleyTensor) {
   engine_config.score = score;
   engine_config.history_weeks = kWeeks + 1;
   IncrementalFeatureEngine engine(engine_config);
-  Tensor3<float> streamed(1, hours, engine.channels());
-  engine.set_row_sink(
-      [&](int sector, int hour, const float* row, int channels) {
-        std::memcpy(streamed.Slice(sector, hour), row,
-                    static_cast<size_t>(channels) * sizeof(float));
-      });
   IngestorConfig ingest;
   ingest.num_sectors = 1;
   ingest.num_kpis = 2;
@@ -367,6 +358,8 @@ TEST(IncrementalFeatures, GapFilledHoursMatchBatchOnHoleyTensor) {
   }
   ingestor.Flush();
   ASSERT_EQ(engine.finalized_hours(0), hours);
+  Tensor3<float> streamed(1, hours, engine.channels());
+  engine.CopyFeatureRows(0, 0, hours, streamed.Slice(0, 0));
   EXPECT_EQ(std::memcmp(streamed.data().data(),
                         batch.tensor().data().data(),
                         batch.tensor().size() * sizeof(float)),
