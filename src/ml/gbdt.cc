@@ -1,12 +1,12 @@
 #include "ml/gbdt.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
+#include "stats/percentile.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -21,43 +21,6 @@ double Sigmoid(double x) {
   double z = std::exp(x);
   return z / (1.0 + z);
 }
-
-namespace {
-
-/// Sorts non-NaN floats ascending with an LSD radix sort, one byte per
-/// pass, over keys that order like the values. The keys put -0 just below
-/// +0; the two compare equal, so they merge under std::unique whichever
-/// comes first, and a zero adjacent to a nonzero neighbour adds to it
-/// exactly, so the cuts match a comparison sort's bit for bit. A training
-/// column's comparisons mispredict often enough to make this several
-/// times faster than std::sort.
-void SortValues(std::vector<float>* values) {
-  const size_t n = values->size();
-  std::vector<uint32_t> keys(n);
-  std::vector<uint32_t> sorted(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t bits = std::bit_cast<uint32_t>((*values)[i]);
-    keys[i] = (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
-  }
-  for (int shift = 0; shift < 32; shift += 8) {
-    size_t starts[257] = {};
-    for (uint32_t key : keys) ++starts[((key >> shift) & 0xffu) + 1];
-    // A byte every key shares leaves the order as it is.
-    if (n == 0 || starts[((keys[0] >> shift) & 0xffu) + 1] == n) continue;
-    for (int digit = 0; digit < 256; ++digit) {
-      starts[digit + 1] += starts[digit];
-    }
-    for (uint32_t key : keys) sorted[starts[(key >> shift) & 0xffu]++] = key;
-    keys.swap(sorted);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t key = keys[i];
-    (*values)[i] = std::bit_cast<float>(
-        (key & 0x80000000u) != 0 ? key & 0x7fffffffu : ~key);
-  }
-}
-
-}  // namespace
 
 void FeatureBinner::Fit(const Matrix<float>& features, int max_bins,
                         BinTiles* bins) {
@@ -92,7 +55,11 @@ void FeatureBinner::Fit(const Matrix<float>& features, int max_bins,
     }
     for (int k = 0; k < width; ++k) {
       std::vector<float>& column = columns[static_cast<size_t>(k)];
-      SortValues(&column);
+      // The radix sort puts -0 just below +0. The two compare equal, so
+      // they merge under std::unique whichever comes first, and a zero
+      // adjacent to a nonzero neighbour adds to it exactly, so the cuts
+      // match a comparison sort's bit for bit.
+      column = RadixSorted(column);
       column.erase(std::unique(column.begin(), column.end()), column.end());
       std::vector<float>& cuts = thresholds_[static_cast<size_t>(first + k)];
       int distinct = static_cast<int>(column.size());
@@ -127,14 +94,20 @@ void FeatureBinner::Fit(const Matrix<float>& features, int max_bins,
 int FeatureBinner::Bin(int feature, float value) const {
   if (IsMissing(value)) return 0;
   // Bin b+1 holds values <= cuts[b]; the last bin holds the rest. The cuts
-  // ascend, so the bin is one plus the number of cuts the value exceeds (a
-  // lone NaN cut counts as exceeded, as a binary search treats it). The
-  // count has no branches to mispredict, unlike a binary search.
-  int above = 0;
-  for (float cut : thresholds_[static_cast<size_t>(feature)]) {
-    above += !(value <= cut);
+  // strictly ascend, so the bin is one plus the number of cuts the value
+  // exceeds, found by a binary search that selects instead of branching. A
+  // NaN cut only ever stands alone (the -Inf/+Inf midpoint), and
+  // `!(value <= cut)` counts it as exceeded.
+  const std::vector<float>& cuts = thresholds_[static_cast<size_t>(feature)];
+  if (cuts.empty()) return 1;
+  const float* base = cuts.data();
+  size_t count = cuts.size();
+  while (count > 1) {
+    const size_t half = count / 2;
+    base += !(value <= base[half]) ? half : 0;
+    count -= half;
   }
-  return above + 1;
+  return static_cast<int>(base - cuts.data()) + !(value <= *base) + 1;
 }
 
 int FeatureBinner::NumBins(int feature) const {
@@ -202,9 +175,32 @@ struct TilePlan {
   size_t stride = 0;
 };
 
+/// Whether each feature's training rows fall in more than one bin. A
+/// feature whose rows all share a bin never splits: any split leaves one
+/// child without rows, and so without the hessian min_child_hessian > 0
+/// asks for. Occupancy, not the bin count, decides: a constant column with
+/// NaNs still splits missing from present.
+std::vector<uint8_t> FeaturesThatSplit(const BinTiles& bins) {
+  std::vector<uint8_t> splits(static_cast<size_t>(bins.features()), 0);
+  util::ParallelFor(0, bins.num_tiles(), [&](int64_t t) {
+    const int tile = static_cast<int>(t);
+    const uint8_t* first = bins.tile(tile);
+    const size_t width = static_cast<size_t>(bins.width(tile));
+    uint8_t differs[BinTiles::kWidth] = {};
+    for (size_t r = 1; r < static_cast<size_t>(bins.rows()); ++r) {
+      const uint8_t* row = first + r * width;
+      for (size_t k = 0; k < width; ++k) differs[k] |= row[k] != first[k];
+    }
+    std::copy(differs, differs + width,
+              splits.begin() + static_cast<ptrdiff_t>(tile) * BinTiles::kWidth);
+  });
+  return splits;
+}
+
 }  // namespace
 
 Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
+                           const std::vector<uint8_t>& splits,
                            const std::vector<double>& grads,
                            const std::vector<double>& hessians,
                            const std::vector<int>& rows,
@@ -218,12 +214,13 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
   Tree tree;
   std::vector<PendingLeaf> leaves;
 
-  // The tree's features grouped by tile, in tile order, as slots of the
-  // (possibly sampled, unsorted) `features` list, so the merge below still
-  // walks the candidates in `features` order.
+  // The tree's features that can split, grouped by tile, in tile order, as
+  // slots of the (possibly sampled, unsorted) `features` list, so the merge
+  // below still walks the candidates in `features` order.
   std::vector<std::vector<int>> tile_slots(
       static_cast<size_t>(bins.num_tiles()));
   for (size_t slot = 0; slot < features.size(); ++slot) {
+    if (splits[static_cast<size_t>(features[slot])] == 0) continue;
     tile_slots[static_cast<size_t>(features[slot] / BinTiles::kWidth)]
         .push_back(static_cast<int>(slot));
   }
@@ -340,6 +337,9 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
             double left_grad = 0.0;
             double left_hess = 0.0;
             for (int b = 0; b + 1 < num_bins; ++b) {
+              // An empty bin leaves the running sums, and so the gain, as
+              // the previous bin had them, and a tie never wins.
+              if (pairs[2 * b] == 0.0 && pairs[2 * b + 1] == 0.0) continue;
               left_grad += pairs[2 * b];
               left_hess += pairs[2 * b + 1];
               double right_grad = leaf.grad_sum - left_grad;
@@ -436,9 +436,11 @@ void Gbdt::Fit(const Dataset& data) {
   gain_importances_.assign(static_cast<size_t>(num_features_), 0.0);
 
   BinTiles bins(n, num_features_);
+  std::vector<uint8_t> splits;
   {
     HOTSPOT_SPAN("gbdt/bin_build");
     binner_.Fit(data.features, config_.max_bins, &bins);
+    splits = FeaturesThatSplit(bins);
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/bin_builds").Increment();
     }
@@ -506,7 +508,7 @@ void Gbdt::Fit(const Dataset& data) {
     Tree tree;
     {
       HOTSPOT_SPAN("gbdt/build_tree");
-      tree = BuildTree(bins, grads, hessians, rows, features);
+      tree = BuildTree(bins, splits, grads, hessians, rows, features);
     }
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/trees_built").Increment();

@@ -127,7 +127,8 @@ class Gbdt : public BinaryClassifier {
     std::vector<Node> nodes;
   };
 
-  Tree BuildTree(const BinTiles& bins, const std::vector<double>& grads,
+  Tree BuildTree(const BinTiles& bins, const std::vector<uint8_t>& splits,
+                 const std::vector<double>& grads,
                  const std::vector<double>& hessians,
                  const std::vector<int>& rows,
                  const std::vector<int>& features);

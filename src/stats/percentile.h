@@ -15,6 +15,15 @@ double Percentile(std::vector<float> values, double p);
 std::vector<double> Percentiles(std::vector<float> values,
                                 const std::vector<double>& ps);
 
+/// Percentiles() of `sorted`, which holds no NaN and ascends.
+std::vector<double> SortedPercentiles(const std::vector<float>& sorted,
+                                      const std::vector<double>& ps);
+
+/// The values of `values` that are not NaN, sorted ascending by an LSD
+/// radix sort; -0 lands just below +0. On a large column whose comparisons
+/// mispredict often this is several times faster than std::sort.
+std::vector<float> RadixSorted(const std::vector<float>& values);
+
 /// Mean of finite values (NaN when none).
 double Mean(const std::vector<float>& values);
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
@@ -302,6 +303,48 @@ TEST(FeatureBinner, ConstantFeatureHasSingleFiniteBin) {
   EXPECT_EQ(binner.Bin(0, 3.0f), 1);
   EXPECT_EQ(binner.Bin(0, 100.0f), 1);
   EXPECT_EQ(binner.NumBins(0), 2);
+}
+
+TEST(FeatureBinner, BinCountsTheCutsAValueExceeds) {
+  // Bin() searches the cuts; it must equal the count its contract states,
+  // 1 + #{cut : !(value <= cut)}, on every column kind the binner meets:
+  // signed zeros, infinities next to finite values, few and many distinct
+  // values, and a -Inf/+Inf column whose only cut is their NaN midpoint.
+  const float inf = std::numeric_limits<float>::infinity();
+  const int n = 300;
+  Matrix<float> features(n, 6);
+  Rng rng(23);
+  for (int i = 0; i < n; ++i) {
+    features(i, 0) = static_cast<float>(rng.Gaussian());
+    features(i, 1) = rng.Bernoulli(0.4) ? (rng.Bernoulli(0.5) ? -0.0f : 0.0f)
+                                        : static_cast<float>(rng.Gaussian());
+    features(i, 2) = rng.Bernoulli(0.1)   ? -inf
+                     : rng.Bernoulli(0.1) ? inf
+                                          : static_cast<float>(rng.Gaussian());
+    features(i, 3) = static_cast<float>(rng.UniformInt(0, 2));
+    features(i, 4) = rng.Bernoulli(0.5) ? -inf : inf;
+    features(i, 5) = static_cast<float>(rng.UniformInt(0, 1000));
+  }
+  for (int max_bins : {2, 3, 16, 255}) {
+    FeatureBinner binner;
+    binner.Fit(features, max_bins);
+    ASSERT_EQ(binner.Thresholds(4).size(), 1u);
+    EXPECT_TRUE(std::isnan(binner.Thresholds(4)[0]));
+    std::vector<float> probes = {-inf, inf, -0.0f, 0.0f, 1e-30f, -1e-30f};
+    for (int i = 0; i < n; ++i) probes.push_back(features(i, i % 6));
+    for (int i = 0; i < 200; ++i) {
+      probes.push_back(static_cast<float>(rng.Uniform(-4.0, 4.0)));
+    }
+    for (int f = 0; f < 6; ++f) {
+      for (float value : probes) {
+        int expected = 1;
+        for (float cut : binner.Thresholds(f)) expected += !(value <= cut);
+        EXPECT_EQ(binner.Bin(f, value), expected)
+            << "feature " << f << " value " << value << " max_bins "
+            << max_bins;
+      }
+    }
+  }
 }
 
 TEST(FeatureBinner, TilesHoldEveryTrainingValuesBin) {

@@ -10,8 +10,10 @@
 //     OK → DRIFT while an undrifted control service stays OK.
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "monitor/quality.h"
 #include "serialize/bundle.h"
 #include "serialize_golden.h"
+#include "stats/percentile.h"
 #include "util/rng.h"
 
 namespace hotspot {
@@ -77,6 +80,46 @@ TEST(Sketch, DropsNaNsAndHandlesEmpty) {
       monitor::BuildSketch("none", {MissingValue(), MissingValue()}, 8, 1);
   EXPECT_EQ(empty.count, 0u);
   EXPECT_TRUE(empty.reservoir.empty());
+}
+
+TEST(Sketch, QuantilesEqualAComparisonSortsBitwise) {
+  // The sketch reads its quantiles off a radix sort, which orders -0 and
+  // +0 where std::sort may not; the quantiles must still be Percentiles()'
+  // bits. Inputs crowd signed zeros, infinities, NaNs and ties.
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(41);
+  for (int n : {1, 2, 3, 7, 100, 4001}) {
+    std::vector<float> values(static_cast<size_t>(n));
+    for (float& v : values) {
+      const int64_t kind = rng.UniformInt(0, 9);
+      v = kind <= 3   ? (rng.Bernoulli(0.5) ? -0.0f : 0.0f)
+          : kind == 4 ? (rng.Bernoulli(0.5) ? -inf : inf)
+          : kind == 5 ? MissingValue()
+          : kind == 6 ? static_cast<float>(rng.UniformInt(-2, 2))
+                      : static_cast<float>(rng.Gaussian());
+    }
+    const monitor::DistributionSketch sketch =
+        monitor::BuildSketch("ch", values, 8, 1);
+    const std::vector<double> expected =
+        Percentiles(values, monitor::SketchQuantileGrid());
+    ASSERT_EQ(sketch.quantiles.size(), expected.size());
+    for (size_t q = 0; q < expected.size(); ++q) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(sketch.quantiles[q]),
+                std::bit_cast<uint64_t>(expected[q]))
+          << "n " << n << " quantile " << q;
+    }
+  }
+  for (const std::vector<float>& zeros :
+       {std::vector<float>{-0.0f}, {0.0f, -0.0f}, {-0.0f, 0.0f, -0.0f}}) {
+    const monitor::DistributionSketch sketch =
+        monitor::BuildSketch("ch", zeros, 8, 1);
+    const std::vector<double> expected =
+        Percentiles(zeros, monitor::SketchQuantileGrid());
+    for (size_t q = 0; q < expected.size(); ++q) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(sketch.quantiles[q]),
+                std::bit_cast<uint64_t>(expected[q]));
+    }
+  }
 }
 
 TEST(Sketch, FingerprintCodecRoundTrip) {
