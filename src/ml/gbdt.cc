@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
@@ -119,6 +120,100 @@ const std::vector<float>& FeatureBinner::Thresholds(int feature) const {
   return thresholds_[static_cast<size_t>(feature)];
 }
 
+HistogramLayout::HistogramLayout(const std::vector<int>& num_bins) {
+  offsets_.reserve(num_bins.size() + 1);
+  size_t offset = 0;
+  for (int bins : num_bins) {
+    HOTSPOT_CHECK(bins >= 0 && bins <= 256);
+    offsets_.push_back(offset);
+    offset += 2 * static_cast<size_t>(bins);
+  }
+  offsets_.push_back(offset);
+}
+
+namespace {
+
+/// How many leaf rows ahead the histogram pass prefetches tile rows.
+constexpr size_t kPrefetchRows = 16;
+
+}  // namespace
+
+void BuildHistograms(const BinTiles& bins, const HistogramLayout& layout,
+                     std::span<const int> features, std::span<const int> rows,
+                     const int64_t* pairs, int64_t* hist) {
+  if (features.empty()) return;
+  HOTSPOT_CHECK_LE(features.size(), static_cast<size_t>(BinTiles::kWidth));
+  const int tile_index = features[0] / BinTiles::kWidth;
+  const uint8_t* tile = bins.tile(tile_index);
+  const size_t width = static_cast<size_t>(bins.width(tile_index));
+  // Each feature's column in the tile and the start of its bin pairs.
+  const size_t count = features.size();
+  size_t columns[BinTiles::kWidth];
+  int64_t* starts[BinTiles::kWidth];
+  for (size_t k = 0; k < count; ++k) {
+    HOTSPOT_CHECK_EQ(features[k] / BinTiles::kWidth, tile_index);
+    columns[k] = static_cast<size_t>(features[k] % BinTiles::kWidth);
+    starts[k] = hist + layout.offset(features[k]);
+    std::fill_n(starts[k], 2 * layout.num_bins(features[k]), int64_t{0});
+  }
+  // One pass over the rows fills every feature's histogram at once.
+  const size_t num_rows = rows.size();
+  for (size_t i = 0; i < num_rows; ++i) {
+    // A leaf's rows are scattered over the tile; fetch ahead.
+    if (i + kPrefetchRows < num_rows) {
+      __builtin_prefetch(tile +
+                         static_cast<size_t>(rows[i + kPrefetchRows]) * width);
+    }
+    const uint8_t* row_bins = tile + static_cast<size_t>(rows[i]) * width;
+    const int64_t g = pairs[2 * i];
+    const int64_t h = pairs[2 * i + 1];
+    for (size_t k = 0; k < count; ++k) {
+      int64_t* pair = starts[k] + 2 * static_cast<size_t>(row_bins[columns[k]]);
+      pair[0] += g;
+      pair[1] += h;
+    }
+  }
+}
+
+void SubtractHistograms(const HistogramLayout& layout,
+                        std::span<const int> features, const int64_t* child,
+                        int64_t* parent) {
+  for (int f : features) {
+    const size_t begin = layout.offset(f);
+    const size_t end = begin + 2 * static_cast<size_t>(layout.num_bins(f));
+    for (size_t j = begin; j < end; ++j) parent[j] -= child[j];
+  }
+}
+
+/// Histogram buffers for the leaves of one Fit's trees that may still
+/// split. A leaf returns its buffer once it has split or cannot, and the
+/// next leaf takes it, so a Fit allocates at most num_leaves - 1 buffers,
+/// each on first need.
+class Gbdt::HistogramPool {
+ public:
+  explicit HistogramPool(size_t size) : size_(size) {}
+
+  int64_t* Acquire() {
+    if (free_.empty()) {
+      // Uninitialized: the tile tasks zero what they build, so each page
+      // is first touched by the thread that fills it.
+      buffers_.push_back(std::make_unique_for_overwrite<int64_t[]>(size_));
+      return buffers_.back().get();
+    }
+    int64_t* buffer = free_.back();
+    free_.pop_back();
+    return buffer;
+  }
+  void Release(int64_t* buffer) {
+    if (buffer != nullptr) free_.push_back(buffer);
+  }
+
+ private:
+  size_t size_;
+  std::vector<std::unique_ptr<int64_t[]>> buffers_;
+  std::vector<int64_t*> free_;
+};
+
 Gbdt::Gbdt(const GbdtConfig& config) : config_(config) {
   HOTSPOT_CHECK_GT(config.num_iterations, 0);
   HOTSPOT_CHECK_GT(config.learning_rate, 0.0);
@@ -135,44 +230,43 @@ Gbdt::Gbdt(const GbdtConfig& config) : config_(config) {
 
 namespace {
 
-/// A leaf pending a possible split during leaf-wise growth.
+/// A leaf pending a possible split during leaf-wise growth. Sums are fixed
+/// point, in units of 1 / scale.
 struct PendingLeaf {
   int node = -1;
   std::vector<int> rows;
-  double grad_sum = 0.0;
-  double hess_sum = 0.0;
+  int64_t grad_sum = 0;
+  int64_t hess_sum = 0;
   int depth = 0;
-  // Best split found for this leaf.
+  /// Its histograms, held from its evaluation until it splits, while it
+  /// may still split.
+  int64_t* hist = nullptr;
+  // Best split found for this leaf, and the left child's sums under it.
   double best_gain = 0.0;
   int best_feature = -1;
   int best_bin = -1;
-  bool evaluated = false;
+  int64_t best_left_grad = 0;
+  int64_t best_left_hess = 0;
 };
 
 double LeafObjective(double grad_sum, double hess_sum, double lambda) {
   return grad_sum * grad_sum / (hess_sum + lambda);
 }
 
-/// How many leaf rows ahead the histogram pass prefetches tile rows.
-constexpr size_t kPrefetchRows = 16;
-
 /// Best split of one feature during the parallel histogram scan.
 struct FeatureSplit {
   double gain = 0.0;
   int feature = -1;
   int bin = -1;
+  int64_t left_grad = 0;
+  int64_t left_hess = 0;
 };
 
-/// Features of one tile that one histogram pass covers: their columns
-/// within the tile and their slots in the tree's feature list. In the
-/// pass's flat histogram buffer the k-th feature's interleaved (grad,
-/// hess) bin pairs start at 2 * k * stride, stride being the most bins any
-/// of them has.
+/// Features of one tile that one tile task covers, and their slots in the
+/// tree's feature list.
 struct TilePlan {
-  int tile = 0;
-  std::vector<int> columns;
+  std::vector<int> features;
   std::vector<int> slots;
-  size_t stride = 0;
 };
 
 /// Whether each feature's training rows fall in more than one bin. A
@@ -197,12 +291,22 @@ std::vector<uint8_t> FeaturesThatSplit(const BinTiles& bins) {
   return splits;
 }
 
+/// The power of two that scales a total weight of `weight_sum` to just
+/// under 2^61. A row's |gradient| is at most its weight and its hessian at
+/// most a quarter of it, so no sum of rounded rows (each off by at most a
+/// half) can leave the int64 range. Clamped so the scale and its inverse
+/// stay finite and normal for any positive finite sum.
+double FixedPointScale(double weight_sum) {
+  int exponent = 0;
+  std::frexp(weight_sum, &exponent);  // weight_sum < 2^exponent
+  return std::ldexp(1.0, std::clamp(61 - exponent, -1000, 1000));
+}
+
 }  // namespace
 
-Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
-                           const std::vector<uint8_t>& splits,
-                           const std::vector<double>& grads,
-                           const std::vector<double>& hessians,
+Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
+                           const std::vector<int64_t>& gradients,
+                           double inv_scale, HistogramPool* pool,
                            const std::vector<int>& rows,
                            const std::vector<int>& features) {
   // Hoisted out of the leaf loop: one registry lookup per tree, relaxed
@@ -219,15 +323,17 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
   // below still walks the candidates in `features` order.
   std::vector<std::vector<int>> tile_slots(
       static_cast<size_t>(bins.num_tiles()));
+  size_t scanned = 0;
   for (size_t slot = 0; slot < features.size(); ++slot) {
-    if (splits[static_cast<size_t>(features[slot])] == 0) continue;
+    if (layout.num_bins(features[slot]) == 0) continue;
     tile_slots[static_cast<size_t>(features[slot] / BinTiles::kWidth)]
         .push_back(static_cast<int>(slot));
+    ++scanned;
   }
-  // One histogram pass per tile, unless there are fewer tiles than threads:
-  // then each tile's features are split into equal slices so every thread
-  // gets a pass. A feature's histogram is still built by one pass in
-  // leaf-row order, so the split changes the speed, not the bits.
+  // One task per tile, unless there are fewer tiles than threads: then each
+  // tile's features are split into equal slices so every thread gets a
+  // task. Each feature's histogram is an exact integer sum, so the split
+  // changes the speed, not the bits.
   const size_t used_tiles = static_cast<size_t>(std::count_if(
       tile_slots.begin(), tile_slots.end(),
       [](const std::vector<int>& slots) { return !slots.empty(); }));
@@ -242,155 +348,186 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
       TilePlan& plan = plans.emplace_back();
       for (size_t k = piece * slots.size() / pieces;
            k < (piece + 1) * slots.size() / pieces; ++k) {
-        const int f = features[static_cast<size_t>(slots[k])];
-        plan.tile = f / BinTiles::kWidth;
-        plan.columns.push_back(f % BinTiles::kWidth);
+        plan.features.push_back(features[static_cast<size_t>(slots[k])]);
         plan.slots.push_back(slots[k]);
-        plan.stride =
-            std::max(plan.stride, static_cast<size_t>(binner_.NumBins(f)));
       }
     }
   }
 
-  auto make_leaf = [&](std::vector<int> leaf_rows, int depth) {
+  auto make_leaf = [&](std::vector<int> leaf_rows, int depth,
+                       int64_t grad_sum, int64_t hess_sum) {
     PendingLeaf leaf;
     leaf.node = static_cast<int>(tree.nodes.size());
     tree.nodes.push_back(Node{});
     leaf.rows = std::move(leaf_rows);
-    for (int r : leaf.rows) {
-      leaf.grad_sum += grads[static_cast<size_t>(r)];
-      leaf.hess_sum += hessians[static_cast<size_t>(r)];
-    }
+    leaf.grad_sum = grad_sum;
+    leaf.hess_sum = hess_sum;
     leaf.depth = depth;
     tree.nodes[static_cast<size_t>(leaf.node)].value =
-        -config_.learning_rate * leaf.grad_sum /
-        (leaf.hess_sum + config_.lambda_l2);
+        -config_.learning_rate * (static_cast<double>(grad_sum) * inv_scale) /
+        (static_cast<double>(hess_sum) * inv_scale + config_.lambda_l2);
     leaves.push_back(std::move(leaf));
     return static_cast<int>(leaves.size()) - 1;
   };
+  auto can_split = [&](const PendingLeaf& leaf) {
+    return (config_.max_depth <= 0 || leaf.depth < config_.max_depth) &&
+           leaf.rows.size() >= 2 && scanned > 0;
+  };
 
-  auto evaluate_leaf = [&](PendingLeaf& leaf) {
-    leaf.evaluated = true;
-    leaf.best_gain = 0.0;
-    leaf.best_feature = -1;
-    if (config_.max_depth > 0 && leaf.depth >= config_.max_depth) return;
-    if (leaf.rows.size() < 2) return;
-    if (split_searches != nullptr) {
-      split_searches->Add(static_cast<uint64_t>(features.size()));
+  // Best split of one feature for `leaf` from its histograms.
+  auto scan = [&](const PendingLeaf& leaf, int f) {
+    const double parent_obj = LeafObjective(
+        static_cast<double>(leaf.grad_sum) * inv_scale,
+        static_cast<double>(leaf.hess_sum) * inv_scale, config_.lambda_l2);
+    const int num_bins = layout.num_bins(f);
+    const int64_t* pairs = leaf.hist + layout.offset(f);
+    FeatureSplit split;
+    split.feature = f;
+    int64_t left_grad = 0;
+    int64_t left_hess = 0;
+    for (int b = 0; b + 1 < num_bins; ++b) {
+      // An empty bin leaves the running sums, and so the gain, as the
+      // previous bin had them, and a tie never wins.
+      if (pairs[2 * b] == 0 && pairs[2 * b + 1] == 0) continue;
+      left_grad += pairs[2 * b];
+      left_hess += pairs[2 * b + 1];
+      const double left_h = static_cast<double>(left_hess) * inv_scale;
+      const double right_h =
+          static_cast<double>(leaf.hess_sum - left_hess) * inv_scale;
+      if (left_h < config_.min_child_hessian ||
+          right_h < config_.min_child_hessian) {
+        continue;
+      }
+      const double gain =
+          LeafObjective(static_cast<double>(left_grad) * inv_scale, left_h,
+                        config_.lambda_l2) +
+          LeafObjective(
+              static_cast<double>(leaf.grad_sum - left_grad) * inv_scale,
+              right_h, config_.lambda_l2) -
+          parent_obj;
+      if (gain > split.gain) {
+        split.gain = gain;
+        split.bin = b;
+        split.left_grad = left_grad;
+        split.left_hess = left_hess;
+      }
     }
-    double parent_obj =
-        LeafObjective(leaf.grad_sum, leaf.hess_sum, config_.lambda_l2);
-    // Ordered gradients: the leaf's (grad, hess) pairs, gathered once in
-    // leaf-row order, so the tile passes below stream them sequentially.
-    const size_t num_rows = leaf.rows.size();
-    std::vector<double> ordered(2 * num_rows);
-    for (size_t i = 0; i < num_rows; ++i) {
-      const size_t r = static_cast<size_t>(leaf.rows[i]);
-      ordered[2 * i] = grads[r];
-      ordered[2 * i + 1] = hessians[r];
-    }
-    // Parallel over passes: one pass over the leaf rows fills the
-    // histograms of all its plan's features at once, each bin still adding
-    // its rows in leaf-row order, so every histogram is bitwise the one a
-    // per-feature pass builds. Each task writes only its own features'
-    // candidate slots; the merge below walks them in `features` order with
-    // the same strict `>` the serial scan used, so the chosen split is
-    // bitwise-identical at any thread count. Tiny leaves stay serial —
-    // same result, less scheduling overhead.
-    int split_threads = num_rows * features.size() < 4096 ? 1 : 0;
-    std::vector<FeatureSplit> candidates(features.size());
-    util::ParallelFor(
-        0, static_cast<int64_t>(plans.size()),
-        [&](int64_t pi) {
-          const TilePlan& plan = plans[static_cast<size_t>(pi)];
-          const size_t count = plan.columns.size();
-          const uint8_t* tile = bins.tile(plan.tile);
-          const size_t width = static_cast<size_t>(bins.width(plan.tile));
-          const size_t stride = plan.stride;
-          std::vector<double> hist(2 * count * stride, 0.0);
-          const int* columns = plan.columns.data();
-          for (size_t i = 0; i < num_rows; ++i) {
-            // A leaf's rows are scattered over the tile; fetch ahead.
-            if (i + kPrefetchRows < num_rows) {
-              __builtin_prefetch(
-                  tile + static_cast<size_t>(leaf.rows[i + kPrefetchRows]) *
-                             width);
-            }
-            const uint8_t* row_bins =
-                tile + static_cast<size_t>(leaf.rows[i]) * width;
-            const double g = ordered[2 * i];
-            const double h = ordered[2 * i + 1];
-            double* feature_pairs = hist.data();
-            for (size_t k = 0; k < count; ++k, feature_pairs += 2 * stride) {
-              double* pair = feature_pairs +
-                             2 * static_cast<size_t>(row_bins[columns[k]]);
-              pair[0] += g;
-              pair[1] += h;
-            }
-          }
-          for (size_t k = 0; k < count; ++k) {
-            const int f = features[static_cast<size_t>(plan.slots[k])];
-            const int num_bins = binner_.NumBins(f);
-            const double* pairs = hist.data() + 2 * k * stride;
-            FeatureSplit split;
-            split.feature = f;
-            double left_grad = 0.0;
-            double left_hess = 0.0;
-            for (int b = 0; b + 1 < num_bins; ++b) {
-              // An empty bin leaves the running sums, and so the gain, as
-              // the previous bin had them, and a tie never wins.
-              if (pairs[2 * b] == 0.0 && pairs[2 * b + 1] == 0.0) continue;
-              left_grad += pairs[2 * b];
-              left_hess += pairs[2 * b + 1];
-              double right_grad = leaf.grad_sum - left_grad;
-              double right_hess = leaf.hess_sum - left_hess;
-              if (left_hess < config_.min_child_hessian ||
-                  right_hess < config_.min_child_hessian) {
-                continue;
-              }
-              double gain =
-                  LeafObjective(left_grad, left_hess, config_.lambda_l2) +
-                  LeafObjective(right_grad, right_hess, config_.lambda_l2) -
-                  parent_obj;
-              if (gain > split.gain) {
-                split.gain = gain;
-                split.bin = b;
-              }
-            }
-            candidates[static_cast<size_t>(plan.slots[k])] = split;
-          }
-        },
-        split_threads);
-    // Ordered merge: first feature wins ties, exactly like the serial scan.
+    return split;
+  };
+
+  // Ordered merge: first feature wins ties, like a serial scan in
+  // `features` order. A leaf that found no split gives its buffer back.
+  auto settle = [&](PendingLeaf& leaf,
+                    const std::vector<FeatureSplit>& candidates) {
     for (const FeatureSplit& candidate : candidates) {
       if (candidate.bin >= 0 && candidate.gain > leaf.best_gain) {
         leaf.best_gain = candidate.gain;
         leaf.best_feature = candidate.feature;
         leaf.best_bin = candidate.bin;
+        leaf.best_left_grad = candidate.left_grad;
+        leaf.best_left_hess = candidate.left_hess;
       }
     }
+    if (leaf.best_feature < 0) {
+      pool->Release(leaf.hist);
+      leaf.hist = nullptr;
+    }
+    if (split_searches != nullptr) split_searches->Add(scanned);
   };
 
-  std::vector<int> root_rows = rows;
-  make_leaf(std::move(root_rows), 0);
+  // Builds `built`'s histograms from its rows into its buffer. With a
+  // `derived` leaf, whose buffer holds the histograms of the two's parent,
+  // subtracts them from it, which leaves exactly derived's own. Then scans
+  // each of the two that may split. One task per tile plan does all of
+  // this for its features, so zeroing, building, subtracting and scanning
+  // run on the threads that own those bins.
+  auto evaluate = [&](PendingLeaf& built, PendingLeaf* derived) {
+    const size_t num_rows = built.rows.size();
+    // Ordered gradients: the leaf's pairs gathered once in leaf-row order,
+    // so the tile passes stream them sequentially.
+    std::vector<int64_t> ordered(2 * num_rows);
+    for (size_t i = 0; i < num_rows; ++i) {
+      const size_t r = static_cast<size_t>(built.rows[i]);
+      ordered[2 * i] = gradients[2 * r];
+      ordered[2 * i + 1] = gradients[2 * r + 1];
+    }
+    const bool scan_built = can_split(built);
+    std::vector<FeatureSplit> built_candidates(scan_built ? features.size()
+                                                          : 0);
+    std::vector<FeatureSplit> derived_candidates(
+        derived != nullptr ? features.size() : 0);
+    // Tiny leaves stay serial: same result, less scheduling overhead.
+    const int threads = num_rows * scanned < 4096 ? 1 : 0;
+    util::ParallelFor(
+        0, static_cast<int64_t>(plans.size()),
+        [&](int64_t pi) {
+          const TilePlan& plan = plans[static_cast<size_t>(pi)];
+          BuildHistograms(bins, layout, plan.features, built.rows,
+                          ordered.data(), built.hist);
+          if (derived != nullptr) {
+            SubtractHistograms(layout, plan.features, built.hist,
+                               derived->hist);
+          }
+          for (size_t k = 0; k < plan.features.size(); ++k) {
+            const size_t slot = static_cast<size_t>(plan.slots[k]);
+            if (scan_built) {
+              built_candidates[slot] = scan(built, plan.features[k]);
+            }
+            if (derived != nullptr) {
+              derived_candidates[slot] = scan(*derived, plan.features[k]);
+            }
+          }
+        },
+        threads);
+    if (scan_built) {
+      settle(built, built_candidates);
+    } else {
+      pool->Release(built.hist);
+      built.hist = nullptr;
+    }
+    if (derived != nullptr) settle(*derived, derived_candidates);
+  };
+
+  int64_t root_grad = 0;
+  int64_t root_hess = 0;
+  for (int r : rows) {
+    root_grad += gradients[2 * static_cast<size_t>(r)];
+    root_hess += gradients[2 * static_cast<size_t>(r) + 1];
+  }
+  make_leaf(rows, 0, root_grad, root_hess);
+  if (can_split(leaves[0])) {
+    leaves[0].hist = pool->Acquire();
+    evaluate(leaves[0], nullptr);
+  }
 
   int leaf_count = 1;
+  std::vector<int> ranked;
   while (leaf_count < config_.num_leaves) {
-    // Pick the evaluated leaf with the best gain.
-    int best_index = -1;
-    double best_gain = 0.0;
+    // The pending leaves that can split, best gain first, an earlier leaf
+    // first among equal gains. Every pending leaf is evaluated.
+    ranked.clear();
     for (size_t idx = 0; idx < leaves.size(); ++idx) {
-      PendingLeaf& leaf = leaves[idx];
-      if (leaf.node < 0) continue;  // already split
-      if (!leaf.evaluated) evaluate_leaf(leaf);
-      if (leaf.best_feature >= 0 && leaf.best_gain > best_gain) {
-        best_gain = leaf.best_gain;
-        best_index = static_cast<int>(idx);
+      if (leaves[idx].node >= 0 && leaves[idx].best_feature >= 0) {
+        ranked.push_back(static_cast<int>(idx));
       }
     }
-    if (best_index < 0) break;
+    std::stable_sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+      return leaves[static_cast<size_t>(a)].best_gain >
+             leaves[static_cast<size_t>(b)].best_gain;
+    });
+    // Each split takes the top leaf, and a leaf leaves the ranking only by
+    // being split, so a leaf outranked by as many leaves as splits remain
+    // is never split: its buffer goes back now.
+    const size_t remaining =
+        static_cast<size_t>(config_.num_leaves - leaf_count);
+    for (size_t r = remaining; r < ranked.size(); ++r) {
+      PendingLeaf& unreachable = leaves[static_cast<size_t>(ranked[r])];
+      pool->Release(unreachable.hist);
+      unreachable.hist = nullptr;
+    }
+    if (ranked.empty()) break;
 
-    PendingLeaf& leaf = leaves[static_cast<size_t>(best_index)];
+    PendingLeaf& leaf = leaves[static_cast<size_t>(ranked[0])];
     std::vector<int> left_rows;
     std::vector<int> right_rows;
     for (int r : leaf.rows) {
@@ -405,15 +542,23 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
     gain_importances_[static_cast<size_t>(leaf.best_feature)] +=
         leaf.best_gain;
 
-    int node = leaf.node;
-    int depth = leaf.depth;
-    int feature = leaf.best_feature;
-    int bin = leaf.best_bin;
+    const int node = leaf.node;
+    const int depth = leaf.depth;
+    const int feature = leaf.best_feature;
+    const int bin = leaf.best_bin;
+    const int64_t left_grad = leaf.best_left_grad;
+    const int64_t left_hess = leaf.best_left_hess;
+    const int64_t right_grad = leaf.grad_sum - left_grad;
+    const int64_t right_hess = leaf.hess_sum - left_hess;
+    int64_t* parent_hist = leaf.hist;
     leaf.node = -1;  // consumed; references into `leaves` may dangle below
-    leaf.rows.clear();
+    leaf.hist = nullptr;
+    leaf.rows = {};
 
-    int left_leaf = make_leaf(std::move(left_rows), depth + 1);
-    int right_leaf = make_leaf(std::move(right_rows), depth + 1);
+    const int left_leaf =
+        make_leaf(std::move(left_rows), depth + 1, left_grad, left_hess);
+    const int right_leaf =
+        make_leaf(std::move(right_rows), depth + 1, right_grad, right_hess);
     Node& parent = tree.nodes[static_cast<size_t>(node)];
     parent.feature = feature;
     parent.bin_threshold = bin;
@@ -421,7 +566,24 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins,
     parent.right = leaves[static_cast<size_t>(right_leaf)].node;
     parent.value = 0.0;
     ++leaf_count;
+
+    // The larger child can split whenever the smaller can (same depth,
+    // more rows), so it is the one whose histograms are derived.
+    PendingLeaf& left = leaves[static_cast<size_t>(left_leaf)];
+    PendingLeaf& right = leaves[static_cast<size_t>(right_leaf)];
+    const bool left_smaller = left.rows.size() <= right.rows.size();
+    PendingLeaf& smaller = left_smaller ? left : right;
+    PendingLeaf& larger = left_smaller ? right : left;
+    if (leaf_count == config_.num_leaves || !can_split(larger)) {
+      pool->Release(parent_hist);
+      continue;
+    }
+    HOTSPOT_CHECK(parent_hist != nullptr);
+    smaller.hist = pool->Acquire();
+    larger.hist = parent_hist;
+    evaluate(smaller, &larger);
   }
+  for (PendingLeaf& leaf : leaves) pool->Release(leaf.hist);
   return tree;
 }
 
@@ -435,32 +597,50 @@ void Gbdt::Fit(const Dataset& data) {
   num_features_ = data.num_features();
   gain_importances_.assign(static_cast<size_t>(num_features_), 0.0);
 
+  // Weighted prior. The fixed-point scale needs finite weights >= 0 with a
+  // positive, finite sum: a NaN weight would turn every gradient NaN, and
+  // rounding a NaN or an infinity to an integer is undefined.
+  double weight_sum = 0.0;
+  double positive_weight = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double w = data.weights[static_cast<size_t>(i)];
+    HOTSPOT_CHECK(!std::isnan(w)) << "GBDT training row " << i
+                                  << " has a NaN weight";
+    HOTSPOT_CHECK(!std::isinf(w)) << "GBDT training row " << i
+                                  << " has an infinite weight (" << w << ")";
+    HOTSPOT_CHECK(w >= 0.0) << "GBDT training row " << i
+                            << " has a negative weight (" << w << ")";
+    weight_sum += w;
+    if (data.labels[static_cast<size_t>(i)] != 0.0f) positive_weight += w;
+  }
+  HOTSPOT_CHECK(weight_sum > 0.0)
+      << "GBDT training weights sum to " << weight_sum << ", not > 0";
+  HOTSPOT_CHECK(std::isfinite(weight_sum))
+      << "GBDT training weights sum to " << weight_sum << ", not finite";
+  double prior = std::clamp(positive_weight / weight_sum, 1e-6, 1.0 - 1e-6);
+  base_score_ = std::log(prior / (1.0 - prior));
+  const double scale = FixedPointScale(weight_sum);
+  const double inv_scale = 1.0 / scale;
+
   BinTiles bins(n, num_features_);
-  std::vector<uint8_t> splits;
+  std::vector<int> num_bins(static_cast<size_t>(num_features_));
   {
     HOTSPOT_SPAN("gbdt/bin_build");
     binner_.Fit(data.features, config_.max_bins, &bins);
-    splits = FeaturesThatSplit(bins);
+    const std::vector<uint8_t> splits = FeaturesThatSplit(bins);
+    for (int f = 0; f < num_features_; ++f) {
+      num_bins[static_cast<size_t>(f)] =
+          splits[static_cast<size_t>(f)] != 0 ? binner_.NumBins(f) : 0;
+    }
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/bin_builds").Increment();
     }
   }
-
-  // Weighted prior.
-  double weight_sum = 0.0;
-  double positive_weight = 0.0;
-  for (int i = 0; i < n; ++i) {
-    weight_sum += data.weights[static_cast<size_t>(i)];
-    if (data.labels[static_cast<size_t>(i)] != 0.0f) {
-      positive_weight += data.weights[static_cast<size_t>(i)];
-    }
-  }
-  double prior = std::clamp(positive_weight / weight_sum, 1e-6, 1.0 - 1e-6);
-  base_score_ = std::log(prior / (1.0 - prior));
+  const HistogramLayout layout(num_bins);
+  HistogramPool pool(layout.size());
 
   std::vector<double> scores(static_cast<size_t>(n), base_score_);
-  std::vector<double> grads(static_cast<size_t>(n));
-  std::vector<double> hessians(static_cast<size_t>(n));
+  std::vector<int64_t> gradients(2 * static_cast<size_t>(n));
 
   Rng rng(config_.seed);
   std::vector<int> all_features(static_cast<size_t>(num_features_));
@@ -477,8 +657,9 @@ void Gbdt::Fit(const Dataset& data) {
       double p = Sigmoid(scores[static_cast<size_t>(i)]);
       double y = data.labels[static_cast<size_t>(i)] != 0.0f ? 1.0 : 0.0;
       double w = data.weights[static_cast<size_t>(i)];
-      grads[static_cast<size_t>(i)] = w * (p - y);
-      hessians[static_cast<size_t>(i)] = w * std::max(p * (1.0 - p), 1e-9);
+      gradients[2 * static_cast<size_t>(i)] = std::llround(w * (p - y) * scale);
+      gradients[2 * static_cast<size_t>(i) + 1] =
+          std::llround(w * std::max(p * (1.0 - p), 1e-9) * scale);
       double clipped = std::clamp(p, 1e-12, 1.0 - 1e-12);
       loss_terms[static_cast<size_t>(i)] =
           w * (y * std::log(clipped) + (1.0 - y) * std::log(1.0 - clipped));
@@ -508,7 +689,8 @@ void Gbdt::Fit(const Dataset& data) {
     Tree tree;
     {
       HOTSPOT_SPAN("gbdt/build_tree");
-      tree = BuildTree(bins, splits, grads, hessians, rows, features);
+      tree = BuildTree(bins, layout, gradients, inv_scale, &pool, rows,
+                       features);
     }
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/trees_built").Increment();

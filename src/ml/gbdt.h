@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/dataset.h"
@@ -15,6 +16,14 @@ namespace hotspot::ml {
 
 /// Gradient-boosted decision trees with histogram split finding and
 /// leaf-wise growth (the LightGBM recipe), binary logistic loss.
+///
+/// Each iteration's gradients and hessians are quantized to int64 at one
+/// power-of-two scale, and every histogram, leaf sum and leaf value is
+/// accumulated from those integers. A split builds the histograms of its
+/// smaller child and takes the larger child's as parent minus smaller;
+/// since integer sums are exact, the trained bits depend only on the data
+/// and the config. Training weights must be finite and >= 0 with a
+/// positive, finite sum.
 ///
 /// This model is an *extension* relative to the paper (which evaluates
 /// CART and random forests); it is motivated by the boosted-tree
@@ -71,6 +80,43 @@ class BinTiles {
   std::vector<uint8_t> bins_;
 };
 
+/// Where each feature's bins lie in one leaf's gradient histograms. For
+/// feature f and bin b, a histogram holds the fixed-point sums of the
+/// gradients and the hessians of the leaf's rows in that bin, as the int64
+/// pair at offset(f) + 2 * b. A feature given no bins has none.
+class HistogramLayout {
+ public:
+  explicit HistogramLayout(const std::vector<int>& num_bins);
+
+  /// int64 values in one leaf's histograms.
+  size_t size() const { return offsets_.back(); }
+  size_t offset(int feature) const {
+    return offsets_[static_cast<size_t>(feature)];
+  }
+  int num_bins(int feature) const {
+    return static_cast<int>((offsets_[static_cast<size_t>(feature) + 1] -
+                             offsets_[static_cast<size_t>(feature)]) /
+                            2);
+  }
+
+ private:
+  std::vector<size_t> offsets_;  ///< one per feature, then the total
+};
+
+/// Zeroes the histograms of `features`, which must all lie in one tile,
+/// then adds to each the pair (pairs[2 * i], pairs[2 * i + 1]) of every
+/// rows[i] in that row's bin. The sums are integers, so they are exact and
+/// independent of the order of `rows`.
+void BuildHistograms(const BinTiles& bins, const HistogramLayout& layout,
+                     std::span<const int> features, std::span<const int> rows,
+                     const int64_t* pairs, int64_t* hist);
+
+/// Subtracts `child`'s histograms of `features` from `parent`'s, which then
+/// hold exactly the histograms of the parent's other child.
+void SubtractHistograms(const HistogramLayout& layout,
+                        std::span<const int> features, const int64_t* child,
+                        int64_t* parent);
+
 /// Quantile feature binner. Bin 0 is reserved for missing values; bins
 /// 1..num_bins(f)-1 partition the finite range by the training quantiles.
 class FeatureBinner {
@@ -126,11 +172,13 @@ class Gbdt : public BinaryClassifier {
   struct Tree {
     std::vector<Node> nodes;
   };
+  class HistogramPool;
 
-  Tree BuildTree(const BinTiles& bins, const std::vector<uint8_t>& splits,
-                 const std::vector<double>& grads,
-                 const std::vector<double>& hessians,
-                 const std::vector<int>& rows,
+  /// `gradients` holds every row's fixed-point (gradient, hessian) pair;
+  /// `inv_scale` turns a fixed-point sum back into a double.
+  Tree BuildTree(const BinTiles& bins, const HistogramLayout& layout,
+                 const std::vector<int64_t>& gradients, double inv_scale,
+                 HistogramPool* pool, const std::vector<int>& rows,
                  const std::vector<int>& features);
 
   GbdtConfig config_;

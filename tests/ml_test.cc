@@ -372,6 +372,174 @@ TEST(FeatureBinner, TilesHoldEveryTrainingValuesBin) {
   }
 }
 
+/// The histograms of every feature of `bins` over `rows`, built tile by
+/// tile; a sentinel fill shows any value the build does not own.
+std::vector<int64_t> BuildAll(const BinTiles& bins,
+                              const HistogramLayout& layout,
+                              const std::vector<int>& rows,
+                              const std::vector<int64_t>& gradients) {
+  std::vector<int64_t> pairs(2 * rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    pairs[2 * i] = gradients[2 * static_cast<size_t>(rows[i])];
+    pairs[2 * i + 1] = gradients[2 * static_cast<size_t>(rows[i]) + 1];
+  }
+  std::vector<int64_t> hist(layout.size(), int64_t{0x5a5a5a5a5a5a5a5a});
+  for (int t = 0; t < bins.num_tiles(); ++t) {
+    std::vector<int> features;
+    for (int k = 0; k < bins.width(t); ++k) {
+      features.push_back(t * BinTiles::kWidth + k);
+    }
+    BuildHistograms(bins, layout, features, rows, pairs.data(), hist.data());
+  }
+  return hist;
+}
+
+TEST(GbdtHistograms, SubtractionEqualsDirectBuildBitwise) {
+  // 70 features: two full tiles and a partial one of 6. Columns have 2,
+  // 32 or 255 bins; every fifth holds one bin in every row, half the
+  // rest never use the missing bin 0, and some crowd it.
+  const int n = 900;
+  const int d = 70;
+  Rng rng(31);
+  BinTiles bins(n, d);
+  std::vector<int> num_bins(d);
+  for (int f = 0; f < d; ++f) {
+    const int kinds[] = {2, 32, 255};
+    num_bins[static_cast<size_t>(f)] = kinds[f % 3];
+  }
+  for (int t = 0; t < bins.num_tiles(); ++t) {
+    uint8_t* tile = bins.tile(t);
+    const int width = bins.width(t);
+    for (int r = 0; r < n; ++r) {
+      for (int k = 0; k < width; ++k) {
+        const int f = t * BinTiles::kWidth + k;
+        const int top = num_bins[static_cast<size_t>(f)] - 1;
+        int bin = static_cast<int>(rng.UniformInt((f / 2) % 2, top));
+        if (f % 5 == 0) bin = top;
+        if (f % 7 == 6 && rng.Bernoulli(0.5)) bin = 0;
+        tile[static_cast<size_t>(r) * static_cast<size_t>(width) +
+             static_cast<size_t>(k)] = static_cast<uint8_t>(bin);
+      }
+    }
+  }
+  ASSERT_EQ(bins.num_tiles(), 3);
+  const HistogramLayout layout(num_bins);
+  // Fixed-point pairs as a fit makes them: signed gradients, positive
+  // hessians, near the 2^61 / n scale.
+  std::vector<int64_t> gradients(2 * static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    gradients[2 * static_cast<size_t>(r)] =
+        rng.UniformInt(-(int64_t{1} << 51), int64_t{1} << 51);
+    gradients[2 * static_cast<size_t>(r) + 1] =
+        rng.UniformInt(1, int64_t{1} << 49);
+  }
+
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<int> parent = rng.SampleWithoutReplacement(
+        n, static_cast<int>(rng.UniformInt(2, n)));
+    // A random partition, from lopsided (one child may be empty) to even.
+    const double share = rng.UniformDouble();
+    std::vector<int> left;
+    std::vector<int> right;
+    for (int r : parent) (rng.Bernoulli(share) ? left : right).push_back(r);
+    const std::vector<int64_t> parent_hist =
+        BuildAll(bins, layout, parent, gradients);
+    const std::vector<int64_t> left_hist =
+        BuildAll(bins, layout, left, gradients);
+    const std::vector<int64_t> right_hist =
+        BuildAll(bins, layout, right, gradients);
+
+    // Row order does not matter.
+    std::vector<int> reversed(parent.rbegin(), parent.rend());
+    EXPECT_EQ(BuildAll(bins, layout, reversed, gradients), parent_hist);
+
+    // Left + right is the parent, value by value.
+    for (size_t j = 0; j < layout.size(); ++j) {
+      ASSERT_EQ(left_hist[j] + right_hist[j], parent_hist[j])
+          << "trial " << trial << " value " << j;
+    }
+
+    // Parent - smaller is the directly built larger, bitwise.
+    const bool left_smaller = left.size() <= right.size();
+    const std::vector<int64_t>& smaller = left_smaller ? left_hist : right_hist;
+    const std::vector<int64_t>& larger = left_smaller ? right_hist : left_hist;
+    std::vector<int64_t> derived = parent_hist;
+    for (int t = 0; t < bins.num_tiles(); ++t) {
+      std::vector<int> features;
+      for (int k = 0; k < bins.width(t); ++k) {
+        features.push_back(t * BinTiles::kWidth + k);
+      }
+      SubtractHistograms(layout, features, smaller.data(), derived.data());
+    }
+    EXPECT_EQ(derived, larger) << "trial " << trial;
+
+    // Each child's per-feature totals add up to the parent's rows' sums.
+    int64_t grad_total = 0;
+    int64_t hess_total = 0;
+    for (int r : parent) {
+      grad_total += gradients[2 * static_cast<size_t>(r)];
+      hess_total += gradients[2 * static_cast<size_t>(r) + 1];
+    }
+    for (int f = 0; f < d; ++f) {
+      int64_t grad = 0;
+      int64_t hess = 0;
+      for (int b = 0; b < layout.num_bins(f); ++b) {
+        const size_t at = layout.offset(f) + 2 * static_cast<size_t>(b);
+        grad += left_hist[at] + right_hist[at];
+        hess += left_hist[at + 1] + right_hist[at + 1];
+      }
+      EXPECT_EQ(grad, grad_total) << "feature " << f;
+      EXPECT_EQ(hess, hess_total) << "feature " << f;
+    }
+  }
+}
+
+TEST(GbdtHistograms, BuildTouchesOnlyItsFeatures) {
+  // A tile task builds a slice of a tile's features; the rest of the
+  // buffer, other slices' bins included, stays as it was.
+  const int n = 50;
+  const int d = 40;
+  Rng rng(37);
+  BinTiles bins(n, d);
+  std::vector<int> num_bins(d, 5);
+  num_bins[3] = 0;  // a feature that never splits has no bins
+  for (int t = 0; t < bins.num_tiles(); ++t) {
+    uint8_t* tile = bins.tile(t);
+    for (size_t i = 0; i < static_cast<size_t>(n * bins.width(t)); ++i) {
+      tile[i] = static_cast<uint8_t>(rng.UniformInt(0, 4));
+    }
+  }
+  const HistogramLayout layout(num_bins);
+  EXPECT_EQ(layout.num_bins(3), 0);
+  EXPECT_EQ(layout.size(), 2u * 5u * (d - 1));
+  std::vector<int> rows(n);
+  std::vector<int64_t> pairs(2 * n);
+  for (int i = 0; i < n; ++i) {
+    rows[static_cast<size_t>(i)] = i;
+    pairs[2 * static_cast<size_t>(i)] = i - 20;
+    pairs[2 * static_cast<size_t>(i) + 1] = i + 1;
+  }
+  const int64_t sentinel = -7;
+  std::vector<int64_t> hist(layout.size(), sentinel);
+  const std::vector<int> slice = {5, 9, 30};
+  BuildHistograms(bins, layout, slice, rows, pairs.data(), hist.data());
+  for (int f = 0; f < d; ++f) {
+    const bool built = f == 5 || f == 9 || f == 30;
+    int64_t hess = 0;
+    for (int b = 0; b < layout.num_bins(f); ++b) {
+      const int64_t value =
+          hist[layout.offset(f) + 2 * static_cast<size_t>(b) + 1];
+      if (!built) {
+        EXPECT_EQ(value, sentinel) << "feature " << f;
+      }
+      hess += value;
+    }
+    if (built) {
+      EXPECT_EQ(hess, n * (n + 1) / 2) << "feature " << f;
+    }
+  }
+}
+
 TEST(Gbdt, FitsSeparableData) {
   Dataset data = SeparableDataset(300, 15);
   GbdtConfig config;
@@ -459,6 +627,56 @@ TEST(GbdtDeathTest, RefusesNonPositiveOrNanMinChildHessian) {
     config.min_child_hessian = floor;
     EXPECT_DEATH(Gbdt{config}, "min_child_hessian must be > 0") << floor;
   }
+}
+
+TEST(Gbdt, FitsAtExtremeWeightSums) {
+  // The fixed-point scale follows the weight sum, so a fit whose weights
+  // sum to 1e-30 or 1e30 stays finite and learns. (The hessian floor and
+  // the L2 term are absolute, so they shrink with the tiny weights.)
+  for (double total : {1e-30, 1e30}) {
+    Dataset data = SeparableDataset(300, 15);
+    data.weights.assign(data.weights.size(), total / 300.0);
+    GbdtConfig config;
+    config.num_iterations = 30;
+    if (total < 1.0) {
+      config.lambda_l2 = 0.0;
+      config.min_child_hessian = 1e-300;
+    }
+    Gbdt model(config);
+    model.Fit(data);
+    for (int i = 0; i < data.num_instances(); ++i) {
+      EXPECT_TRUE(std::isfinite(model.PredictRaw(data.features.Row(i))));
+    }
+    EXPECT_GT(Accuracy(model, data), 0.95) << total;
+    EXPECT_LT(model.training_loss().back(),
+              0.5 * model.training_loss().front())
+        << total;
+  }
+}
+
+TEST(GbdtDeathTest, RefusesHostileWeightsByName) {
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double weight;
+    const char* message;
+  };
+  for (const Case& c : {Case{std::nan(""), "row 7 has a NaN weight"},
+                        Case{inf, "row 7 has an infinite weight"},
+                        Case{-inf, "row 7 has an infinite weight"},
+                        Case{-0.5, "row 7 has a negative weight"}}) {
+    Dataset data = SeparableDataset(20, 3);
+    data.weights[7] = c.weight;
+    Gbdt model(GbdtConfig{});
+    EXPECT_DEATH(model.Fit(data), c.message) << c.weight;
+  }
+  Dataset zero = SeparableDataset(20, 3);
+  zero.weights.assign(zero.weights.size(), 0.0);
+  Gbdt zero_model(GbdtConfig{});
+  EXPECT_DEATH(zero_model.Fit(zero), "weights sum to 0, not > 0");
+  Dataset huge = SeparableDataset(20, 3);
+  huge.weights.assign(huge.weights.size(), 1e308);
+  Gbdt huge_model(GbdtConfig{});
+  EXPECT_DEATH(huge_model.Fit(huge), "weights sum to inf, not finite");
 }
 
 TEST(Sigmoid, StableAtExtremes) {
