@@ -269,26 +269,29 @@ struct TilePlan {
   std::vector<int> slots;
 };
 
-/// Whether each feature's training rows fall in more than one bin. A
-/// feature whose rows all share a bin never splits: any split leaves one
-/// child without rows, and so without the hessian min_child_hessian > 0
-/// asks for. Occupancy, not the bin count, decides: a constant column with
-/// NaNs still splits missing from present.
-std::vector<uint8_t> FeaturesThatSplit(const BinTiles& bins) {
-  std::vector<uint8_t> splits(static_cast<size_t>(bins.features()), 0);
+/// The bins each feature gets in the histograms: all of them, or none when
+/// every training row falls in one bin. Such a feature never splits: any
+/// split leaves one child without rows, and so without the hessian
+/// min_child_hessian > 0 asks for. Occupancy, not the bin count, decides:
+/// a constant column with NaNs still splits missing from present.
+std::vector<int> HistogramBins(const BinTiles& bins,
+                               const FeatureBinner& binner) {
+  std::vector<int> num_bins(static_cast<size_t>(bins.features()), 0);
   util::ParallelFor(0, bins.num_tiles(), [&](int64_t t) {
     const int tile = static_cast<int>(t);
     const uint8_t* first = bins.tile(tile);
     const size_t width = static_cast<size_t>(bins.width(tile));
-    uint8_t differs[BinTiles::kWidth] = {};
+    bool differs[BinTiles::kWidth] = {};
     for (size_t r = 1; r < static_cast<size_t>(bins.rows()); ++r) {
       const uint8_t* row = first + r * width;
       for (size_t k = 0; k < width; ++k) differs[k] |= row[k] != first[k];
     }
-    std::copy(differs, differs + width,
-              splits.begin() + static_cast<ptrdiff_t>(tile) * BinTiles::kWidth);
+    for (size_t k = 0; k < width; ++k) {
+      const int f = tile * BinTiles::kWidth + static_cast<int>(k);
+      if (differs[k]) num_bins[static_cast<size_t>(f)] = binner.NumBins(f);
+    }
   });
-  return splits;
+  return num_bins;
 }
 
 /// The power of two that scales a total weight of `weight_sum` to just
@@ -623,15 +626,11 @@ void Gbdt::Fit(const Dataset& data) {
   const double inv_scale = 1.0 / scale;
 
   BinTiles bins(n, num_features_);
-  std::vector<int> num_bins(static_cast<size_t>(num_features_));
+  std::vector<int> num_bins;
   {
     HOTSPOT_SPAN("gbdt/bin_build");
     binner_.Fit(data.features, config_.max_bins, &bins);
-    const std::vector<uint8_t> splits = FeaturesThatSplit(bins);
-    for (int f = 0; f < num_features_; ++f) {
-      num_bins[static_cast<size_t>(f)] =
-          splits[static_cast<size_t>(f)] != 0 ? binner_.NumBins(f) : 0;
-    }
+    num_bins = HistogramBins(bins, binner_);
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/bin_builds").Increment();
     }
