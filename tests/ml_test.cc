@@ -373,7 +373,7 @@ TEST(FeatureBinner, TilesHoldEveryTrainingValuesBin) {
 }
 
 /// The histograms of every feature of `bins` over `rows`, built tile by
-/// tile; a sentinel fill shows any value the build does not own.
+/// tile into a buffer that starts as garbage, so the zeroing is tested too.
 std::vector<int64_t> BuildAll(const BinTiles& bins,
                               const HistogramLayout& layout,
                               const std::vector<int>& rows,
