@@ -222,6 +222,10 @@ Gbdt::Gbdt(const GbdtConfig& config) : config_(config) {
   // no comparison trips) an empty child would pass the hessian test.
   HOTSPOT_CHECK(config.min_child_hessian > 0.0)
       << "min_child_hessian must be > 0, got " << config.min_child_hessian;
+  // A negative or NaN L2 term can turn a leaf value NaN, and rounding the
+  // next iteration's NaN gradients to fixed point is undefined.
+  HOTSPOT_CHECK(config.lambda_l2 >= 0.0)
+      << "lambda_l2 must be >= 0, got " << config.lambda_l2;
   HOTSPOT_CHECK(config.feature_fraction > 0.0 &&
                 config.feature_fraction <= 1.0);
   HOTSPOT_CHECK(config.bagging_fraction > 0.0 &&
@@ -366,9 +370,15 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
     leaf.grad_sum = grad_sum;
     leaf.hess_sum = hess_sum;
     leaf.depth = depth;
+    // A leaf without curvature (no hessian and lambda_l2 = 0, as when a
+    // bag holds only zero-weight rows) takes no step instead of 0 / 0.
+    const double curvature =
+        static_cast<double>(hess_sum) * inv_scale + config_.lambda_l2;
     tree.nodes[static_cast<size_t>(leaf.node)].value =
-        -config_.learning_rate * (static_cast<double>(grad_sum) * inv_scale) /
-        (static_cast<double>(hess_sum) * inv_scale + config_.lambda_l2);
+        curvature > 0.0 ? -config_.learning_rate *
+                              (static_cast<double>(grad_sum) * inv_scale) /
+                              curvature
+                        : 0.0;
     leaves.push_back(std::move(leaf));
     return static_cast<int>(leaves.size()) - 1;
   };

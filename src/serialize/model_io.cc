@@ -48,7 +48,8 @@ bool DecodeGbdtConfig(ByteReader* reader, ml::GbdtConfig* config) {
   // load, not abort the process.
   if (!reader->ok()) return false;
   if (config->num_iterations <= 0 || !(config->learning_rate > 0.0) ||
-      config->num_leaves < 2 || !(config->min_child_hessian > 0.0) ||
+      config->num_leaves < 2 || !(config->lambda_l2 >= 0.0) ||
+      !(config->min_child_hessian > 0.0) ||
       !(config->feature_fraction > 0.0 && config->feature_fraction <= 1.0) ||
       !(config->bagging_fraction > 0.0 && config->bagging_fraction <= 1.0)) {
     reader->Fail("gbdt config out of range");

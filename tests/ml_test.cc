@@ -679,6 +679,34 @@ TEST(GbdtDeathTest, RefusesHostileWeightsByName) {
   EXPECT_DEATH(huge_model.Fit(huge), "weights sum to inf, not finite");
 }
 
+TEST(GbdtDeathTest, RefusesNegativeOrNanLambda) {
+  for (double lambda : {-1.0, std::nan("")}) {
+    GbdtConfig config;
+    config.lambda_l2 = lambda;
+    EXPECT_DEATH(Gbdt{config}, "lambda_l2 must be >= 0") << lambda;
+  }
+}
+
+TEST(Gbdt, LeafWithoutCurvatureTakesNoStep) {
+  // With lambda_l2 = 0, a bag that draws only zero-weight rows gives its
+  // root no hessian; the leaf must take no step rather than 0 / 0, whose
+  // NaN would reach the next iteration's fixed-point rounding.
+  Dataset data = SeparableDataset(200, 22);
+  for (size_t i = 0; i < data.weights.size(); ++i) {
+    data.weights[i] = i % 50 == 0 ? 1.0 : 0.0;
+  }
+  GbdtConfig config;
+  config.num_iterations = 20;
+  config.lambda_l2 = 0.0;
+  config.bagging_fraction = 0.05;
+  Gbdt model(config);
+  model.Fit(data);
+  for (int i = 0; i < data.num_instances(); ++i) {
+    EXPECT_TRUE(std::isfinite(model.PredictRaw(data.features.Row(i)))) << i;
+  }
+  for (double loss : model.training_loss()) EXPECT_TRUE(std::isfinite(loss));
+}
+
 TEST(Sigmoid, StableAtExtremes) {
   EXPECT_NEAR(Sigmoid(0.0), 0.5, 1e-12);
   EXPECT_NEAR(Sigmoid(40.0), 1.0, 1e-12);

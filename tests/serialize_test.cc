@@ -13,6 +13,7 @@
 //     GBDT fit shapes must train to their checked-in digests.
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -935,18 +936,20 @@ std::vector<HandNode> DoubledChain(int nodes) {
 
 /// A GBDT payload ('classifier' section body) of `trees` copies of `nodes`
 /// over `features` features with one cut each. `declared_nodes` overrides
-/// the per-tree node count field, `min_child_hessian` the config's.
+/// the per-tree node count field, `min_child_hessian` and `lambda_l2` the
+/// config's.
 std::vector<uint8_t> GbdtBytes(int features, int trees,
                                const std::vector<HandNode>& nodes,
                                uint64_t declared_nodes = ~uint64_t{0},
-                               double min_child_hessian = 1e-3) {
+                               double min_child_hessian = 1e-3,
+                               double lambda_l2 = 1.0) {
   serialize::ByteWriter w;
   w.WriteI32(10);    // num_iterations
   w.WriteF64(0.1);   // learning_rate
   w.WriteI32(7);     // num_leaves
   w.WriteI32(8);     // max_depth
   w.WriteI32(16);    // max_bins
-  w.WriteF64(1.0);   // lambda_l2
+  w.WriteF64(lambda_l2);
   w.WriteF64(min_child_hessian);
   w.WriteF64(1.0);   // feature_fraction
   w.WriteF64(1.0);   // bagging_fraction
@@ -1041,6 +1044,9 @@ TEST_F(SerializeSectionTest, HostileClassifierSectionsAreRefusedByName) {
        "gbdt node graph has a shared child"},
       {ModelKind::kGbdt, "gbdt zero min_child_hessian",
        GbdtBytes(dim, 2, kStump, ~uint64_t{0}, 0.0),
+       "gbdt config out of range"},
+      {ModelKind::kGbdt, "gbdt NaN lambda_l2",
+       GbdtBytes(dim, 2, kStump, ~uint64_t{0}, 1e-3, std::nan("")),
        "gbdt config out of range"},
       {ModelKind::kTree, "tree stump", TreeBytes(dim, kStump), nullptr},
       {ModelKind::kTree, "tree without nodes", TreeBytes(dim, {}),
