@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common.h"
 #include "core/config.h"
 #include "core/forecast_service.h"
 #include "core/study.h"
@@ -327,20 +328,12 @@ int main(int argc, char** argv) {
   if (std::getenv("HOTSPOT_MICRO_SMOKE") != nullptr) {
     return hotspot::Smoke();
   }
-  std::unique_ptr<hotspot::obs::PipelineContext> context;
-  std::unique_ptr<hotspot::obs::PipelineContext::ScopedInstall> install;
-  const char* json_path = std::getenv("HOTSPOT_OBS_JSON");
-  if (json_path != nullptr) {
-    context = std::make_unique<hotspot::obs::PipelineContext>();
-    install = std::make_unique<hotspot::obs::PipelineContext::ScopedInstall>(
-        context.get());
-  }
+  // Benchmark mode: a live context when HOTSPOT_OBS_JSON asks for the
+  // snapshot, so the measured path is the instrumented one.
+  hotspot::bench::ObsSession session;
+  hotspot::obs::PipelineContext::ScopedInstall install(session.context());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (json_path != nullptr) {
-    hotspot::obs::WriteSnapshotJson(hotspot::obs::TakeSnapshot(*context),
-                                    json_path);
-  }
   return 0;
 }

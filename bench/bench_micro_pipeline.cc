@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "core/config.h"
 #include "core/forecast_service.h"
 #include "core/score.h"
@@ -581,20 +582,10 @@ int main(int argc, char** argv) {
   }
   // Benchmark mode: a live context when HOTSPOT_OBS_JSON asks for the
   // snapshot, so the measured path is the instrumented one.
-  std::unique_ptr<hotspot::obs::PipelineContext> context;
-  std::unique_ptr<hotspot::obs::PipelineContext::ScopedInstall> install;
-  const char* json_path = std::getenv("HOTSPOT_OBS_JSON");
-  if (json_path != nullptr) {
-    context = std::make_unique<hotspot::obs::PipelineContext>();
-    install = std::make_unique<hotspot::obs::PipelineContext::ScopedInstall>(
-        context.get());
-  }
+  hotspot::bench::ObsSession session;
+  hotspot::obs::PipelineContext::ScopedInstall install(session.context());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (json_path != nullptr) {
-    hotspot::obs::WriteSnapshotJson(hotspot::obs::TakeSnapshot(*context),
-                                    json_path);
-  }
   return 0;
 }

@@ -6,10 +6,10 @@
 // HOTSPOT_MICRO_SMOKE=1 switches to a seconds-scale correctness smoke
 // (the ctest registration, label `telemetry`): streams a small study
 // through the staged ServingPipeline with a live background exporter,
-// then cross-checks the exporter's final frame totals against a direct
-// obs::TakeSnapshot of the same context — the two read paths must agree
-// exactly once the pipeline has quiesced — and lints every registered
-// metric name against the exporter charset.
+// then cross-checks the exporter's final frame against direct reads of
+// every registered instrument — the two must agree exactly once the
+// pipeline has quiesced — and lints every registered metric name against
+// the exporter charset.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,7 +27,6 @@
 #include "core/study.h"
 #include "obs/flight_recorder.h"
 #include "obs/pipeline_context.h"
-#include "obs/snapshot.h"
 #include "obs/telemetry.h"
 #include "pipeline/serving_pipeline.h"
 #include "serialize/bundle.h"
@@ -40,7 +39,6 @@ using obs::FlightEventKind;
 using obs::FlightRecorder;
 using obs::PipelineContext;
 using obs::TelemetryExporter;
-using obs::TelemetryFrame;
 using obs::TelemetryOptions;
 using pipeline::ServingPipeline;
 
@@ -103,7 +101,7 @@ void BM_TelemetrySample(benchmark::State& state) {
   options.final_frame_on_stop = false;
   TelemetryExporter exporter(&context, options);
   for (auto _ : state) {
-    TelemetryFrame frame = exporter.SampleNow();
+    obs::Snapshot frame = exporter.SampleNow();
     benchmark::DoNotOptimize(frame.counters.data());
   }
   state.SetItemsProcessed(state.iterations());
@@ -116,7 +114,7 @@ void BM_FrameRenderJson(benchmark::State& state) {
   options.period = std::chrono::hours(1);
   options.final_frame_on_stop = false;
   TelemetryExporter exporter(&context, options);
-  const TelemetryFrame frame = exporter.SampleNow();
+  const obs::Snapshot frame = exporter.SampleNow();
   for (auto _ : state) {
     std::string line = obs::FrameToJsonLine(frame);
     benchmark::DoNotOptimize(line.data());
@@ -131,7 +129,7 @@ void BM_FrameRenderPrometheus(benchmark::State& state) {
   options.period = std::chrono::hours(1);
   options.final_frame_on_stop = false;
   TelemetryExporter exporter(&context, options);
-  const TelemetryFrame frame = exporter.SampleNow();
+  const obs::Snapshot frame = exporter.SampleNow();
   for (auto _ : state) {
     std::string text = obs::FrameToPrometheusText(frame);
     benchmark::DoNotOptimize(text.data());
@@ -144,8 +142,8 @@ BENCHMARK(BM_FrameRenderPrometheus);
 // Smoke
 
 /// Seconds-scale smoke: a real pipeline workload with a live background
-/// exporter; at quiesce the exporter's view and the direct snapshot view
-/// of the same registry must agree exactly, and every registered name
+/// exporter; at quiesce the exporter's frame and direct reads of the
+/// registry's instruments must agree exactly, and every registered name
 /// must pass the charset lint.
 int Smoke() {
   PipelineContext context;
@@ -195,49 +193,66 @@ int Smoke() {
   }
 
   int failures = 0;
-  // Quiesced: no instrument moves between these two reads, so the
-  // exporter's frame and the direct snapshot are two decodings of the
-  // same state and must agree exactly — totals, counts and sums alike.
-  const TelemetryFrame frame = exporter.SampleNow();
-  const obs::Snapshot snapshot = obs::TakeSnapshot(context);
+  // Quiesced: no instrument moves after this frame, so each of its samples
+  // must equal a direct read of the instrument it names — counter totals,
+  // gauge values, histogram counts and sums alike.
+  const obs::Snapshot frame = exporter.SampleNow();
   exporter.Stop();
+  const obs::MetricsRegistry& metrics = context.metrics();
 
-  if (frame.counters.size() != snapshot.counters.size()) {
-    std::fprintf(stderr, "FAIL: frame has %zu counters, snapshot %zu\n",
-                 frame.counters.size(), snapshot.counters.size());
+  const auto counters = metrics.Counters();
+  if (frame.counters.size() != counters.size()) {
+    std::fprintf(stderr, "FAIL: frame has %zu counters, registry %zu\n",
+                 frame.counters.size(), counters.size());
     ++failures;
   } else {
-    for (size_t i = 0; i < frame.counters.size(); ++i) {
-      if (frame.counters[i].name != snapshot.counters[i].name ||
-          frame.counters[i].total != snapshot.counters[i].value) {
-        std::fprintf(stderr, "FAIL: counter %s frame=%llu snapshot=%llu\n",
-                     frame.counters[i].name.c_str(),
-                     static_cast<unsigned long long>(frame.counters[i].total),
-                     static_cast<unsigned long long>(
-                         snapshot.counters[i].value));
+    for (size_t i = 0; i < counters.size(); ++i) {
+      const uint64_t total = counters[i].second->Total();
+      if (frame.counters[i].name != counters[i].first ||
+          frame.counters[i].value != total) {
+        std::fprintf(stderr, "FAIL: counter %s frame=%llu registry=%llu\n",
+                     counters[i].first.c_str(),
+                     static_cast<unsigned long long>(frame.counters[i].value),
+                     static_cast<unsigned long long>(total));
         ++failures;
       }
     }
   }
-  if (frame.histograms.size() != snapshot.histograms.size()) {
-    std::fprintf(stderr, "FAIL: frame has %zu histograms, snapshot %zu\n",
-                 frame.histograms.size(), snapshot.histograms.size());
+  const auto gauges = metrics.Gauges();
+  if (frame.gauges.size() != gauges.size()) {
+    std::fprintf(stderr, "FAIL: frame has %zu gauges, registry %zu\n",
+                 frame.gauges.size(), gauges.size());
     ++failures;
   } else {
-    for (size_t i = 0; i < frame.histograms.size(); ++i) {
-      if (frame.histograms[i].name != snapshot.histograms[i].name ||
-          frame.histograms[i].count != snapshot.histograms[i].count ||
-          frame.histograms[i].sum != snapshot.histograms[i].sum) {
-        std::fprintf(stderr, "FAIL: histogram %s diverges from snapshot\n",
-                     frame.histograms[i].name.c_str());
+    for (size_t i = 0; i < gauges.size(); ++i) {
+      if (frame.gauges[i].name != gauges[i].first ||
+          frame.gauges[i].value != gauges[i].second->Value()) {
+        std::fprintf(stderr, "FAIL: gauge %s diverges from the registry\n",
+                     gauges[i].first.c_str());
+        ++failures;
+      }
+    }
+  }
+  const auto histograms = metrics.Histograms();
+  if (frame.histograms.size() != histograms.size()) {
+    std::fprintf(stderr, "FAIL: frame has %zu histograms, registry %zu\n",
+                 frame.histograms.size(), histograms.size());
+    ++failures;
+  } else {
+    for (size_t i = 0; i < histograms.size(); ++i) {
+      if (frame.histograms[i].name != histograms[i].first ||
+          frame.histograms[i].count != histograms[i].second->Count() ||
+          frame.histograms[i].sum != histograms[i].second->Sum()) {
+        std::fprintf(stderr, "FAIL: histogram %s diverges from the registry\n",
+                     histograms[i].first.c_str());
         ++failures;
       }
     }
   }
   // The workload must actually have landed in the frame.
   bool saw_rows = false;
-  for (const TelemetryFrame::CounterSample& counter : frame.counters) {
-    if (counter.name == "stream/rows_accepted" && counter.total > 0) {
+  for (const obs::Snapshot::CounterSample& counter : frame.counters) {
+    if (counter.name == "stream/rows_accepted" && counter.value > 0) {
       saw_rows = true;
     }
   }
@@ -258,15 +273,15 @@ int Smoke() {
     }
     ++linted;
   };
-  for (const auto& [name, counter] : context.metrics().Counters()) {
+  for (const auto& [name, counter] : counters) {
     (void)counter;
     lint(name);
   }
-  for (const auto& [name, gauge] : context.metrics().Gauges()) {
+  for (const auto& [name, gauge] : gauges) {
     (void)gauge;
     lint(name);
   }
-  for (const auto& [name, histogram] : context.metrics().Histograms()) {
+  for (const auto& [name, histogram] : histograms) {
     (void)histogram;
     lint(name);
   }

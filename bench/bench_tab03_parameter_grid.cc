@@ -70,7 +70,6 @@ bool RunObservedSweep(const BenchOptions& base) {
                 span.total_seconds);
   }
 
-  std::string json = obs::SnapshotToJson(snapshot);
   if (const char* path = std::getenv("HOTSPOT_OBS_JSON")) {
     if (obs::WriteSnapshotJson(snapshot, path)) {
       std::printf("metrics snapshot written to %s\n", path);
@@ -79,7 +78,7 @@ bool RunObservedSweep(const BenchOptions& base) {
     }
   } else {
     std::printf("\nmetrics snapshot (set HOTSPOT_OBS_JSON to write to a "
-                "file):\n%s", json.c_str());
+                "file):\n%s\n", obs::FrameToJsonLine(snapshot).c_str());
   }
 
   (void)cells;

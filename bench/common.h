@@ -32,9 +32,11 @@ Study MakeStudy(const BenchOptions& options, double emerging_fraction = -1.0,
 
 /// Bench-wide observability session, keyed off the HOTSPOT_OBS_JSON env
 /// var: when it is set, context() returns a live PipelineContext (pass it
-/// into MakeStudy / SweepOptions / StudyOptions) and the destructor writes
-/// the JSON metrics snapshot to that path. When the var is unset,
-/// context() is null and the benches run with observability off.
+/// into MakeStudy / SweepOptions / StudyOptions, or install it with
+/// PipelineContext::ScopedInstall) and the destructor writes its snapshot
+/// to that path through obs::WriteSnapshotJson, one JSON line, reporting
+/// success or failure on stderr. When the var is unset, context() is null
+/// and the benches run with observability off.
 class ObsSession {
  public:
   ObsSession();

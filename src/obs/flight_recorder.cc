@@ -1,45 +1,8 @@
 #include "obs/flight_recorder.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
+#include <thread>
 
 namespace hotspot::obs {
-
-const char* FlightEventKindName(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kPromotion:
-      return "promotion";
-    case FlightEventKind::kAdmissionReject:
-      return "admission_reject";
-    case FlightEventKind::kBackpressure:
-      return "backpressure";
-    case FlightEventKind::kQueueHighWater:
-      return "queue_high_water";
-    case FlightEventKind::kShardHealth:
-      return "shard_health";
-    case FlightEventKind::kLadderTransition:
-      return "ladder_transition";
-    case FlightEventKind::kAdaptTransition:
-      return "adapt_transition";
-    case FlightEventKind::kCustom:
-      return "custom";
-  }
-  return "unknown";
-}
-
-std::string FlightEventRecord::ToString() const {
-  std::ostringstream out;
-  out << "#" << sequence << " t=" << t_ns << "ns "
-      << FlightEventKindName(kind) << " a=" << a << " b=" << b << " c=" << c
-      << " d=" << d;
-  return out.str();
-}
 
 namespace {
 
@@ -68,17 +31,36 @@ void FlightRecorder::Record(FlightEventKind kind, int64_t a, int64_t b,
                             int64_t c, double d) {
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
-  // "Writing" marker first: a reader that arrives between here and the
-  // final release sees an odd/foreign sequence and rejects the slot.
-  slot.seq.store(ticket * 2 + 1, std::memory_order_release);
-  slot.t_ns.store(NowNs(), std::memory_order_relaxed);
-  slot.kind.store(static_cast<int>(kind), std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  slot.c.store(c, std::memory_order_relaxed);
-  slot.d.store(d, std::memory_order_relaxed);
+  const uint64_t writing = ticket * 2 + 1;
+  // Claim the slot: only from an even (empty or complete) sequence of an
+  // older ticket. A newer ticket already there means a writer one lap
+  // ahead overtook this one, and this event is outside the retained window.
+  // The acquire pairs with the previous owner's final release, so its
+  // payload stores come before ours in every field's modification order.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seq > writing) return;
+    if ((seq & 1) != 0) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seq, writing,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Release payload stores: a reader that copies any of them also sees
+  // the odd mark above when it re-validates, and rejects the slot.
+  slot.t_ns.store(NowNs(), std::memory_order_release);
+  slot.kind.store(static_cast<int>(kind), std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
+  slot.c.store(c, std::memory_order_release);
+  slot.d.store(d, std::memory_order_release);
   // Publication: synchronizes with a reader's first acquire load.
-  slot.seq.store(ticket * 2 + 2, std::memory_order_release);
+  slot.seq.store(writing + 1, std::memory_order_release);
 }
 
 uint64_t FlightRecorder::dropped() const {
@@ -93,13 +75,13 @@ bool FlightRecorder::ReadSlot(uint64_t ticket,
   const uint64_t want = ticket * 2 + 2;
   if (slot.seq.load(std::memory_order_acquire) != want) return false;
   out->sequence = ticket;
-  out->t_ns = slot.t_ns.load(std::memory_order_relaxed);
+  out->t_ns = slot.t_ns.load(std::memory_order_acquire);
   out->kind =
-      static_cast<FlightEventKind>(slot.kind.load(std::memory_order_relaxed));
-  out->a = slot.a.load(std::memory_order_relaxed);
-  out->b = slot.b.load(std::memory_order_relaxed);
-  out->c = slot.c.load(std::memory_order_relaxed);
-  out->d = slot.d.load(std::memory_order_relaxed);
+      static_cast<FlightEventKind>(slot.kind.load(std::memory_order_acquire));
+  out->a = slot.a.load(std::memory_order_acquire);
+  out->b = slot.b.load(std::memory_order_acquire);
+  out->c = slot.c.load(std::memory_order_acquire);
+  out->d = slot.d.load(std::memory_order_acquire);
   // Re-validate: a lapping writer that touched the slot mid-copy left a
   // different (or odd) sequence behind, and the copy above is torn.
   return slot.seq.load(std::memory_order_acquire) == want;
@@ -116,149 +98,6 @@ std::vector<FlightEventRecord> FlightRecorder::Snapshot() const {
     if (ReadSlot(ticket, &record)) events.push_back(record);
   }
   return events;
-}
-
-std::string FlightRecorder::ToJson() const {
-  const std::vector<FlightEventRecord> events = Snapshot();
-  std::ostringstream out;
-  out << "{\"schema\":\"hotspot.flight.v1\",\"capacity\":" << capacity()
-      << ",\"recorded\":" << recorded() << ",\"dropped\":" << dropped()
-      << ",\"events\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const FlightEventRecord& e = events[i];
-    if (i > 0) out << ",";
-    out << "{\"seq\":" << e.sequence << ",\"t_ns\":" << e.t_ns
-        << ",\"kind\":\"" << FlightEventKindName(e.kind) << "\",\"a\":" << e.a
-        << ",\"b\":" << e.b << ",\"c\":" << e.c << ",\"d\":";
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", e.d);
-    out << buffer << "}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-bool FlightRecorder::DumpToJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), file) ==
-                  json.size();
-  return std::fclose(file) == 0 && ok;
-}
-
-namespace {
-
-// Async-signal-safe helpers: no allocation, no stdio, no locale.
-char* AppendLiteral(char* p, const char* s) {
-  while (*s != '\0') *p++ = *s++;
-  return p;
-}
-
-char* AppendUint(char* p, uint64_t v) {
-  char digits[24];
-  int n = 0;
-  do {
-    digits[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  while (n > 0) *p++ = digits[--n];
-  return p;
-}
-
-char* AppendInt(char* p, int64_t value) {
-  uint64_t v;
-  if (value < 0) {
-    *p++ = '-';
-    // Negate via uint64_t so INT64_MIN does not overflow.
-    v = static_cast<uint64_t>(-(value + 1)) + 1;
-  } else {
-    v = static_cast<uint64_t>(value);
-  }
-  return AppendUint(p, v);
-}
-
-}  // namespace
-
-int FlightRecorder::DumpRawTo(int fd) const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t cap = capacity();
-  const uint64_t begin = head > cap ? head - cap : 0;
-  int written = 0;
-  for (uint64_t ticket = begin; ticket < head; ++ticket) {
-    FlightEventRecord record;
-    if (!ReadSlot(ticket, &record)) continue;
-    char line[256];
-    char* p = line;
-    p = AppendUint(p, record.sequence);
-    p = AppendLiteral(p, " ");
-    p = AppendLiteral(p, FlightEventKindName(record.kind));
-    p = AppendLiteral(p, " a=");
-    p = AppendInt(p, record.a);
-    p = AppendLiteral(p, " b=");
-    p = AppendInt(p, record.b);
-    p = AppendLiteral(p, " c=");
-    p = AppendInt(p, record.c);
-    p = AppendLiteral(p, " d_micro=");
-    p = AppendInt(p, static_cast<int64_t>(record.d * 1e6));
-    p = AppendLiteral(p, " t_ns=");
-    p = AppendUint(p, record.t_ns);
-    *p++ = '\n';
-    ssize_t ignored = ::write(fd, line, static_cast<size_t>(p - line));
-    (void)ignored;
-    ++written;
-  }
-  return written;
-}
-
-namespace {
-
-// Exit-dump registration: one process-wide slot, touched only via
-// relaxed/acquire-release atomics so the signal handler never takes a
-// lock. The path lives in a fixed buffer (handlers cannot allocate).
-std::atomic<const FlightRecorder*> g_exit_recorder{nullptr};
-char g_exit_path[512] = {0};
-std::atomic<bool> g_atexit_registered{false};
-
-void ExitDumpNow() {
-  const FlightRecorder* recorder =
-      g_exit_recorder.load(std::memory_order_acquire);
-  if (recorder == nullptr || g_exit_path[0] == '\0') return;
-  const int fd =
-      ::open(g_exit_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  recorder->DumpRawTo(fd);
-  ::close(fd);
-}
-
-void ExitDumpSignalHandler(int signo) {
-  ExitDumpNow();
-  // Best effort done; restore the default disposition and re-raise so the
-  // process still dies with the original signal semantics.
-  ::signal(signo, SIG_DFL);
-  ::raise(signo);
-}
-
-}  // namespace
-
-void FlightRecorder::InstallExitDump(const FlightRecorder* recorder,
-                                     const std::string& path,
-                                     bool fatal_signals) {
-  if (recorder == nullptr) {
-    g_exit_recorder.store(nullptr, std::memory_order_release);
-    return;
-  }
-  std::strncpy(g_exit_path, path.c_str(), sizeof(g_exit_path) - 1);
-  g_exit_path[sizeof(g_exit_path) - 1] = '\0';
-  g_exit_recorder.store(recorder, std::memory_order_release);
-  if (!g_atexit_registered.exchange(true, std::memory_order_acq_rel)) {
-    std::atexit(ExitDumpNow);
-  }
-  if (fatal_signals) {
-    ::signal(SIGABRT, ExitDumpSignalHandler);
-    ::signal(SIGSEGV, ExitDumpSignalHandler);
-    ::signal(SIGBUS, ExitDumpSignalHandler);
-  }
 }
 
 void FlightRecorder::Reset() {

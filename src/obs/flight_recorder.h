@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace hotspot::obs {
@@ -41,8 +40,6 @@ enum class FlightEventKind : int {
   kCustom,
 };
 
-const char* FlightEventKindName(FlightEventKind kind);
-
 /// One decoded flight event. `sequence` is the global record ticket
 /// (monotonic across the whole flight, not just the retained window);
 /// `t_ns` is steady-clock nanoseconds since the recorder's construction.
@@ -54,14 +51,12 @@ struct FlightEventRecord {
   int64_t b = 0;
   int64_t c = 0;
   double d = 0.0;
-
-  std::string ToString() const;
 };
 
 /// Fixed-capacity MPMC ring of structured events — the serving stack's
-/// flight recorder. Record() is wait-free (one fetch_add plus seven
-/// relaxed stores), writers never block each other or any reader, and the
-/// ring keeps the newest `capacity` events, overwriting the oldest; the
+/// flight recorder. Record() never blocks a reader and waits for another
+/// writer only while that writer is mid-write on the same slot; the ring
+/// keeps the newest `capacity` events, overwriting the oldest, and the
 /// monotonic ticket makes the overwritten count (`dropped()`) exact.
 ///
 /// Memory-order argument (the reason this is TSan-clean by construction
@@ -69,19 +64,27 @@ struct FlightEventRecord {
 ///
 ///   - A writer claims a ticket with head_.fetch_add (relaxed: tickets
 ///     only need uniqueness, not ordering), then walks the slot through a
-///     per-slot sequence word: seq = 2·ticket+1 (release, "writing"),
-///     payload stores (relaxed), seq = 2·ticket+2 (release, "complete").
+///     per-slot sequence word: seq = 2·ticket+1 ("writing"), payload
+///     stores, seq = 2·ticket+2 (release, "complete").
+///   - The "writing" mark is a CAS from an even sequence below
+///     2·ticket+1, so one writer at a time owns a slot and a slot only
+///     moves forward. A writer that finds the slot odd (another writer
+///     mid-write) yields until it completes. A writer that finds a newer
+///     ticket there returns without writing: a writer one lap ahead
+///     overtook it, so its event already lies outside the retained window
+///     and is counted by dropped(). Without the CAS, a writer preempted
+///     after its fetch_add could overwrite the newer event with its older
+///     ticket, hiding a retained slot from every snapshot.
 ///   - A reader accepts a slot only when seq reads 2·ticket+2 *both
-///     before and after* copying the payload (acquire loads). The first
-///     acquire synchronizes with the writer's final release, so the
-///     payload the reader copies happens-after the writer's stores; the
-///     second load rejects slots a lapping writer touched mid-copy.
-///   - Every payload field is a std::atomic accessed relaxed, so even a
-///     racing read of a slot that is later rejected is a defined read of
-///     a stale value, never UB — which is exactly what ThreadSanitizer
-///     checks. Two writers one full lap apart can interleave on a slot;
-///     the sequence check discards such torn slots (best-effort loss of
-///     an already-overwritten event, never a fabricated one).
+///     before and after* copying the payload. The first (acquire) load
+///     synchronizes with the writer's final release, so the copy
+///     happens-after the writer's stores. Payload stores are release and
+///     payload loads acquire, so a copy that read any store of a lapping
+///     writer also sees that writer's odd mark on the second load and is
+///     rejected.
+///   - Every payload field is a std::atomic, so even a racing read of a
+///     slot that is later rejected is a defined read of a stale value,
+///     never UB — which is exactly what ThreadSanitizer checks.
 ///
 /// Observability discipline: recording never feeds back into serving, and
 /// a recorder is only reached through PipelineContext, so a null context
@@ -96,8 +99,9 @@ class FlightRecorder {
 
   static constexpr int kDefaultCapacity = 4096;
 
-  /// Appends one event. Wait-free; safe from any thread, including pool
-  /// workers and pipeline workers concurrently.
+  /// Appends one event. Safe from any thread, including pool workers and
+  /// pipeline workers concurrently; it waits only while a writer one lap
+  /// behind or ahead is mid-write on the same slot.
   void Record(FlightEventKind kind, int64_t a = 0, int64_t b = 0,
               int64_t c = 0, double d = 0.0);
 
@@ -112,30 +116,6 @@ class FlightRecorder {
   /// Copies the retained window, oldest first, skipping slots a
   /// concurrent writer holds torn. Safe during recording.
   std::vector<FlightEventRecord> Snapshot() const;
-
-  /// Full dump as a JSON object: {"schema":"hotspot.flight.v1",
-  /// "capacity":…, "recorded":…, "dropped":…, "events":[{"seq":…,
-  /// "t_ns":…, "kind":"promotion", "a":…, "b":…, "c":…, "d":…}, …]}.
-  std::string ToJson() const;
-
-  /// Writes ToJson() to `path`. Returns false on I/O error.
-  bool DumpToJson(const std::string& path) const;
-
-  /// Async-signal-safe best-effort dump: one text line per retained event
-  /// written straight to `fd` with write(2) — no allocation, no locks, no
-  /// stdio — so it is callable from a fatal-signal handler. Returns the
-  /// number of events written.
-  int DumpRawTo(int fd) const;
-
-  /// Registers `recorder` (one per process; the last call wins) for a
-  /// best-effort DumpRawTo at std::atexit and, when `fatal_signals` is
-  /// true, on SIGABRT/SIGSEGV/SIGBUS — after which the previous handler
-  /// disposition is restored and the signal re-raised. The dump target is
-  /// the file at `path`, created/truncated at dump time. Pass null to
-  /// unregister (do this before the recorder is destroyed).
-  static void InstallExitDump(const FlightRecorder* recorder,
-                              const std::string& path,
-                              bool fatal_signals = false);
 
   /// Drops every retained event and rewinds the ticket counter. Not safe
   /// against concurrent Record — quiesce writers first (the same contract

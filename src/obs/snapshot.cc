@@ -1,9 +1,8 @@
 #include "obs/snapshot.h"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <utility>
 
 namespace hotspot::obs {
 
@@ -39,164 +38,15 @@ void AppendEscaped(const std::string& text, std::string* out) {
   out->push_back('"');
 }
 
-std::string FormatDouble(double value) {
+void AppendDouble(double value, std::string* out) {
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
   char buffer[40];
   // %.17g survives a text round trip bit-exactly for finite doubles.
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-/// Minimal JSON DOM covering exactly what SnapshotToJson emits: objects,
-/// arrays, strings and numbers.
-struct JsonValue {
-  enum class Type { kNull, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [name, value] : object) {
-      if (name == key) return &value;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
-
-  bool Parse(JsonValue* out) {
-    if (!ParseValue(out)) return false;
-    SkipWhitespace();
-    return p_ == end_;
-  }
-
- private:
-  void SkipWhitespace() {
-    while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) {
-      ++p_;
-    }
-  }
-
-  bool Consume(char expected) {
-    SkipWhitespace();
-    if (p_ == end_ || *p_ != expected) return false;
-    ++p_;
-    return true;
-  }
-
-  bool Peek(char expected) {
-    SkipWhitespace();
-    return p_ != end_ && *p_ == expected;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (p_ == end_) return false;
-      char escape = *p_++;
-      switch (escape) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'u': {
-          if (end_ - p_ < 4) return false;
-          char hex[5] = {p_[0], p_[1], p_[2], p_[3], '\0'};
-          p_ += 4;
-          out->push_back(static_cast<char>(
-              std::strtol(hex, nullptr, 16) & 0xff));
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return Consume('"');
-  }
-
-  bool ParseNumber(double* out) {
-    SkipWhitespace();
-    char* parse_end = nullptr;
-    *out = std::strtod(p_, &parse_end);
-    if (parse_end == p_) return false;
-    p_ = parse_end;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWhitespace();
-    if (p_ == end_) return false;
-    if (*p_ == '{') {
-      ++p_;
-      out->type = JsonValue::Type::kObject;
-      if (Consume('}')) return true;
-      for (;;) {
-        std::string key;
-        if (!ParseString(&key) || !Consume(':')) return false;
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->object.emplace_back(std::move(key), std::move(value));
-        if (Consume(',')) continue;
-        return Consume('}');
-      }
-    }
-    if (*p_ == '[') {
-      ++p_;
-      out->type = JsonValue::Type::kArray;
-      if (Consume(']')) return true;
-      for (;;) {
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->array.push_back(std::move(value));
-        if (Consume(',')) continue;
-        return Consume(']');
-      }
-    }
-    if (*p_ == '"') {
-      out->type = JsonValue::Type::kString;
-      return ParseString(&out->string);
-    }
-    out->type = JsonValue::Type::kNumber;
-    return ParseNumber(&out->number);
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-double NumberOrZero(const JsonValue* value) {
-  return value != nullptr && value->type == JsonValue::Type::kNumber
-             ? value->number
-             : 0.0;
-}
-
-bool StringField(const JsonValue& object, const char* key,
-                 std::string* out) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kString) {
-    return false;
-  }
-  *out = value->string;
-  return true;
+  *out += buffer;
 }
 
 }  // namespace
@@ -242,7 +92,8 @@ double HistogramQuantile(const Snapshot::HistogramSample& histogram,
 Snapshot TakeSnapshot(const PipelineContext& context) {
   Snapshot snapshot;
   for (const auto& [name, counter] : context.metrics().Counters()) {
-    snapshot.counters.push_back({name, counter->Total()});
+    const uint64_t value = counter->Total();
+    snapshot.counters.push_back({name, value, value});
   }
   for (const auto& [name, gauge] : context.metrics().Gauges()) {
     snapshot.gauges.push_back({name, gauge->Value()});
@@ -253,153 +104,92 @@ Snapshot TakeSnapshot(const PipelineContext& context) {
     sample.bounds = histogram->bounds();
     sample.buckets = histogram->BucketCounts();
     sample.count = histogram->Count();
+    sample.delta = sample.count;
     sample.sum = histogram->Sum();
+    sample.has_exemplar =
+        histogram->LastExemplar(&sample.exemplar, &sample.exemplar_value);
     snapshot.histograms.push_back(std::move(sample));
   }
   for (const TraceCollector::SpanStats& span : context.trace().Aggregate()) {
     snapshot.spans.push_back(
         {span.path, span.depth, span.count, span.total_seconds});
   }
+  snapshot.flight_recorded = context.flight().recorded();
+  snapshot.flight_dropped = context.flight().dropped();
   return snapshot;
 }
 
-std::string SnapshotToJson(const Snapshot& snapshot) {
-  std::string out = "{\n  \"counters\": [";
+std::string FrameToJsonLine(const Snapshot& snapshot) {
+  const double interval = snapshot.interval_seconds;
+  std::string out = "{\"schema\":\"hotspot.telemetry.v1\",\"frame\":" +
+                    std::to_string(snapshot.index) +
+                    ",\"t_ms\":" + std::to_string(snapshot.t_ms) +
+                    ",\"interval_s\":";
+  AppendDouble(interval, &out);
+  out += ",\"counters\":[";
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    AppendEscaped(snapshot.counters[i].name, &out);
-    out += ", \"value\": " + std::to_string(snapshot.counters[i].value) +
-           "}";
+    const Snapshot::CounterSample& c = snapshot.counters[i];
+    out += i == 0 ? "{\"name\":" : ",{\"name\":";
+    AppendEscaped(c.name, &out);
+    out += ",\"total\":" + std::to_string(c.value) +
+           ",\"delta\":" + std::to_string(c.delta) + ",\"rate\":";
+    // A rate needs an interval behind it; a one-shot snapshot has none.
+    if (interval > 0.0) {
+      AppendDouble(static_cast<double>(c.delta) / interval, &out);
+    } else {
+      out += "null";
+    }
+    out += '}';
   }
-  out += "\n  ],\n  \"gauges\": [";
+  out += "],\"gauges\":[";
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
+    out += i == 0 ? "{\"name\":" : ",{\"name\":";
     AppendEscaped(snapshot.gauges[i].name, &out);
-    out += ", \"value\": " + FormatDouble(snapshot.gauges[i].value) + "}";
+    out += ",\"value\":";
+    AppendDouble(snapshot.gauges[i].value, &out);
+    out += '}';
   }
-  out += "\n  ],\n  \"histograms\": [";
+  out += "],\"histograms\":[";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const Snapshot::HistogramSample& h = snapshot.histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
+    out += i == 0 ? "{\"name\":" : ",{\"name\":";
     AppendEscaped(h.name, &out);
-    out += ", \"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + FormatDouble(h.sum);
-    out += ", \"bounds\": [";
-    for (size_t b = 0; b < h.bounds.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += FormatDouble(h.bounds[b]);
+    out += ",\"count\":" + std::to_string(h.count) +
+           ",\"delta\":" + std::to_string(h.delta) + ",\"sum\":";
+    AppendDouble(h.sum, &out);
+    out += ",\"p50\":";
+    AppendDouble(HistogramQuantile(h, 0.5), &out);
+    out += ",\"p99\":";
+    AppendDouble(HistogramQuantile(h, 0.99), &out);
+    if (h.has_exemplar) {
+      out += ",\"exemplar\":" + std::to_string(h.exemplar) +
+             ",\"exemplar_value\":";
+      AppendDouble(h.exemplar_value, &out);
     }
-    out += "], \"buckets\": [";
-    for (size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(h.buckets[b]);
-    }
-    out += "]}";
+    out += '}';
   }
-  out += "\n  ],\n  \"spans\": [";
+  out += "],\"spans\":[";
   for (size_t i = 0; i < snapshot.spans.size(); ++i) {
     const Snapshot::SpanSample& span = snapshot.spans[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"path\": ";
+    out += i == 0 ? "{\"path\":" : ",{\"path\":";
     AppendEscaped(span.path, &out);
-    out += ", \"depth\": " + std::to_string(span.depth);
-    out += ", \"count\": " + std::to_string(span.count);
-    out += ", \"seconds\": " + FormatDouble(span.total_seconds) + "}";
+    out += ",\"depth\":" + std::to_string(span.depth) +
+           ",\"count\":" + std::to_string(span.count) + ",\"seconds\":";
+    AppendDouble(span.total_seconds, &out);
+    out += '}';
   }
-  out += "\n  ]\n}\n";
+  out += "],\"flight\":{\"recorded\":" +
+         std::to_string(snapshot.flight_recorded) +
+         ",\"dropped\":" + std::to_string(snapshot.flight_dropped) + "}}";
   return out;
-}
-
-bool SnapshotFromJson(const std::string& json, Snapshot* out) {
-  *out = Snapshot{};
-  JsonValue root;
-  if (!JsonParser(json).Parse(&root) ||
-      root.type != JsonValue::Type::kObject) {
-    return false;
-  }
-
-  const JsonValue* counters = root.Find("counters");
-  const JsonValue* gauges = root.Find("gauges");
-  const JsonValue* histograms = root.Find("histograms");
-  const JsonValue* spans = root.Find("spans");
-  if (counters == nullptr || gauges == nullptr || histograms == nullptr ||
-      spans == nullptr) {
-    return false;
-  }
-
-  for (const JsonValue& entry : counters->array) {
-    Snapshot::CounterSample sample;
-    if (!StringField(entry, "name", &sample.name)) return false;
-    sample.value =
-        static_cast<uint64_t>(NumberOrZero(entry.Find("value")));
-    out->counters.push_back(std::move(sample));
-  }
-  for (const JsonValue& entry : gauges->array) {
-    Snapshot::GaugeSample sample;
-    if (!StringField(entry, "name", &sample.name)) return false;
-    sample.value = NumberOrZero(entry.Find("value"));
-    out->gauges.push_back(std::move(sample));
-  }
-  for (const JsonValue& entry : histograms->array) {
-    Snapshot::HistogramSample sample;
-    if (!StringField(entry, "name", &sample.name)) return false;
-    sample.count =
-        static_cast<uint64_t>(NumberOrZero(entry.Find("count")));
-    sample.sum = NumberOrZero(entry.Find("sum"));
-    if (const JsonValue* bounds = entry.Find("bounds")) {
-      for (const JsonValue& bound : bounds->array) {
-        sample.bounds.push_back(bound.number);
-      }
-    }
-    if (const JsonValue* buckets = entry.Find("buckets")) {
-      for (const JsonValue& bucket : buckets->array) {
-        sample.buckets.push_back(static_cast<uint64_t>(bucket.number));
-      }
-    }
-    out->histograms.push_back(std::move(sample));
-  }
-  for (const JsonValue& entry : spans->array) {
-    Snapshot::SpanSample sample;
-    if (!StringField(entry, "path", &sample.path)) return false;
-    sample.depth = static_cast<int>(NumberOrZero(entry.Find("depth")));
-    sample.count =
-        static_cast<uint64_t>(NumberOrZero(entry.Find("count")));
-    sample.total_seconds = NumberOrZero(entry.Find("seconds"));
-    out->spans.push_back(std::move(sample));
-  }
-  return true;
-}
-
-std::string SnapshotToCsv(const Snapshot& snapshot) {
-  std::ostringstream out;
-  out << "kind,name,value,count,seconds\n";
-  for (const Snapshot::CounterSample& counter : snapshot.counters) {
-    out << "counter," << counter.name << "," << counter.value << ",,\n";
-  }
-  for (const Snapshot::GaugeSample& gauge : snapshot.gauges) {
-    out << "gauge," << gauge.name << "," << FormatDouble(gauge.value)
-        << ",,\n";
-  }
-  for (const Snapshot::HistogramSample& histogram : snapshot.histograms) {
-    out << "histogram," << histogram.name << ","
-        << FormatDouble(histogram.sum) << "," << histogram.count << ",\n";
-  }
-  for (const Snapshot::SpanSample& span : snapshot.spans) {
-    out << "span," << span.path << ",," << span.count << ","
-        << FormatDouble(span.total_seconds) << "\n";
-  }
-  return out.str();
 }
 
 bool WriteSnapshotJson(const Snapshot& snapshot, const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
-  std::string json = SnapshotToJson(snapshot);
-  size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  bool ok = written == json.size();
+  const std::string line = FrameToJsonLine(snapshot) + "\n";
+  const bool ok =
+      std::fwrite(line.data(), 1, line.size(), file) == line.size();
   return std::fclose(file) == 0 && ok;
 }
 

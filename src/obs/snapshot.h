@@ -10,12 +10,16 @@
 namespace hotspot::obs {
 
 /// Point-in-time copy of everything a PipelineContext observed, merged
-/// across the per-thread shards. Plain data: serializable, comparable,
-/// detached from the live registry.
+/// across the per-thread shards: the one sampled form of a context. Plain
+/// data, detached from the live registry. A TelemetryExporter frame is a
+/// Snapshot whose header and deltas the exporter filled in; a one-shot
+/// TakeSnapshot is exactly an exporter's first frame (index 0, deltas equal
+/// to the totals) with no interval behind it.
 struct Snapshot {
   struct CounterSample {
     std::string name;
     uint64_t value = 0;
+    uint64_t delta = 0;  ///< since the previous frame (first: the value)
   };
   struct GaugeSample {
     std::string name;
@@ -26,7 +30,11 @@ struct Snapshot {
     std::vector<double> bounds;    ///< upper bucket bounds
     std::vector<uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
     uint64_t count = 0;
+    uint64_t delta = 0;  ///< count since the previous frame
     double sum = 0.0;
+    bool has_exemplar = false;  ///< Histogram::LastExemplar
+    int64_t exemplar = 0;
+    double exemplar_value = 0.0;
   };
   struct SpanSample {
     std::string path;
@@ -35,10 +43,15 @@ struct Snapshot {
     double total_seconds = 0.0;
   };
 
+  uint64_t index = 0;             ///< 0-based frame number of its exporter
+  uint64_t t_ms = 0;              ///< steady-clock ms since exporter start
+  double interval_seconds = 0.0;  ///< wall time since the previous frame
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
   std::vector<SpanSample> spans;
+  uint64_t flight_recorded = 0;  ///< FlightRecorder::recorded()
+  uint64_t flight_dropped = 0;   ///< FlightRecorder::dropped()
 
   /// Sum of wall time over the depth-0 spans: the share of a run that the
   /// trace layer accounts for (the coverage check of bench_tab03).
@@ -58,20 +71,28 @@ Snapshot TakeSnapshot(const PipelineContext& context);
 double HistogramQuantile(const Snapshot::HistogramSample& histogram,
                          double q);
 
-/// JSON object with "counters"/"gauges"/"histograms"/"spans" arrays; the
-/// shape the BENCH_* trajectory tooling ingests (one self-contained file
-/// per run, no trailing commas, UTF-8).
-std::string SnapshotToJson(const Snapshot& snapshot);
+/// The JSON form of a Snapshot: one line (no interior newline) in schema
+/// "hotspot.telemetry.v1", what the exporter's NDJSON sinks append and
+/// WriteSnapshotJson writes:
+///
+///   line       := {"schema","frame","t_ms","interval_s",
+///                  "counters":[counter…],"gauges":[gauge…],
+///                  "histograms":[histogram…],"spans":[span…],
+///                  "flight":flight}
+///   counter    := {"name","total","delta","rate"}   (rate = delta/interval)
+///   gauge      := {"name","value"}
+///   histogram  := {"name","count","delta","sum","p50","p99"
+///                  [,"exemplar","exemplar_value"]}
+///   span       := {"path","depth","count","seconds"}
+///   flight     := {"recorded","dropped"}
+///
+/// Doubles print as %.17g (exact round trip); a non-finite one, and the
+/// rate of a snapshot with no interval, prints as null. Quantiles are
+/// HistogramQuantile over the cumulative distribution.
+std::string FrameToJsonLine(const Snapshot& snapshot);
 
-/// Parses what SnapshotToJson emits (exact round trip). Returns false on
-/// malformed input; `out` is then unspecified.
-bool SnapshotFromJson(const std::string& json, Snapshot* out);
-
-/// Flat CSV: kind,name,value,count,seconds — one line per counter, gauge
-/// and span (histograms are summarized as count + sum).
-std::string SnapshotToCsv(const Snapshot& snapshot);
-
-/// Writes SnapshotToJson(snapshot) to `path`. Returns false on I/O error.
+/// Writes FrameToJsonLine(snapshot) and a newline to `path`. Returns false
+/// on I/O error.
 bool WriteSnapshotJson(const Snapshot& snapshot, const std::string& path);
 
 }  // namespace hotspot::obs

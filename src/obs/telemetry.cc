@@ -1,10 +1,7 @@
 #include "obs/telemetry.h"
 
-#include <cinttypes>
 #include <sstream>
-#include <utility>
 
-#include "obs/snapshot.h"
 #include "util/logging.h"
 
 namespace hotspot::obs {
@@ -41,79 +38,31 @@ std::string FromPrometheusName(std::string_view name) {
   return out;
 }
 
-namespace {
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
-
-std::string FrameToJsonLine(const TelemetryFrame& frame) {
-  std::ostringstream out;
-  out << "{\"schema\":\"hotspot.telemetry.v1\",\"frame\":" << frame.index
-      << ",\"t_ms\":" << frame.t_ms
-      << ",\"interval_s\":" << FormatDouble(frame.interval_seconds)
-      << ",\"counters\":[";
-  for (size_t i = 0; i < frame.counters.size(); ++i) {
-    const TelemetryFrame::CounterSample& c = frame.counters[i];
-    if (i > 0) out << ",";
-    out << "{\"name\":\"" << c.name << "\",\"total\":" << c.total
-        << ",\"delta\":" << c.delta << ",\"rate\":" << FormatDouble(c.rate)
-        << "}";
-  }
-  out << "],\"gauges\":[";
-  for (size_t i = 0; i < frame.gauges.size(); ++i) {
-    const TelemetryFrame::GaugeSample& g = frame.gauges[i];
-    if (i > 0) out << ",";
-    out << "{\"name\":\"" << g.name
-        << "\",\"value\":" << FormatDouble(g.value) << "}";
-  }
-  out << "],\"histograms\":[";
-  for (size_t i = 0; i < frame.histograms.size(); ++i) {
-    const TelemetryFrame::HistogramSample& h = frame.histograms[i];
-    if (i > 0) out << ",";
-    out << "{\"name\":\"" << h.name << "\",\"count\":" << h.count
-        << ",\"delta\":" << h.delta << ",\"sum\":" << FormatDouble(h.sum)
-        << ",\"p50\":" << FormatDouble(h.p50)
-        << ",\"p99\":" << FormatDouble(h.p99);
-    if (h.has_exemplar) {
-      out << ",\"exemplar\":" << h.exemplar
-          << ",\"exemplar_value\":" << FormatDouble(h.exemplar_value);
-    }
-    out << "}";
-  }
-  out << "],\"flight\":{\"recorded\":" << frame.flight_recorded
-      << ",\"dropped\":" << frame.flight_dropped << "}}";
-  return out.str();
-}
-
-std::string FrameToPrometheusText(const TelemetryFrame& frame) {
-  // The text exposition needs the full bucket layout, which the frame
-  // deliberately does not carry (frames are deltas-first); histograms are
-  // exported as <name>_count / <name>_sum plus the quantile gauges the
-  // frame already computed. Counters keep their raw names — the exporter
+std::string FrameToPrometheusText(const Snapshot& frame) {
+  // Histograms are exported as summaries, <name>_count / <name>_sum plus
+  // the two quantile rows. Counters keep their raw names — the exporter
   // documents that rule rather than silently appending `_total`.
   std::ostringstream out;
+  out.precision(17);
   out << "# hotspot frame " << frame.index << " t_ms " << frame.t_ms << "\n";
-  for (const TelemetryFrame::CounterSample& c : frame.counters) {
+  for (const Snapshot::CounterSample& c : frame.counters) {
     const std::string name = ToPrometheusName(c.name);
     out << "# TYPE " << name << " counter\n"
-        << name << " " << c.total << "\n";
+        << name << " " << c.value << "\n";
   }
-  for (const TelemetryFrame::GaugeSample& g : frame.gauges) {
+  for (const Snapshot::GaugeSample& g : frame.gauges) {
     const std::string name = ToPrometheusName(g.name);
     out << "# TYPE " << name << " gauge\n"
-        << name << " " << FormatDouble(g.value) << "\n";
+        << name << " " << g.value << "\n";
   }
-  for (const TelemetryFrame::HistogramSample& h : frame.histograms) {
+  for (const Snapshot::HistogramSample& h : frame.histograms) {
     const std::string name = ToPrometheusName(h.name);
     out << "# TYPE " << name << " summary\n"
-        << name << "{quantile=\"0.5\"} " << FormatDouble(h.p50) << "\n"
-        << name << "{quantile=\"0.99\"} " << FormatDouble(h.p99) << "\n"
-        << name << "_sum " << FormatDouble(h.sum) << "\n"
+        << name << "{quantile=\"0.5\"} " << HistogramQuantile(h, 0.5)
+        << "\n"
+        << name << "{quantile=\"0.99\"} " << HistogramQuantile(h, 0.99)
+        << "\n"
+        << name << "_sum " << h.sum << "\n"
         << name << "_count " << h.count << "\n";
   }
   return out.str();
@@ -164,17 +113,17 @@ void TelemetryExporter::Stop() {
   if (options_.final_frame_on_stop) SampleNow();
 }
 
-TelemetryFrame TelemetryExporter::SampleNow() {
+Snapshot TelemetryExporter::SampleNow() {
   std::lock_guard<std::mutex> lock(sample_mutex_);
-  TelemetryFrame frame = Sample();
+  Snapshot frame = Sample();
   Deliver(frame);
   frames_.fetch_add(1, std::memory_order_acq_rel);
   return frame;
 }
 
-TelemetryFrame TelemetryExporter::Sample() {
+Snapshot TelemetryExporter::Sample() {
   const auto now = std::chrono::steady_clock::now();
-  TelemetryFrame frame;
+  Snapshot frame = TakeSnapshot(*context_);
   frame.index = frame_index_++;
   frame.t_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(now - start_)
@@ -182,50 +131,22 @@ TelemetryFrame TelemetryExporter::Sample() {
   frame.interval_seconds =
       std::chrono::duration<double>(now - last_sample_).count();
   last_sample_ = now;
-  const double interval =
-      frame.interval_seconds > 0.0 ? frame.interval_seconds : 1.0;
-
-  const MetricsRegistry& metrics = context_->metrics();
-  for (const auto& [name, counter] : metrics.Counters()) {
-    TelemetryFrame::CounterSample sample;
-    sample.name = name;
-    sample.total = counter->Total();
-    uint64_t& last = last_counters_[name];
-    // Reset()-between-frames makes a total run backwards; clamp the delta
-    // to zero rather than wrapping.
-    sample.delta = sample.total >= last ? sample.total - last : 0;
-    last = sample.total;
-    sample.rate = static_cast<double>(sample.delta) / interval;
-    frame.counters.push_back(std::move(sample));
+  // Reset()-between-frames makes a total run backwards; clamp the delta
+  // to zero rather than wrapping.
+  for (Snapshot::CounterSample& counter : frame.counters) {
+    uint64_t& last = last_counters_[counter.name];
+    counter.delta = counter.value >= last ? counter.value - last : 0;
+    last = counter.value;
   }
-  for (const auto& [name, gauge] : metrics.Gauges()) {
-    frame.gauges.push_back({name, gauge->Value()});
+  for (Snapshot::HistogramSample& histogram : frame.histograms) {
+    uint64_t& last = last_histogram_counts_[histogram.name];
+    histogram.delta = histogram.count >= last ? histogram.count - last : 0;
+    last = histogram.count;
   }
-  for (const auto& [name, histogram] : metrics.Histograms()) {
-    TelemetryFrame::HistogramSample sample;
-    sample.name = name;
-    Snapshot::HistogramSample dist;
-    dist.bounds = histogram->bounds();
-    dist.buckets = histogram->BucketCounts();
-    dist.count = histogram->Count();
-    dist.sum = histogram->Sum();
-    sample.count = dist.count;
-    sample.sum = dist.sum;
-    uint64_t& last = last_histogram_counts_[name];
-    sample.delta = sample.count >= last ? sample.count - last : 0;
-    last = sample.count;
-    sample.p50 = HistogramQuantile(dist, 0.5);
-    sample.p99 = HistogramQuantile(dist, 0.99);
-    sample.has_exemplar =
-        histogram->LastExemplar(&sample.exemplar, &sample.exemplar_value);
-    frame.histograms.push_back(std::move(sample));
-  }
-  frame.flight_recorded = context_->flight().recorded();
-  frame.flight_dropped = context_->flight().dropped();
   return frame;
 }
 
-void TelemetryExporter::Deliver(const TelemetryFrame& frame) {
+void TelemetryExporter::Deliver(const Snapshot& frame) {
   if (json_file_ != nullptr || options_.to_stderr) {
     const std::string line = FrameToJsonLine(frame);
     if (json_file_ != nullptr) {

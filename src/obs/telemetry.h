@@ -12,9 +12,9 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "obs/pipeline_context.h"
+#include "obs/snapshot.h"
 
 namespace hotspot::obs {
 
@@ -33,61 +33,11 @@ std::string ToPrometheusName(std::string_view name);
 /// Exact inverse of ToPrometheusName.
 std::string FromPrometheusName(std::string_view name);
 
-/// One exported metric interval — the structured form behind both rendered
-/// sinks, and what `on_frame` callbacks receive. Schema "hotspot.telemetry.v1":
-///
-///   frame      := {"schema","frame","t_ms","interval_s",
-///                  "counters":[counter…],"gauges":[gauge…],
-///                  "histograms":[histogram…],"flight":flight}
-///   counter    := {"name","total","delta","rate"}          (rate = delta/s)
-///   gauge      := {"name","value"}
-///   histogram  := {"name","count","delta","sum","p50","p99"
-///                  [,"exemplar","exemplar_value"]}
-///   flight     := {"recorded","dropped"}
-///
-/// Deltas and rates are against the previous frame from the same exporter
-/// (the first frame's deltas equal the totals); quantiles are over the
-/// cumulative distribution, the Prometheus histogram_quantile convention
-/// via obs::HistogramQuantile.
-struct TelemetryFrame {
-  struct CounterSample {
-    std::string name;
-    uint64_t total = 0;
-    uint64_t delta = 0;
-    double rate = 0.0;
-  };
-  struct GaugeSample {
-    std::string name;
-    double value = 0.0;
-  };
-  struct HistogramSample {
-    std::string name;
-    uint64_t count = 0;
-    uint64_t delta = 0;
-    double sum = 0.0;
-    double p50 = 0.0;
-    double p99 = 0.0;
-    bool has_exemplar = false;
-    int64_t exemplar = 0;
-    double exemplar_value = 0.0;
-  };
-
-  uint64_t index = 0;        ///< 0-based frame number from this exporter
-  uint64_t t_ms = 0;         ///< steady-clock ms since exporter start
-  double interval_seconds = 0.0;  ///< wall time since the previous frame
-  std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
-  uint64_t flight_recorded = 0;
-  uint64_t flight_dropped = 0;
-};
-
-/// One NDJSON line (no interior newlines) in the frame schema above.
-std::string FrameToJsonLine(const TelemetryFrame& frame);
-/// Prometheus text exposition (one `# TYPE`-annotated family per metric,
-/// cumulative `_bucket{le=…}` lines for histograms, names through
-/// ToPrometheusName).
-std::string FrameToPrometheusText(const TelemetryFrame& frame);
+/// Prometheus text exposition of a Snapshot: one `# TYPE`-annotated
+/// family per metric, names through ToPrometheusName; a histogram is a
+/// summary (its p50/p99 quantile rows plus `_sum` and `_count`). Each frame
+/// starts with a `# hotspot frame <n> t_ms <t>` marker line.
+std::string FrameToPrometheusText(const Snapshot& frame);
 
 /// Everything a TelemetryExporter is configured by.
 struct TelemetryOptions {
@@ -103,20 +53,23 @@ struct TelemetryOptions {
   /// Write the NDJSON frame line to stderr as well — the quick-start sink.
   bool to_stderr = false;
   /// Structured delivery: called once per frame from the exporter thread.
-  std::function<void(const TelemetryFrame&)> on_frame;
+  std::function<void(const Snapshot&)> on_frame;
   /// Emit one final frame from Stop()/the destructor, so short-lived runs
   /// always export their totals.
   bool final_frame_on_stop = true;
 };
 
 /// Background telemetry exporter: a thread that periodically samples a
-/// PipelineContext's MetricsRegistry (and flight-recorder totals) into
-/// TelemetryFrames — deltas, per-second rates, histogram p50/p99 — and
-/// appends them to the configured sinks. Sampling is strictly read-only
-/// and lock-light (the registry's own per-name mutex plus merge-on-read
-/// shard sums), so a live serving stack pays for telemetry only in memory
-/// bandwidth: predictions stay bitwise identical with an exporter running
-/// (tests/telemetry_test.cc pins this across the thread matrix).
+/// PipelineContext into frames and appends them to the configured sinks.
+/// A frame is TakeSnapshot of the context plus what only a series of
+/// samples has: the frame header (index, t_ms, interval) and per-counter
+/// and per-histogram deltas against the previous frame (the first frame's
+/// deltas equal the totals). Sampling is strictly read-only and lock-light
+/// (the registry's mutex, each trace tree's mutex in turn, and
+/// merge-on-read shard sums), so a live serving stack pays for telemetry
+/// only in memory bandwidth: predictions stay bitwise identical with an
+/// exporter running (tests/telemetry_test.cc pins this across the thread
+/// matrix).
 ///
 /// The context must outlive the exporter. Stop() (or the destructor)
 /// joins the thread; SampleNow() forces one synchronous frame at any
@@ -132,7 +85,7 @@ class TelemetryExporter {
 
   /// Samples one frame on the calling thread (serialized against the
   /// background thread) and returns it after sink delivery.
-  TelemetryFrame SampleNow();
+  Snapshot SampleNow();
 
   /// Stops the background thread, emitting the final frame when
   /// configured. Idempotent.
@@ -145,8 +98,8 @@ class TelemetryExporter {
 
  private:
   void Loop();
-  TelemetryFrame Sample();
-  void Deliver(const TelemetryFrame& frame);
+  Snapshot Sample();
+  void Deliver(const Snapshot& frame);
 
   const PipelineContext* context_;
   TelemetryOptions options_;

@@ -1,17 +1,13 @@
 // Unit tests for the observability layer (src/obs): sharded metrics and
 // their merge-on-snapshot semantics, trace span nesting and aggregation,
-// the process-wide PipelineContext install protocol, the JSON/CSV
-// snapshot exporters, the flight recorder's MPMC ring (ordering, wrap
-// accounting, concurrent-writer torture, the dump formats), and the
-// metric-name charset lint with its reversible Prometheus mangling.
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <algorithm>
+// the process-wide PipelineContext install protocol, the snapshot's JSON
+// line, the flight recorder's MPMC ring (ordering, wrap accounting,
+// concurrent-writer torture), and the metric-name charset lint with its
+// reversible Prometheus mangling.
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -211,45 +207,98 @@ Snapshot MakeSampleSnapshot() {
   return TakeSnapshot(context);
 }
 
-TEST(Snapshot, JsonRoundTripIsExact) {
+TEST(Snapshot, RendersTakeSnapshotAsOneExactJsonLine) {
   Snapshot snapshot = MakeSampleSnapshot();
-  std::string json = SnapshotToJson(snapshot);
-  Snapshot parsed;
-  ASSERT_TRUE(SnapshotFromJson(json, &parsed));
+  const std::string line = FrameToJsonLine(snapshot);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  EXPECT_EQ(line.rfind("{\"schema\":\"hotspot.telemetry.v1\",\"frame\":0,"
+                       "\"t_ms\":0,\"interval_s\":0,",
+                       0),
+            0u)
+      << line;
 
-  ASSERT_EQ(parsed.counters.size(), snapshot.counters.size());
-  EXPECT_EQ(parsed.counters[0].name, "a/count");
-  EXPECT_EQ(parsed.counters[0].value, 42u);
+  // A one-shot snapshot is a first frame: each delta equals its total,
+  // and with no interval behind it there is no rate.
+  ASSERT_EQ(snapshot.counters.size(), 1u);
+  EXPECT_EQ(snapshot.counters[0].name, "a/count");
+  EXPECT_EQ(snapshot.counters[0].value, 42u);
+  EXPECT_NE(line.find("{\"name\":\"a/count\",\"total\":42,\"delta\":42,"
+                      "\"rate\":null}"),
+            std::string::npos)
+      << line;
 
-  ASSERT_EQ(parsed.gauges.size(), 1u);
-  EXPECT_EQ(parsed.gauges[0].name, "b/gauge");
-  // %.17g makes the double survive the text round trip bit-exactly.
-  EXPECT_EQ(parsed.gauges[0].value, snapshot.gauges[0].value);
+  ASSERT_EQ(snapshot.gauges.size(), 1u);
+  EXPECT_EQ(snapshot.gauges[0].name, "b/gauge");
+  // %.17g prints the double so that it parses back bit-exactly.
+  EXPECT_NE(line.find("{\"name\":\"b/gauge\",\"value\":0.30000000000000004}"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(std::strtod("0.30000000000000004", nullptr),
+            snapshot.gauges[0].value);
 
-  ASSERT_EQ(parsed.histograms.size(), 1u);
-  EXPECT_EQ(parsed.histograms[0].name, "c/hist");
-  EXPECT_EQ(parsed.histograms[0].bounds, snapshot.histograms[0].bounds);
-  EXPECT_EQ(parsed.histograms[0].buckets, snapshot.histograms[0].buckets);
-  EXPECT_EQ(parsed.histograms[0].count, 2u);
-  EXPECT_EQ(parsed.histograms[0].sum, snapshot.histograms[0].sum);
+  ASSERT_EQ(snapshot.histograms.size(), 1u);
+  const Snapshot::HistogramSample& histogram = snapshot.histograms[0];
+  EXPECT_EQ(histogram.name, "c/hist");
+  EXPECT_EQ(histogram.bounds, (std::vector<double>{0.001, 1.0}));
+  EXPECT_EQ(histogram.buckets, (std::vector<uint64_t>{1, 0, 1}));
+  EXPECT_EQ(histogram.count, 2u);
+  EXPECT_EQ(histogram.sum, 0.0005 + 2.5);
+  EXPECT_FALSE(histogram.has_exemplar);
+  EXPECT_NE(line.find("{\"name\":\"c/hist\",\"count\":2,\"delta\":2,"),
+            std::string::npos)
+      << line;
 
-  ASSERT_EQ(parsed.spans.size(), 2u);
-  EXPECT_EQ(parsed.spans[0].path, "root");
-  EXPECT_EQ(parsed.spans[1].path, "root/child");
-  EXPECT_EQ(parsed.spans[1].depth, 1);
-  EXPECT_EQ(parsed.spans[0].total_seconds,
-            snapshot.spans[0].total_seconds);
+  ASSERT_EQ(snapshot.spans.size(), 2u);
+  EXPECT_EQ(snapshot.spans[0].path, "root");
+  EXPECT_EQ(snapshot.spans[0].depth, 0);
+  EXPECT_EQ(snapshot.spans[1].path, "root/child");
+  EXPECT_EQ(snapshot.spans[1].depth, 1);
+  const size_t root_at =
+      line.find("{\"path\":\"root\",\"depth\":0,\"count\":1,");
+  const size_t child_at =
+      line.find("{\"path\":\"root/child\",\"depth\":1,\"count\":1,");
+  ASSERT_NE(root_at, std::string::npos) << line;
+  ASSERT_NE(child_at, std::string::npos) << line;
+  EXPECT_LT(root_at, child_at);
+
+  const std::string tail = "],\"flight\":{\"recorded\":0,\"dropped\":0}}";
+  ASSERT_GE(line.size(), tail.size());
+  EXPECT_EQ(line.substr(line.size() - tail.size()), tail);
 }
 
-TEST(Snapshot, FromJsonRejectsMalformedInput) {
-  Snapshot parsed;
-  EXPECT_FALSE(SnapshotFromJson("", &parsed));
-  EXPECT_FALSE(SnapshotFromJson("[]", &parsed));
-  EXPECT_FALSE(SnapshotFromJson("{\"counters\": []}", &parsed));
-  EXPECT_FALSE(SnapshotFromJson("{\"counters\": [ {\"value\": 1} ], "
-                                "\"gauges\": [], \"histograms\": [], "
-                                "\"spans\": []}",
-                                &parsed));
+TEST(Snapshot, NonFiniteNumbersRenderAsNull) {
+  // Gauge::Set takes any double; %.17g would print "nan" or "inf", which
+  // is not JSON.
+  PipelineContext context;
+  context.metrics().gauge("g/nan").Set(
+      std::numeric_limits<double>::quiet_NaN());
+  context.metrics().gauge("g/inf").Set(
+      -std::numeric_limits<double>::infinity());
+  const std::string line = FrameToJsonLine(TakeSnapshot(context));
+  EXPECT_NE(line.find("{\"name\":\"g/inf\",\"value\":null}"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("{\"name\":\"g/nan\",\"value\":null}"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find(":nan"), std::string::npos) << line;
+  EXPECT_EQ(line.find(":-inf"), std::string::npos) << line;
+}
+
+TEST(Snapshot, EscapesQuotesInNames) {
+  PipelineContext context;
+  context.metrics().counter("say \"hi\"\\now").Increment();
+  {
+    PipelineContext::ScopedInstall install(&context);
+    HOTSPOT_SPAN("quoted \"span\"");
+  }
+  const std::string line = FrameToJsonLine(TakeSnapshot(context));
+  EXPECT_NE(line.find(R"({"name":"say \"hi\"\\now","total":1,)"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(R"({"path":"quoted \"span\"","depth":0,)"),
+            std::string::npos)
+      << line;
 }
 
 TEST(Snapshot, TopLevelSpanSecondsSumsDepthZeroOnly) {
@@ -258,15 +307,6 @@ TEST(Snapshot, TopLevelSpanSecondsSumsDepthZeroOnly) {
   snapshot.spans.push_back({"a/b", 1, 1, 1.5});
   snapshot.spans.push_back({"c", 0, 1, 3.0});
   EXPECT_DOUBLE_EQ(snapshot.TopLevelSpanSeconds(), 5.0);
-}
-
-TEST(Snapshot, CsvHasOneRowPerInstrument) {
-  Snapshot snapshot = MakeSampleSnapshot();
-  std::string csv = SnapshotToCsv(snapshot);
-  EXPECT_NE(csv.find("counter,a/count,42"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,b/gauge,"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,c/hist,"), std::string::npos);
-  EXPECT_NE(csv.find("span,root,"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,95 +388,56 @@ TEST(FlightRecorder, ConcurrentWritersNeverFabricateEvents) {
   // be one some writer actually recorded (payload a encodes writer and
   // ordinal), sequences must be unique, and the lifetime accounting must
   // be exact. Run under TSan in CI — the ring's memory-order argument is
-  // what this pins.
-  FlightRecorder recorder(64);
-  constexpr int kWriters = 4;
-  constexpr int kEventsPerWriter = 5000;
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::vector<FlightEventRecord> events = recorder.Snapshot();
-      std::set<uint64_t> sequences;
-      for (const FlightEventRecord& event : events) {
-        EXPECT_TRUE(sequences.insert(event.sequence).second);
-        const int64_t writer = event.a / kEventsPerWriter;
-        const int64_t ordinal = event.a % kEventsPerWriter;
-        EXPECT_LT(writer, kWriters);
-        EXPECT_EQ(event.b, ordinal * 2);  // payload written atomically
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&recorder, w] {
-      for (int k = 0; k < kEventsPerWriter; ++k) {
-        const int64_t tag = static_cast<int64_t>(w) * kEventsPerWriter + k;
-        recorder.Record(FlightEventKind::kCustom, tag,
-                        (tag % kEventsPerWriter) * 2);
+  // what this pins. Each round then checks the quiesced tail: a writer
+  // preempted for a lap must not hide a newer writer's retained event.
+  // Pinning the process to one CPU (taskset -c 0) makes writers get
+  // preempted mid-record, which is when a lost slot would show.
+  constexpr int kRounds = 40;
+  constexpr int kWriters = 8;
+  constexpr int kEventsPerWriter = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    FlightRecorder recorder(round % 2 == 0 ? 64 : 16);
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::vector<FlightEventRecord> events = recorder.Snapshot();
+        std::set<uint64_t> sequences;
+        for (const FlightEventRecord& event : events) {
+          EXPECT_TRUE(sequences.insert(event.sequence).second);
+          const int64_t writer = event.a / kEventsPerWriter;
+          const int64_t ordinal = event.a % kEventsPerWriter;
+          EXPECT_LT(writer, kWriters);
+          EXPECT_EQ(event.b, ordinal * 2);  // payload written atomically
+        }
       }
     });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&recorder, w] {
+        for (int k = 0; k < kEventsPerWriter; ++k) {
+          const int64_t tag = static_cast<int64_t>(w) * kEventsPerWriter + k;
+          recorder.Record(FlightEventKind::kCustom, tag,
+                          (tag % kEventsPerWriter) * 2);
+        }
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+    ASSERT_EQ(recorder.recorded(),
+              static_cast<uint64_t>(kWriters) * kEventsPerWriter);
+    EXPECT_EQ(recorder.dropped(), recorder.recorded() - recorder.capacity());
+    // Quiesced: the final snapshot retains the full, contiguous tail of
+    // tickets, each with its writer's payload.
+    std::vector<FlightEventRecord> events = recorder.Snapshot();
+    ASSERT_EQ(events.size(), recorder.capacity()) << "round " << round;
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].sequence, recorder.dropped() + i)
+          << "round " << round;
+      EXPECT_LT(events[i].a / kEventsPerWriter, kWriters);
+      EXPECT_EQ(events[i].b, (events[i].a % kEventsPerWriter) * 2);
+    }
   }
-  for (std::thread& writer : writers) writer.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(recorder.recorded(),
-            static_cast<uint64_t>(kWriters) * kEventsPerWriter);
-  EXPECT_EQ(recorder.dropped(), recorder.recorded() - recorder.capacity());
-  // Quiesced: the final snapshot retains a full, contiguous tail.
-  std::vector<FlightEventRecord> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), recorder.capacity());
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].sequence, events[i - 1].sequence + 1);
-  }
-}
-
-TEST(FlightRecorder, ToJsonNamesKindsAndCarriesTotals) {
-  FlightRecorder recorder(8);
-  recorder.Record(FlightEventKind::kPromotion, 2, 5);
-  recorder.Record(FlightEventKind::kShardHealth, 1, 0, 2);
-  std::string json = recorder.ToJson();
-  EXPECT_NE(json.find("\"schema\":\"hotspot.flight.v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"recorded\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"promotion\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"shard_health\""), std::string::npos);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "hotspot_flight_test.json")
-          .string();
-  ASSERT_TRUE(recorder.DumpToJson(path));
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::string contents(1 << 12, '\0');
-  contents.resize(std::fread(contents.data(), 1, contents.size(), file));
-  std::fclose(file);
-  std::filesystem::remove(path);
-  EXPECT_EQ(contents, json);
-}
-
-TEST(FlightRecorder, DumpRawToWritesOneLinePerEvent) {
-  FlightRecorder recorder(8);
-  recorder.Record(FlightEventKind::kPromotion, -1, 3);
-  recorder.Record(FlightEventKind::kBackpressure, 2, 11);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "hotspot_flight_raw.txt")
-          .string();
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  ASSERT_GE(fd, 0);
-  EXPECT_EQ(recorder.DumpRawTo(fd), 2);
-  ::close(fd);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::string contents(1 << 12, '\0');
-  contents.resize(std::fread(contents.data(), 1, contents.size(), file));
-  std::fclose(file);
-  std::filesystem::remove(path);
-  // One line per event, the negative payload formatted correctly.
-  EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'), 2);
-  EXPECT_NE(contents.find("promotion"), std::string::npos);
-  EXPECT_NE(contents.find("-1"), std::string::npos);
-  EXPECT_NE(contents.find("backpressure"), std::string::npos);
 }
 
 TEST(PipelineContext, ResetClearsFlightRecorder) {

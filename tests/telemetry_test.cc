@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -24,7 +25,9 @@
 #include "core/study.h"
 #include "fleet/forecast_fleet.h"
 #include "obs/pipeline_context.h"
+#include "obs/snapshot.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "pipeline/serving_pipeline.h"
 #include "thread_matrix.h"
 
@@ -34,8 +37,8 @@ namespace {
 using obs::FrameToJsonLine;
 using obs::FrameToPrometheusText;
 using obs::PipelineContext;
+using obs::Snapshot;
 using obs::TelemetryExporter;
-using obs::TelemetryFrame;
 using obs::TelemetryOptions;
 using pipeline::ServingPipeline;
 
@@ -106,6 +109,14 @@ std::vector<StreamingPrediction> RunPipelineServe(const Study& study) {
 // ---------------------------------------------------------------------------
 // Frame semantics
 
+/// The number that follows the first `key` in a rendered line.
+double NumberAfter(const std::string& line, const std::string& key) {
+  const size_t at = line.find(key);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return 0.0;
+  return std::strtod(line.c_str() + at + key.size(), nullptr);
+}
+
 TEST(TelemetryExporter, FrameCarriesDeltasRatesAndQuantiles) {
   PipelineContext context;
   context.metrics().counter("t/count").Add(10);
@@ -121,14 +132,15 @@ TEST(TelemetryExporter, FrameCarriesDeltasRatesAndQuantiles) {
   options.final_frame_on_stop = false;
   TelemetryExporter exporter(&context, options);
 
-  TelemetryFrame first = exporter.SampleNow();
+  Snapshot first = exporter.SampleNow();
   EXPECT_EQ(first.index, 0u);
   ASSERT_EQ(first.counters.size(), 1u);
   EXPECT_EQ(first.counters[0].name, "t/count");
-  EXPECT_EQ(first.counters[0].total, 10u);
+  EXPECT_EQ(first.counters[0].value, 10u);
   // The first frame's delta equals the total (previous frame = zero).
   EXPECT_EQ(first.counters[0].delta, 10u);
-  EXPECT_GT(first.counters[0].rate, 0.0);
+  // Rates and quantiles exist only where a frame is rendered.
+  EXPECT_GT(NumberAfter(obs::FrameToJsonLine(first), "\"rate\":"), 0.0);
   ASSERT_EQ(first.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(first.gauges[0].value, 3.5);
   ASSERT_EQ(first.histograms.size(), 1u);
@@ -136,9 +148,13 @@ TEST(TelemetryExporter, FrameCarriesDeltasRatesAndQuantiles) {
   EXPECT_EQ(first.histograms[0].delta, 110u);
   // 100 of 110 observations land in the first bucket: p50 sits inside
   // (0, 0.1], p99 inside (1, 10] — the exemplar points at an outlier.
-  EXPECT_GT(first.histograms[0].p50, 0.0);
-  EXPECT_LE(first.histograms[0].p50, 0.1);
-  EXPECT_GT(first.histograms[0].p99, 1.0);
+  const double p50 = obs::HistogramQuantile(first.histograms[0], 0.5);
+  const double p99 = obs::HistogramQuantile(first.histograms[0], 0.99);
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, 0.1);
+  EXPECT_GT(p99, 1.0);
+  EXPECT_EQ(NumberAfter(obs::FrameToJsonLine(first), "\"p50\":"), p50);
+  EXPECT_EQ(NumberAfter(obs::FrameToJsonLine(first), "\"p99\":"), p99);
   ASSERT_TRUE(first.histograms[0].has_exemplar);
   EXPECT_EQ(first.histograms[0].exemplar, 77);
   EXPECT_DOUBLE_EQ(first.histograms[0].exemplar_value, 5.0);
@@ -147,15 +163,51 @@ TEST(TelemetryExporter, FrameCarriesDeltasRatesAndQuantiles) {
 
   // A quiet interval: deltas and rates return to zero, totals persist.
   context.metrics().counter("t/count").Add(5);
-  TelemetryFrame second = exporter.SampleNow();
+  Snapshot second = exporter.SampleNow();
   EXPECT_EQ(second.index, 1u);
-  EXPECT_EQ(second.counters[0].total, 15u);
+  EXPECT_EQ(second.counters[0].value, 15u);
   EXPECT_EQ(second.counters[0].delta, 5u);
   EXPECT_EQ(second.histograms[0].delta, 0u);
-  TelemetryFrame third = exporter.SampleNow();
+  Snapshot third = exporter.SampleNow();
   EXPECT_EQ(third.counters[0].delta, 0u);
-  EXPECT_DOUBLE_EQ(third.counters[0].rate, 0.0);
+  EXPECT_DOUBLE_EQ(NumberAfter(obs::FrameToJsonLine(third), "\"rate\":"),
+                   0.0);
   EXPECT_EQ(exporter.frames(), 3u);
+}
+
+TEST(TelemetryExporter, FirstFrameRendersLikeTakeSnapshot) {
+  // A one-shot TakeSnapshot is an exporter's first frame: over a quiesced
+  // context both render the same line once the clock fields agree.
+  PipelineContext context;
+  context.metrics().counter("t/count").Add(4);
+  context.metrics().gauge("t/gauge").Set(0.25);
+  context.metrics()
+      .histogram("t/hist", {0.1, 1.0})
+      .ObserveWithExemplar(0.5, 9);
+  context.flight().Record(obs::FlightEventKind::kCustom, 1);
+  {
+    PipelineContext::ScopedInstall install(&context);
+    HOTSPOT_SPAN("outer");
+    HOTSPOT_SPAN("inner");
+  }
+  Snapshot snapshot = obs::TakeSnapshot(context);
+
+  TelemetryOptions options;
+  options.period = std::chrono::hours(1);
+  options.final_frame_on_stop = false;
+  TelemetryExporter exporter(&context, options);
+  const Snapshot frame = exporter.SampleNow();
+  EXPECT_GT(frame.interval_seconds, 0.0);
+  EXPECT_EQ(snapshot.interval_seconds, 0.0);
+
+  snapshot.t_ms = frame.t_ms;
+  snapshot.interval_seconds = frame.interval_seconds;
+  const std::string line = obs::FrameToJsonLine(frame);
+  EXPECT_EQ(obs::FrameToJsonLine(snapshot), line);
+  EXPECT_NE(line.find("\"spans\":[{\"path\":\"outer\",\"depth\":0,"
+                      "\"count\":1,"),
+            std::string::npos)
+      << line;
 }
 
 TEST(TelemetryExporter, RendersSingleLineNdjsonAndPrometheusText) {
@@ -165,7 +217,7 @@ TEST(TelemetryExporter, RendersSingleLineNdjsonAndPrometheusText) {
   TelemetryOptions options;
   options.final_frame_on_stop = false;
   TelemetryExporter exporter(&context, options);
-  TelemetryFrame frame = exporter.SampleNow();
+  Snapshot frame = exporter.SampleNow();
 
   std::string line = FrameToJsonLine(frame);
   // NDJSON: one object, schema-tagged, with no interior newlines — the
@@ -221,7 +273,7 @@ TEST(TelemetryExporter, BackgroundThreadProducesFrames) {
   TelemetryOptions options;
   options.period = std::chrono::milliseconds(5);
   options.final_frame_on_stop = false;
-  options.on_frame = [&delivered](const TelemetryFrame&) {
+  options.on_frame = [&delivered](const Snapshot&) {
     delivered.fetch_add(1, std::memory_order_relaxed);
   };
   TelemetryExporter exporter(&context, options);
