@@ -1,5 +1,7 @@
 #include "obs/telemetry.h"
 
+#include <cerrno>
+#include <cstring>
 #include <sstream>
 
 #include "util/logging.h"
@@ -68,6 +70,20 @@ std::string FrameToPrometheusText(const Snapshot& frame) {
   return out.str();
 }
 
+namespace {
+
+/// Opens a sink file for appending. A path that cannot be opened would
+/// lose every frame unseen, so it is refused, by option name.
+std::FILE* OpenSink(const char* option, const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "a");
+  const int error = errno;
+  HOTSPOT_CHECK(file != nullptr)
+      << option << " " << path << ": " << std::strerror(error);
+  return file;
+}
+
+}  // namespace
+
 TelemetryExporter::TelemetryExporter(const PipelineContext* context,
                                      const TelemetryOptions& options)
     : context_(context),
@@ -76,10 +92,10 @@ TelemetryExporter::TelemetryExporter(const PipelineContext* context,
       last_sample_(start_) {
   HOTSPOT_CHECK(context_ != nullptr);
   if (!options_.json_path.empty()) {
-    json_file_ = std::fopen(options_.json_path.c_str(), "a");
+    json_file_ = OpenSink("json_path", options_.json_path);
   }
   if (!options_.prometheus_path.empty()) {
-    prometheus_file_ = std::fopen(options_.prometheus_path.c_str(), "a");
+    prometheus_file_ = OpenSink("prometheus_path", options_.prometheus_path);
   }
   thread_ = std::thread([this] { Loop(); });
 }

@@ -46,6 +46,8 @@ struct TelemetryOptions {
   /// tests shrink it to milliseconds.
   std::chrono::milliseconds period{1000};
   /// Append one NDJSON frame line per sample to this file (empty = off).
+  /// A path that cannot be opened for appending is refused (CHECK) when
+  /// the exporter is built, as is such a prometheus_path.
   std::string json_path;
   /// Append one Prometheus text frame per sample to this file (empty =
   /// off). Each frame is preceded by a `# hotspot frame <n>` marker line.

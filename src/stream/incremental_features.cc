@@ -41,10 +41,12 @@ IncrementalFeatureEngine::IncrementalFeatureEngine(
   ring_stride_ = static_cast<size_t>(history_hours() + config_.window_hours) *
                  static_cast<size_t>(channels());
   feature_history_.assign(sectors_.size() * ring_stride_, 0.0f);
-  const size_t l = static_cast<size_t>(config_.num_kpis);
+  const size_t week_slots =
+      static_cast<size_t>(kHoursPerWeek) * sectors_.size();
+  week_values_.assign(week_slots * static_cast<size_t>(config_.num_kpis),
+                      0.0f);
+  week_scores_.assign(week_slots, 0.0f);
   for (SectorState& state : sectors_) {
-    state.week_values.assign(static_cast<size_t>(kHoursPerWeek) * l, 0.0f);
-    state.week_scores.assign(static_cast<size_t>(kHoursPerWeek), 0.0f);
     state.label_history.assign(
         static_cast<size_t>(config_.history_weeks * kDaysPerWeek), 0.0f);
     state.recent_day_scores.assign(static_cast<size_t>(kRecentDays),
@@ -63,11 +65,9 @@ void IncrementalFeatureEngine::Consume(int sector, int hour,
   counters_.Refresh();
 
   const int l = config_.num_kpis;
-  const int hour_of_week = hour % kHoursPerWeek;
-  float* week_row = state.week_values.data() +
-                    static_cast<size_t>(hour_of_week) *
-                        static_cast<size_t>(l);
-  std::memcpy(week_row, values, static_cast<size_t>(l) * sizeof(float));
+  const size_t week_slot = WeekSlot(sector, hour % kHoursPerWeek);
+  std::memcpy(week_values_.data() + week_slot * static_cast<size_t>(l),
+              values, static_cast<size_t>(l) * sizeof(float));
 
   // Eq. 1 — the exact loop of ComputeHourlyScore, so the result is
   // bitwise what the batch path stores.
@@ -83,7 +83,7 @@ void IncrementalFeatureEngine::Consume(int sector, int hour,
                                          : value < indicator.threshold;
     if (bad) tripped += indicator.weight;
   }
-  state.week_scores[static_cast<size_t>(hour_of_week)] =
+  week_scores_[week_slot] =
       available > 0.0 ? static_cast<float>(tripped / available)
                       : MissingValue();
 
@@ -99,18 +99,17 @@ void IncrementalFeatureEngine::Consume(int sector, int hour,
 
 void IncrementalFeatureEngine::CloseDay(int sector, SectorState* state,
                                         int day) {
-  (void)sector;
   const int day_of_week = day % kDaysPerWeek;
   // Eq. 2 at daily resolution — IntegrateScores' loop verbatim: double
   // accumulation over the day's 24 hourly scores in hour order, NaNs
   // skipped, empty day -> NaN.
   double sum = 0.0;
   int count = 0;
-  const float* scores = state->week_scores.data() +
-                        static_cast<size_t>(day_of_week) * kHoursPerDay;
   for (int h = 0; h < kHoursPerDay; ++h) {
-    if (IsMissing(scores[h])) continue;
-    sum += scores[h];
+    const float score =
+        week_scores_[WeekSlot(sector, day_of_week * kHoursPerDay + h)];
+    if (IsMissing(score)) continue;
+    sum += score;
     ++count;
   }
   const float day_score =
@@ -140,7 +139,7 @@ void IncrementalFeatureEngine::CloseWeek(int sector, SectorState* state,
   double sum = 0.0;
   int count = 0;
   for (int h = 0; h < kHoursPerWeek; ++h) {
-    const float score = state->week_scores[static_cast<size_t>(h)];
+    const float score = week_scores_[WeekSlot(sector, h)];
     if (IsMissing(score)) continue;
     sum += score;
     ++count;
@@ -158,13 +157,14 @@ void IncrementalFeatureEngine::CloseWeek(int sector, SectorState* state,
     const int hour = week * kHoursPerWeek + h;
     const int slot = hour % history_hours();
     float* row = ring + static_cast<size_t>(slot) * static_cast<size_t>(ch);
-    const float* kpi = state->week_values.data() +
-                       static_cast<size_t>(h) * static_cast<size_t>(l);
+    const size_t week_slot = WeekSlot(sector, h);
+    const float* kpi =
+        week_values_.data() + week_slot * static_cast<size_t>(l);
     int c = 0;
     for (int k = 0; k < l; ++k) row[c++] = kpi[k];
     const float* cal = config_.calendar->Row(hour);
     for (int k = 0; k < 5; ++k) row[c++] = cal[k];
-    row[c++] = state->week_scores[static_cast<size_t>(h)];
+    row[c++] = week_scores_[week_slot];
     row[c++] = state->day_scores[h / kHoursPerDay];
     row[c++] = week_score;
     row[c++] = state->day_labels[h / kHoursPerDay];

@@ -52,10 +52,13 @@ struct SectorStreamState {
 
 /// Incremental replacement for the batch score → label → FeatureTensor
 /// pipeline: consumes in-order per-sector KPI rows (the KpiStreamIngestor
-/// sink contract) and maintains rolling state — the current week's KPI
-/// ring and hourly scores, per-day sums, run lengths and recent-score
-/// percentiles — so each row costs O(l) amortized, with no offline
-/// rebuild.
+/// sink contract) and maintains rolling state — the open week's KPIs and
+/// hourly scores, per-day sums, run lengths and recent-score percentiles —
+/// so each row costs O(l) amortized, with no offline rebuild. Every
+/// sector's open week is staged in one hour-major array (hour of week,
+/// then sector), so a feed that sends every sector's hour before the next
+/// hour, as an operator scoring the whole network hourly does, writes it
+/// in order; a day or week close reads the sector's column.
 ///
 /// Equivalence guarantee: for in-order complete data the emitted feature
 /// rows are bitwise-identical to the batch path
@@ -141,8 +144,6 @@ class IncrementalFeatureEngine {
 
  private:
   struct SectorState {
-    std::vector<float> week_values;  ///< current week's KPIs, 168 x l
-    std::vector<float> week_scores;  ///< current week's hourly scores, 168
     float day_scores[kDaysPerWeek];  ///< closed days of the current week
     float day_labels[kDaysPerWeek];
     std::vector<float> label_history;    ///< history_days daily-label ring
@@ -169,6 +170,12 @@ class IncrementalFeatureEngine {
 
   void CloseDay(int sector, SectorState* state, int day);
   void CloseWeek(int sector, SectorState* state, int week);
+  /// Index of (sector, hour of week) in the hour-major open-week staging.
+  size_t WeekSlot(int sector, int hour_of_week) const {
+    return static_cast<size_t>(hour_of_week) *
+               static_cast<size_t>(config_.num_sectors) +
+           static_cast<size_t>(sector);
+  }
   /// Sector `sector`'s history ring: history_hours() + window_hours slots
   /// of channels() floats; hour h lives in slot h % history_hours(), and
   /// slot history_hours() + s repeats slot s for s < window_hours.
@@ -183,6 +190,10 @@ class IncrementalFeatureEngine {
 
   FeatureEngineConfig config_;
   std::vector<SectorState> sectors_;
+  /// Every sector's open week, at WeekSlot: 168 x n rows of l KPIs and
+  /// 168 x n hourly scores.
+  std::vector<float> week_values_;
+  std::vector<float> week_scores_;
   /// Every sector's ring, one after another, ring_stride_ floats apart.
   std::vector<float> feature_history_;
   size_t ring_stride_ = 0;

@@ -92,6 +92,17 @@ PushResult KpiStreamIngestor::Push(int sector, int hour, const float* values,
     return PushResult::kRejected;
   }
   SectorState& state = sectors_[static_cast<size_t>(sector)];
+  if (hour == state.next_flush && hour > state.max_seen) {
+    // The sector's next hour with nothing buffered (next_flush never
+    // passes max_seen + 1): the row is final as it arrives, so it goes to
+    // the sink from the caller's buffer. The ring path would store it,
+    // emit it at once and find no successor — the same calls and counts.
+    state.max_seen = hour;
+    if (counters_.accepted != nullptr) counters_.accepted->Increment();
+    sink_(sector, hour, values, num_kpis);
+    ++state.next_flush;
+    return PushResult::kAccepted;
+  }
   if (hour < state.next_flush) {
     // Already finalized — a duplicate of a flushed row or a row beyond
     // the watermark; either way it cannot be applied in order anymore.

@@ -14,10 +14,12 @@ namespace hotspot::stream {
 
 /// Callback receiving finalized rows in strict per-sector hour order
 /// (hour 0, 1, 2, ... with no holes). `values` points at `num_kpis`
-/// floats valid only for the duration of the call; NaN marks a missing
-/// KPI reading. Synthesized gap rows (see IngestorConfig) arrive here as
-/// all-NaN vectors, indistinguishable from an operator row whose every
-/// KPI was missing — exactly how the batch pipeline treats such hours.
+/// floats valid only for the duration of the call — for a row that
+/// arrived in order, the very buffer the caller handed to Push; NaN marks
+/// a missing KPI reading. Synthesized gap rows (see IngestorConfig) arrive
+/// here as all-NaN vectors, indistinguishable from an operator row whose
+/// every KPI was missing — exactly how the batch pipeline treats such
+/// hours.
 using KpiRowSink =
     std::function<void(int sector, int hour, const float* values,
                        int num_kpis)>;
@@ -41,7 +43,7 @@ struct IngestorConfig {
 
 /// What happened to one pushed row.
 enum class PushResult {
-  kAccepted,   ///< buffered (and possibly flushed) in order
+  kAccepted,   ///< emitted in order, at once or after the hours before it
   kDuplicate,  ///< a row for this (sector, hour) is already buffered
   kLate,       ///< hour already finalized (flushed or gap-filled) — dropped
   kRejected,   ///< malformed: sector/hour out of range or wrong KPI count
@@ -54,9 +56,12 @@ const char* PushResultName(PushResult result);
 /// transport delivers them, and emits them to the sink in strict per-
 /// sector hour order with an explicit out-of-order / late-arrival policy:
 ///
-///   * rows within the watermark window are buffered in a bounded
-///     per-sector ring and released as soon as the contiguous prefix
-///     fills in;
+///   * a row for the sector's next hour, with nothing buffered, is final
+///     as it arrives and goes to the sink from the caller's buffer — in an
+///     in-order feed that is every row;
+///   * a row that arrives ahead of a hole, within the watermark window, is
+///     buffered in a bounded per-sector ring and released as soon as the
+///     contiguous prefix fills in;
 ///   * duplicate (sector, hour) rows are first-wins dropped;
 ///   * rows older than the watermark are dropped;
 ///   * hours the watermark passes without a row are synthesized as
@@ -75,7 +80,8 @@ class KpiStreamIngestor {
 
   /// Offers one row. `values` must hold config().num_kpis floats (checked
   /// against `num_kpis`; a mismatch is kRejected, not fatal — transports
-  /// carry malformed rows).
+  /// carry malformed rows). The sink may read `values` in place during
+  /// this call; nothing keeps the pointer after it returns.
   PushResult Push(int sector, int hour, const float* values, int num_kpis);
   PushResult Push(int sector, int hour, const std::vector<float>& values) {
     return Push(sector, hour, values.data(),
@@ -94,7 +100,8 @@ class KpiStreamIngestor {
 
  private:
   struct SectorState {
-    std::vector<float> ring;     ///< ring_hours x num_kpis values
+    std::vector<float> ring;     ///< ring_hours x num_kpis values: rows
+                                 ///< that arrived ahead of a hole
     std::vector<uint8_t> filled; ///< ring_hours occupancy flags
     int next_flush = 0;          ///< first hour not yet emitted
     int max_seen = -1;           ///< newest accepted hour

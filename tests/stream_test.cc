@@ -1,12 +1,18 @@
 // The streaming subsystem's contract tests: ingestion ordering policy
-// (in-watermark reorder, beyond-watermark drop, duplicates, gap fill),
+// (in-watermark reorder, beyond-watermark drop, duplicates, gap fill, and
+// seeded feeds checked against a reference model of that policy),
 // the batch/streaming bitwise feature-equivalence guarantee over a
 // multi-week synthetic trace, the in-place serving windows of the
 // mirrored history ring, and end-to-end streaming serving parity with
 // ForecastService::PredictAtDay at several thread counts.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -22,6 +28,7 @@
 #include "stream/incremental_features.h"
 #include "stream/kpi_stream.h"
 #include "tensor/temporal.h"
+#include "util/rng.h"
 
 namespace hotspot {
 namespace {
@@ -310,6 +317,310 @@ TEST(KpiStreamIngestor, MalformedRowsAreRejectedNotFatal) {
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(ingestor.Push(0, 0, row), PushResult::kAccepted);
   EXPECT_EQ(delivered, 1);
+}
+
+/// Every counter the ingestor keeps.
+const char* const kIngestCounters[] = {
+    "stream/rows_offered",           "stream/rows_accepted",
+    "stream/rows_reordered",         "stream/rows_duplicate_dropped",
+    "stream/rows_late_dropped",      "stream/rows_rejected",
+    "stream/rows_gap_filled"};
+
+/// One row a sink received: sector, hour and the values' bit patterns (so
+/// NaN payloads compare too).
+struct SunkRow {
+  int sector;
+  int hour;
+  std::vector<uint32_t> bits;
+  bool operator==(const SunkRow&) const = default;
+};
+
+SunkRow Sunk(int sector, int hour, const float* values, int num_kpis) {
+  SunkRow row{sector, hour,
+              std::vector<uint32_t>(static_cast<size_t>(num_kpis))};
+  std::memcpy(row.bits.data(), values,
+              static_cast<size_t>(num_kpis) * sizeof(float));
+  return row;
+}
+
+/// The ingestion policy of kpi_stream.h restated over a map of buffered
+/// rows per sector, with no ring and no in-order shortcut: a row is late
+/// below the sector's emitted frontier; a row at or below the newest hour
+/// seen counts as reordered (duplicates too); the first row of an hour
+/// wins; the frontier then emits every buffered hour in order and gap-fills
+/// every hour more than `watermark` behind the newest one (every hour
+/// before it, on Flush).
+class ReferenceIngestor {
+ public:
+  ReferenceIngestor(int num_sectors, int num_kpis, int watermark)
+      : num_kpis_(num_kpis), watermark_(watermark), sectors_(num_sectors) {}
+
+  PushResult Push(int sector, int hour, const float* values, int num_kpis) {
+    ++counts["stream/rows_offered"];
+    if (sector < 0 || sector >= static_cast<int>(sectors_.size()) ||
+        hour < 0 || num_kpis != num_kpis_) {
+      ++counts["stream/rows_rejected"];
+      return PushResult::kRejected;
+    }
+    Sector& state = sectors_[static_cast<size_t>(sector)];
+    if (hour < state.next) {
+      ++counts["stream/rows_late_dropped"];
+      return PushResult::kLate;
+    }
+    if (hour > state.max_seen) {
+      state.max_seen = hour;
+      Release(sector, state.max_seen - watermark_);
+    } else {
+      ++counts["stream/rows_reordered"];
+    }
+    if (state.buffered.count(hour) != 0) {
+      ++counts["stream/rows_duplicate_dropped"];
+      return PushResult::kDuplicate;
+    }
+    state.buffered[hour] = Sunk(sector, hour, values, num_kpis);
+    ++counts["stream/rows_accepted"];
+    Release(sector, state.max_seen - watermark_);
+    return PushResult::kAccepted;
+  }
+
+  void Flush() {
+    for (size_t i = 0; i < sectors_.size(); ++i) {
+      Release(static_cast<int>(i), sectors_[i].max_seen);
+    }
+  }
+
+  /// Whether `hour` is the sector's next hour with nothing buffered.
+  bool InOrder(int sector, int hour) const {
+    if (sector < 0 || sector >= static_cast<int>(sectors_.size())) {
+      return false;
+    }
+    const Sector& state = sectors_[static_cast<size_t>(sector)];
+    return hour == state.next && state.buffered.empty();
+  }
+  int Emitted(int sector) const {
+    return sectors_[static_cast<size_t>(sector)].next;
+  }
+
+  std::vector<SunkRow> sunk;
+  std::map<std::string, uint64_t> counts;
+
+ private:
+  struct Sector {
+    std::map<int, SunkRow> buffered;
+    int next = 0;
+    int max_seen = -1;
+  };
+
+  /// Emits the sector's hours in order while each is buffered or lies
+  /// below `gap_horizon`.
+  void Release(int sector, int gap_horizon) {
+    Sector& state = sectors_[static_cast<size_t>(sector)];
+    while (true) {
+      auto it = state.buffered.find(state.next);
+      if (it != state.buffered.end()) {
+        sunk.push_back(it->second);
+        state.buffered.erase(it);
+      } else if (state.next < gap_horizon) {
+        const std::vector<float> gap(static_cast<size_t>(num_kpis_),
+                                     MissingValue());
+        sunk.push_back(Sunk(sector, state.next, gap.data(), num_kpis_));
+        ++counts["stream/rows_gap_filled"];
+      } else {
+        break;
+      }
+      ++state.next;
+    }
+  }
+
+  int num_kpis_;
+  int watermark_;
+  std::vector<Sector> sectors_;
+};
+
+/// One offer of a seeded feed. `variant` tells two offers of one (sector,
+/// hour) apart; an offer whose `width` is not the ingestor's is malformed.
+struct Offer {
+  int sector;
+  int hour;
+  int variant;
+  int width;
+};
+
+/// Values of an offer, a few of them NaNs with distinct payloads.
+std::vector<float> OfferValues(const Offer& offer, int num_kpis) {
+  std::vector<float> values(static_cast<size_t>(num_kpis));
+  for (int k = 0; k < num_kpis; ++k) {
+    const int mix = offer.sector * 31 + offer.hour * 7 + offer.variant + k;
+    if (mix % 11 == 0) {
+      const uint32_t bits = 0x7fc00000u | static_cast<uint32_t>(mix & 0xff);
+      std::memcpy(&values[static_cast<size_t>(k)], &bits, sizeof(bits));
+    } else {
+      values[static_cast<size_t>(k)] =
+          static_cast<float>(offer.sector * 1000 + offer.hour) +
+          0.25f * static_cast<float>(offer.variant) +
+          0.5f * static_cast<float>(k);
+    }
+  }
+  return values;
+}
+
+/// Every hour of every sector once, hour-major or sector-major, with some
+/// sectors silent for a long stretch; then offers are moved a little (within
+/// the watermark) or far (past it), repeated with other values, and joined
+/// by malformed ones.
+std::vector<Offer> MakeFeed(Rng* rng, int num_sectors, int num_hours,
+                            int num_kpis, int watermark, bool hour_major) {
+  std::vector<int> silent_from(static_cast<size_t>(num_sectors), num_hours);
+  std::vector<int> silent_to(static_cast<size_t>(num_sectors), num_hours);
+  for (int i = 0; i < num_sectors; ++i) {
+    if (rng->Bernoulli(0.3)) {
+      silent_from[static_cast<size_t>(i)] =
+          static_cast<int>(rng->UniformInt(0, num_hours - 1));
+      silent_to[static_cast<size_t>(i)] =
+          silent_from[static_cast<size_t>(i)] +
+          static_cast<int>(rng->UniformInt(1, 3 * watermark + 8));
+    }
+  }
+  std::vector<Offer> base;
+  for (int a = 0; a < (hour_major ? num_hours : num_sectors); ++a) {
+    for (int b = 0; b < (hour_major ? num_sectors : num_hours); ++b) {
+      const int sector = hour_major ? b : a;
+      const int hour = hour_major ? a : b;
+      if (hour >= silent_from[static_cast<size_t>(sector)] &&
+          hour < silent_to[static_cast<size_t>(sector)]) {
+        continue;
+      }
+      base.push_back({sector, hour, 0, num_kpis});
+    }
+  }
+  // Offers are sorted by (position key, draw order); a key two apart per
+  // base offer leaves odd keys for the inserted ones.
+  const int64_t window =
+      2 * static_cast<int64_t>(watermark + 1) * (hour_major ? num_sectors : 1);
+  std::vector<std::pair<int64_t, Offer>> keyed;
+  for (size_t p = 0; p < base.size(); ++p) {
+    const int64_t key = 2 * static_cast<int64_t>(p);
+    const double draw = rng->UniformDouble();
+    if (draw < 0.2) {
+      keyed.push_back({key + rng->UniformInt(0, window), base[p]});
+    } else if (draw < 0.24) {
+      keyed.push_back(
+          {key + rng->UniformInt(2 * window, 4 * window), base[p]});
+    } else {
+      keyed.push_back({key, base[p]});
+    }
+    if (rng->Bernoulli(0.05)) {
+      Offer repeat = base[p];
+      repeat.variant = 1;
+      keyed.push_back({key + 1 + rng->UniformInt(0, window), repeat});
+    }
+    if (rng->Bernoulli(0.02)) {
+      Offer bad = base[p];
+      switch (rng->UniformInt(0, 2)) {
+        case 0:
+          bad.sector = rng->Bernoulli(0.5) ? -1 : num_sectors;
+          break;
+        case 1:
+          bad.hour = -1 - bad.hour;
+          break;
+        default:
+          bad.width = num_kpis + 1;
+      }
+      keyed.push_back({key + 1, bad});
+    }
+  }
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Offer> feed;
+  for (const auto& [key, offer] : keyed) feed.push_back(offer);
+  return feed;
+}
+
+TEST(KpiStreamIngestor, MatchesReferencePolicyOnSeededFeeds) {
+  constexpr int kKpis = 3;
+  uint64_t in_order_rows = 0;
+  uint64_t hole_fills = 0;
+  std::map<std::string, uint64_t> totals;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const int num_sectors = static_cast<int>(rng.UniformInt(1, 4));
+    const int num_hours = static_cast<int>(rng.UniformInt(40, 160));
+    const int watermark_choices[] = {0, 1, 3, 6, 24};
+    IngestorConfig config;
+    config.num_sectors = num_sectors;
+    config.num_kpis = kKpis;
+    config.watermark_hours = watermark_choices[rng.UniformInt(0, 4)];
+    config.ring_hours =
+        config.watermark_hours + 1 + static_cast<int>(rng.UniformInt(0, 3));
+    const bool hour_major = seed % 2 == 0;
+    const std::vector<Offer> feed =
+        MakeFeed(&rng, num_sectors, num_hours, kKpis,
+                 config.watermark_hours, hour_major);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", watermark " +
+                 std::to_string(config.watermark_hours) + ", ring " +
+                 std::to_string(config.ring_hours) +
+                 (hour_major ? ", hour-major" : ", sector-major"));
+
+    obs::PipelineContext context;
+    obs::PipelineContext::ScopedInstall install(&context);
+    std::vector<SunkRow> sunk;
+    std::vector<const float*> sunk_from;
+    KpiStreamIngestor ingestor(
+        config, [&](int sector, int hour, const float* values, int num_kpis) {
+          sunk.push_back(Sunk(sector, hour, values, num_kpis));
+          sunk_from.push_back(values);
+        });
+    ReferenceIngestor reference(num_sectors, kKpis, config.watermark_hours);
+    for (size_t r = 0; r < feed.size(); ++r) {
+      const Offer& offer = feed[r];
+      const std::vector<float> values = OfferValues(offer, kKpis);
+      const bool in_order = reference.InOrder(offer.sector, offer.hour) &&
+                            offer.width == kKpis;
+      const size_t before = sunk.size();
+      const PushResult expected =
+          reference.Push(offer.sector, offer.hour, values.data(), offer.width);
+      ASSERT_EQ(ingestor.Push(offer.sector, offer.hour, values.data(),
+                              offer.width),
+                expected)
+          << "offer " << r;
+      ASSERT_EQ(sunk.size(), reference.sunk.size()) << "offer " << r;
+      for (size_t s = before; s < sunk.size(); ++s) {
+        ASSERT_EQ(sunk[s], reference.sunk[s]) << "offer " << r;
+        // Only a row that is final as it arrives reaches the sink through
+        // the caller's buffer; anything the ring held comes from the ring.
+        EXPECT_EQ(sunk_from[s] == values.data(), in_order && s == before)
+            << "offer " << r;
+      }
+      if (in_order) {
+        ++in_order_rows;
+      } else if (expected == PushResult::kAccepted && sunk.size() > before &&
+                 sunk[before].hour == offer.hour) {
+        ++hole_fills;  // this row closed a hole and released its queue
+      }
+    }
+    ingestor.Flush();
+    reference.Flush();
+    ASSERT_EQ(sunk, reference.sunk);
+    // Per sector the sink sees hour 0, 1, 2, ... however the feed came.
+    std::vector<int> next_hour(static_cast<size_t>(num_sectors), 0);
+    for (const SunkRow& row : sunk) {
+      EXPECT_EQ(row.hour, next_hour[static_cast<size_t>(row.sector)]++);
+    }
+    for (int i = 0; i < num_sectors; ++i) {
+      EXPECT_EQ(ingestor.FlushedHours(i), reference.Emitted(i));
+    }
+    for (const char* name : kIngestCounters) {
+      EXPECT_EQ(context.metrics().counter(name).Total(),
+                reference.counts[name])
+          << name;
+      totals[name] += reference.counts[name];
+    }
+  }
+  // The feeds exercise every branch of the policy.
+  for (const char* name : kIngestCounters) EXPECT_GT(totals[name], 0u) << name;
+  EXPECT_GT(in_order_rows, 0u);
+  EXPECT_GT(hole_fills, 0u);
 }
 
 TEST(IncrementalFeatures, GapFilledHoursMatchBatchOnHoleyTensor) {

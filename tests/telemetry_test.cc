@@ -267,6 +267,24 @@ TEST(TelemetryExporter, AppendsNdjsonFramesToFile) {
   EXPECT_NE(contents.find("\"frame\":1"), std::string::npos);
 }
 
+TEST(TelemetryExporterDeathTest, RefusesASinkPathItCannotOpen) {
+  PipelineContext context;
+  const std::filesystem::path missing_dir =
+      std::filesystem::temp_directory_path() / "hotspot_telemetry_no_dir";
+  std::filesystem::remove_all(missing_dir);
+  const std::string path = (missing_dir / "frames.txt").string();
+  TelemetryOptions json;
+  json.json_path = path;
+  EXPECT_DEATH({ TelemetryExporter exporter(&context, json); },
+               "json_path .*hotspot_telemetry_no_dir/frames.txt: No such "
+               "file or directory");
+  TelemetryOptions prometheus;
+  prometheus.prometheus_path = path;
+  EXPECT_DEATH({ TelemetryExporter exporter(&context, prometheus); },
+               "prometheus_path .*hotspot_telemetry_no_dir/frames.txt: No "
+               "such file or directory");
+}
+
 TEST(TelemetryExporter, BackgroundThreadProducesFrames) {
   PipelineContext context;
   std::atomic<uint64_t> delivered{0};
