@@ -15,13 +15,13 @@
 // HOTSPOT_OBS_JSON=<path> either mode exports the metrics snapshot.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +43,7 @@
 #include "pipeline/serving_pipeline.h"
 #include "simnet/generator.h"
 #include "stats/average_precision.h"
+#include "stats/percentile.h"
 #include "tensor/temporal.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -290,12 +291,25 @@ std::vector<StageReport> BuildStageReports(
   return reports;
 }
 
-/// The telemetry-overhead measurement: best-of-N paired runs with and
-/// without a live 1 Hz TelemetryExporter.
+/// CPU seconds of every thread of the process — the worker, the pool and
+/// a live exporter's thread alike.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// The telemetry-overhead measurement: paired legs with and without a
+/// live 1 Hz TelemetryExporter, each timed in process CPU seconds.
 struct TelemetryOverhead {
-  double plain_seconds = 0.0;      ///< best run, no exporter
-  double telemetry_seconds = 0.0;  ///< best run, 1 Hz exporter live
-  double overhead_fraction = 0.0;  ///< telemetry/plain - 1 (negative = noise)
+  int pairs = 0;
+  double plain_cpu_seconds = 0.0;      ///< median leg, no exporter
+  double telemetry_cpu_seconds = 0.0;  ///< plain x the geometric-mean ratio
+  double overhead_fraction = 0.0;  ///< geometric-mean ratio - 1
+  /// 25th and 75th percentiles of the per-pair ratios, - 1.
+  double overhead_p25 = 0.0;
+  double overhead_p75 = 0.0;
 };
 
 bool WriteStagedJson(const std::string& path, const StagedFixture& fixture,
@@ -341,12 +355,18 @@ bool WriteStagedJson(const std::string& path, const StagedFixture& fixture,
   std::fprintf(file, "  ],\n");
   std::fprintf(file, "  \"telemetry_overhead\": {\n");
   std::fprintf(file, "    \"exporter_period_seconds\": 1.0,\n");
-  std::fprintf(file, "    \"plain_rows_per_sec\": %.0f,\n",
-               static_cast<double>(rows) / telemetry.plain_seconds);
-  std::fprintf(file, "    \"telemetry_rows_per_sec\": %.0f,\n",
-               static_cast<double>(rows) / telemetry.telemetry_seconds);
+  std::fprintf(file, "    \"timing\": \"process CPU seconds per leg\",\n");
+  std::fprintf(file, "    \"pairs\": %d,\n", telemetry.pairs);
+  std::fprintf(file, "    \"plain_rows_per_cpu_sec\": %.0f,\n",
+               static_cast<double>(rows) / telemetry.plain_cpu_seconds);
+  std::fprintf(file, "    \"telemetry_rows_per_cpu_sec\": %.0f,\n",
+               static_cast<double>(rows) / telemetry.telemetry_cpu_seconds);
   std::fprintf(file, "    \"overhead_percent\": %.2f,\n",
                100.0 * telemetry.overhead_fraction);
+  std::fprintf(file, "    \"overhead_percent_p25\": %.2f,\n",
+               100.0 * telemetry.overhead_p25);
+  std::fprintf(file, "    \"overhead_percent_p75\": %.2f,\n",
+               100.0 * telemetry.overhead_p75);
   std::fprintf(file,
                "    \"contract\": \"predictions bitwise-identical with the "
                "exporter and flight recorder live; budget <2%%\"\n");
@@ -461,21 +481,19 @@ int Smoke() {
     std::printf("\n");
   }
 
-  // Telemetry-overhead leg: the same workload again, best of N paired
-  // runs with and without a live 1 Hz background exporter (the
-  // production cadence) over the same context — whose flight recorder
-  // the worker is writing to throughout. The predictions with telemetry
-  // must stay bitwise identical to the baseline run above; the
-  // throughput delta is the number the <2 % budget in
-  // BENCH_micro_pipeline.json tracks (reported, not asserted — sanitizer
-  // builds and loaded CI boxes make wall-clock assertions flaky).
+  // Telemetry-overhead leg: the same workload again, in paired runs with
+  // and without a live 1 Hz background exporter (the production cadence)
+  // over the same context — whose flight recorder the worker is writing to
+  // throughout. The predictions with telemetry must stay bitwise identical
+  // to the baseline run above; the CPU-time delta is the number the <2 %
+  // budget in BENCH_micro_pipeline.json tracks (reported, not asserted —
+  // sanitizer builds and loaded CI boxes make timing assertions flaky).
   TelemetryOverhead telemetry;
   {
-    // Interleaved median-of-N pairs: a single run is scheduler-noisy
-    // (the runtime's wall clock swings ±10 % run to run), so the
-    // legs alternate to cancel machine drift and the medians — robust
-    // against outlier runs in a way minima are not — converge on the
-    // true cost. One warmup run absorbs first-touch effects.
+    // Each leg is timed in process CPU seconds, so the exporter thread's
+    // own work counts wherever it runs, and time the process spends
+    // descheduled does not. The legs alternate in ABBA order to cancel
+    // machine drift. One warmup run absorbs first-touch effects.
     constexpr int kReps = 30;  // even: equal counts of each ABBA order
     StagedServeOnce(fixture, fixture.Options(), nullptr, nullptr);
     obs::TelemetryOptions exporter_options;
@@ -484,17 +502,17 @@ int Smoke() {
     std::vector<StreamingPrediction> telemetry_served;
     std::vector<double> plain_runs, telemetry_runs;
     auto run_plain = [&] {
-      Stopwatch plain_watch;
+      const double start = ProcessCpuSeconds();
       StagedServeOnce(fixture, fixture.Options(), nullptr, nullptr);
-      plain_runs.push_back(plain_watch.ElapsedSeconds());
+      plain_runs.push_back(ProcessCpuSeconds() - start);
     };
     auto run_telemetry = [&] {
       obs::TelemetryExporter exporter(&context, exporter_options);
       exporter.SampleNow();  // a frame boundary lands inside the pair
-      Stopwatch telemetry_watch;
+      const double start = ProcessCpuSeconds();
       StagedServeOnce(fixture, fixture.Options(), &telemetry_served,
                       nullptr);
-      telemetry_runs.push_back(telemetry_watch.ElapsedSeconds());
+      telemetry_runs.push_back(ProcessCpuSeconds() - start);
     };
     for (int rep = 0; rep < kReps; ++rep) {
       // ABBA ordering: the second leg of a pair runs warmer (caches,
@@ -508,25 +526,29 @@ int Smoke() {
         run_plain();
       }
     }
-    auto median = [](std::vector<double> runs) {
-      std::sort(runs.begin(), runs.end());
-      return runs[runs.size() / 2];
-    };
     // Paired geometric-mean estimator: each rep's two legs run back to
     // back, so their ratio cancels whatever load the machine was under
     // at that moment; the ABBA flip means half the ratios carry the
     // warm-second-leg bias one way and half the other, and the
-    // geometric mean cancels that multiplicative bias exactly.
+    // geometric mean cancels that multiplicative bias exactly. The
+    // quartiles of the ratios say how far one pair can stray from it.
+    std::vector<float> ratios;
     double log_ratio_sum = 0.0;
     for (size_t rep = 0; rep < plain_runs.size(); ++rep) {
-      log_ratio_sum += std::log(telemetry_runs[rep] / plain_runs[rep]);
+      const double pair_ratio = telemetry_runs[rep] / plain_runs[rep];
+      ratios.push_back(static_cast<float>(pair_ratio));
+      log_ratio_sum += std::log(pair_ratio);
     }
     const double ratio =
-        std::exp(log_ratio_sum / static_cast<double>(plain_runs.size()));
-    telemetry.plain_seconds = median(plain_runs);
-    telemetry.telemetry_seconds = telemetry.plain_seconds * ratio;
-    telemetry.overhead_fraction =
-        telemetry.telemetry_seconds / telemetry.plain_seconds - 1.0;
+        std::exp(log_ratio_sum / static_cast<double>(ratios.size()));
+    const std::vector<double> quartiles = Percentiles(ratios, {25.0, 75.0});
+    telemetry.pairs = kReps;
+    telemetry.plain_cpu_seconds = Percentile(
+        std::vector<float>(plain_runs.begin(), plain_runs.end()), 50.0);
+    telemetry.telemetry_cpu_seconds = telemetry.plain_cpu_seconds * ratio;
+    telemetry.overhead_fraction = ratio - 1.0;
+    telemetry.overhead_p25 = quartiles[0] - 1.0;
+    telemetry.overhead_p75 = quartiles[1] - 1.0;
     if (telemetry_served.size() != served.size()) {
       std::fprintf(stderr,
                    "FAIL: telemetry run served %zu batches, baseline %zu\n",
@@ -545,11 +567,14 @@ int Smoke() {
         }
       }
     }
-    std::printf("telemetry overhead (1 Hz exporter): plain %.0f rows/sec, "
-                "live %.0f rows/sec, %+0.2f%%\n",
-                static_cast<double>(rows) / telemetry.plain_seconds,
-                static_cast<double>(rows) / telemetry.telemetry_seconds,
-                100.0 * telemetry.overhead_fraction);
+    std::printf("telemetry overhead (1 Hz exporter, process CPU): plain "
+                "%.0f rows/cpu-s, live %.0f rows/cpu-s, %+0.2f%% "
+                "(per-pair p25 %+0.2f%%, p75 %+0.2f%%, %d pairs)\n",
+                static_cast<double>(rows) / telemetry.plain_cpu_seconds,
+                static_cast<double>(rows) / telemetry.telemetry_cpu_seconds,
+                100.0 * telemetry.overhead_fraction,
+                100.0 * telemetry.overhead_p25,
+                100.0 * telemetry.overhead_p75, telemetry.pairs);
   }
 
   if (const char* path = std::getenv("HOTSPOT_BENCH_JSON")) {

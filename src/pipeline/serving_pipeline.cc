@@ -22,6 +22,14 @@ void MergeBorn(uint64_t* dst, uint64_t src) {
 
 }  // namespace
 
+void RowBlock::Grow() {
+  HOTSPOT_CHECK_GT(num_kpis_, 0) << "a RowBlock needs its row width";
+  const size_t capacity = std::max<size_t>(16, 2 * sectors_.size());
+  sectors_.resize(capacity);
+  hours_.resize(capacity);
+  values_.resize(capacity * static_cast<size_t>(num_kpis_));
+}
+
 void ServingPipeline::Obs::Refresh() {
   obs::PipelineContext* ctx = obs::PipelineContext::Current();
   if (ctx == context) return;
@@ -53,7 +61,9 @@ ServingPipeline::ServingPipeline(ForecastService* service,
                                  const Options& options)
     : service_(service),
       options_(options),
-      ingress_(std::max(1, options.row_queue_blocks)) {
+      ingress_(std::max(1, options.row_queue_blocks)),
+      input_block_(options.num_kpis),
+      ordered_(options.num_kpis) {
   HOTSPOT_CHECK(service_ != nullptr);
   HOTSPOT_CHECK_GT(options_.num_sectors, 0);
   HOTSPOT_CHECK_GT(options_.num_kpis, 0);
@@ -86,11 +96,8 @@ ServingPipeline::ServingPipeline(ForecastService* service,
   ingest_config.ring_hours = options_.ring_hours;
   ingestor_ = std::make_unique<stream::KpiStreamIngestor>(
       ingest_config,
-      [this](int sector, int hour, const float* values, int num_kpis) {
-        ordered_.sectors.push_back(sector);
-        ordered_.hours.push_back(hour);
-        ordered_.values.insert(ordered_.values.end(), values,
-                               values + num_kpis);
+      [this](int sector, int hour, const float* values, int) {
+        ordered_.Append(sector, hour, values);
       });
 
   next_end_day_.store(service_->window_days(), std::memory_order_relaxed);
@@ -137,10 +144,7 @@ void ServingPipeline::Append(int sector, int hour, const float* values) {
   // The first row stamps the block: one clock read per block, and
   // residency includes the wait for the block to fill and to be popped.
   if (input_block_.rows() == 0) input_block_.born_ns = SteadyNowNs();
-  input_block_.sectors.push_back(sector);
-  input_block_.hours.push_back(hour);
-  input_block_.values.insert(input_block_.values.end(), values,
-                             values + options_.num_kpis);
+  input_block_.Append(sector, hour, values);
 }
 
 void ServingPipeline::FlushInput() {
@@ -196,7 +200,7 @@ std::vector<StageStats> ServingPipeline::StageSnapshot() const {
 }
 
 void ServingPipeline::WorkerLoop() {
-  RowBlock block;
+  RowBlock block(options_.num_kpis);
   while (true) {
     // Closed and drained, Pop leaves `block` empty (the cleared husk of
     // the last recycled block), and RunBlock ends the stream.
@@ -237,10 +241,8 @@ void ServingPipeline::NoteIngress() {
 void ServingPipeline::RunBlock(const RowBlock& block) {
   const uint64_t start = SteadyNowNs();
   ObserveResidency(kIngest, block.born_ns, block.rows(), start);
-  const size_t width = static_cast<size_t>(options_.num_kpis);
   for (int r = 0; r < block.rows(); ++r) {
-    const size_t row = static_cast<size_t>(r);
-    if (block.hours[row] >= options_.calendar->rows()) {
+    if (block.hour(r) >= options_.calendar->rows()) {
       // No calendar row can featurize this hour, and the ingestor would
       // gap-fill up to it: refused, and counted as a negative hour is.
       if (obs_.rows_offered != nullptr) {
@@ -249,8 +251,8 @@ void ServingPipeline::RunBlock(const RowBlock& block) {
       }
       continue;
     }
-    ingestor_->Push(block.sectors[row], block.hours[row],
-                    block.values.data() + row * width, options_.num_kpis);
+    ingestor_->Push(block.sector(r), block.hour(r), block.values(r),
+                    options_.num_kpis);
   }
   if (block.rows() == 0) ingestor_->Flush();
   const uint64_t now = EndPhase(kIngest, start, block.rows() > 0 ? 1 : 0,
@@ -266,11 +268,8 @@ void ServingPipeline::RunFeatures(uint64_t born_ns, uint64_t now) {
   // The released rows came out while this block was unpacked, so its
   // stamp stands for them (an upper bound for rows the ingestor held).
   MergeBorn(&pending_serve_born_ns_, born_ns);
-  const size_t width = static_cast<size_t>(options_.num_kpis);
   for (int r = 0; r < rows; ++r) {
-    const size_t row = static_cast<size_t>(r);
-    engine_->Consume(ordered_.sectors[row], ordered_.hours[row],
-                     ordered_.values.data() + row * width,
+    engine_->Consume(ordered_.sector(r), ordered_.hour(r), ordered_.values(r),
                      options_.num_kpis);
   }
   ordered_.Clear();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/forecast_service.h"
@@ -28,22 +30,65 @@ namespace hotspot::pipeline {
 /// A block of KPI rows in delivery order — the unit the ingress queue
 /// carries, so the per-row hot path amortizes one lock + one clock read
 /// over `rows()` rows instead of paying them per row.
-struct RowBlock {
-  std::vector<int> sectors;
-  std::vector<int> hours;
-  std::vector<float> values;  ///< rows() x Options::num_kpis, row-major
+///
+/// Refilled by index: the block keeps its own row count, and Clear()
+/// resets only that count, so a recycled block's Append is a sector, an
+/// hour and a num_kpis-float copy into storage it already holds (the
+/// arrays grow only past their largest fill). A moved-from block reads
+/// as empty, holds no storage and refills from row 0.
+class RowBlock {
+ public:
+  explicit RowBlock(int num_kpis) : num_kpis_(num_kpis) {}
+  RowBlock(RowBlock&& other) noexcept { *this = std::move(other); }
+  RowBlock& operator=(RowBlock&& other) noexcept {
+    sectors_ = std::exchange(other.sectors_, {});
+    hours_ = std::exchange(other.hours_, {});
+    values_ = std::exchange(other.values_, {});
+    rows_ = std::exchange(other.rows_, 0);
+    num_kpis_ = other.num_kpis_;
+    born_ns = std::exchange(other.born_ns, 0);
+    return *this;
+  }
+
+  int rows() const { return rows_; }
+  int sector(int row) const { return sectors_[static_cast<size_t>(row)]; }
+  int hour(int row) const { return hours_[static_cast<size_t>(row)]; }
+  /// Row `row`'s num_kpis values.
+  const float* values(int row) const {
+    return values_.data() +
+           static_cast<size_t>(row) * static_cast<size_t>(num_kpis_);
+  }
+
+  /// Appends one row; `values` holds the block's num_kpis floats.
+  void Append(int sector, int hour, const float* values) {
+    const size_t row = static_cast<size_t>(rows_);
+    if (row == sectors_.size()) Grow();
+    sectors_[row] = sector;
+    hours_[row] = hour;
+    std::memcpy(values_.data() + row * static_cast<size_t>(num_kpis_),
+                values, static_cast<size_t>(num_kpis_) * sizeof(float));
+    ++rows_;
+  }
+  /// Empties the block; its storage stays for the next fill.
+  void Clear() {
+    rows_ = 0;
+    born_ns = 0;
+  }
+
   /// Telemetry stamp: SteadyNowNs() when the block's first row entered the
   /// serving stack (0 = unstamped) — the base of every residency the
   /// pipeline records for the block's rows.
   uint64_t born_ns = 0;
 
-  int rows() const { return static_cast<int>(sectors.size()); }
-  void Clear() {
-    sectors.clear();
-    hours.clear();
-    values.clear();
-    born_ns = 0;
-  }
+ private:
+  /// Doubles the row capacity (at least 16 rows), keeping every row.
+  void Grow();
+
+  std::vector<int> sectors_;
+  std::vector<int> hours_;
+  std::vector<float> values_;  ///< capacity x num_kpis_, row-major
+  int rows_ = 0;
+  int num_kpis_ = 0;
 };
 
 /// The one way to stand up a streaming serving path: ingest → incremental

@@ -38,6 +38,8 @@ IncrementalFeatureEngine::IncrementalFeatureEngine(
       << "window_hours " << config_.window_hours
       << " must lie in [0, history_hours " << history_hours() << "]";
   sectors_.resize(static_cast<size_t>(config_.num_sectors));
+  closed_frontier_.at_min = config_.num_sectors;
+  finalized_frontier_.at_min = config_.num_sectors;
   ring_stride_ = static_cast<size_t>(history_hours() + config_.window_hours) *
                  static_cast<size_t>(channels());
   feature_history_.assign(sectors_.size() * ring_stride_, 0.0f);
@@ -127,6 +129,7 @@ void IncrementalFeatureEngine::CloseDay(int sector, SectorState* state,
       day_score;
   state->hot_day_run = label != 0.0f ? state->hot_day_run + 1 : 0;
   state->closed_days = day + 1;
+  Raise(&closed_frontier_, &SectorState::closed_days, day);
   if (counters_.days != nullptr) counters_.days->Increment();
   if (label != 0.0f && counters_.hot_days != nullptr) {
     counters_.hot_days->Increment();
@@ -176,6 +179,8 @@ void IncrementalFeatureEngine::CloseWeek(int sector, SectorState* state,
     }
   }
   state->finalized_hours = (week + 1) * kHoursPerWeek;
+  Raise(&finalized_frontier_, &SectorState::finalized_hours,
+        week * kHoursPerWeek);
   if (counters_.weeks != nullptr) counters_.weeks->Increment();
   if (counters_.feature_rows != nullptr) {
     counters_.feature_rows->Add(kHoursPerWeek);
@@ -187,25 +192,25 @@ int IncrementalFeatureEngine::finalized_hours(int sector) const {
   return sectors_[static_cast<size_t>(sector)].finalized_hours;
 }
 
-int IncrementalFeatureEngine::min_finalized_hours() const {
-  int min_hours = sectors_.empty() ? 0 : sectors_[0].finalized_hours;
+void IncrementalFeatureEngine::Raise(Frontier* frontier,
+                                     int SectorState::*field, int from) {
+  if (from != frontier->min || --frontier->at_min > 0) return;
+  // The last sector at the minimum has moved past it, so every sector is
+  // now above it: find the new minimum and who holds it.
+  frontier->min = sectors_[0].*field;
+  frontier->at_min = 0;
   for (const SectorState& state : sectors_) {
-    if (state.finalized_hours < min_hours) min_hours = state.finalized_hours;
+    if (state.*field < frontier->min) {
+      frontier->min = state.*field;
+      frontier->at_min = 0;
+    }
+    if (state.*field == frontier->min) ++frontier->at_min;
   }
-  return min_hours;
 }
 
 int IncrementalFeatureEngine::closed_days(int sector) const {
   HOTSPOT_CHECK(sector >= 0 && sector < config_.num_sectors);
   return sectors_[static_cast<size_t>(sector)].closed_days;
-}
-
-int IncrementalFeatureEngine::min_closed_days() const {
-  int min_days = sectors_.empty() ? 0 : sectors_[0].closed_days;
-  for (const SectorState& state : sectors_) {
-    if (state.closed_days < min_days) min_days = state.closed_days;
-  }
-  return min_days;
 }
 
 float IncrementalFeatureEngine::DailyLabel(int sector, int day) const {

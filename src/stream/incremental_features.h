@@ -108,10 +108,12 @@ class IncrementalFeatureEngine {
 
   int finalized_hours(int sector) const;
   /// Slowest sector's finalized frontier — the stream-wide hour up to
-  /// which prediction windows can be cut for every sector.
-  int min_finalized_hours() const;
+  /// which prediction windows can be cut for every sector. O(1): kept as
+  /// a running minimum at week closes.
+  int min_finalized_hours() const { return finalized_frontier_.min; }
   int closed_days(int sector) const;
-  int min_closed_days() const;
+  /// Slowest sector's closed days; O(1), kept at day closes.
+  int min_closed_days() const { return closed_frontier_.min; }
 
   /// Daily hot-spot label of a closed day still inside the retention
   /// window (Eq. 4 on the day's integrated score).
@@ -154,6 +156,13 @@ class IncrementalFeatureEngine {
     int hot_day_run = 0;
   };
 
+  /// A running minimum of one SectorState field over every sector, with
+  /// the number of sectors at it.
+  struct Frontier {
+    int min = 0;
+    int at_min = 0;
+  };
+
   struct Counters {
     void Refresh();
     obs::Counter* rows = nullptr;
@@ -170,6 +179,10 @@ class IncrementalFeatureEngine {
 
   void CloseDay(int sector, SectorState* state, int day);
   void CloseWeek(int sector, SectorState* state, int week);
+  /// Books a sector whose `field` just rose from `from`. Only when the
+  /// last sector at the minimum leaves it is the field rescanned, so the
+  /// rescans are at most one per value the minimum takes.
+  void Raise(Frontier* frontier, int SectorState::*field, int from);
   /// Index of (sector, hour of week) in the hour-major open-week staging.
   size_t WeekSlot(int sector, int hour_of_week) const {
     return static_cast<size_t>(hour_of_week) *
@@ -197,6 +210,8 @@ class IncrementalFeatureEngine {
   /// Every sector's ring, one after another, ring_stride_ floats apart.
   std::vector<float> feature_history_;
   size_t ring_stride_ = 0;
+  Frontier closed_frontier_;     ///< over SectorState::closed_days
+  Frontier finalized_frontier_;  ///< over SectorState::finalized_hours
   Counters counters_;
 };
 

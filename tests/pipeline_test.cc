@@ -1,15 +1,16 @@
 // The serving runtime's contract tests: BoundedQueue backpressure, its
-// half-drain wake rule and drain semantics, the ServingPipeline facade's
-// bitwise parity with the direct-call batch path at every thread-matrix
-// count (slow-predict injection included — ingress backpressure must
-// engage without dropping or reordering a single row — for every
-// classifier kind, and at the smallest history, whose ring wraps under
-// the served windows), queue-bound edge cases (capacity 1 and capacity
-// beyond the stream length), recycled row blocks of every size carrying
-// no stale rows, drain-on-shutdown via the destructor, FlushInput serving
-// a quiet feed's ready batches, rows past the calendar refused
-// mid-stream, the one-worker-thread architecture, and per-phase
-// accounting landing in the obs snapshot.
+// half-drain wake rule and drain semantics, RowBlock's refill-by-index and
+// moved-from contract, the ServingPipeline facade's bitwise parity with
+// the direct-call batch path at every thread-matrix count (slow-predict
+// injection included — ingress backpressure must engage without dropping
+// or reordering a single row — for every classifier kind, and at the
+// smallest history, whose ring wraps under the served windows),
+// queue-bound edge cases (capacity 1 and capacity beyond the stream
+// length), recycled row blocks of every size carrying no stale rows,
+// drain-on-shutdown via the destructor, FlushInput serving a quiet feed's
+// ready batches, rows past the calendar refused mid-stream, the
+// one-worker-thread architecture, and per-phase accounting landing in the
+// obs snapshot.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -39,6 +40,7 @@ namespace {
 
 using pipeline::BoundedQueue;
 using pipeline::QueueStats;
+using pipeline::RowBlock;
 using pipeline::ServingPipeline;
 using pipeline::StageStats;
 
@@ -240,6 +242,72 @@ void ExpectBitwiseEqualToBatch(
               0)
         << tag << " end_day=" << served[b].end_day;
   }
+}
+
+// ---------------------------------------------------------------------------
+// RowBlock
+
+/// Appends `count` rows whose sector, hour and values all derive from
+/// `base` + row, so rows of another fill read differently.
+void FillRows(RowBlock* block, int base, int count, int num_kpis) {
+  std::vector<float> values(static_cast<size_t>(num_kpis));
+  for (int r = 0; r < count; ++r) {
+    for (int k = 0; k < num_kpis; ++k) {
+      values[static_cast<size_t>(k)] = 0.5f * static_cast<float>(base + r) + k;
+    }
+    block->Append(base + r, 2 * (base + r), values.data());
+  }
+}
+
+void ExpectRows(const RowBlock& block, int base, int count, int num_kpis) {
+  ASSERT_EQ(block.rows(), count);
+  for (int r = 0; r < count; ++r) {
+    EXPECT_EQ(block.sector(r), base + r) << "row " << r;
+    EXPECT_EQ(block.hour(r), 2 * (base + r)) << "row " << r;
+    for (int k = 0; k < num_kpis; ++k) {
+      EXPECT_EQ(block.values(r)[k], 0.5f * static_cast<float>(base + r) + k)
+          << "row " << r << " kpi " << k;
+    }
+  }
+}
+
+TEST(RowBlock, RefillsByIndexAndAMovedFromBlockReadsEmpty) {
+  constexpr int kKpis = 3;
+  RowBlock block(kKpis);
+  FillRows(&block, 1000, 64, kKpis);
+  block.born_ns = 42;
+  ExpectRows(block, 1000, 64, kKpis);
+
+  // Cleared after 64 rows and refilled with 3: exactly those 3 show.
+  block.Clear();
+  EXPECT_EQ(block.rows(), 0);
+  EXPECT_EQ(block.born_ns, 0u);
+  FillRows(&block, 2000, 3, kKpis);
+  ExpectRows(block, 2000, 3, kKpis);
+
+  // A moved-from block reads 0 rows and refills from row 0; the rows went
+  // with the move.
+  block.born_ns = 7;
+  RowBlock moved(std::move(block));
+  EXPECT_EQ(block.rows(), 0);
+  EXPECT_EQ(block.born_ns, 0u);
+  EXPECT_EQ(moved.born_ns, 7u);
+  ExpectRows(moved, 2000, 3, kKpis);
+  FillRows(&block, 3000, 5, kKpis);
+  ExpectRows(block, 3000, 5, kKpis);
+  RowBlock assigned(kKpis);
+  FillRows(&assigned, 4000, 10, kKpis);
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.rows(), 0);
+  ExpectRows(assigned, 2000, 3, kKpis);
+  FillRows(&moved, 5000, 2, kKpis);
+  ExpectRows(moved, 5000, 2, kKpis);
+
+  // A refill past the recycled size — the ordered-row scratch when a late
+  // row releases a held run — keeps every row.
+  block.Clear();
+  FillRows(&block, 6000, 3 * 64 + 7, kKpis);
+  ExpectRows(block, 6000, 3 * 64 + 7, kKpis);
 }
 
 // ---------------------------------------------------------------------------

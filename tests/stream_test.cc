@@ -3,7 +3,8 @@
 // seeded feeds checked against a reference model of that policy),
 // the batch/streaming bitwise feature-equivalence guarantee over a
 // multi-week synthetic trace, the in-place serving windows of the
-// mirrored history ring, and end-to-end streaming serving parity with
+// mirrored history ring, the running frontier minima against a scan over
+// seeded feed orders, and end-to-end streaming serving parity with
 // ForecastService::PredictAtDay at several thread counts.
 #include <algorithm>
 #include <cmath>
@@ -178,6 +179,100 @@ TEST(IncrementalFeatures, RollingStateTracksRunsAndPercentiles) {
   EXPECT_EQ(state.hot_day_run, expected_run);
   EXPECT_TRUE(!std::isnan(state.day_score_p50));
   EXPECT_GE(state.day_score_p95, state.day_score_p50);
+}
+
+/// The sector of every row of a frontier-test feed, in feed order; row k
+/// of a sector is its hour k, so every order keeps each sector in order.
+std::vector<int> FrontierFeed(Rng* rng, int kind, int num_sectors,
+                              int num_hours) {
+  std::vector<int> feed;
+  std::vector<int> left(static_cast<size_t>(num_sectors), num_hours);
+  // Runs of 1 to 48 rows from randomly drawn sectors, `skip` held back.
+  auto interleave = [&](int skip) {
+    while (true) {
+      std::vector<int> live;
+      for (int i = 0; i < num_sectors; ++i) {
+        if (i != skip && left[static_cast<size_t>(i)] > 0) live.push_back(i);
+      }
+      if (live.empty()) return;
+      const int sector = live[static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+      int& rows = left[static_cast<size_t>(sector)];
+      for (int run = static_cast<int>(rng->UniformInt(1, 2 * kHoursPerDay));
+           run > 0 && rows > 0; --run, --rows) {
+        feed.push_back(sector);
+      }
+    }
+  };
+  switch (kind) {
+    case 0:  // hour-major
+      for (int j = 0; j < num_hours; ++j) {
+        for (int i = 0; i < num_sectors; ++i) feed.push_back(i);
+      }
+      break;
+    case 1:  // sector-major
+      for (int i = 0; i < num_sectors; ++i) {
+        feed.insert(feed.end(), static_cast<size_t>(num_hours), i);
+      }
+      break;
+    case 2:
+      interleave(-1);
+      break;
+    default: {  // one sector silent until every other has finished
+      const int silent =
+          static_cast<int>(rng->UniformInt(0, num_sectors - 1));
+      interleave(silent);
+      feed.insert(feed.end(), static_cast<size_t>(num_hours), silent);
+    }
+  }
+  return feed;
+}
+
+TEST(IncrementalFeatures, FrontierMinimaMatchAScanAfterEveryRow) {
+  const Study& study = SharedStudy();
+  const int num_kpis = study.network.kpis.dim2();
+  int single_sector_feeds = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int kind = static_cast<int>(seed % 4);
+    const int num_sectors =
+        seed % 5 == 0 ? 1 : static_cast<int>(rng.UniformInt(2, 8));
+    const int num_hours = static_cast<int>(
+        rng.UniformInt(2 * kHoursPerWeek, 4 * kHoursPerWeek + 30));
+    if (num_sectors == 1) ++single_sector_feeds;
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", order " +
+                 std::to_string(kind) + ", " + std::to_string(num_sectors) +
+                 " sectors, " + std::to_string(num_hours) + " hours");
+    FeatureEngineConfig config = EngineConfigFor(study, 1);
+    config.num_sectors = num_sectors;
+    IncrementalFeatureEngine engine(config);
+    std::vector<int> next_hour(static_cast<size_t>(num_sectors), 0);
+    const std::vector<int> feed =
+        FrontierFeed(&rng, kind, num_sectors, num_hours);
+    ASSERT_EQ(feed.size(), static_cast<size_t>(num_sectors * num_hours));
+    for (size_t r = 0; r <= feed.size(); ++r) {
+      if (r > 0) {
+        const int sector = feed[r - 1];
+        const int hour = next_hour[static_cast<size_t>(sector)]++;
+        engine.Consume(sector, hour,
+                       study.network.kpis.Slice(sector % study.num_sectors(),
+                                                hour),
+                       num_kpis);
+      }
+      int min_days = engine.closed_days(0);
+      int min_hours = engine.finalized_hours(0);
+      for (int i = 1; i < num_sectors; ++i) {
+        min_days = std::min(min_days, engine.closed_days(i));
+        min_hours = std::min(min_hours, engine.finalized_hours(i));
+      }
+      ASSERT_EQ(engine.min_closed_days(), min_days) << "after row " << r;
+      ASSERT_EQ(engine.min_finalized_hours(), min_hours) << "after row " << r;
+    }
+    EXPECT_EQ(engine.min_closed_days(), num_hours / kHoursPerDay);
+    EXPECT_EQ(engine.min_finalized_hours(),
+              num_hours / kHoursPerWeek * kHoursPerWeek);
+  }
+  EXPECT_GT(single_sector_feeds, 0);
 }
 
 /// A tiny deterministic trace for the ordering-policy tests: 1 sector,
