@@ -2,10 +2,11 @@
 //
 //   1. Train a GBDT hot-spot forecaster on a small synthetic study and
 //      pack it into a ForecastBundle (the deployable artifact).
-//   2. Stand up a fleet::ForecastFleet: the sector universe sharded
-//      across 4 independent ForecastService replicas by a stable hash,
-//      each behind its own ServingPipeline (one worker thread per shard),
-//      fed through its bounded ingress queue with admission control.
+//   2. Stand up a fleet::ForecastFleet: the sector universe dealt
+//      evenly across 4 independent ForecastService replicas by a stable
+//      hash, each behind its own ServingPipeline (one worker thread per
+//      shard), fed through its bounded ingress queue with admission
+//      control.
 //   3. Stream the study's KPI tensor hour-major through Fleet::Push —
 //      every row is routed to the shard owning its sector; a saturated
 //      shard sheds with a visible verdict instead of stalling the feed.
@@ -35,6 +36,9 @@
 
 int main() {
   using namespace hotspot;
+  // Promotion stamps are SteadyNowNs() readings, which count from an
+  // arbitrary epoch (boot, on Linux): report them against this one.
+  const uint64_t run_start_ns = pipeline::SteadyNowNs();
 
   // 1. Train, as an offline job would.
   simnet::GeneratorConfig generator;
@@ -60,9 +64,9 @@ int main() {
   // The batch reference for the pre-swap generation, served separately.
   ForecastService reference(serialize::CloneBundle(*bundle));
 
-  // 2. The fleet: 4 shards, stable-hash routing (swap in a
-  // PartitionShardMap for geo/archetype partitions), each shard a full
-  // serving pipeline over its own slice of the universe.
+  // 2. The fleet: 4 shards, the sectors dealt evenly over them by a stable
+  // hash, each shard a full serving pipeline over its own slice of the
+  // universe.
   obs::PipelineContext context;
   obs::PipelineContext::ScopedInstall install(&context);
 
@@ -152,7 +156,9 @@ int main() {
                   "into the run), %s\n",
                   shard.shard, shard.num_sectors,
                   static_cast<unsigned long long>(shard.generation),
-                  static_cast<double>(shard.last_promotion_ns) * 1e-9,
+                  static_cast<double>(shard.last_promotion_ns -
+                                      run_start_ns) *
+                      1e-9,
                   shard.report.overall == monitor::AlertState::kOk
                       ? "healthy"
                       : "degraded");

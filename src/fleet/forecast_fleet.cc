@@ -6,6 +6,7 @@
 #include "obs/pipeline_context.h"
 #include "pipeline/stage.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace hotspot::fleet {
 
@@ -18,46 +19,44 @@ ForecastFleet::ForecastFleet(
   HOTSPOT_CHECK_GT(options_.serving.num_kpis, 0);
   num_sectors_ = options_.serving.num_sectors;
   num_kpis_ = options_.serving.num_kpis;
+  const int num_shards = options_.num_shards;
+  HOTSPOT_CHECK(num_shards >= 1 && num_shards <= num_sectors_)
+      << "num_shards " << num_shards << " must lie in [1, num_sectors "
+      << num_sectors_ << "]";
 
-  map_ = options_.shard_map;
-  if (map_ == nullptr) {
-    map_ = std::make_shared<HashShardMap>(std::max(1, options_.num_shards));
+  // The deal: sectors ordered by (splitmix64(sector), sector) go to the
+  // shards round-robin. Visiting the sectors in id order then hands each
+  // shard its sectors ascending, which makes a sector's position its local
+  // id. Push pays two table reads per row.
+  std::vector<std::pair<uint64_t, int>> deal(
+      static_cast<size_t>(num_sectors_));
+  for (int sector = 0; sector < num_sectors_; ++sector) {
+    uint64_t state = static_cast<uint64_t>(sector);
+    deal[static_cast<size_t>(sector)] = {SplitMix64(state), sector};
   }
-  std::vector<std::vector<int>> populations =
-      ShardSectors(*map_, num_sectors_);
-  const int num_shards = map_->num_shards();
-
-  // Precomputed routing tables: Push pays two vector reads per row, not a
-  // virtual hash call plus a search for the local id.
+  std::sort(deal.begin(), deal.end());
   shard_of_sector_.resize(static_cast<size_t>(num_sectors_));
+  for (size_t rank = 0; rank < deal.size(); ++rank) {
+    shard_of_sector_[static_cast<size_t>(deal[rank].second)] =
+        static_cast<int>(rank % static_cast<size_t>(num_shards));
+  }
+  shards_ = std::vector<Shard>(static_cast<size_t>(num_shards));
   local_of_sector_.resize(static_cast<size_t>(num_sectors_));
-  for (int shard = 0; shard < num_shards; ++shard) {
-    const std::vector<int>& sectors = populations[static_cast<size_t>(shard)];
-    for (size_t local = 0; local < sectors.size(); ++local) {
-      shard_of_sector_[static_cast<size_t>(sectors[local])] = shard;
-      local_of_sector_[static_cast<size_t>(sectors[local])] =
-          static_cast<int>(local);
-    }
+  for (int sector = 0; sector < num_sectors_; ++sector) {
+    std::vector<int>& owned =
+        shards_[static_cast<size_t>(ShardOf(sector))].sectors;
+    local_of_sector_[static_cast<size_t>(sector)] =
+        static_cast<int>(owned.size());
+    owned.push_back(sector);
   }
-
-  shards_.resize(static_cast<size_t>(num_shards));
-  int remaining_active = 0;
-  for (const std::vector<int>& sectors : populations) {
-    if (!sectors.empty()) ++remaining_active;
-  }
-  active_shards_ = remaining_active;
-  HOTSPOT_CHECK_GT(active_shards_, 0);
 
   for (int shard_index = 0; shard_index < num_shards; ++shard_index) {
     Shard& shard = shards_[static_cast<size_t>(shard_index)];
-    shard.sectors = std::move(populations[static_cast<size_t>(shard_index)]);
-    if (shard.sectors.empty()) continue;  // no service, no pipeline
     // Every replica gets the same model: clones are codec round-trips of
-    // the source bundle; the last active shard takes the original.
-    --remaining_active;
+    // the source bundle; the last shard takes the original.
     std::unique_ptr<serialize::ForecastBundle> replica =
-        remaining_active == 0 ? std::move(bundle)
-                              : serialize::CloneBundle(*bundle);
+        shard_index + 1 == num_shards ? std::move(bundle)
+                                      : serialize::CloneBundle(*bundle);
     shard.service = std::make_unique<ForecastService>(std::move(replica));
 
     pipeline::ServingPipeline::Options serving = options_.serving;
@@ -73,8 +72,8 @@ ForecastFleet::ForecastFleet(
     if (options_.shard_options_for_test) {
       options_.shard_options_for_test(shard_index, &serving);
     }
-    // shards_ was sized up front and never reallocates, so the shard
-    // index the callback captured stays valid while the worker runs.
+    // shards_ is built at its final size and never reallocates, so the
+    // shard index the callback captured stays valid while the worker runs.
     shard.pipeline = std::make_unique<pipeline::ServingPipeline>(
         shard.service.get(), serving);
   }
@@ -106,7 +105,6 @@ void ForecastFleet::RefreshCounters() {
     rows_by_verdict_[v] = &metrics.counter(kVerdictCounters[v]);
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].sectors.empty()) continue;
     shards_[i].rows_routed = &metrics.counter(
         obs::ShardMetricName(static_cast<int>(i), "rows_routed"));
     shards_[i].rows_rejected = &metrics.counter(
@@ -162,17 +160,13 @@ ForecastFleet::PushVerdict ForecastFleet::Push(int sector, int hour,
 
 void ForecastFleet::FlushInput() {
   if (input_closed_) return;
-  for (Shard& shard : shards_) {
-    if (shard.pipeline != nullptr) shard.pipeline->FlushInput();
-  }
+  for (Shard& shard : shards_) shard.pipeline->FlushInput();
 }
 
 void ForecastFleet::Finish() {
   if (input_closed_) return;
   input_closed_ = true;
-  for (Shard& shard : shards_) {
-    if (shard.pipeline != nullptr) shard.pipeline->Finish();
-  }
+  for (Shard& shard : shards_) shard.pipeline->Finish();
   PublishFinalStats();
   finished_.store(true, std::memory_order_release);
 }
@@ -212,7 +206,7 @@ void ForecastFleet::OnShardPrediction(int shard_index,
       batch.scores[global] = pred.scores[local];
       batch.generations[global] = pred.generation;
     }
-    if (++batch.shards_done == active_shards_) {
+    if (++batch.shards_done == num_shards()) {
       FleetPrediction done;
       done.end_day = pred.end_day;
       done.target_day = batch.target_day;
@@ -234,6 +228,9 @@ void ForecastFleet::OnShardPrediction(int shard_index,
 }
 
 std::vector<FleetPrediction> ForecastFleet::TakePredictions() {
+  // A shard pipeline keeps every batch it delivers for its own
+  // TakePredictions(); the aggregator already holds the fleet's copy.
+  for (Shard& shard : shards_) shard.pipeline->TakePredictions();
   std::lock_guard<std::mutex> lock(results_mutex_);
   std::vector<FleetPrediction> taken = std::move(results_);
   results_.clear();
@@ -249,22 +246,13 @@ serialize::Status ForecastFleet::PromoteBundle(
                                     " is out of range");
   }
   Shard& target = shards_[static_cast<size_t>(shard)];
-  if (target.service == nullptr) {
-    return serialize::Status::Error("promote: shard " +
-                                    std::to_string(shard) +
-                                    " serves no sectors");
-  }
   uint64_t generation = 0;
   serialize::Status status =
       target.service->PromoteBundle(std::move(bundle), &generation);
   if (status.ok) {
     if (new_generation != nullptr) *new_generation = generation;
-    {
-      std::lock_guard<std::mutex> lock(promotion_mutex_);
-      last_promotion_ns_.resize(shards_.size(), 0);
-      last_promotion_ns_[static_cast<size_t>(shard)] =
-          pipeline::SteadyNowNs();
-    }
+    target.last_promotion_ns.store(pipeline::SteadyNowNs(),
+                                   std::memory_order_relaxed);
     // Shard-tagged promotion event, alongside the service's own shard=-1
     // record — the fleet view of which replica swapped to which model.
     if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
@@ -278,19 +266,12 @@ serialize::Status ForecastFleet::PromoteBundle(
 serialize::Status ForecastFleet::PromoteBundleAll(
     std::unique_ptr<serialize::ForecastBundle> bundle) {
   HOTSPOT_CHECK(bundle != nullptr);
-  int last_active = -1;
   for (int shard = 0; shard < num_shards(); ++shard) {
-    if (shards_[static_cast<size_t>(shard)].service != nullptr) {
-      last_active = shard;
-    }
-  }
-  for (int shard = 0; shard < num_shards(); ++shard) {
-    if (shards_[static_cast<size_t>(shard)].service == nullptr) continue;
     // The constructor's one-clone saving: every shard but the last gets
     // a codec round-trip replica, the last takes the source itself.
     std::unique_ptr<serialize::ForecastBundle> replica =
-        shard == last_active ? std::move(bundle)
-                             : serialize::CloneBundle(*bundle);
+        shard + 1 == num_shards() ? std::move(bundle)
+                                  : serialize::CloneBundle(*bundle);
     serialize::Status status = PromoteBundle(shard, std::move(replica));
     if (!status.ok) return status;
   }
@@ -305,42 +286,41 @@ serialize::Status ForecastFleet::PromoteBundleAll(
 FleetHealth ForecastFleet::Health() const {
   FleetHealth health;
   health.shards.reserve(shards_.size());
+  // Shard health-transition flight events: states exist only at Health()
+  // time, so each shard's state is diffed against the one the previous
+  // call with a context saw (shards start implicitly OK). The exchange
+  // hands every transition to exactly one of two racing callers.
+  obs::PipelineContext* ctx = obs::PipelineContext::Current();
   for (size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
     ShardHealth entry;
     entry.shard = static_cast<int>(i);
     entry.num_sectors = static_cast<int>(shard.sectors.size());
-    if (shard.service != nullptr) {
-      entry.generation = shard.service->generation();
-      entry.report = shard.service->Health();
-      std::lock_guard<std::mutex> lock(promotion_mutex_);
-      if (i < last_promotion_ns_.size()) {
-        entry.last_promotion_ns = last_promotion_ns_[i];
-      }
+    entry.generation = shard.service->generation();
+    entry.report = shard.service->Health();
+    entry.last_promotion_ns =
+        shard.last_promotion_ns.load(std::memory_order_relaxed);
+    const monitor::AlertState state = entry.report.overall;
+    if (static_cast<int>(state) > static_cast<int>(health.overall)) {
+      health.overall = state;
     }
-    if (static_cast<int>(entry.report.overall) >
-        static_cast<int>(health.overall)) {
-      health.overall = entry.report.overall;
+    if (ctx != nullptr) {
+      const monitor::AlertState last = shard.last_health.exchange(state);
+      if (last != state) {
+        ctx->flight().Record(obs::FlightEventKind::kShardHealth,
+                             entry.shard, static_cast<int64_t>(last),
+                             static_cast<int64_t>(state));
+      }
     }
     health.shards.push_back(std::move(entry));
   }
-  // Shard health-transition flight events: states exist only at Health()
-  // time, so diff against the previous call (shards start implicitly OK).
-  if (obs::PipelineContext* ctx = obs::PipelineContext::Current()) {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    last_shard_health_.resize(shards_.size(), monitor::AlertState::kOk);
-    for (const ShardHealth& entry : health.shards) {
-      monitor::AlertState& last =
-          last_shard_health_[static_cast<size_t>(entry.shard)];
-      if (last != entry.report.overall) {
-        ctx->flight().Record(obs::FlightEventKind::kShardHealth,
-                             entry.shard, static_cast<int64_t>(last),
-                             static_cast<int64_t>(entry.report.overall));
-        last = entry.report.overall;
-      }
-    }
-  }
   return health;
+}
+
+int ForecastFleet::ShardOf(int sector) const {
+  HOTSPOT_CHECK_GE(sector, 0);
+  HOTSPOT_CHECK_LT(sector, num_sectors_);
+  return shard_of_sector_[static_cast<size_t>(sector)];
 }
 
 const std::vector<int>& ForecastFleet::shard_sectors(int shard) const {
@@ -359,17 +339,13 @@ std::vector<pipeline::StageStats> ForecastFleet::StageSnapshot(
     int shard) const {
   HOTSPOT_CHECK_GE(shard, 0);
   HOTSPOT_CHECK_LT(shard, num_shards());
-  const Shard& target = shards_[static_cast<size_t>(shard)];
-  if (target.pipeline == nullptr) return {};
-  return target.pipeline->StageSnapshot();
+  return shards_[static_cast<size_t>(shard)].pipeline->StageSnapshot();
 }
 
 pipeline::QueueStats ForecastFleet::IngressStats(int shard) const {
   HOTSPOT_CHECK_GE(shard, 0);
   HOTSPOT_CHECK_LT(shard, num_shards());
-  const Shard& target = shards_[static_cast<size_t>(shard)];
-  if (target.pipeline == nullptr) return pipeline::QueueStats{};
-  return target.pipeline->IngressStats();
+  return shards_[static_cast<size_t>(shard)].pipeline->IngressStats();
 }
 
 void ForecastFleet::PublishFinalStats() {
@@ -377,7 +353,6 @@ void ForecastFleet::PublishFinalStats() {
   if (ctx == nullptr) return;
   obs::MetricsRegistry& metrics = ctx->metrics();
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].pipeline == nullptr) continue;
     metrics
         .gauge(obs::ShardMetricName(static_cast<int>(i),
                                     "ingress_high_water"))

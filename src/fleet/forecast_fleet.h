@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/forecast_service.h"
-#include "fleet/shard_map.h"
 #include "monitor/health.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -33,11 +32,9 @@ namespace hotspot::fleet {
 /// instead of blocking the producer, so one hot or stalled shard cannot
 /// take the whole fleet's ingest down with it.
 struct FleetOptions {
-  /// Shard count when `shard_map` is unset (a HashShardMap of this many
-  /// shards is built); ignored otherwise.
+  /// Shards N, in [1, serving.num_sectors] (checked): the sectors are
+  /// dealt over them so that each owns ⌊n/N⌋ or ⌈n/N⌉ (see ForecastFleet).
   int num_shards = 1;
-  /// Routing policy; must outlive the fleet. Null → stable-hash default.
-  std::shared_ptr<const ShardMap> shard_map;
   /// Template for every shard's ServingPipeline (see above).
   pipeline::ServingPipeline::Options serving;
   /// Test/chaos hook: lets a test rewrite one shard's pipeline options
@@ -84,12 +81,17 @@ struct FleetHealth {
 
 /// Sharded multi-replica serving: N independent ForecastService replicas,
 /// each behind its own ServingPipeline over a compact local sector space.
-/// Push directs every incoming KPI row to the shard owning its sector
-/// (ShardMap policy) and admits it straight into that pipeline's bounded
-/// ingress queue. The scale-out seam of the ROADMAP's city-scale north
-/// star: shards share nothing but the (read-only) calendar and the
-/// deterministic thread pool, and each runs on exactly one worker thread
-/// — the pipeline's own.
+/// Push directs every incoming KPI row to the shard owning its sector and
+/// admits it straight into that pipeline's bounded ingress queue. The
+/// scale-out seam of the ROADMAP's city-scale north star: shards share
+/// nothing but the (read-only) calendar and the deterministic thread
+/// pool, and each runs on exactly one worker thread — the pipeline's own.
+///
+/// Routing: the sectors, ordered by (splitmix64(sector), sector), are
+/// dealt round-robin to the N shards, so every shard owns ⌊n/N⌋ or ⌈n/N⌉
+/// of them and no shard is empty. Placement is a pure function of (n, N):
+/// the same sector lands on the same shard in every process, with no
+/// routing state to persist.
 ///
 /// Dataflow, per shard:
 ///
@@ -100,8 +102,8 @@ struct FleetHealth {
 /// Equivalence: scoring is per-sector independent end to end (features,
 /// windows, per-row tree traversal), so the fleet's scattered output is
 /// bitwise identical to one ForecastService serving the whole universe —
-/// for any shard count and any shard map (pinned by tests/fleet_test.cc
-/// against batch PredictAtDay for N ∈ {1, 2, 7}).
+/// for any shard count (pinned by tests/fleet_test.cc against batch
+/// PredictAtDay for N ∈ {1, 2, 7}).
 ///
 /// Admission control: Push never blocks. A row whose shard has ingress
 /// room is routed (kRouted); a row whose shard is saturated is rejected
@@ -137,11 +139,11 @@ class ForecastFleet {
     kRejectedSector,    ///< sector id outside [0, num_sectors)
   };
 
-  /// Takes ownership of the bundle and stamps it onto every non-empty
-  /// shard via serialize::CloneBundle (codec round-trip — replicas are
-  /// exactly as equivalent as a deployed bundle to its training
-  /// artifact). Builds the shard map, services and pipelines (one worker
-  /// thread each); the fleet is live when the constructor returns.
+  /// Takes ownership of the bundle and stamps it onto every shard via
+  /// serialize::CloneBundle (codec round-trip — replicas are exactly as
+  /// equivalent as a deployed bundle to its training artifact). Deals the
+  /// sectors, builds the services and pipelines (one worker thread each);
+  /// the fleet is live when the constructor returns.
   ForecastFleet(std::unique_ptr<serialize::ForecastBundle> bundle,
                 const FleetOptions& options);
 
@@ -179,25 +181,25 @@ class ForecastFleet {
   }
 
   /// Completed fleet batches accumulated since the last call, in end-day
-  /// order (a batch completes when every non-empty shard has served it).
+  /// order (a batch completes when every shard has served it). Also drops
+  /// the copies the shard pipelines keep of the batches they served.
   /// Thread-safe; call during streaming or after Finish().
   std::vector<FleetPrediction> TakePredictions();
 
   /// RCU hot swap on one shard (see class comment). The bundle must match
   /// the shard's serving universe; on failure the status names the reason
-  /// and the shard keeps serving its old bundle. Promoting on an empty
-  /// shard is an error (it has no service to swap).
+  /// and the shard keeps serving its old bundle.
   serialize::Status PromoteBundle(
       int shard, std::unique_ptr<serialize::ForecastBundle> bundle,
       uint64_t* new_generation = nullptr);
 
-  /// Promotes `bundle` onto every non-empty shard in shard order,
-  /// stopping at the first failure (earlier shards keep the new bundle —
-  /// per-shard promotion is atomic, fleet-wide promotion is not
-  /// transactional). The owning overload clones one replica per shard
-  /// except the last, which takes the source bundle itself — the same
-  /// one-clone saving the constructor makes; the const& overload pays
-  /// one extra clone to leave the caller's bundle untouched.
+  /// Promotes `bundle` onto every shard in shard order, stopping at the
+  /// first failure (earlier shards keep the new bundle — per-shard
+  /// promotion is atomic, fleet-wide promotion is not transactional). The
+  /// owning overload clones one replica per shard except the last, which
+  /// takes the source bundle itself — the same one-clone saving the
+  /// constructor makes; the const& overload pays one extra clone to leave
+  /// the caller's bundle untouched.
   serialize::Status PromoteBundleAll(
       std::unique_ptr<serialize::ForecastBundle> bundle);
   serialize::Status PromoteBundleAll(
@@ -209,19 +211,23 @@ class ForecastFleet {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_sectors() const { return num_sectors_; }
-  int ShardOf(int sector) const { return map_->ShardOf(sector); }
+  /// The shard owning `sector`, which must lie in [0, num_sectors()).
+  int ShardOf(int sector) const;
   /// Global sector ids owned by `shard`, ascending (position = local id).
   const std::vector<int>& shard_sectors(int shard) const;
-  /// The shard's service, or null for an empty shard. The pointer is
-  /// stable for the fleet's lifetime; tests use it to read generations.
+  /// The shard's service. The pointer is stable for the fleet's lifetime;
+  /// tests use it to read generations.
   ForecastService* service(int shard);
-  /// Phase accounting of one shard's pipeline ({} for an empty shard).
+  /// Phase accounting of one shard's pipeline.
   std::vector<pipeline::StageStats> StageSnapshot(int shard) const;
-  /// Admission-control view of one shard: its pipeline's ingress queue
-  /// ({} for an empty shard).
+  /// Admission-control view of one shard: its pipeline's ingress queue.
   pipeline::QueueStats IngressStats(int shard) const;
 
  private:
+  /// tests/fleet_test.cc: reads what the shard pipelines retain.
+  friend class ForecastFleetTestPeer;
+
+  /// Built in place at the fleet's final shard count (not movable).
   struct Shard {
     std::vector<int> sectors;  ///< global ids, ascending; index = local id
     std::unique_ptr<ForecastService> service;
@@ -229,6 +235,12 @@ class ForecastFleet {
     /// Cached per-shard counter handles (hot path: one Push per row).
     obs::Counter* rows_routed = nullptr;
     obs::Counter* rows_rejected = nullptr;
+    /// SteadyNowNs() of the last successful PromoteBundle (0 = never).
+    std::atomic<uint64_t> last_promotion_ns{0};
+    /// Overall state as of the last Health() that ran with a context: the
+    /// base its kShardHealth flight events diff against.
+    mutable std::atomic<monitor::AlertState> last_health{
+        monitor::AlertState::kOk};
   };
 
   /// One shard's aggregation slot for one end-day.
@@ -250,11 +262,9 @@ class ForecastFleet {
   /// context is installed.
   PushVerdict CountVerdict(PushVerdict verdict, int sector, int hour);
 
-  std::shared_ptr<const ShardMap> map_;
   FleetOptions options_;
   int num_sectors_ = 0;
   int num_kpis_ = 0;
-  int active_shards_ = 0;  ///< shards owning at least one sector
   std::vector<int> shard_of_sector_;  ///< routing table over the universe
   std::vector<int> local_of_sector_;  ///< global id → owning shard's local id
   std::vector<Shard> shards_;
@@ -265,18 +275,6 @@ class ForecastFleet {
   std::array<obs::Counter*, kNumVerdicts> rows_by_verdict_{};
   obs::FlightRecorder* flight_ = nullptr;
   const void* counter_context_ = nullptr;
-
-  // Health-transition tracking for the flight recorder: overall state per
-  // shard as of the previous Health() call. Health() is const and
-  // thread-safe, so the diff state has its own lock.
-  mutable std::mutex health_mutex_;
-  mutable std::vector<monitor::AlertState> last_shard_health_;
-
-  // Per-shard timestamp of the last successful promotion (0 = never).
-  // Guarded by a mutex rather than living in Shard as an atomic: Shard
-  // must stay movable during construction.
-  mutable std::mutex promotion_mutex_;
-  std::vector<uint64_t> last_promotion_ns_;
 
   // Aggregator (called from every shard's worker thread).
   std::mutex results_mutex_;

@@ -20,7 +20,7 @@
 ///   pipeline — the backpressured, run-to-completion serving runtime
 ///              behind the unified facade (pipeline::ServingPipeline)
 ///   fleet    — sharded multi-replica serving with admission control and
-///              RCU hot bundle swap (fleet::ForecastFleet, ShardMap)
+///              RCU hot bundle swap (fleet::ForecastFleet)
 ///   adapt    — drift-triggered continual learning: shadow deployment and
 ///              champion/challenger promotion (adapt::AdaptationController)
 
@@ -38,7 +38,6 @@
 #include "core/study.h"
 #include "core/task.h"
 #include "fleet/forecast_fleet.h"
-#include "fleet/shard_map.h"
 #include "io/csv_io.h"
 #include "monitor/health.h"
 #include "monitor/monitor.h"

@@ -1,51 +1,13 @@
 #include "monitor/health.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
+
+#include "obs/snapshot.h"
 
 namespace hotspot::monitor {
 
 namespace {
-
-void AppendEscaped(const std::string& text, std::string* out) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-/// NaN/inf have no JSON literal; emit null so consumers see "absent"
-/// rather than a parse error.
-void AppendNumber(double value, std::string* out) {
-  if (!std::isfinite(value)) {
-    *out += "null";
-    return;
-  }
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  *out += buffer;
-}
 
 void AppendU64(uint64_t value, std::string* out) {
   char buffer[24];
@@ -55,18 +17,18 @@ void AppendU64(uint64_t value, std::string* out) {
 }
 
 void AppendState(AlertState state, std::string* out) {
-  AppendEscaped(AlertStateName(state), out);
+  obs::AppendJsonString(AlertStateName(state), out);
 }
 
 void AppendDriftFinding(const DriftFinding& finding, std::string* out) {
   *out += "{\"name\": ";
-  AppendEscaped(finding.name, out);
+  obs::AppendJsonString(finding.name, out);
   *out += ", \"status\": ";
   AppendState(finding.state, out);
   *out += ", \"ks_statistic\": ";
-  AppendNumber(finding.statistic, out);
+  obs::AppendJsonNumber(finding.statistic, out);
   *out += ", \"p_value\": ";
-  AppendNumber(finding.p_value, out);
+  obs::AppendJsonNumber(finding.p_value, out);
   *out += ", \"live_samples\": ";
   AppendU64(finding.live_samples, out);
   *out += ", \"observed_total\": ";
@@ -105,29 +67,29 @@ std::string HealthReportToJson(const HealthReport& report) {
   json += ", \"labels_total\": ";
   AppendU64(report.quality.labels_total, &json);
   json += ", \"window_count\": ";
-  AppendNumber(report.quality.window_count, &json);
+  obs::AppendJsonNumber(report.quality.window_count, &json);
   json += ", \"positive_rate\": ";
-  AppendNumber(report.quality.positive_rate, &json);
+  obs::AppendJsonNumber(report.quality.positive_rate, &json);
   json += ", \"average_precision\": ";
-  AppendNumber(report.quality.average_precision, &json);
+  obs::AppendJsonNumber(report.quality.average_precision, &json);
   json += ", \"lift\": ";
-  AppendNumber(report.quality.lift, &json);
+  obs::AppendJsonNumber(report.quality.lift, &json);
   json += ", \"expected_calibration_error\": ";
-  AppendNumber(report.quality.expected_calibration_error, &json);
+  obs::AppendJsonNumber(report.quality.expected_calibration_error, &json);
   json += ", \"calibration\": [";
   for (size_t b = 0; b < report.quality.calibration.size(); ++b) {
     const CalibrationBin& bin = report.quality.calibration[b];
     if (b > 0) json += ", ";
     json += "\n    {\"lo\": ";
-    AppendNumber(bin.lo, &json);
+    obs::AppendJsonNumber(bin.lo, &json);
     json += ", \"hi\": ";
-    AppendNumber(bin.hi, &json);
+    obs::AppendJsonNumber(bin.hi, &json);
     json += ", \"count\": ";
     AppendU64(bin.count, &json);
     json += ", \"mean_score\": ";
-    AppendNumber(bin.mean_score, &json);
+    obs::AppendJsonNumber(bin.mean_score, &json);
     json += ", \"observed_rate\": ";
-    AppendNumber(bin.observed_rate, &json);
+    obs::AppendJsonNumber(bin.observed_rate, &json);
     json += "}";
   }
   json += report.quality.calibration.empty() ? "]}" : "\n  ]}";
@@ -137,15 +99,15 @@ std::string HealthReportToJson(const HealthReport& report) {
   json += ", \"count\": ";
   AppendU64(report.latency.count, &json);
   json += ", \"sum_seconds\": ";
-  AppendNumber(report.latency.sum_seconds, &json);
+  obs::AppendJsonNumber(report.latency.sum_seconds, &json);
   json += ", \"p50_seconds\": ";
-  AppendNumber(report.latency.p50_seconds, &json);
+  obs::AppendJsonNumber(report.latency.p50_seconds, &json);
   json += ", \"p99_seconds\": ";
-  AppendNumber(report.latency.p99_seconds, &json);
+  obs::AppendJsonNumber(report.latency.p99_seconds, &json);
   json += ", \"slo_seconds\": ";
-  AppendNumber(report.latency.slo_seconds, &json);
+  obs::AppendJsonNumber(report.latency.slo_seconds, &json);
   json += ", \"in_slo_fraction\": ";
-  AppendNumber(report.latency.in_slo_fraction, &json);
+  obs::AppendJsonNumber(report.latency.in_slo_fraction, &json);
   json += "}";
 
   json += ",\n  \"alerts\": [";
@@ -153,11 +115,11 @@ std::string HealthReportToJson(const HealthReport& report) {
     const HealthAlert& alert = report.alerts[a];
     if (a > 0) json += ", ";
     json += "\n    {\"target\": ";
-    AppendEscaped(alert.target, &json);
+    obs::AppendJsonString(alert.target, &json);
     json += ", \"state\": ";
     AppendState(alert.state, &json);
     json += ", \"message\": ";
-    AppendEscaped(alert.message, &json);
+    obs::AppendJsonString(alert.message, &json);
     json += "}";
   }
   json += report.alerts.empty() ? "]" : "\n  ]";

@@ -6,9 +6,7 @@
 
 namespace hotspot::obs {
 
-namespace {
-
-void AppendEscaped(const std::string& text, std::string* out) {
+void AppendJsonString(const std::string& text, std::string* out) {
   out->push_back('"');
   for (char c : text) {
     switch (c) {
@@ -38,7 +36,7 @@ void AppendEscaped(const std::string& text, std::string* out) {
   out->push_back('"');
 }
 
-void AppendDouble(double value, std::string* out) {
+void AppendJsonNumber(double value, std::string* out) {
   if (!std::isfinite(value)) {
     *out += "null";
     return;
@@ -48,8 +46,6 @@ void AppendDouble(double value, std::string* out) {
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   *out += buffer;
 }
-
-}  // namespace
 
 double Snapshot::TopLevelSpanSeconds() const {
   double total = 0.0;
@@ -125,17 +121,17 @@ std::string FrameToJsonLine(const Snapshot& snapshot) {
                     std::to_string(snapshot.index) +
                     ",\"t_ms\":" + std::to_string(snapshot.t_ms) +
                     ",\"interval_s\":";
-  AppendDouble(interval, &out);
+  AppendJsonNumber(interval, &out);
   out += ",\"counters\":[";
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
     const Snapshot::CounterSample& c = snapshot.counters[i];
     out += i == 0 ? "{\"name\":" : ",{\"name\":";
-    AppendEscaped(c.name, &out);
+    AppendJsonString(c.name, &out);
     out += ",\"total\":" + std::to_string(c.value) +
            ",\"delta\":" + std::to_string(c.delta) + ",\"rate\":";
     // A rate needs an interval behind it; a one-shot snapshot has none.
     if (interval > 0.0) {
-      AppendDouble(static_cast<double>(c.delta) / interval, &out);
+      AppendJsonNumber(static_cast<double>(c.delta) / interval, &out);
     } else {
       out += "null";
     }
@@ -144,27 +140,27 @@ std::string FrameToJsonLine(const Snapshot& snapshot) {
   out += "],\"gauges\":[";
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
     out += i == 0 ? "{\"name\":" : ",{\"name\":";
-    AppendEscaped(snapshot.gauges[i].name, &out);
+    AppendJsonString(snapshot.gauges[i].name, &out);
     out += ",\"value\":";
-    AppendDouble(snapshot.gauges[i].value, &out);
+    AppendJsonNumber(snapshot.gauges[i].value, &out);
     out += '}';
   }
   out += "],\"histograms\":[";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const Snapshot::HistogramSample& h = snapshot.histograms[i];
     out += i == 0 ? "{\"name\":" : ",{\"name\":";
-    AppendEscaped(h.name, &out);
+    AppendJsonString(h.name, &out);
     out += ",\"count\":" + std::to_string(h.count) +
            ",\"delta\":" + std::to_string(h.delta) + ",\"sum\":";
-    AppendDouble(h.sum, &out);
+    AppendJsonNumber(h.sum, &out);
     out += ",\"p50\":";
-    AppendDouble(HistogramQuantile(h, 0.5), &out);
+    AppendJsonNumber(HistogramQuantile(h, 0.5), &out);
     out += ",\"p99\":";
-    AppendDouble(HistogramQuantile(h, 0.99), &out);
+    AppendJsonNumber(HistogramQuantile(h, 0.99), &out);
     if (h.has_exemplar) {
       out += ",\"exemplar\":" + std::to_string(h.exemplar) +
              ",\"exemplar_value\":";
-      AppendDouble(h.exemplar_value, &out);
+      AppendJsonNumber(h.exemplar_value, &out);
     }
     out += '}';
   }
@@ -172,10 +168,10 @@ std::string FrameToJsonLine(const Snapshot& snapshot) {
   for (size_t i = 0; i < snapshot.spans.size(); ++i) {
     const Snapshot::SpanSample& span = snapshot.spans[i];
     out += i == 0 ? "{\"path\":" : ",{\"path\":";
-    AppendEscaped(span.path, &out);
+    AppendJsonString(span.path, &out);
     out += ",\"depth\":" + std::to_string(span.depth) +
            ",\"count\":" + std::to_string(span.count) + ",\"seconds\":";
-    AppendDouble(span.total_seconds, &out);
+    AppendJsonNumber(span.total_seconds, &out);
     out += '}';
   }
   out += "],\"flight\":{\"recorded\":" +

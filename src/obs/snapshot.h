@@ -71,6 +71,14 @@ Snapshot TakeSnapshot(const PipelineContext& context);
 double HistogramQuantile(const Snapshot::HistogramSample& histogram,
                          double q);
 
+/// Appends `text` as a JSON string: quote, backslash, newline and tab
+/// escaped by name, any other control character as \u00XX.
+void AppendJsonString(const std::string& text, std::string* out);
+
+/// Appends `value` as a JSON number in %.17g (an exact round trip), or as
+/// null when it is NaN or infinite, which JSON has no literal for.
+void AppendJsonNumber(double value, std::string* out);
+
 /// The JSON form of a Snapshot: one line (no interior newline) in schema
 /// "hotspot.telemetry.v1", what the exporter's NDJSON sinks append and
 /// WriteSnapshotJson writes:

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "obs/pipeline_context.h"
-#include "stats/percentile.h"
 #include "util/logging.h"
 
 namespace hotspot::stream {
@@ -51,8 +50,6 @@ IncrementalFeatureEngine::IncrementalFeatureEngine(
   for (SectorState& state : sectors_) {
     state.label_history.assign(
         static_cast<size_t>(config_.history_weeks * kDaysPerWeek), 0.0f);
-    state.recent_day_scores.assign(static_cast<size_t>(kRecentDays),
-                                   MissingValue());
   }
 }
 
@@ -125,9 +122,6 @@ void IncrementalFeatureEngine::CloseDay(int sector, SectorState* state,
   state->day_labels[day_of_week] = label;
   state->label_history[static_cast<size_t>(
       day % (config_.history_weeks * kDaysPerWeek))] = label;
-  state->recent_day_scores[static_cast<size_t>(day % kRecentDays)] =
-      day_score;
-  state->hot_day_run = label != 0.0f ? state->hot_day_run + 1 : 0;
   state->closed_days = day + 1;
   Raise(&closed_frontier_, &SectorState::closed_days, day);
   if (counters_.days != nullptr) counters_.days->Increment();
@@ -267,35 +261,6 @@ void IncrementalFeatureEngine::CopyFeatureRows(int sector, int first_hour,
     std::memcpy(dst + static_cast<size_t>(h) * ch, src,
                 ch * sizeof(float));
   }
-}
-
-SectorStreamState IncrementalFeatureEngine::State(int sector) const {
-  HOTSPOT_CHECK(sector >= 0 && sector < config_.num_sectors);
-  const SectorState& state = sectors_[static_cast<size_t>(sector)];
-  SectorStreamState out;
-  out.consumed_hours = state.consumed_hours;
-  out.closed_days = state.closed_days;
-  out.finalized_hours = state.finalized_hours;
-  out.hot_day_run = state.hot_day_run;
-  const int recent = state.closed_days < kRecentDays ? state.closed_days
-                                                     : kRecentDays;
-  std::vector<float> scores;
-  scores.reserve(static_cast<size_t>(recent));
-  for (int day = state.closed_days - recent; day < state.closed_days;
-       ++day) {
-    scores.push_back(
-        state.recent_day_scores[static_cast<size_t>(day % kRecentDays)]);
-  }
-  out.week_score_sum = 0.0;
-  const int week_days = recent < kDaysPerWeek ? recent : kDaysPerWeek;
-  for (size_t i = scores.size() - static_cast<size_t>(week_days);
-       i < scores.size(); ++i) {
-    if (!IsMissing(scores[i])) out.week_score_sum += scores[i];
-  }
-  std::vector<double> percentiles = Percentiles(scores, {50.0, 95.0});
-  out.day_score_p50 = percentiles[0];
-  out.day_score_p95 = percentiles[1];
-  return out;
 }
 
 }  // namespace hotspot::stream

@@ -37,28 +37,15 @@ struct FeatureEngineConfig {
   int window_hours = 0;
 };
 
-/// Per-sector rolling summary the engine maintains as a byproduct of
-/// ingestion — window sums, run lengths and recent-score percentiles, the
-/// streaming analogues of the paper's Figs. 6/7 batch statistics.
-struct SectorStreamState {
-  int consumed_hours = 0;   ///< rows applied (in-order frontier)
-  int closed_days = 0;      ///< days whose score/label are final
-  int finalized_hours = 0;  ///< hours with emitted feature rows (week multiples)
-  int hot_day_run = 0;      ///< consecutive closed days with label 1
-  double week_score_sum = 0.0;  ///< sum of the last <=7 closed daily scores
-  double day_score_p50 = 0.0;   ///< percentiles of the last <=28 closed
-  double day_score_p95 = 0.0;   ///< daily scores (NaN while no day closed)
-};
-
 /// Incremental replacement for the batch score → label → FeatureTensor
 /// pipeline: consumes in-order per-sector KPI rows (the KpiStreamIngestor
 /// sink contract) and maintains rolling state — the open week's KPIs and
-/// hourly scores, per-day sums, run lengths and recent-score percentiles —
-/// so each row costs O(l) amortized, with no offline rebuild. Every
-/// sector's open week is staged in one hour-major array (hour of week,
-/// then sector), so a feed that sends every sector's hour before the next
-/// hour, as an operator scoring the whole network hourly does, writes it
-/// in order; a day or week close reads the sector's column.
+/// hourly scores and the closed days' scores and labels — so each row
+/// costs O(l) amortized, with no offline rebuild. Every sector's open week
+/// is staged in one hour-major array (hour of week, then sector), so a
+/// feed that sends every sector's hour before the next hour, as an
+/// operator scoring the whole network hourly does, writes it in order; a
+/// day or week close reads the sector's column.
 ///
 /// Equivalence guarantee: for in-order complete data the emitted feature
 /// rows are bitwise-identical to the batch path
@@ -78,8 +65,9 @@ struct SectorStreamState {
 /// (ServingWindows) the predict kernel reads in place.
 ///
 /// Single-writer, like the ingestor. Reads (ServingWindows,
-/// CopyFeatureRows, State) are safe from other threads only while no
-/// Consume is running — the pattern the runner's fan-out uses.
+/// CopyFeatureRows, the frontier accessors) are safe from other threads
+/// only while no Consume is running — the pattern the runner's fan-out
+/// uses.
 class IncrementalFeatureEngine {
  public:
   explicit IncrementalFeatureEngine(const FeatureEngineConfig& config);
@@ -138,22 +126,16 @@ class IncrementalFeatureEngine {
   void CopyFeatureRows(int sector, int first_hour, int num_hours,
                        float* dst) const;
 
-  /// Rolling summary of one sector (cheap; percentiles sort <=28 values).
-  SectorStreamState State(int sector) const;
-
-  double epsilon() const { return config_.score.hot_threshold; }
   const FeatureEngineConfig& config() const { return config_; }
 
  private:
   struct SectorState {
     float day_scores[kDaysPerWeek];  ///< closed days of the current week
     float day_labels[kDaysPerWeek];
-    std::vector<float> label_history;    ///< history_days daily-label ring
-    std::vector<float> recent_day_scores;  ///< last kRecentDays scores ring
-    int consumed_hours = 0;
+    std::vector<float> label_history;  ///< history_days daily-label ring
+    int consumed_hours = 0;  ///< rows applied (the in-order frontier)
     int closed_days = 0;
     int finalized_hours = 0;
-    int hot_day_run = 0;
   };
 
   /// A running minimum of one SectorState field over every sector, with
@@ -172,10 +154,6 @@ class IncrementalFeatureEngine {
     obs::Counter* feature_rows = nullptr;
     const void* context = nullptr;
   };
-
-  /// Daily-score percentile window (four weeks, matching the drift
-  /// monitor's blending horizon).
-  static constexpr int kRecentDays = 28;
 
   void CloseDay(int sector, SectorState* state, int day);
   void CloseWeek(int sector, SectorState* state, int week);

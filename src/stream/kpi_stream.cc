@@ -7,20 +7,6 @@
 
 namespace hotspot::stream {
 
-const char* PushResultName(PushResult result) {
-  switch (result) {
-    case PushResult::kAccepted:
-      return "accepted";
-    case PushResult::kDuplicate:
-      return "duplicate";
-    case PushResult::kLate:
-      return "late";
-    case PushResult::kRejected:
-      return "rejected";
-  }
-  return "unknown";
-}
-
 void KpiStreamIngestor::Counters::Refresh() {
   obs::PipelineContext* ctx = obs::PipelineContext::Current();
   if (ctx == context) return;

@@ -49,8 +49,6 @@ enum class PushResult {
   kRejected,   ///< malformed: sector/hour out of range or wrong KPI count
 };
 
-const char* PushResultName(PushResult result);
-
 /// Streaming front door of the serving pipeline: accepts hourly KPI rows
 /// (sector id, hour, l-KPI vector, NaN-maskable) in whatever order the
 /// transport delivers them, and emits them to the sink in strict per-

@@ -6,8 +6,6 @@
 
 namespace hotspot {
 
-namespace {
-
 uint64_t SplitMix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
   uint64_t z = state;
@@ -15,6 +13,8 @@ uint64_t SplitMix64(uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -8,6 +8,11 @@
 
 namespace hotspot {
 
+/// One splitmix64 step: advances `state` by the golden-ratio increment and
+/// returns the full-avalanche mix of the new state. Seeds Rng, and hashes
+/// sector ids for the fleet's shard placement.
+uint64_t SplitMix64(uint64_t& state);
+
 /// Deterministic pseudo-random number generator (xoshiro256++ seeded via
 /// SplitMix64). Used everywhere instead of <random> engines so that results
 /// are bit-for-bit reproducible across standard libraries and platforms.

@@ -203,12 +203,12 @@ stream::FeatureEngineConfig EngineConfigFor(const Study& study,
   return config;
 }
 
-/// Feeds `sector` the study's KPI rows from its consumed frontier up to
-/// `end_hour`.
-void Feed(const Study& study, int sector, int end_hour,
+/// Feeds `sector` the study's KPI rows for hours [begin_hour, end_hour);
+/// `begin_hour` is the first hour the sector has not been fed.
+void Feed(const Study& study, int sector, int begin_hour, int end_hour,
           stream::IncrementalFeatureEngine* engine) {
   const Tensor3<float>& kpis = study.network.kpis;
-  for (int j = engine->State(sector).consumed_hours; j < end_hour; ++j) {
+  for (int j = begin_hour; j < end_hour; ++j) {
     engine->Consume(sector, j, kpis.Slice(sector, j), kpis.dim2());
   }
 }
@@ -275,7 +275,7 @@ TEST(EngineCut, SectorsAtDifferentWeekFrontiersCutAtTheSlowest) {
   const Study& study = ControlStudy();
   stream::IncrementalFeatureEngine engine(EngineConfigFor(study, 3));
   for (int i = 0; i < study.num_sectors(); ++i) {
-    Feed(study, i, (i % 2 == 0 ? 6 : 5) * kHoursPerWeek, &engine);
+    Feed(study, i, 0, (i % 2 == 0 ? 6 : 5) * kHoursPerWeek, &engine);
   }
   ASSERT_EQ(engine.min_finalized_hours(), 5 * kHoursPerWeek);
   adapt::TrainingSlice slice;
@@ -289,7 +289,7 @@ TEST(EngineCut, RefusesOnceTheFastestRingOverwroteTheSpanStart) {
   const Study& study = ControlStudy();
   stream::IncrementalFeatureEngine engine(EngineConfigFor(study, 3));
   for (int i = 0; i < study.num_sectors(); ++i) {
-    Feed(study, i, 5 * kHoursPerWeek, &engine);
+    Feed(study, i, 0, 5 * kHoursPerWeek, &engine);
   }
   // 15 days ending at hour 840 start at hour 480, inside every ring.
   adapt::TrainingSlice slice;
@@ -298,7 +298,7 @@ TEST(EngineCut, RefusesOnceTheFastestRingOverwroteTheSpanStart) {
 
   // One sector closes its sixth week: its ring now starts at hour 504,
   // so the same span is gone for it — refused, and `slice` left alone.
-  Feed(study, 0, 6 * kHoursPerWeek, &engine);
+  Feed(study, 0, 5 * kHoursPerWeek, 6 * kHoursPerWeek, &engine);
   ASSERT_EQ(engine.min_finalized_hours(), 5 * kHoursPerWeek);
   slice.base_day = -1;
   EXPECT_FALSE(adapt::CutTrainingSlice(engine, 15, &slice));

@@ -1,5 +1,5 @@
-// The sharded serving fleet's lockdown suite: shard-map routing
-// properties (total, stable, partitioning), fleet output bitwise-equal to
+// The sharded serving fleet's lockdown suite: the routing deal (total,
+// balanced, ascending local ids, stable), fleet output bitwise-equal to
 // a single ForecastService over the whole universe for shard counts
 // 1/2/7 across the thread matrix (also at the smallest history, whose
 // ring wraps under the served windows), admission-control fault
@@ -22,17 +22,34 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "core/forecast_service.h"
 #include "core/study.h"
 #include "fleet/forecast_fleet.h"
-#include "fleet/shard_map.h"
 #include "obs/pipeline_context.h"
 #include "serialize/bundle.h"
 #include "thread_matrix.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
+
+namespace hotspot::fleet {
+
+/// Reaches the shard pipelines, which the fleet does not expose.
+class ForecastFleetTestPeer {
+ public:
+  /// Takes, and so drops, the batches `shard`'s pipeline still holds for
+  /// its own TakePredictions().
+  static size_t TakeShardBatches(ForecastFleet* fleet, int shard) {
+    return fleet->shards_[static_cast<size_t>(shard)]
+        .pipeline->TakePredictions()
+        .size();
+  }
+};
+
+}  // namespace hotspot::fleet
 
 namespace hotspot {
 namespace {
@@ -40,9 +57,6 @@ namespace {
 using fleet::FleetOptions;
 using fleet::FleetPrediction;
 using fleet::ForecastFleet;
-using fleet::HashShardMap;
-using fleet::PartitionShardMap;
-using fleet::ShardSectors;
 using pipeline::ServingPipeline;
 
 using PushVerdict = ForecastFleet::PushVerdict;
@@ -182,83 +196,70 @@ bool SameBits(float a, float b) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardMap properties
+// Routing: the balanced hash deal
 
-TEST(ShardMap, HashRoutingIsTotalAndStable) {
+TEST(ForecastFleet, DealsEverySectorToOneShardBalancedAndStable) {
+  const Study& study = SharedStudy();
+  const int n = study.num_sectors();
+  // The documented rule: rank the sectors by (splitmix64(sector), sector)
+  // and deal the ranks round-robin.
+  std::vector<std::pair<uint64_t, int>> ranked;
+  for (int sector = 0; sector < n; ++sector) {
+    uint64_t state = static_cast<uint64_t>(sector);
+    ranked.emplace_back(SplitMix64(state), sector);
+  }
+  std::sort(ranked.begin(), ranked.end());
   for (int num_shards : {1, 2, 7}) {
-    HashShardMap map(num_shards);
-    HashShardMap remap(num_shards);  // an independent instance
-    for (int sector = 0; sector < 10000; ++sector) {
-      const int shard = map.ShardOf(sector);
-      ASSERT_GE(shard, 0);
-      ASSERT_LT(shard, num_shards);
-      // Pure function of (sector, num_shards): the same sector lands on
-      // the same shard on every call and on every instance — routing
-      // survives process restarts with no persisted state.
-      EXPECT_EQ(map.ShardOf(sector), shard);
-      EXPECT_EQ(remap.ShardOf(sector), shard);
-    }
-  }
-  // The hash actually spreads a contiguous id range: over 10k sectors on
-  // 7 shards, every shard owns a healthy slice (this is a property of the
-  // fixed splitmix64 finalizer, so the bound is deterministic).
-  HashShardMap seven(7);
-  std::vector<int> population(7, 0);
-  for (int sector = 0; sector < 10000; ++sector) {
-    ++population[static_cast<size_t>(seven.ShardOf(sector))];
-  }
-  for (int shard = 0; shard < 7; ++shard) {
-    EXPECT_GT(population[static_cast<size_t>(shard)], 10000 / 7 / 2)
-        << "shard " << shard;
-  }
-}
-
-TEST(ShardMap, PartitionRoutesByTableWithStableHashFallback) {
-  // An operator-style geo partition: sectors 0-9 on shard 2, 10-19 on
-  // shard 0, 20-29 on shard 1.
-  std::vector<int> table;
-  for (int sector = 0; sector < 30; ++sector) {
-    table.push_back(sector < 10 ? 2 : sector < 20 ? 0 : 1);
-  }
-  PartitionShardMap map(table, 3);
-  EXPECT_EQ(map.num_shards(), 3);
-  for (int sector = 0; sector < 30; ++sector) {
-    EXPECT_EQ(map.ShardOf(sector), table[static_cast<size_t>(sector)]);
-  }
-  // Beyond the table the map stays total via the stable hash, agreeing
-  // with HashShardMap so growth past the partition is still deterministic.
-  HashShardMap hash(3);
-  for (int sector = 30; sector < 100; ++sector) {
-    const int shard = map.ShardOf(sector);
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 3);
-    EXPECT_EQ(shard, hash.ShardOf(sector));
-  }
-}
-
-TEST(ShardMap, ShardSectorsPartitionsTheUniverse) {
-  const int num_sectors = 137;
-  for (int num_shards : {1, 2, 7}) {
-    HashShardMap map(num_shards);
-    std::vector<std::vector<int>> populations =
-        ShardSectors(map, num_sectors);
-    ASSERT_EQ(static_cast<int>(populations.size()), num_shards);
-    std::set<int> seen;
+    ForecastFleet fleet(serialize::CloneBundle(BaseBundle()),
+                        FleetOptionsFor(study, num_shards));
+    // An independent fleet of the same (n, N): placement is a pure
+    // function of them, so routing survives restarts with no state.
+    ForecastFleet again(serialize::CloneBundle(BaseBundle()),
+                        FleetOptionsFor(study, num_shards));
+    ASSERT_EQ(fleet.num_shards(), num_shards);
+    std::vector<int> owners(static_cast<size_t>(n), 0);
     for (int shard = 0; shard < num_shards; ++shard) {
-      const std::vector<int>& sectors =
-          populations[static_cast<size_t>(shard)];
+      const std::vector<int>& sectors = fleet.shard_sectors(shard);
+      // ⌊n/N⌋ or ⌈n/N⌉ sectors: no shard is empty or overloaded.
+      EXPECT_GE(static_cast<int>(sectors.size()), n / num_shards)
+          << "shard " << shard;
+      EXPECT_LE(static_cast<int>(sectors.size()),
+                (n + num_shards - 1) / num_shards)
+          << "shard " << shard;
       for (size_t local = 0; local < sectors.size(); ++local) {
-        // Owned by the shard the map says, ascending (the local-id
-        // contract), and never claimed twice.
-        EXPECT_EQ(map.ShardOf(sectors[local]), shard);
+        // Ascending (position = local id), and owned by the shard
+        // ShardOf names.
         if (local > 0) {
           EXPECT_LT(sectors[local - 1], sectors[local]);
         }
-        EXPECT_TRUE(seen.insert(sectors[local]).second);
+        EXPECT_EQ(fleet.ShardOf(sectors[local]), shard);
+        ++owners[static_cast<size_t>(sectors[local])];
       }
     }
-    // Total: every sector of the universe is owned by exactly one shard.
-    EXPECT_EQ(static_cast<int>(seen.size()), num_sectors);
+    for (size_t rank = 0; rank < ranked.size(); ++rank) {
+      const int sector = ranked[rank].second;
+      EXPECT_EQ(owners[static_cast<size_t>(sector)], 1)
+          << "sector " << sector;
+      EXPECT_EQ(fleet.ShardOf(sector),
+                static_cast<int>(rank % static_cast<size_t>(num_shards)))
+          << "sector " << sector;
+      EXPECT_EQ(again.ShardOf(sector), fleet.ShardOf(sector))
+          << "sector " << sector;
+    }
+  }
+}
+
+TEST(ForecastFleetDeathTest, RefusesShardCountsOutsideOneToSectorsByName) {
+  // Train in this process: a forked child has none of the pool's threads.
+  const Study& study = SharedStudy();
+  const serialize::ForecastBundle& bundle = BaseBundle();
+  const int n = study.num_sectors();
+  const std::string range =
+      " must lie in \\[1, num_sectors " + std::to_string(n) + "\\]";
+  for (int num_shards : {0, -1, n + 1}) {
+    EXPECT_DEATH(ForecastFleet(serialize::CloneBundle(bundle),
+                               FleetOptionsFor(study, num_shards)),
+                 "num_shards " + std::to_string(num_shards) + range);
   }
 }
 
@@ -316,31 +317,6 @@ TEST(ForecastFleet, SmallestHistoryWrapsTheRingBitwiseEqualAcrossThreads) {
           "shards=" + std::to_string(num_shards) + " threads=" + threads);
     });
   }
-}
-
-TEST(ForecastFleet, PartitionMapWithEmptyShardStaysBitwiseEqual) {
-  const Study& study = SharedStudy();
-  const std::vector<std::vector<float>> batch =
-      BatchScores(study, BaseBundle());
-  // Shard 1 owns nothing: even sectors on shard 0, odd on shard 2.
-  std::vector<int> table;
-  for (int sector = 0; sector < study.num_sectors(); ++sector) {
-    table.push_back(sector % 2 == 0 ? 0 : 2);
-  }
-  FleetOptions options = FleetOptionsFor(study, 3);
-  options.shard_map = std::make_shared<PartitionShardMap>(table, 3);
-  ForecastFleet fleet(serialize::CloneBundle(BaseBundle()), options);
-  EXPECT_EQ(fleet.num_shards(), 3);
-  EXPECT_TRUE(fleet.shard_sectors(1).empty());
-  EXPECT_EQ(fleet.service(1), nullptr);
-  std::vector<FleetPrediction> served = RunFleetServe(study, &fleet);
-  ExpectFleetBitwiseEqualToBatch(served, batch, BaseBundle().window_days,
-                                 "partition-with-empty-shard");
-  // The empty shard has no service to promote.
-  serialize::Status status =
-      fleet.PromoteBundle(1, serialize::CloneBundle(BaseBundle()));
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("no sectors"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -457,6 +433,22 @@ TEST(ForecastFleet, FlushInputServesAQuietFeedsReadyBatch) {
                         batch[0].size() * sizeof(float)),
             0);
   fleet.Finish();
+}
+
+TEST(ForecastFleet, TakePredictionsDrainsTheShardPipelines) {
+  // Every shard pipeline also keeps each batch it serves for its own
+  // TakePredictions(), which nothing but the fleet can call: the fleet's
+  // take must drop them, or each shard holds a copy of every batch it
+  // ever served.
+  const Study& study = SharedStudy();
+  ForecastFleet fleet(serialize::CloneBundle(BaseBundle()),
+                      FleetOptionsFor(study, 3));
+  ASSERT_FALSE(RunFleetServe(study, &fleet).empty());
+  for (int shard = 0; shard < fleet.num_shards(); ++shard) {
+    EXPECT_EQ(fleet::ForecastFleetTestPeer::TakeShardBatches(&fleet, shard),
+              0u)
+        << "shard " << shard;
+  }
 }
 
 /// Threads of this process: one /proc/self/task entry each.
@@ -856,13 +848,8 @@ TEST(ForecastFleet, PromotionFailuresAreAtomicAndNamed) {
 
 TEST(ForecastFleet, HealthAggregatesEveryShard) {
   const Study& study = SharedStudy();
-  std::vector<int> table;
-  for (int sector = 0; sector < study.num_sectors(); ++sector) {
-    table.push_back(sector % 2 == 0 ? 0 : 2);
-  }
-  FleetOptions options = FleetOptionsFor(study, 3);
-  options.shard_map = std::make_shared<PartitionShardMap>(table, 3);
-  ForecastFleet fleet(serialize::CloneBundle(BaseBundle()), options);
+  ForecastFleet fleet(serialize::CloneBundle(BaseBundle()),
+                      FleetOptionsFor(study, 3));
   ASSERT_TRUE(
       fleet.PromoteBundle(0, serialize::CloneBundle(BaseBundle())).ok);
   fleet::FleetHealth health = fleet.Health();
@@ -872,15 +859,17 @@ TEST(ForecastFleet, HealthAggregatesEveryShard) {
     covered += shard.num_sectors;
     EXPECT_EQ(shard.num_sectors,
               static_cast<int>(fleet.shard_sectors(shard.shard).size()));
+    // The bundle carries fingerprints, so every shard monitors.
+    EXPECT_TRUE(shard.report.monitoring_enabled) << "shard " << shard.shard;
   }
   EXPECT_EQ(covered, study.num_sectors());
   EXPECT_EQ(health.shards[0].generation, 1u);  // promoted above
-  EXPECT_EQ(health.shards[1].generation, 0u);  // empty shard: no service
+  EXPECT_EQ(health.shards[1].generation, 0u);
   EXPECT_EQ(health.shards[2].generation, 0u);
-  // The bundle carries fingerprints, so the populated shards monitor.
-  EXPECT_TRUE(health.shards[0].report.monitoring_enabled);
-  EXPECT_FALSE(health.shards[1].report.monitoring_enabled);
-  EXPECT_TRUE(health.shards[2].report.monitoring_enabled);
+  // Only the promoted shard carries a promotion stamp.
+  EXPECT_NE(health.shards[0].last_promotion_ns, 0u);
+  EXPECT_EQ(health.shards[1].last_promotion_ns, 0u);
+  EXPECT_EQ(health.shards[2].last_promotion_ns, 0u);
   EXPECT_EQ(health.overall, monitor::AlertState::kOk);
   fleet.Finish();
 }

@@ -157,7 +157,7 @@ TEST(IncrementalFeatures, ServingWindowsHoldTheRowsCopyFeatureRowsCopies) {
   }
 }
 
-TEST(IncrementalFeatures, RollingStateTracksRunsAndPercentiles) {
+TEST(IncrementalFeatures, OneSectorsFeedClosesItsDaysAndWeeks) {
   const Study& study = SharedStudy();
   IncrementalFeatureEngine engine(
       EngineConfigFor(study, study.num_weeks() + 1));
@@ -166,19 +166,16 @@ TEST(IncrementalFeatures, RollingStateTracksRunsAndPercentiles) {
     engine.Consume(0, j, study.network.kpis.Slice(0, j),
                    study.network.kpis.dim2());
   }
-  stream::SectorStreamState state = engine.State(0);
-  EXPECT_EQ(state.consumed_hours, hours);
-  EXPECT_EQ(state.closed_days, hours / kHoursPerDay);
-  EXPECT_EQ(state.finalized_hours, hours);
-  // The run length matches a trailing scan of the study's daily labels.
-  int expected_run = 0;
-  for (int day = study.num_days() - 1; day >= 0; --day) {
-    if (study.daily_labels.At(0, day) == 0.0f) break;
-    ++expected_run;
+  EXPECT_EQ(engine.closed_days(0), hours / kHoursPerDay);
+  EXPECT_EQ(engine.finalized_hours(0), hours);
+  EXPECT_EQ(engine.closed_days(1), 0);
+  EXPECT_EQ(engine.finalized_hours(1), 0);
+  // The history covers the whole feed: every closed day's label is the
+  // batch study's.
+  for (int day = 0; day < study.num_days(); ++day) {
+    EXPECT_EQ(engine.DailyLabel(0, day), study.daily_labels.At(0, day))
+        << "day " << day;
   }
-  EXPECT_EQ(state.hot_day_run, expected_run);
-  EXPECT_TRUE(!std::isnan(state.day_score_p50));
-  EXPECT_GE(state.day_score_p95, state.day_score_p50);
 }
 
 /// The sector of every row of a frontier-test feed, in feed order; row k
