@@ -8,12 +8,15 @@
 ///
 /// It also defines the golden GBDT fit shapes: hostile datasets (partial,
 /// exact and multi-tile feature counts; NaN, +-Inf, signed-zero, constant
-/// and 4-valued columns) fitted under varied bins, subsampling and depth.
+/// and 4-valued columns; planted exact copies and near-copy twins) fitted
+/// under varied bins, subsampling and depth.
 /// Each fit is pinned by two CRC-64 digests, so any change to the trained
 /// bits shows up without checking in the models themselves.
 
+#include <bit>
 #include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -105,13 +108,56 @@ inline bool ReadGoldenPredictions(const std::string& path,
   return !predictions->empty();
 }
 
+/// A column of a golden fit's dataset overwritten, once every column is
+/// drawn, from `source`'s: an exact copy, or a twin that equals it under
+/// float comparison in every row but not bit for bit.
+struct PlantedColumn {
+  enum class Kind {
+    kCopy,
+    kSignedZeroTwin,  ///< every zero's sign flipped
+    kNanPayloadTwin,  ///< every NaN given another payload
+  };
+  int column;
+  int source;
+  Kind kind = Kind::kCopy;
+};
+
 /// One golden GBDT fit: an n x d hostile dataset and the config to fit.
 struct GbdtFitShape {
   const char* name;
   int rows;
   int features;
   ml::GbdtConfig config;
+  /// Applied in order, so a column may copy an earlier planted one.
+  std::vector<PlantedColumn> planted = {};
 };
+
+/// Columns planted in a dataset at least 100 wide (tiles [0, 32), [32, 64),
+/// [64, 96), [96, d)): a copy of every column kind, inside its original's
+/// tile and across tiles, below and above its original's index, a copy of
+/// a constant (never-splittable) column, a copy of a copy, and twins.
+inline std::vector<PlantedColumn> PlantedCopies(int features) {
+  using Kind = PlantedColumn::Kind;
+  const int half = features / 2;  // label columns, see MakeGbdtFitData
+  const int last = features - 1;
+  return {
+      {20, 0},                          // Gaussian, same tile
+      {half, 0},                        // Gaussian, a label column
+      {last, 20},                       // copy of a copy, a label column
+      {40, 1},                          // NaN-holed, across tiles
+      {30, 2},                          // +-Inf, same tile
+      {26, 58},                         // +-Inf, below its original
+      {70, 3},                          // constant, across tiles
+      {45, 36},                         // 4-valued, same tile
+      {97, 5},                          // signed zeros, across tiles
+      {62, 54},                         // integers, same tile
+      {88, 23},                         // {-Inf, +Inf, NaN}, across tiles
+      {29, 5, Kind::kSignedZeroTwin},   // same tile
+      {77, 13, Kind::kSignedZeroTwin},  // across tiles
+      {60, 1, Kind::kNanPayloadTwin},   // across tiles
+      {31, 9, Kind::kNanPayloadTwin},   // same tile
+  };
+}
 
 inline std::vector<GbdtFitShape> GoldenGbdtFitShapes() {
   auto config = [](int iterations, int leaves, int max_depth, int max_bins,
@@ -135,14 +181,19 @@ inline std::vector<GbdtFitShape> GoldenGbdtFitShapes() {
        config(10, 15, 3, 32, 0.5, 0.8)},
       {"d300_bins64_ff07_depth0", 400, 300, config(6, 31, 0, 64, 0.7, 1.0)},
       {"d2160_bins32", 300, 2160, config(4, 15, 8, 32, 1.0, 1.0)},
+      {"d100_bins32_copies", 600, 100, config(10, 15, 8, 32, 1.0, 1.0),
+       PlantedCopies(100)},
+      {"d130_bins16_ff05_bag08_copies", 700, 130,
+       config(12, 15, 6, 16, 0.5, 0.8), PlantedCopies(130)},
   };
 }
 
 /// The shape's dataset. Column kinds cycle with the feature index:
 /// Gaussian, Gaussian with 20% NaN, uniform with 5% -Inf and 5% +Inf,
 /// constant, 4-valued, signed zeros among Gaussians, integers 0..40 and
-/// {-Inf, +Inf, NaN} only. Labels follow a noisy logit of columns spread
-/// over the whole width; weights are uneven.
+/// {-Inf, +Inf, NaN} only. The shape's planted columns then overwrite
+/// theirs. Labels follow a noisy logit of columns spread over the whole
+/// width; weights are uneven.
 inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
   const int n = shape.rows;
   const int d = shape.features;
@@ -189,6 +240,19 @@ inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
         }
       }
       data.features(i, f) = value;
+    }
+  }
+  for (const PlantedColumn& planted : shape.planted) {
+    for (int i = 0; i < n; ++i) {
+      float value = data.features(i, planted.source);
+      if (planted.kind == PlantedColumn::Kind::kSignedZeroTwin &&
+          value == 0.0f) {
+        value = -value;
+      } else if (planted.kind == PlantedColumn::Kind::kNanPayloadTwin &&
+                 std::isnan(value)) {
+        value = std::bit_cast<float>(std::bit_cast<uint32_t>(value) ^ 1u);
+      }
+      data.features(i, planted.column) = value;
     }
   }
   auto term = [&](int i, int f) {
