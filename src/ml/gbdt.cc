@@ -1,9 +1,11 @@
 #include "ml/gbdt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
@@ -23,46 +25,100 @@ double Sigmoid(double x) {
   return z / (1.0 + z);
 }
 
-void FeatureBinner::Fit(const Matrix<float>& features, int max_bins,
-                        BinTiles* bins) {
+std::vector<int> ColumnRepresentatives(const Matrix<float>& features) {
+  const int n = features.rows();
+  const int d = features.cols();
+  // One sweep over the rows folds each row's bits into every column's
+  // hash. (h ^ bits) * odd maps h one to one for a given value, so two
+  // columns that differ in a single row never share a hash.
+  std::vector<uint64_t> hashes(static_cast<size_t>(d), 0);
+  for (int i = 0; i < n; ++i) {
+    const float* row = features.Row(i);
+    for (size_t f = 0; f < static_cast<size_t>(d); ++f) {
+      hashes[f] = (hashes[f] ^ std::bit_cast<uint32_t>(row[f])) *
+                  0x9e3779b97f4a7c15u;
+    }
+  }
+  // Each column's candidate is the first column with its hash; one sweep
+  // over the rows confirms every candidate that is another column.
+  std::vector<int> representatives(static_cast<size_t>(d));
+  std::unordered_map<uint64_t, int> first_with_hash;
+  first_with_hash.reserve(static_cast<size_t>(d));
+  std::vector<int> copies;
+  for (int f = 0; f < d; ++f) {
+    const int candidate =
+        first_with_hash.try_emplace(hashes[static_cast<size_t>(f)], f)
+            .first->second;
+    representatives[static_cast<size_t>(f)] = candidate;
+    if (candidate != f) copies.push_back(f);
+  }
+  std::vector<uint8_t> differs(copies.size(), 0);
+  for (int i = 0; i < n && !copies.empty(); ++i) {
+    const float* row = features.Row(i);
+    for (size_t c = 0; c < copies.size(); ++c) {
+      const int f = copies[c];
+      differs[c] |= std::bit_cast<uint32_t>(row[f]) !=
+                    std::bit_cast<uint32_t>(
+                        row[representatives[static_cast<size_t>(f)]]);
+    }
+  }
+  for (size_t c = 0; c < copies.size(); ++c) {
+    if (differs[c]) {
+      representatives[static_cast<size_t>(copies[c])] = copies[c];
+    }
+  }
+  return representatives;
+}
+
+std::vector<int> FeatureBinner::Fit(const Matrix<float>& features,
+                                    int max_bins, BinTiles* bins) {
   HOTSPOT_CHECK_GE(max_bins, 2);
   HOTSPOT_CHECK_LE(max_bins, 255);
   const int n = features.rows();
   const int d = features.cols();
   HOTSPOT_CHECK(bins == nullptr ||
                 (bins->rows() == n && bins->features() == d));
+  std::vector<int> representatives = ColumnRepresentatives(features);
   thresholds_.assign(static_cast<size_t>(d), {});
   // Parallel over blocks of BinTiles::kWidth features: a block gathers its
-  // columns in one sweep over the rows (kWidth contiguous floats each)
-  // instead of one strided sweep per feature, then bins the block straight
-  // into its tile. Each block only touches its own thresholds and tile,
-  // and every column keeps its row order, so any thread count produces the
-  // serial loop's cuts and bins.
+  // representatives' columns in one sweep over the rows (kWidth contiguous
+  // floats each) instead of one strided sweep per feature, then bins them
+  // straight into its tile. Each block only touches its own thresholds and
+  // tile, and every column keeps its row order, so any thread count
+  // produces the serial loop's cuts and bins.
   const int blocks = (d + BinTiles::kWidth - 1) / BinTiles::kWidth;
   util::ParallelFor(0, blocks, [&](int64_t block) {
     const int first = static_cast<int>(block) * BinTiles::kWidth;
     const int width = std::min(BinTiles::kWidth, d - first);
-    std::vector<std::vector<float>> columns(static_cast<size_t>(width));
+    int offsets[BinTiles::kWidth];  // of the block's representatives
+    int count = 0;
+    for (int k = 0; k < width; ++k) {
+      if (representatives[static_cast<size_t>(first + k)] == first + k) {
+        offsets[count++] = k;
+      }
+    }
+    std::vector<std::vector<float>> columns(static_cast<size_t>(count));
     for (std::vector<float>& column : columns) {
       column.reserve(static_cast<size_t>(n));
     }
     for (int i = 0; i < n; ++i) {
       const float* row = features.Row(i) + first;
-      for (int k = 0; k < width; ++k) {
-        if (!IsMissing(row[k])) {
-          columns[static_cast<size_t>(k)].push_back(row[k]);
+      for (int j = 0; j < count; ++j) {
+        if (!IsMissing(row[offsets[j]])) {
+          columns[static_cast<size_t>(j)].push_back(row[offsets[j]]);
         }
       }
     }
-    for (int k = 0; k < width; ++k) {
-      std::vector<float>& column = columns[static_cast<size_t>(k)];
+    for (int j = 0; j < count; ++j) {
+      std::vector<float>& column = columns[static_cast<size_t>(j)];
       // The radix sort puts -0 just below +0. The two compare equal, so
       // they merge under std::unique whichever comes first, and a zero
       // adjacent to a nonzero neighbour adds to it exactly, so the cuts
       // match a comparison sort's bit for bit.
       column = RadixSorted(column);
       column.erase(std::unique(column.begin(), column.end()), column.end());
-      std::vector<float>& cuts = thresholds_[static_cast<size_t>(first + k)];
+      std::vector<float>& cuts =
+          thresholds_[static_cast<size_t>(first + offsets[j])];
       int distinct = static_cast<int>(column.size());
       if (distinct <= 1) continue;  // constant feature: one finite bin
       // max_bins-1 finite bins (bin 0 is the missing bin) need at most
@@ -85,11 +141,50 @@ void FeatureBinner::Fit(const Matrix<float>& features, int max_bins,
     for (int i = 0; i < n; ++i) {
       const float* row = features.Row(i) + first;
       uint8_t* dst = tile + static_cast<size_t>(i) * width;
-      for (int k = 0; k < width; ++k) {
-        dst[k] = static_cast<uint8_t>(Bin(first + k, row[k]));
+      for (int j = 0; j < count; ++j) {
+        dst[offsets[j]] =
+            static_cast<uint8_t>(Bin(first + offsets[j], row[offsets[j]]));
       }
     }
   });
+  // Every other column of a class takes its representative's cuts and,
+  // once all representatives are binned, a copy of its bins.
+  for (int f = 0; f < d; ++f) {
+    const int representative = representatives[static_cast<size_t>(f)];
+    if (representative != f) {
+      thresholds_[static_cast<size_t>(f)] =
+          thresholds_[static_cast<size_t>(representative)];
+    }
+  }
+  if (bins == nullptr) return representatives;
+  util::ParallelFor(0, blocks, [&](int64_t block) {
+    const int tile = static_cast<int>(block);
+    const int first = tile * BinTiles::kWidth;
+    const size_t width = static_cast<size_t>(bins->width(tile));
+    size_t offsets[BinTiles::kWidth];  // of the tile's copies
+    const uint8_t* sources[BinTiles::kWidth];
+    size_t strides[BinTiles::kWidth];
+    size_t count = 0;
+    for (size_t k = 0; k < width; ++k) {
+      const int f = first + static_cast<int>(k);
+      const int representative = representatives[static_cast<size_t>(f)];
+      if (representative == f) continue;
+      const int source_tile = representative / BinTiles::kWidth;
+      offsets[count] = k;
+      sources[count] = bins->tile(source_tile) +
+                       representative % BinTiles::kWidth;
+      strides[count] = static_cast<size_t>(bins->width(source_tile));
+      ++count;
+    }
+    if (count == 0) return;
+    uint8_t* dst = bins->tile(tile);
+    for (size_t i = 0; i < static_cast<size_t>(n); ++i, dst += width) {
+      for (size_t j = 0; j < count; ++j) {
+        dst[offsets[j]] = sources[j][i * strides[j]];
+      }
+    }
+  });
+  return representatives;
 }
 
 int FeatureBinner::Bin(int feature, float value) const {
@@ -257,29 +352,32 @@ double LeafObjective(double grad_sum, double hess_sum, double lambda) {
   return grad_sum * grad_sum / (hess_sum + lambda);
 }
 
-/// Best split of one feature during the parallel histogram scan.
+/// Best split of one candidate during the parallel histogram scan.
 struct FeatureSplit {
   double gain = 0.0;
-  int feature = -1;
   int bin = -1;
   int64_t left_grad = 0;
   int64_t left_hess = 0;
 };
 
-/// Features of one tile that one tile task covers, and their slots in the
+/// Candidates of one tile that one tile task covers: the representatives
+/// whose histograms it builds and scans, and the candidates' slots in the
 /// tree's feature list.
 struct TilePlan {
   std::vector<int> features;
   std::vector<int> slots;
 };
 
-/// The bins each feature gets in the histograms: all of them, or none when
-/// every training row falls in one bin. Such a feature never splits: any
-/// split leaves one child without rows, and so without the hessian
-/// min_child_hessian > 0 asks for. Occupancy, not the bin count, decides:
-/// a constant column with NaNs still splits missing from present.
+/// The bins each feature gets in the histograms: all of them for a class
+/// representative, none for the other members of its class, whose
+/// histograms would be the same, and none when every training row falls
+/// in one bin. Such a feature never splits: any split leaves one child
+/// without rows, and so without the hessian min_child_hessian > 0 asks
+/// for. Occupancy, not the bin count, decides: a constant column with NaNs
+/// still splits missing from present.
 std::vector<int> HistogramBins(const BinTiles& bins,
-                               const FeatureBinner& binner) {
+                               const FeatureBinner& binner,
+                               const std::vector<int>& representatives) {
   std::vector<int> num_bins(static_cast<size_t>(bins.features()), 0);
   util::ParallelFor(0, bins.num_tiles(), [&](int64_t t) {
     const int tile = static_cast<int>(t);
@@ -292,7 +390,9 @@ std::vector<int> HistogramBins(const BinTiles& bins,
     }
     for (size_t k = 0; k < width; ++k) {
       const int f = tile * BinTiles::kWidth + static_cast<int>(k);
-      if (differs[k]) num_bins[static_cast<size_t>(f)] = binner.NumBins(f);
+      if (differs[k] && representatives[static_cast<size_t>(f)] == f) {
+        num_bins[static_cast<size_t>(f)] = binner.NumBins(f);
+      }
     }
   });
   return num_bins;
@@ -312,6 +412,7 @@ double FixedPointScale(double weight_sum) {
 }  // namespace
 
 Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
+                           const std::vector<int>& representatives,
                            const std::vector<int64_t>& gradients,
                            double inv_scale, HistogramPool* pool,
                            const std::vector<int>& rows,
@@ -325,17 +426,29 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
   Tree tree;
   std::vector<PendingLeaf> leaves;
 
-  // The tree's features that can split, grouped by tile, in tile order, as
-  // slots of the (possibly sampled, unsorted) `features` list, so the merge
-  // below still walks the candidates in `features` order.
+  // The tree's candidates: the first feature of each column class in the
+  // (possibly sampled, unsorted) `features` list, for the classes that can
+  // split. Identical columns have identical histograms and splits, and the
+  // merge below lets only the first of equal gains win, so no later member
+  // of a class could. A candidate's histograms are built and scanned at its
+  // representative; they are grouped by the representative's tile, in tile
+  // order, as slots of `features`, so the merge still walks the candidates
+  // in `features` order.
   std::vector<std::vector<int>> tile_slots(
       static_cast<size_t>(bins.num_tiles()));
-  size_t scanned = 0;
+  std::vector<bool> claimed(representatives.size(), false);
+  size_t num_candidates = 0;
   for (size_t slot = 0; slot < features.size(); ++slot) {
-    if (layout.num_bins(features[slot]) == 0) continue;
-    tile_slots[static_cast<size_t>(features[slot] / BinTiles::kWidth)]
+    const int representative =
+        representatives[static_cast<size_t>(features[slot])];
+    if (layout.num_bins(representative) == 0 ||
+        claimed[static_cast<size_t>(representative)]) {
+      continue;
+    }
+    claimed[static_cast<size_t>(representative)] = true;
+    tile_slots[static_cast<size_t>(representative / BinTiles::kWidth)]
         .push_back(static_cast<int>(slot));
-    ++scanned;
+    ++num_candidates;
   }
   // One task per tile, unless there are fewer tiles than threads: then each
   // tile's features are split into equal slices so every thread gets a
@@ -355,7 +468,8 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
       TilePlan& plan = plans.emplace_back();
       for (size_t k = piece * slots.size() / pieces;
            k < (piece + 1) * slots.size() / pieces; ++k) {
-        plan.features.push_back(features[static_cast<size_t>(slots[k])]);
+        plan.features.push_back(representatives[static_cast<size_t>(
+            features[static_cast<size_t>(slots[k])])]);
         plan.slots.push_back(slots[k]);
       }
     }
@@ -384,7 +498,7 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
   };
   auto can_split = [&](const PendingLeaf& leaf) {
     return (config_.max_depth <= 0 || leaf.depth < config_.max_depth) &&
-           leaf.rows.size() >= 2 && scanned > 0;
+           leaf.rows.size() >= 2 && num_candidates > 0;
   };
 
   // Best split of one feature for `leaf` from its histograms.
@@ -395,7 +509,6 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
     const int num_bins = layout.num_bins(f);
     const int64_t* pairs = leaf.hist + layout.offset(f);
     FeatureSplit split;
-    split.feature = f;
     int64_t left_grad = 0;
     int64_t left_hess = 0;
     for (int b = 0; b + 1 < num_bins; ++b) {
@@ -429,13 +542,15 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
   };
 
   // Ordered merge: first feature wins ties, like a serial scan in
-  // `features` order. A leaf that found no split gives its buffer back.
+  // `features` order, and a split carries its candidate's own feature id.
+  // A leaf that found no split gives its buffer back.
   auto settle = [&](PendingLeaf& leaf,
                     const std::vector<FeatureSplit>& candidates) {
-    for (const FeatureSplit& candidate : candidates) {
+    for (size_t slot = 0; slot < candidates.size(); ++slot) {
+      const FeatureSplit& candidate = candidates[slot];
       if (candidate.bin >= 0 && candidate.gain > leaf.best_gain) {
         leaf.best_gain = candidate.gain;
-        leaf.best_feature = candidate.feature;
+        leaf.best_feature = features[slot];
         leaf.best_bin = candidate.bin;
         leaf.best_left_grad = candidate.left_grad;
         leaf.best_left_hess = candidate.left_hess;
@@ -445,7 +560,7 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
       pool->Release(leaf.hist);
       leaf.hist = nullptr;
     }
-    if (split_searches != nullptr) split_searches->Add(scanned);
+    if (split_searches != nullptr) split_searches->Add(num_candidates);
   };
 
   // Builds `built`'s histograms from its rows into its buffer. With a
@@ -470,7 +585,7 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
     std::vector<FeatureSplit> derived_candidates(
         derived != nullptr ? features.size() : 0);
     // Tiny leaves stay serial: same result, less scheduling overhead.
-    const int threads = num_rows * scanned < 4096 ? 1 : 0;
+    const int threads = num_rows * num_candidates < 4096 ? 1 : 0;
     util::ParallelFor(
         0, static_cast<int64_t>(plans.size()),
         [&](int64_t pi) {
@@ -636,11 +751,12 @@ void Gbdt::Fit(const Dataset& data) {
   const double inv_scale = 1.0 / scale;
 
   BinTiles bins(n, num_features_);
+  std::vector<int> representatives;
   std::vector<int> num_bins;
   {
     HOTSPOT_SPAN("gbdt/bin_build");
-    binner_.Fit(data.features, config_.max_bins, &bins);
-    num_bins = HistogramBins(bins, binner_);
+    representatives = binner_.Fit(data.features, config_.max_bins, &bins);
+    num_bins = HistogramBins(bins, binner_, representatives);
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/bin_builds").Increment();
     }
@@ -698,8 +814,8 @@ void Gbdt::Fit(const Dataset& data) {
     Tree tree;
     {
       HOTSPOT_SPAN("gbdt/build_tree");
-      tree = BuildTree(bins, layout, gradients, inv_scale, &pool, rows,
-                       features);
+      tree = BuildTree(bins, layout, representatives, gradients, inv_scale,
+                       &pool, rows, features);
     }
     if (ctx != nullptr) {
       ctx->metrics().counter("gbdt/trees_built").Increment();

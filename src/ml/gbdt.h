@@ -117,15 +117,26 @@ void SubtractHistograms(const HistogramLayout& layout,
                         std::span<const int> features, const int64_t* child,
                         int64_t* parent);
 
+/// Groups the columns of `features` into classes of columns whose floats
+/// are equal bit for bit in every row, and returns each column's class
+/// representative: the lowest index in its class. -0 and +0 differ, and so
+/// do NaNs with different payloads. One sweep hashes every column and one
+/// more confirms each column against the first with its hash, so a column
+/// that shares a hash but not its bits stays in a class of its own.
+std::vector<int> ColumnRepresentatives(const Matrix<float>& features);
+
 /// Quantile feature binner. Bin 0 is reserved for missing values; bins
 /// 1..num_bins(f)-1 partition the finite range by the training quantiles.
 class FeatureBinner {
  public:
   /// Builds thresholds from the training features and, when `bins` is
   /// given (sized like `features`), writes every training value's bin
-  /// into it.
-  void Fit(const Matrix<float>& features, int max_bins,
-           BinTiles* bins = nullptr);
+  /// into it. Only each ColumnRepresentatives() class's representative is
+  /// sorted, cut and binned; the other columns of its class get copies of
+  /// its thresholds and bins, which are what they would compute. Returns
+  /// the representatives.
+  std::vector<int> Fit(const Matrix<float>& features, int max_bins,
+                       BinTiles* bins = nullptr);
 
   /// Bin index of `value` for `feature` (0 for NaN).
   int Bin(int feature, float value) const;
@@ -176,7 +187,10 @@ class Gbdt : public BinaryClassifier {
 
   /// `gradients` holds every row's fixed-point (gradient, hessian) pair;
   /// `inv_scale` turns a fixed-point sum back into a double.
+  /// `representatives` maps each feature to its column class's
+  /// representative, the only member `layout` gives bins.
   Tree BuildTree(const BinTiles& bins, const HistogramLayout& layout,
+                 const std::vector<int>& representatives,
                  const std::vector<int64_t>& gradients, double inv_scale,
                  HistogramPool* pool, const std::vector<int>& rows,
                  const std::vector<int>& features);

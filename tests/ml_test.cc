@@ -1,5 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
@@ -366,6 +370,99 @@ TEST(FeatureBinner, TilesHoldEveryTrainingValuesBin) {
   EXPECT_EQ(tiles.width(2), 6);
   for (int i = 0; i < 50; ++i) {
     for (int f = 0; f < 70; ++f) {
+      EXPECT_EQ(tiles.At(i, f), binner.Bin(f, features(i, f)))
+          << "row " << i << " feature " << f;
+    }
+  }
+}
+
+TEST(ColumnClasses, LowestIndexRepresentsBitwiseEqualColumnsOnly) {
+  const int n = 40;
+  Matrix<float> features(n, 11);
+  Rng rng(31);
+  for (int i = 0; i < n; ++i) {
+    features(i, 0) = static_cast<float>(rng.Gaussian());
+    features(i, 1) = static_cast<float>(rng.Gaussian());
+    features(i, 5) = rng.Bernoulli(0.5) ? (rng.Bernoulli(0.5) ? -0.0f : 0.0f)
+                                        : static_cast<float>(rng.Gaussian());
+    features(i, 7) = rng.Bernoulli(0.3) ? MissingValue()
+                                        : static_cast<float>(rng.Gaussian());
+  }
+  for (int i = 0; i < n; ++i) {
+    features(i, 2) = features(i, 0);
+    features(i, 3) = features(i, 1);
+    features(i, 4) = i + 1 < n ? features(i, 0) : features(i, 0) + 1.0f;
+    // Equal to column 5 under ==, but every zero's sign is flipped.
+    features(i, 6) = features(i, 5) == 0.0f ? -features(i, 5) : features(i, 5);
+    // Equal to column 7 but for the NaNs' payload.
+    features(i, 8) =
+        std::isnan(features(i, 7))
+            ? std::bit_cast<float>(std::bit_cast<uint32_t>(features(i, 7)) ^ 1u)
+            : features(i, 7);
+    features(i, 9) = features(i, 7);
+    features(i, 10) = features(i, 5);
+  }
+  EXPECT_EQ(ColumnRepresentatives(features),
+            (std::vector<int>{0, 1, 0, 1, 4, 5, 6, 7, 8, 7, 5}));
+
+  // 100 copies of one column form one class, whatever surrounds them.
+  Matrix<float> wide(30, 103);
+  for (int i = 0; i < 30; ++i) {
+    const float value = static_cast<float>(rng.Gaussian());
+    for (int f = 0; f < 103; ++f) {
+      wide(i, f) = f < 3 ? static_cast<float>(rng.Gaussian()) : value;
+    }
+  }
+  std::vector<int> expected(103, 3);
+  expected[0] = 0;
+  expected[1] = 1;
+  expected[2] = 2;
+  EXPECT_EQ(ColumnRepresentatives(wide), expected);
+}
+
+TEST(FeatureBinner, CopiesGetTheCutsAndBinsTheyWouldCompute) {
+  // 70 features over three tiles, with copies inside a tile, across tiles,
+  // below their original's index and of a copy. Each column's cuts must be
+  // the bits a binner fitted on that column alone finds, and its tile
+  // column the bins of its own values.
+  const int n = 64;
+  const int d = 70;
+  Matrix<float> features(n, d);
+  Rng rng(37);
+  for (int i = 0; i < n; ++i) {
+    for (int f = 0; f < d; ++f) {
+      features(i, f) = f % 3 == 0   ? static_cast<float>(rng.Gaussian())
+                       : f % 3 == 1 ? static_cast<float>(rng.UniformInt(0, 5))
+                       : rng.Bernoulli(0.2)
+                           ? MissingValue()
+                           : static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+  }
+  const std::vector<std::pair<int, int>> copies = {
+      {9, 0}, {33, 2}, {69, 33}, {5, 40}, {64, 7}, {31, 30}};
+  for (const auto& [column, source] : copies) {
+    for (int i = 0; i < n; ++i) features(i, column) = features(i, source);
+  }
+  BinTiles tiles(n, d);
+  FeatureBinner binner;
+  const std::vector<int> representatives = binner.Fit(features, 16, &tiles);
+  EXPECT_EQ(representatives, ColumnRepresentatives(features));
+  for (int f : {9, 33, 69, 40, 64, 31}) {
+    EXPECT_NE(representatives[static_cast<size_t>(f)], f) << "feature " << f;
+  }
+  for (int f = 0; f < d; ++f) {
+    Matrix<float> column(n, 1);
+    for (int i = 0; i < n; ++i) column(i, 0) = features(i, f);
+    FeatureBinner alone;
+    alone.Fit(column, 16);
+    const std::vector<float>& cuts = binner.Thresholds(f);
+    ASSERT_EQ(cuts.size(), alone.Thresholds(0).size()) << "feature " << f;
+    for (size_t c = 0; c < cuts.size(); ++c) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(cuts[c]),
+                std::bit_cast<uint32_t>(alone.Thresholds(0)[c]))
+          << "feature " << f << " cut " << c;
+    }
+    for (int i = 0; i < n; ++i) {
       EXPECT_EQ(tiles.At(i, f), binner.Bin(f, features(i, f)))
           << "row " << i << " feature " << f;
     }
