@@ -20,12 +20,11 @@ DistributionSketch BuildSketch(std::string name,
   DistributionSketch sketch;
   sketch.name = std::move(name);
   sketch.quantile_ps = SketchQuantileGrid();
-  // The radix sort may order a -0 and a +0 differently from std::sort, but
-  // the grid never reads the last value alone, and an interpolation that
-  // starts at a zero gives the same bits in either order: these are
+  // The radix order may place a -0 and a +0 differently from std::sort,
+  // but the grid never reads the last value alone, and an interpolation
+  // that starts at a zero gives the same bits in either order: these are
   // Percentiles()' quantiles bit for bit.
-  sketch.quantiles =
-      SortedPercentiles(RadixSorted(values), sketch.quantile_ps);
+  sketch.quantiles = RadixPercentiles(values, sketch.quantile_ps);
   sketch.mean = Mean(values);
   sketch.stddev = StdDev(values);
 

@@ -15,14 +15,18 @@ double Percentile(std::vector<float> values, double p);
 std::vector<double> Percentiles(std::vector<float> values,
                                 const std::vector<double>& ps);
 
-/// Percentiles() of `sorted`, which holds no NaN and ascends.
-std::vector<double> SortedPercentiles(const std::vector<float>& sorted,
-                                      const std::vector<double>& ps);
-
 /// The values of `values` that are not NaN, sorted ascending by an LSD
 /// radix sort; -0 lands just below +0. On a large column whose comparisons
 /// mispredict often this is several times faster than std::sort.
 std::vector<float> RadixSorted(const std::vector<float>& values);
+
+/// Percentiles() of RadixSorted(values), bit for bit, without the sort: it
+/// counts the values by the top 16 bits of their radix keys, keeps only
+/// the keys of the buckets that hold a rank an interpolation reads, and
+/// counts those by their low 16 bits. Besides the kept keys it holds one
+/// array of 2^16 counters.
+std::vector<double> RadixPercentiles(const std::vector<float>& values,
+                                     const std::vector<double>& ps);
 
 /// Mean of finite values (NaN when none).
 double Mean(const std::vector<float>& values);

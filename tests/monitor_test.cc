@@ -83,12 +83,13 @@ TEST(Sketch, DropsNaNsAndHandlesEmpty) {
 }
 
 TEST(Sketch, QuantilesEqualAComparisonSortsBitwise) {
-  // The sketch reads its quantiles off a radix sort, which orders -0 and
-  // +0 where std::sort may not; the quantiles must still be Percentiles()'
-  // bits. Inputs crowd signed zeros, infinities, NaNs and ties.
+  // The sketch selects its quantiles in the radix order, which places -0
+  // and +0 where std::sort may not; the quantiles must still be
+  // Percentiles()' bits. Inputs crowd signed zeros, infinities, NaNs and
+  // ties, up to more values than the 2^16 buckets the selection counts.
   const float inf = std::numeric_limits<float>::infinity();
   Rng rng(41);
-  for (int n : {1, 2, 3, 7, 100, 4001}) {
+  for (int n : {1, 2, 3, 7, 100, 4001, 65536, 100003}) {
     std::vector<float> values(static_cast<size_t>(n));
     for (float& v : values) {
       const int64_t kind = rng.UniformInt(0, 9);
@@ -107,6 +108,25 @@ TEST(Sketch, QuantilesEqualAComparisonSortsBitwise) {
       EXPECT_EQ(std::bit_cast<uint64_t>(sketch.quantiles[q]),
                 std::bit_cast<uint64_t>(expected[q]))
           << "n " << n << " quantile " << q;
+    }
+  }
+  // Keys that share their top 16 bits all land in one bucket, which the
+  // selection then resolves by the low bits alone.
+  for (int n : {2, 1000, 70000}) {
+    std::vector<float> values(static_cast<size_t>(n));
+    for (float& v : values) {
+      v = rng.Bernoulli(0.1)
+              ? MissingValue()
+              : 1.0f + static_cast<float>(rng.UniformInt(0, 4000)) * 0x1p-23f;
+    }
+    const monitor::DistributionSketch sketch =
+        monitor::BuildSketch("ch", values, 8, 1);
+    const std::vector<double> expected =
+        Percentiles(values, monitor::SketchQuantileGrid());
+    for (size_t q = 0; q < expected.size(); ++q) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(sketch.quantiles[q]),
+                std::bit_cast<uint64_t>(expected[q]))
+          << "shared top bits, n " << n << " quantile " << q;
     }
   }
   for (const std::vector<float>& zeros :

@@ -1,6 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "stats/average_precision.h"
@@ -11,6 +14,7 @@
 #include "stats/percentile.h"
 #include "stats/runlength.h"
 #include "tensor/matrix.h"
+#include "util/rng.h"
 
 namespace hotspot {
 namespace {
@@ -94,6 +98,38 @@ TEST(Percentile, MultiplePercentilesSingleSort) {
   EXPECT_DOUBLE_EQ(result[0], 1.0);
   EXPECT_DOUBLE_EQ(result[1], 3.0);
   EXPECT_DOUBLE_EQ(result[2], 5.0);
+}
+
+TEST(Percentile, RadixSelectionMatchesTheSortAtEveryRank) {
+  // Without signed zeros, the radix order and std::sort agree, so the
+  // selection must give Percentiles()' bits at every point of a dense grid:
+  // many ranks per bucket, ranks at both ends, and buckets crowded by ties,
+  // infinities, subnormals and keys that share their top 16 bits.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<double> grid;
+  for (int step = 0; step <= 400; ++step) grid.push_back(step * 0.25);
+  Rng rng(43);
+  for (int n : {0, 1, 2, 5, 1000, 70001}) {
+    std::vector<float> values(static_cast<size_t>(n));
+    for (float& v : values) {
+      const int64_t kind = rng.UniformInt(0, 6);
+      v = kind == 0   ? std::nanf("")
+          : kind == 1 ? (rng.Bernoulli(0.5) ? -inf : inf)
+          : kind == 2 ? static_cast<float>(rng.UniformInt(-3, 3))
+          : kind == 3 ? static_cast<float>(rng.UniformInt(1, 50)) * 1e-44f
+          : kind == 4 ? 2.0f + static_cast<float>(rng.UniformInt(0, 99)) *
+                                   0x1p-22f
+                      : static_cast<float>(rng.Gaussian(0.0, 100.0));
+    }
+    const std::vector<double> expected = Percentiles(values, grid);
+    const std::vector<double> selected = RadixPercentiles(values, grid);
+    ASSERT_EQ(selected.size(), expected.size());
+    for (size_t q = 0; q < grid.size(); ++q) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(selected[q]),
+                std::bit_cast<uint64_t>(expected[q]))
+          << "n " << n << " p " << grid[q];
+    }
+  }
 }
 
 TEST(Percentile, SummaryStats) {
