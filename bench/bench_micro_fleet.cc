@@ -107,7 +107,6 @@ int64_t FleetServeOnce(FleetFixture& fixture, int num_shards,
     if (j == promote_at_hour) {
       double slowest = 0.0;
       for (int shard = 0; shard < fleet.num_shards(); ++shard) {
-        if (fleet.shard_sectors(shard).empty()) continue;
         Stopwatch watch;
         serialize::Status status = fleet.PromoteBundle(
             shard, serialize::CloneBundle(*fixture.bundle));
