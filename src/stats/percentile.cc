@@ -134,7 +134,9 @@ std::vector<double> RadixPercentiles(const std::vector<float>& values,
     for (size_t i = bucket.begin; i < bucket.begin + bucket.size; ++i) {
       ++counts[kept[i] & 0xffffu];
     }
-    size_t below = bucket.first_rank;  // keys ranked below `low`
+    // Past the loop body, `below` is one more than the highest rank of the
+    // keys whose low bits are at most `low`.
+    size_t below = bucket.first_rank;
     for (uint32_t low = 0; next < ranks.size() &&
                            ranks[next] < bucket.first_rank + bucket.size;
          ++low) {
