@@ -1,8 +1,9 @@
 // Regenerates the golden fixtures under tests/data/: a tiny fixed-seed
 // GBDT ForecastBundle plus the hex-float predictions it must produce on the
-// golden study, and the CRC-64 digests of the golden GBDT fit shapes. Run
-// after any intentional change to the binary format or to the training
-// pipeline's numerics, then commit the refreshed files:
+// golden study, the CRC-64 digests of the golden GBDT fit shapes, and
+// those of the golden network shapes' networks and studies. Run after any
+// intentional change to the binary format, to the training pipeline's
+// numerics or to the generator's, then commit the refreshed files:
 //
 //   ./make_serialize_golden [output_dir]   (default: HOTSPOT_TEST_DATA_DIR)
 #include <cstdio>
@@ -56,5 +57,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", fits_path.c_str());
+
+  std::string networks_path = dir + "/" + testing::kGoldenNetworksFile;
+  std::ofstream networks(networks_path);
+  for (const testing::NetworkShape& shape : testing::GoldenNetworkShapes()) {
+    networks << testing::NetworkDigestLine(shape) << "\n";
+  }
+  networks.flush();
+  if (!networks) {
+    std::fprintf(stderr, "cannot write %s\n", networks_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", networks_path.c_str());
   return 0;
 }

@@ -302,6 +302,37 @@ TEST(ForwardFill, LeadingGapBackfilled) {
   EXPECT_FLOAT_EQ(kpis(0, 1, 0), 9.0f);
 }
 
+TEST(ForwardFill, AllMissingColumnTakesThePreFillMean) {
+  // Sector 1 never observes KPI 0, so its whole column takes KPI 0's mean
+  // over the observed cells of the unfilled tensor: (2 + 4 + 9) / 3 = 5.
+  // Had the mean been taken after sector 0's gap was filled with 2, it
+  // would read (2 + 2 + 4 + 9) / 4 = 4.25.
+  Tensor3<float> kpis(3, 4, 2, 1.0f);
+  kpis(0, 0, 0) = 2.0f;
+  kpis(0, 1, 0) = MissingValue();
+  kpis(0, 2, 0) = 4.0f;
+  kpis(0, 3, 0) = MissingValue();
+  for (int j = 0; j < 4; ++j) kpis(1, j, 0) = MissingValue();
+  kpis(2, 0, 0) = MissingValue();
+  kpis(2, 1, 0) = MissingValue();
+  kpis(2, 2, 0) = MissingValue();
+  kpis(2, 3, 0) = 9.0f;
+  kpis(2, 1, 1) = MissingValue();
+  std::vector<double> means, stds;
+  ComputeKpiNormalization(kpis, &means, &stds);
+  ASSERT_EQ(means[0], 5.0);
+
+  long long filled = ImputeForwardFill(&kpis);
+  EXPECT_EQ(filled, 10);
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_EQ(kpis(1, j, 0), static_cast<float>(means[0])) << "hour " << j;
+  }
+  EXPECT_EQ(kpis(0, 1, 0), 2.0f);
+  EXPECT_EQ(kpis(0, 3, 0), 4.0f);
+  EXPECT_EQ(kpis(2, 0, 0), 9.0f);
+  EXPECT_EQ(kpis(2, 1, 1), 1.0f);
+}
+
 TEST(FeatureMean, FillsWithPerKpiMean) {
   Tensor3<float> kpis(1, 4, 2);
   kpis(0, 0, 0) = 2.0f;

@@ -12,6 +12,11 @@
 /// under varied bins, subsampling and depth.
 /// Each fit is pinned by two CRC-64 digests, so any change to the trained
 /// bits shows up without checking in the models themselves.
+///
+/// Last, it defines the golden network shapes: generator configs whose
+/// synthetic network and built study are pinned the same way, so the
+/// generator and the study pipeline may be rewritten for speed but not
+/// change a bit of what they produce.
 
 #include <bit>
 #include <cinttypes>
@@ -39,6 +44,7 @@ namespace hotspot::testing {
 inline constexpr char kGoldenBundleFile[] = "golden_bundle.hsb";
 inline constexpr char kGoldenPredictionsFile[] = "golden_predictions.txt";
 inline constexpr char kGoldenGbdtFitsFile[] = "golden_gbdt_fits.txt";
+inline constexpr char kGoldenNetworksFile[] = "golden_networks.txt";
 
 inline simnet::GeneratorConfig GoldenNetworkConfig() {
   simnet::GeneratorConfig config;
@@ -288,6 +294,94 @@ inline std::string GbdtFitDigestLine(const GbdtFitShape& shape) {
                                  model_bytes.bytes().size()),
                 serialize::Crc64(loss_bytes.bytes().data(),
                                  loss_bytes.bytes().size()));
+  return line;
+}
+
+/// One golden network: a generator config whose network and study are
+/// pinned by digest.
+struct NetworkShape {
+  const char* name;
+  simnet::GeneratorConfig config;
+};
+
+/// The golden network, a wider one, a two-city deployment, and the edges
+/// where a stream draws nothing: every cell lost at level 1 (so every
+/// sector is filtered out), no injection at all, and commercial sectors
+/// open every Sunday.
+inline std::vector<NetworkShape> GoldenNetworkShapes() {
+  auto sized = [](int sectors, int cities, int weeks, uint64_t seed) {
+    simnet::GeneratorConfig config;
+    config.topology.target_sectors = sectors;
+    config.topology.num_cities = cities;
+    config.weeks = weeks;
+    config.seed = seed;
+    return config;
+  };
+  simnet::GeneratorConfig all_cells_lost = GoldenNetworkConfig();
+  all_cells_lost.missing.cell_rate = 1.0;
+  simnet::GeneratorConfig no_missing = GoldenNetworkConfig();
+  no_missing.inject_missing = false;
+  // The golden network has no commercial sector, so this one is wider.
+  simnet::GeneratorConfig sundays_open = sized(60, 5, 9, 7);
+  sundays_open.load.sunday_open_prob = 1.0;
+  return {
+      {"golden_24x9w", GoldenNetworkConfig()},
+      {"s60_9w_seed7", sized(60, 5, 9, 7)},
+      {"s36_2cities_5w", sized(36, 2, 5, 3)},
+      {"golden_cell_rate1", all_cells_lost},
+      {"golden_no_missing", no_missing},
+      {"s60_9w_seed7_sundays_open", sundays_open},
+  };
+}
+
+inline void WriteDigestTensor(const Tensor3<float>& tensor,
+                              serialize::ByteWriter* out) {
+  out->WriteI32(tensor.dim0());
+  out->WriteI32(tensor.dim1());
+  out->WriteI32(tensor.dim2());
+  out->WriteF32Vector(tensor.data());
+}
+
+inline void WriteDigestMatrix(const Matrix<float>& matrix,
+                              serialize::ByteWriter* out) {
+  out->WriteI32(matrix.rows());
+  out->WriteI32(matrix.cols());
+  out->WriteF32Vector(matrix.data());
+}
+
+/// "<name> <crc64 of the network> <crc64 of the study>". The network
+/// digest covers GenerateNetwork's KPIs, its four ground-truth matrices
+/// and its missing-value stats; the study digest covers BuildStudy's
+/// filtered KPIs, hourly, daily and weekly scores, daily labels and
+/// feature tensor.
+inline std::string NetworkDigestLine(const NetworkShape& shape) {
+  simnet::SyntheticNetwork network = simnet::GenerateNetwork(shape.config);
+  serialize::ByteWriter network_bytes;
+  WriteDigestTensor(network.kpis, &network_bytes);
+  WriteDigestMatrix(network.true_load, &network_bytes);
+  WriteDigestMatrix(network.true_failure, &network_bytes);
+  WriteDigestMatrix(network.true_degradation, &network_bytes);
+  WriteDigestMatrix(network.true_precursor, &network_bytes);
+  network_bytes.WriteI64(network.missing_stats.missing_cells);
+  network_bytes.WriteI64(network.missing_stats.total_cells);
+  network_bytes.WriteI32(network.missing_stats.dead_sectors);
+
+  Study study = BuildStudy(std::move(network));
+  serialize::ByteWriter study_bytes;
+  WriteDigestTensor(study.network.kpis, &study_bytes);
+  WriteDigestMatrix(study.scores.hourly, &study_bytes);
+  WriteDigestMatrix(study.scores.daily, &study_bytes);
+  WriteDigestMatrix(study.scores.weekly, &study_bytes);
+  WriteDigestMatrix(study.daily_labels, &study_bytes);
+  WriteDigestTensor(study.features.tensor(), &study_bytes);
+
+  char line[160];
+  std::snprintf(line, sizeof(line), "%s %016" PRIx64 " %016" PRIx64,
+                shape.name,
+                serialize::Crc64(network_bytes.bytes().data(),
+                                 network_bytes.bytes().size()),
+                serialize::Crc64(study_bytes.bytes().data(),
+                                 study_bytes.bytes().size()));
   return line;
 }
 

@@ -659,6 +659,27 @@ TEST(SerializeGolden, GbdtFitsMatchCheckedInDigests) {
   });
 }
 
+TEST(SerializeGolden, NetworksMatchCheckedInDigests) {
+  // Every golden network shape must generate the same network and build
+  // the same study as the checked-in digests, at every thread count.
+  std::ifstream in(std::string(HOTSPOT_TEST_DATA_DIR) + "/" +
+                   testing::kGoldenNetworksFile);
+  ASSERT_TRUE(in) << "missing fixture; regenerate with make_serialize_golden";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) golden.push_back(line);
+  }
+  const std::vector<testing::NetworkShape> shapes =
+      testing::GoldenNetworkShapes();
+  ASSERT_EQ(golden.size(), shapes.size());
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      EXPECT_EQ(testing::NetworkDigestLine(shapes[s]), golden[s])
+          << threads << " threads";
+    }
+  });
+}
+
 TEST_F(SerializeTest, FormatV1BundleIsRefusedByVersion) {
   // The pre-section v1 layout is no longer read: the golden bundle with its
   // header version word (bytes 8..11, outside the checksummed payload) set
