@@ -72,6 +72,19 @@ double Rng::Gaussian() {
   return radius * std::cos(angle);
 }
 
+void Rng::SkipGaussians(int64_t count) {
+  if (count > 0 && has_cached_gaussian_) {
+    has_cached_gaussian_ = false;
+    --count;
+  }
+  for (; count >= 2; count -= 2) {
+    // One pair's draws: u1, redrawn while it is zero, then u2.
+    while (NextUint64() >> 11 == 0) continue;
+    NextUint64();
+  }
+  if (count == 1) Gaussian();
+}
+
 double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * Gaussian();
 }
@@ -87,6 +100,10 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return UniformDouble() < p;
+}
+
+void Rng::Discard(int64_t draws) {
+  for (; draws > 0; --draws) NextUint64();
 }
 
 int Rng::Poisson(double mean) {

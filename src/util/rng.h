@@ -39,6 +39,12 @@ class Rng {
   /// Returns a standard normal variate (Box-Muller, cached pair).
   double Gaussian();
 
+  /// Advances the stream exactly as `count` calls of Gaussian() would,
+  /// the cached half and the redraw of a zero first uniform included.
+  /// Pairs skipped whole cost their draws only; a pair the skip ends
+  /// inside is computed, so its second half is cached as Gaussian() would.
+  void SkipGaussians(int64_t count);
+
   /// Returns a normal variate with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 
@@ -47,6 +53,13 @@ class Rng {
 
   /// Returns true with probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
+
+  /// How many NextUint64() draws one Bernoulli(p) call takes: none when
+  /// p <= 0 or p >= 1, whose outcome is certain, else one.
+  static int BernoulliDraws(double p) { return p <= 0.0 || p >= 1.0 ? 0 : 1; }
+
+  /// Advances the stream exactly as `draws` calls of NextUint64() would.
+  void Discard(int64_t draws);
 
   /// Returns a Poisson variate with the given mean (Knuth for small means,
   /// normal approximation above 64).

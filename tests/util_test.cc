@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -170,6 +173,67 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.Shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, values);
+}
+
+/// Expects `a` and `b` to give the same next 16 draws of each kind, bit
+/// for bit; each kind is drawn from fresh copies, so a cached Gaussian
+/// half is compared too.
+void ExpectSameStream(const Rng& a, const Rng& b) {
+  Rng a_bits = a, b_bits = b;
+  Rng a_uniform = a, b_uniform = b;
+  Rng a_gaussian = a, b_gaussian = b;
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a_bits.NextUint64(), b_bits.NextUint64()) << "draw " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a_uniform.UniformDouble()),
+              std::bit_cast<uint64_t>(b_uniform.UniformDouble()))
+        << "draw " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a_gaussian.Gaussian()),
+              std::bit_cast<uint64_t>(b_gaussian.Gaussian()))
+        << "draw " << i;
+  }
+}
+
+TEST(Rng, SkipGaussiansLeavesTheStreamWhereGaussianCallsWould) {
+  for (bool cached_half : {false, true}) {
+    Rng start(67);
+    if (cached_half) start.Gaussian();  // caches the pair's second half
+    for (int count = 0; count <= 9; ++count) {
+      SCOPED_TRACE(::testing::Message() << "cached half " << cached_half
+                                        << ", count " << count);
+      Rng called = start;
+      for (int i = 0; i < count; ++i) called.Gaussian();
+      Rng skipped = start;
+      skipped.SkipGaussians(count);
+      ExpectSameStream(called, skipped);
+    }
+  }
+}
+
+TEST(Rng, DiscardLeavesTheStreamWhereNextUint64CallsWould) {
+  for (bool cached_half : {false, true}) {
+    Rng start(71);
+    if (cached_half) start.Gaussian();
+    for (int draws = 0; draws <= 9; ++draws) {
+      SCOPED_TRACE(::testing::Message() << "cached half " << cached_half
+                                        << ", draws " << draws);
+      Rng called = start;
+      for (int i = 0; i < draws; ++i) called.NextUint64();
+      Rng discarded = start;
+      discarded.Discard(draws);
+      ExpectSameStream(called, discarded);
+    }
+  }
+}
+
+TEST(Rng, BernoulliDrawsCountsWhatBernoulliTakes) {
+  for (double p : {-1.0, 0.0, 1e-300, 0.3, 1.0, 2.0, std::nan("")}) {
+    SCOPED_TRACE(::testing::Message() << "p " << p);
+    Rng called(73);
+    called.Bernoulli(p);
+    Rng discarded(73);
+    discarded.Discard(Rng::BernoulliDraws(p));
+    ExpectSameStream(called, discarded);
+  }
 }
 
 TEST(CsvWriter, PlainRow) {
