@@ -7,6 +7,7 @@
 #include "obs/pipeline_context.h"
 #include "tensor/temporal.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hotspot::nn {
 
@@ -275,39 +276,67 @@ long long ImputeForwardFill(Tensor3<float>* kpis) {
   const int n = kpis->dim0();
   const int hours = kpis->dim1();
   const int l = kpis->dim2();
-  // Per-feature mean for the all-missing-prefix fallback.
+  // A (sector, KPI) column with no observation takes the KPI's mean over
+  // the unfilled tensor, so the means are computed, before any fill, only
+  // when such a column exists.
+  const std::vector<uint8_t> has_empty_column = util::ParallelMap<uint8_t>(
+      0, n, [&](int64_t sector) -> uint8_t {
+        const int i = static_cast<int>(sector);
+        std::vector<uint8_t> observed(static_cast<size_t>(l), 0);
+        int seen = 0;
+        for (int j = 0; j < hours && seen < l; ++j) {
+          const float* slice = kpis->Slice(i, j);
+          for (int k = 0; k < l; ++k) {
+            if (observed[static_cast<size_t>(k)] || IsMissing(slice[k])) {
+              continue;
+            }
+            observed[static_cast<size_t>(k)] = 1;
+            ++seen;
+          }
+        }
+        return seen < l;
+      });
   std::vector<double> means, stds;
-  ComputeKpiNormalization(*kpis, &means, &stds);
-
-  long long filled = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int k = 0; k < l; ++k) {
-      float last = MissingValue();
-      // Forward pass.
-      for (int j = 0; j < hours; ++j) {
-        float& cell = kpis->At(i, j, k);
-        if (!IsMissing(cell)) {
-          last = cell;
-        } else if (!IsMissing(last)) {
-          cell = last;
-          ++filled;
-        }
-      }
-      // Leading gap: fill backward from the first observation, then mean.
-      for (int j = hours - 1; j >= 0; --j) {
-        float& cell = kpis->At(i, j, k);
-        if (!IsMissing(cell)) {
-          last = cell;
-        } else {
-          cell = IsMissing(last)
-                     ? static_cast<float>(means[static_cast<size_t>(k)])
-                     : last;
-          ++filled;
-        }
-      }
-    }
+  if (std::find(has_empty_column.begin(), has_empty_column.end(), 1) !=
+      has_empty_column.end()) {
+    ComputeKpiNormalization(*kpis, &means, &stds);
   }
-  return filled;
+
+  const std::vector<long long> filled = util::ParallelMap<long long>(
+      0, n, [&](int64_t sector) {
+        const int i = static_cast<int>(sector);
+        long long sector_filled = 0;
+        for (int k = 0; k < l; ++k) {
+          float last = MissingValue();
+          // Forward pass.
+          for (int j = 0; j < hours; ++j) {
+            float& cell = kpis->At(i, j, k);
+            if (!IsMissing(cell)) {
+              last = cell;
+            } else if (!IsMissing(last)) {
+              cell = last;
+              ++sector_filled;
+            }
+          }
+          // Leading gap: fill backward from the first observation, then
+          // mean.
+          for (int j = hours - 1; j >= 0; --j) {
+            float& cell = kpis->At(i, j, k);
+            if (!IsMissing(cell)) {
+              last = cell;
+            } else {
+              cell = IsMissing(last)
+                         ? static_cast<float>(means[static_cast<size_t>(k)])
+                         : last;
+              ++sector_filled;
+            }
+          }
+        }
+        return sector_filled;
+      });
+  long long total = 0;
+  for (long long count : filled) total += count;
+  return total;
 }
 
 long long ImputeFeatureMean(Tensor3<float>* kpis) {

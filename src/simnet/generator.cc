@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hotspot::simnet {
 
@@ -72,8 +73,19 @@ SyntheticNetwork GenerateNetwork(const GeneratorConfig& config) {
 
   {
     HOTSPOT_SPAN("simnet/kpi_synthesis");
+    // Each sector draws hours x l Gaussians from one stream: a serial skip
+    // records where each sector's draws start, then the sectors are
+    // synthesized on the pool with the serial loop's values.
+    std::vector<Rng> sector_rngs;
+    sector_rngs.reserve(static_cast<size_t>(n));
     Rng kpi_rng(kpi_seed);
     for (int i = 0; i < n; ++i) {
+      sector_rngs.push_back(kpi_rng);
+      kpi_rng.SkipGaussians(static_cast<int64_t>(hours) * l);
+    }
+    util::ParallelFor(0, n, [&](int64_t sector) {
+      const int i = static_cast<int>(sector);
+      Rng& rng = sector_rngs[static_cast<size_t>(i)];
       for (int j = 0; j < hours; ++j) {
         double load = network.true_load.At(i, j);
         double failure = network.true_failure.At(i, j);
@@ -81,12 +93,12 @@ SyntheticNetwork GenerateNetwork(const GeneratorConfig& config) {
         double precursor = network.true_precursor.At(i, j);
         float* slice = network.kpis.Slice(i, j);
         for (int k = 0; k < l; ++k) {
-          slice[k] = static_cast<float>(KpiValue(
-              network.catalog.spec(k), load, failure, degradation, precursor,
-              kpi_rng.Gaussian()));
+          slice[k] = static_cast<float>(
+              KpiValue(network.catalog.spec(k), load, failure, degradation,
+                       precursor, rng.Gaussian()));
         }
       }
-    }
+    });
   }
 
   network.calendar_matrix = network.calendar.BuildCalendarMatrix();

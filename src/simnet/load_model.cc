@@ -5,6 +5,7 @@
 #include <map>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hotspot::simnet {
 
@@ -148,16 +149,36 @@ Matrix<float> GenerateLoad(const Topology& topology,
   // Fig. 7B): decided per (sector, week).
   const int weeks = calendar.weeks();
 
+  // Each sector draws `hours` AR Gaussians and, if commercial, `weeks`
+  // Sunday Bernoullis: a serial skip records where each sector's draws
+  // start in both streams, then the sectors are filled on the pool.
+  std::vector<Rng> noise_rngs;
+  std::vector<Rng> sunday_rngs;
+  noise_rngs.reserve(static_cast<size_t>(n));
+  sunday_rngs.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
+    noise_rngs.push_back(noise_rng);
+    noise_rng.SkipGaussians(hours);
+    sunday_rngs.push_back(sunday_rng);
+    if (topology.sector(i).archetype == Archetype::kCommercial) {
+      sunday_rng.Discard(static_cast<int64_t>(weeks) *
+                         Rng::BernoulliDraws(config.sunday_open_prob));
+    }
+  }
+
+  util::ParallelFor(0, n, [&](int64_t sector_index) {
+    const int i = static_cast<int>(sector_index);
     const Sector& sector = topology.sector(i);
     const SectorTraits& trait = traits[static_cast<size_t>(i)];
     const ArchetypeProfile& profile = ProfileFor(sector.archetype);
+    Rng& noise = noise_rngs[static_cast<size_t>(i)];
 
     std::vector<bool> sunday_open(static_cast<size_t>(weeks), false);
     if (sector.archetype == Archetype::kCommercial) {
+      Rng& sunday = sunday_rngs[static_cast<size_t>(i)];
       for (int w = 0; w < weeks; ++w) {
         sunday_open[static_cast<size_t>(w)] =
-            sunday_rng.Bernoulli(config.sunday_open_prob);
+            sunday.Bernoulli(config.sunday_open_prob);
       }
     }
 
@@ -204,11 +225,11 @@ Matrix<float> GenerateLoad(const Topology& topology,
                     patch_shock.At(sector.patch_id, day) * shopping_mult;
 
       ar_state = config.ar_rho * ar_state +
-                 noise_rng.Gaussian(0.0, config.ar_sigma);
+                 noise.Gaussian(0.0, config.ar_sigma);
       double value = base + ar_state;
       load.At(i, j) = static_cast<float>(std::max(0.0, value));
     }
-  }
+  });
 
   if (traits_out != nullptr) *traits_out = std::move(traits);
   return load;

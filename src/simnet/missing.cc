@@ -6,6 +6,7 @@
 #include "tensor/matrix.h"
 #include "tensor/temporal.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hotspot::simnet {
 
@@ -26,18 +27,27 @@ MissingStats InjectMissing(const MissingConfig& config, uint64_t seed,
   stats.total_cells =
       static_cast<long long>(n) * hours * l;
 
-  // Level 1: independent single-cell losses.
+  // Level 1: independent single-cell losses. Each sector takes hours x l
+  // Bernoulli draws from one stream: a serial skip records where each
+  // sector's draws start, then the sectors are injected on the pool.
   if (config.cell_rate > 0.0) {
+    std::vector<Rng> sector_rngs;
+    sector_rngs.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
+      sector_rngs.push_back(cell_rng);
+      cell_rng.Discard(static_cast<int64_t>(hours) * l *
+                       Rng::BernoulliDraws(config.cell_rate));
+    }
+    util::ParallelFor(0, n, [&](int64_t sector) {
+      const int i = static_cast<int>(sector);
+      Rng& rng = sector_rngs[static_cast<size_t>(i)];
       for (int j = 0; j < hours; ++j) {
         float* slice = kpis->Slice(i, j);
         for (int k = 0; k < l; ++k) {
-          if (cell_rng.Bernoulli(config.cell_rate)) {
-            slice[k] = MissingValue();
-          }
+          if (rng.Bernoulli(config.cell_rate)) slice[k] = MissingValue();
         }
       }
-    }
+    });
   }
 
   // Level 2: whole-slice (sector, hour) losses.
@@ -84,11 +94,17 @@ MissingStats InjectMissing(const MissingConfig& config, uint64_t seed,
     }
   }
 
-  // Count what actually went missing.
+  // Count what actually went missing, per sector on the pool.
+  const size_t sector_cells = static_cast<size_t>(hours) * l;
+  const std::vector<long long> missing_per_sector =
+      util::ParallelMap<long long>(0, n, [&](int64_t i) {
+        const float* cells =
+            kpis->data().data() + static_cast<size_t>(i) * sector_cells;
+        return static_cast<long long>(std::count_if(
+            cells, cells + sector_cells, [](float v) { return IsMissing(v); }));
+      });
   stats.missing_cells = 0;
-  for (float v : kpis->data()) {
-    if (IsMissing(v)) ++stats.missing_cells;
-  }
+  for (long long missing : missing_per_sector) stats.missing_cells += missing;
   return stats;
 }
 

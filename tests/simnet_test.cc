@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "simnet/calendar.h"
@@ -10,9 +13,17 @@
 #include "simnet/missing.h"
 #include "simnet/topology.h"
 #include "tensor/temporal.h"
+#include "thread_matrix.h"
 
 namespace hotspot::simnet {
 namespace {
+
+/// Whether two arrays hold the same bits, which == does not check: it
+/// equates -0 with +0 and fails every NaN.
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 TEST(Calendar, AddDaysAcrossMonthAndLeapYear) {
   Date start{2015, 11, 30};
@@ -348,14 +359,16 @@ TEST(Missing, InjectionRatesInExpectedBand) {
 }
 
 TEST(Missing, DeterministicGivenSeed) {
-  Tensor3<float> a(10, 168, 5, 1.0f);
-  Tensor3<float> b(10, 168, 5, 1.0f);
   MissingConfig config;
-  InjectMissing(config, 22, &a);
-  InjectMissing(config, 22, &b);
-  for (size_t idx = 0; idx < a.data().size(); ++idx) {
-    EXPECT_EQ(IsMissing(a.data()[idx]), IsMissing(b.data()[idx]));
-  }
+  Tensor3<float> a(10, 168, 5, 1.0f);
+  const MissingStats a_stats = InjectMissing(config, 22, &a);
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    Tensor3<float> b(10, 168, 5, 1.0f);
+    const MissingStats b_stats = InjectMissing(config, 22, &b);
+    EXPECT_TRUE(SameBits(a.data(), b.data())) << threads << " threads";
+    EXPECT_EQ(a_stats.missing_cells, b_stats.missing_cells);
+    EXPECT_EQ(a_stats.dead_sectors, b_stats.dead_sectors);
+  });
 }
 
 TEST(Missing, ZeroRatesLeaveDataIntact) {
@@ -406,14 +419,14 @@ TEST(Generator, DeterministicGivenSeed) {
   config.topology.target_sectors = 12;
   config.weeks = 1;
   config.seed = 4242;
-  SyntheticNetwork a = GenerateNetwork(config);
-  SyntheticNetwork b = GenerateNetwork(config);
-  ASSERT_EQ(a.kpis.size(), b.kpis.size());
-  for (size_t idx = 0; idx < a.kpis.data().size(); ++idx) {
-    float va = a.kpis.data()[idx];
-    float vb = b.kpis.data()[idx];
-    EXPECT_TRUE((IsMissing(va) && IsMissing(vb)) || va == vb);
-  }
+  const SyntheticNetwork a = GenerateNetwork(config);
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    const SyntheticNetwork b = GenerateNetwork(config);
+    EXPECT_TRUE(SameBits(a.kpis.data(), b.kpis.data())) << threads
+                                                        << " threads";
+    EXPECT_TRUE(SameBits(a.true_load.data(), b.true_load.data()))
+        << threads << " threads";
+  });
 }
 
 TEST(Generator, KpisStayInPhysicalRange) {
