@@ -15,7 +15,8 @@
 //      in-flight batches finish on the old model, new batches pick up the
 //      new one, and every prediction carries the generation tag of the
 //      bundle that produced it.
-//   5. Read the per-shard health roll-up, and let a TelemetryExporter
+//   5. Read the per-shard health roll-up, with the target and state of
+//      each alert a degraded shard fired, and let a TelemetryExporter
 //      render the fleet/ obs counters as a structured frame on stderr
 //      (the "hotspot.telemetry.v1" NDJSON schema) instead of hand-printed
 //      counters. The flight recorder keeps the promotion events — one per
@@ -170,6 +171,11 @@ int main() {
                   shard.report.overall == monitor::AlertState::kOk
                       ? "healthy"
                       : "degraded");
+    }
+    if (shard.report.overall == monitor::AlertState::kOk) continue;
+    for (const monitor::HealthAlert& alert : shard.report.alerts) {
+      std::printf("  alert %s: %s\n", alert.target.c_str(),
+                  monitor::AlertStateName(alert.state));
     }
   }
   // Stop the exporter: its final frame on stderr is the structured
