@@ -93,9 +93,9 @@ SyntheticNetwork GenerateNetwork(const GeneratorConfig& config) {
         double precursor = network.true_precursor.At(i, j);
         float* slice = network.kpis.Slice(i, j);
         for (int k = 0; k < l; ++k) {
-          slice[k] = static_cast<float>(
-              KpiValue(network.catalog.spec(k), load, failure, degradation,
-                       precursor, rng.Gaussian()));
+          slice[k] = static_cast<float>(KpiValue(
+              network.catalog.spec(k), load, failure, degradation, precursor,
+              rng.Gaussian()));
         }
       }
     });

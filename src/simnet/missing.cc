@@ -44,7 +44,9 @@ MissingStats InjectMissing(const MissingConfig& config, uint64_t seed,
       for (int j = 0; j < hours; ++j) {
         float* slice = kpis->Slice(i, j);
         for (int k = 0; k < l; ++k) {
-          if (rng.Bernoulli(config.cell_rate)) slice[k] = MissingValue();
+          if (rng.Bernoulli(config.cell_rate)) {
+            slice[k] = MissingValue();
+          }
         }
       }
     });
