@@ -4,6 +4,8 @@
 #include "core/evaluation.h"
 #include "core/forecaster.h"
 #include "core/task.h"
+#include "monitor/fingerprint.h"
+#include "serialize/bundle.h"
 #include "stats/average_precision.h"
 #include "tensor/temporal.h"
 #include "util/rng.h"
@@ -182,6 +184,32 @@ TEST(Forecaster, TrainingDaysPoolingRuns) {
   ForecastResult result = forecaster.Run(config);
   std::vector<float> labels = forecaster.LabelsAtDay(32);
   EXPECT_GT(AveragePrecision(labels, result.predictions), 0.99);
+}
+
+TEST(Forecaster, FingerprintsSpanThePooledTrainingWindows) {
+  // The fingerprints sketch the hours [first_hour, last_hour) that the
+  // pooled training windows cover: from the oldest pooled label day's
+  // window start to day t - h.
+  TinyStudy study;
+  Forecaster forecaster = study.MakeForecaster();
+  // Same-weekday pooling at t = 20, h = 1, w = 7: label days 20 and 13
+  // fit, day 6's window would start before day 0, so pooling stops there.
+  ForecastConfig gbdt = FastConfig(ModelKind::kGbdt, 20, 1, 7);
+  gbdt.training_days = 5;
+  gbdt.training_day_stride = 7;
+  std::unique_ptr<serialize::ForecastBundle> bundle =
+      forecaster.TrainBundle(gbdt);
+  ASSERT_NE(bundle->fingerprints, nullptr);
+  EXPECT_EQ(bundle->fingerprints->first_hour, kHoursPerDay * (13 - 1 - 7));
+  EXPECT_EQ(bundle->fingerprints->last_hour, kHoursPerDay * (20 - 1));
+  // A Tree pools tree_training_days label days, not training_days.
+  ForecastConfig tree = FastConfig(ModelKind::kTree, 30, 2, 3);
+  tree.training_days = 6;
+  tree.tree_training_days = 1;
+  bundle = forecaster.TrainBundle(tree);
+  ASSERT_NE(bundle->fingerprints, nullptr);
+  EXPECT_EQ(bundle->fingerprints->first_hour, kHoursPerDay * (30 - 2 - 3));
+  EXPECT_EQ(bundle->fingerprints->last_hour, kHoursPerDay * (30 - 2));
 }
 
 TEST(Forecaster, RejectsInfeasibleWindows) {
