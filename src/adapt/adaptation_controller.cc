@@ -1,7 +1,9 @@
 #include "adapt/adaptation_controller.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "core/serving_ops.h"
 #include "obs/pipeline_context.h"
@@ -88,20 +90,19 @@ AdaptationController::AdaptationController(ForecastService* service,
                                            const AdaptOptions& options)
     : service_(service), options_(options) {
   HOTSPOT_CHECK(service != nullptr);
-  // The label days TrainBundle pools (a Tree champion's override included;
-  // retrains keep the champion's model kind), `stride` apart back from
-  // t_local = slice_days_ - 1: the oldest one's window must start inside
-  // the slice, or pooling would stop short of the configured days.
-  int pooled_days = options.policy.training_days;
-  if (service->bundle_snapshot()->model == ModelKind::kTree &&
-      options.train.tree_training_days > 0) {
-    pooled_days = options.train.tree_training_days;
-  }
-  const int stride = options.train.training_day_stride;
-  HOTSPOT_CHECK_GE(pooled_days, 1);
-  HOTSPOT_CHECK_GE(stride, 1);
-  slice_days_ = (pooled_days - 1) * stride + service->window_days() +
-                service->horizon_days() + 1;
+  // The label days TrainBundle pools (retrains keep the champion's model
+  // kind), asked at a day so far from day 0 that pooling cannot stop
+  // early. Back from t_local = slice_days_ - 1, the oldest one's window
+  // must start inside the slice, or pooling would stop short of them.
+  ForecastConfig pool = options.train;
+  pool.model = service->bundle_snapshot()->model;
+  pool.training_days = options.policy.training_days;
+  pool.h = service->horizon_days();
+  pool.w = service->window_days();
+  pool.t = std::numeric_limits<int>::max() / 2;
+  const std::vector<int> label_days = PooledLabelDays(pool);
+  HOTSPOT_CHECK(!label_days.empty());
+  slice_days_ = pool.t - label_days.back() + pool.w + pool.h + 1;
 }
 
 void AdaptationController::AttachTaps(

@@ -41,6 +41,22 @@ std::vector<ModelKind> PaperModels() {
           ModelKind::kRfF1,   ModelKind::kRfF2};
 }
 
+std::vector<int> PooledLabelDays(const ForecastConfig& config) {
+  HOTSPOT_CHECK_GE(config.training_days, 1);
+  HOTSPOT_CHECK_GE(config.training_day_stride, 1);
+  const int days = config.model == ModelKind::kTree &&
+                           config.tree_training_days > 0
+                       ? config.tree_training_days
+                       : config.training_days;
+  std::vector<int> label_days;
+  for (int pooled = 0; pooled < days; ++pooled) {
+    const int label_day = config.t - pooled * config.training_day_stride;
+    if (label_day - config.h - config.w < 0) break;
+    label_days.push_back(label_day);
+  }
+  return label_days;
+}
+
 const char* TargetName(TargetKind target) {
   switch (target) {
     case TargetKind::kBeHotSpot:
@@ -99,15 +115,8 @@ ml::Dataset Forecaster::BuildTrainingSet(
   const int channels = features_->num_channels();
   const int dim = extractor.OutputDim(config.w, channels);
 
-  // Pooled target days: t, t - stride, t - 2*stride, ... as long as the
-  // h-delayed window still fits into the data (day t always fits, which
-  // Run() checks).
-  std::vector<int> label_days;
-  for (int pooled = 0; pooled < config.training_days; ++pooled) {
-    int label_day = config.t - pooled * config.training_day_stride;
-    if (label_day - config.h - config.w < 0) break;
-    label_days.push_back(label_day);
-  }
+  // Day t's window always fits, which Run() checks.
+  const std::vector<int> label_days = PooledLabelDays(config);
   HOTSPOT_CHECK(!label_days.empty());
   const int rows = n * static_cast<int>(label_days.size());
 
@@ -166,8 +175,6 @@ std::unique_ptr<ml::BinaryClassifier> Forecaster::TrainClassifier(
     const ForecastConfig& config) const {
   HOTSPOT_CHECK_GE(config.h, 1);
   HOTSPOT_CHECK_GE(config.w, 1);
-  HOTSPOT_CHECK_GE(config.training_days, 1);
-  HOTSPOT_CHECK_GE(config.training_day_stride, 1);
   HOTSPOT_CHECK_GE(config.t - config.h - config.w, 0);
   HOTSPOT_CHECK_LT(config.t, target_labels_->cols());
 
@@ -180,11 +187,7 @@ std::unique_ptr<ml::BinaryClassifier> Forecaster::TrainClassifier(
 
   const features::FeatureExtractor& extractor =
       *ExtractorFor(config.model);
-  ForecastConfig training_config = config;
-  if (config.model == ModelKind::kTree && config.tree_training_days > 0) {
-    training_config.training_days = config.tree_training_days;
-  }
-  ml::Dataset train = BuildTrainingSet(training_config, extractor);
+  ml::Dataset train = BuildTrainingSet(config, extractor);
 
   std::unique_ptr<ml::BinaryClassifier> classifier;
   switch (config.model) {
@@ -228,19 +231,9 @@ std::unique_ptr<monitor::BundleFingerprints> Forecaster::BuildFingerprints(
     const ForecastConfig& config,
     const ml::BinaryClassifier& classifier) const {
   HOTSPOT_SPAN("forecast/fingerprint");
-  // The same pooled label days BuildTrainingSet uses (including the Tree
-  // override), so the sketches summarize exactly the data the classifier
-  // saw.
-  ForecastConfig training_config = config;
-  if (config.model == ModelKind::kTree && config.tree_training_days > 0) {
-    training_config.training_days = config.tree_training_days;
-  }
-  int min_label_day = config.t;
-  for (int pooled = 0; pooled < training_config.training_days; ++pooled) {
-    int label_day = config.t - pooled * training_config.training_day_stride;
-    if (label_day - config.h - config.w < 0) break;
-    min_label_day = label_day;
-  }
+  // The same pooled label days BuildTrainingSet uses, so the sketches
+  // summarize exactly the data the classifier saw.
+  const int min_label_day = PooledLabelDays(config).back();
   const int first_hour = 24 * (min_label_day - config.h - config.w);
   const int last_hour = 24 * (config.t - config.h);
 

@@ -79,6 +79,13 @@ struct ForecastConfig {
   uint64_t seed = 99;
 };
 
+/// The target days a classifier of `config` pools its training labels
+/// from, newest first: t, t − stride, t − 2·stride, ... for
+/// `training_days` days (`tree_training_days` for a Tree when set),
+/// stopping early at the first day whose h-delayed window would start
+/// before day 0. Empty when day t's own window does not fit.
+std::vector<int> PooledLabelDays(const ForecastConfig& config);
+
 /// A forecast for all sectors at day t+h.
 struct ForecastResult {
   ModelKind model = ModelKind::kAverage;
