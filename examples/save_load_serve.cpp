@@ -1,7 +1,7 @@
 // Save / load / serve: the train-offline, serve-online split.
 //
 //   1. Train a GBDT hot-spot forecaster on a small synthetic study and
-//      pack it — model, scoring config, normalization stats, window spec —
+//      pack it — model, scoring config, window spec, drift fingerprints —
 //      into a single versioned ForecastBundle file.
 //   2. Load the bundle into a ForecastService (warm start: no retraining).
 //   3. Serve batched predictions over the latest KPI windows and flag the
@@ -38,7 +38,6 @@ int main() {
   std::unique_ptr<serialize::ForecastBundle> bundle =
       forecaster.TrainBundle(config);
   bundle->score = study.score_config;
-  bundle->normalization = serialize::NormalizationFromKpis(study.network.kpis);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "hotspot_demo.hsb").string();

@@ -47,7 +47,6 @@ int main() {
   std::unique_ptr<serialize::ForecastBundle> bundle =
       forecaster.TrainBundle(config);
   bundle->score = study.score_config;
-  bundle->normalization = serialize::NormalizationFromKpis(study.network.kpis);
   ForecastService service(std::move(bundle));
 
   // 2. The "live feed": the KPI tensor as a long-form CSV on disk.

@@ -241,7 +241,6 @@ bool AdaptationController::BuildChallengerLocked(const TrainingSlice* slice) {
     // Study-level state the forecaster never sees: carried over from the
     // champion so the challenger serves the exact same universe.
     challenger->score = champion->score;
-    challenger->normalization = champion->normalization;
     challenger->lineage = std::make_unique<serialize::BundleLineage>();
     challenger->lineage->parent_generation = service_->generation();
     challenger->lineage->retrain_index = retrains_;

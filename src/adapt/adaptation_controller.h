@@ -135,8 +135,7 @@ struct AdaptReport {
 /// ForecastService::Health() for the policy trigger, retrains a
 /// challenger on the newest days of the serving engine's own history
 /// (warm start: Forecaster::TrainBundle's exact seed-stream discipline
-/// over the cut slice, the champion's score config and normalization
-/// carried over), scores live traffic with the challenger in shadow via
+/// over the cut slice, the champion's score config carried over), scores live traffic with the challenger in shadow via
 /// the ServingPipeline predict tee (shadow results never leave the
 /// process), compares on matured labels with bootstrap CIs, promotes
 /// winners through the service's RCU PromoteBundle path — and rolls back

@@ -118,8 +118,7 @@ class Forecaster {
   /// covered, plus a sketch of the scores the trained classifier produces
   /// on the day-t windows (the reference the serving-side drift detector
   /// tests live traffic against). The caller fills in the bundle's score
-  /// config and normalization stats (study-level state the forecaster
-  /// never sees).
+  /// config (study-level state the forecaster never sees).
   std::unique_ptr<serialize::ForecastBundle> TrainBundle(
       const ForecastConfig& config) const;
 

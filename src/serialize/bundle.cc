@@ -25,9 +25,11 @@ bool IsClassifierKind(ModelKind model) {
 /// (id, version, size, bytes). Each section versions independently of the
 /// container, so a future layout change to, say, the fingerprints bumps
 /// one section version and the loader can name exactly which section it
-/// cannot read. Id 5 is retired: it held the compiled flat forest, a pure
-/// function of the classifier, which DecodeBundle compiles instead.
-/// Bundles that still carry a v2 section 5 load with it skipped.
+/// cannot read. Ids 2 and 5 are retired. Id 2 held per-KPI normalization
+/// stats that nothing read: the feature tensor holds raw KPIs. Id 5 held
+/// the compiled flat forest, a pure function of the classifier, which
+/// DecodeBundle compiles instead. Bundles that still carry a v1 section 2
+/// or a v2 section 5 load with it skipped.
 enum BundleSection : uint32_t {
   kScoreSection = 1,
   kNormalizationSection = 2,
@@ -56,9 +58,9 @@ const char* SectionName(uint32_t id) {
 }
 
 /// Newest version of each section this binary reads (and, but for the
-/// retired flat_forest, writes). It is also the only version read:
-/// flat_forest v1 carried the quantized variant's arrays and stays
-/// refused by name.
+/// retired normalization and flat_forest, writes). It is also the only
+/// version read: flat_forest v1 carried the quantized variant's arrays
+/// and stays refused by name.
 uint32_t SupportedSectionVersion(uint32_t id) {
   switch (id) {
     case kScoreSection:
@@ -209,11 +211,6 @@ bool DecodeSectioned(ByteReader* reader, ForecastBundle* bundle) {
       case kScoreSection:
         if (!DecodeScoreConfig(reader, &bundle->score)) return false;
         break;
-      case kNormalizationSection:
-        if (!DecodeNormalization(reader, &bundle->normalization)) {
-          return false;
-        }
-        break;
       case kClassifierSection:
         if (!DecodeClassifier(reader, bundle)) return false;
         break;
@@ -226,8 +223,10 @@ bool DecodeSectioned(ByteReader* reader, ForecastBundle* bundle) {
         bundle->fingerprints = std::move(fingerprints);
         break;
       }
+      case kNormalizationSection:
       case kFlatForestSection:
-        // Written by older binaries; the flat forest is compiled from the
+        // Retired sections written by older binaries: nothing serves from
+        // normalization stats, and the flat forest is compiled from the
         // classifier instead (DecodeBundle).
         reader->Skip(size);
         break;
@@ -244,8 +243,7 @@ bool DecodeSectioned(ByteReader* reader, ForecastBundle* bundle) {
       return false;
     }
   }
-  for (uint32_t id :
-       {kScoreSection, kNormalizationSection, kClassifierSection}) {
+  for (uint32_t id : {kScoreSection, kClassifierSection}) {
     if (!seen[id]) {
       reader->Fail("bundle is missing its required '" +
                    std::string(SectionName(id)) + "' section");
@@ -267,14 +265,11 @@ void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer) {
   writer->WriteI32(bundle.num_channels);
   writer->WriteI32(bundle.feature_dim);
 
-  writer->WriteU32(3u + (bundle.fingerprints != nullptr ? 1u : 0u) +
+  writer->WriteU32(2u + (bundle.fingerprints != nullptr ? 1u : 0u) +
                    (bundle.lineage != nullptr ? 1u : 0u));
   ByteWriter score;
   EncodeScoreConfig(bundle.score, &score);
   WriteSection(kScoreSection, score, writer);
-  ByteWriter normalization;
-  EncodeNormalization(bundle.normalization, &normalization);
-  WriteSection(kNormalizationSection, normalization, writer);
   ByteWriter classifier;
   EncodeClassifier(bundle, &classifier);
   WriteSection(kClassifierSection, classifier, writer);

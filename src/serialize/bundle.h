@@ -12,11 +12,10 @@
 namespace hotspot::serialize {
 
 /// One trained forecasting cell packaged for serving: the classifier, the
-/// operator scoring configuration its labels came from, the per-study KPI
-/// normalization stats, the feature-window spec a server needs to turn
-/// incoming KPI windows into the rows the classifier was trained on, and
-/// the training-window distribution fingerprints the online drift monitor
-/// tests live traffic against.
+/// operator scoring configuration its labels came from, the feature-window
+/// spec a server needs to turn incoming KPI windows into the rows the
+/// classifier was trained on, and the training-window distribution
+/// fingerprints the online drift monitor tests live traffic against.
 ///
 /// A bundle is servable iff `model` is one of the classifier kinds (kTree,
 /// kRfRaw, kRfF1, kRfF2, kGbdt) and `classifier` is trained — the only
@@ -54,7 +53,6 @@ struct ForecastBundle {
   int num_channels = 0;  ///< channel count of the training feature tensor
   int feature_dim = 0;   ///< classifier input dimensionality
   ScoreConfig score;
-  NormalizationStats normalization;
   std::unique_ptr<ml::BinaryClassifier> classifier;
   std::unique_ptr<monitor::BundleFingerprints> fingerprints;
   std::unique_ptr<ml::FlatForest> flat;
@@ -62,8 +60,8 @@ struct ForecastBundle {
 };
 
 /// Payload codec; Decode returns null with the reason in reader->error().
-/// The payload frames each part (score config, normalization, classifier,
-/// fingerprints, lineage) as a section carrying its own version, so
+/// The payload frames each part (score config, classifier, fingerprints,
+/// lineage) as a section carrying its own version, so
 /// version skew is reported per section by name. Decode compiles `flat`
 /// from the decoded classifier.
 void EncodeBundle(const ForecastBundle& bundle, ByteWriter* writer);

@@ -2,8 +2,7 @@
 
 #include <string>
 #include <utility>
-
-#include "nn/imputer.h"
+#include <vector>
 
 namespace hotspot::serialize {
 
@@ -127,12 +126,6 @@ const char* ChildError(int self, int left, int right,
 }
 
 }  // namespace
-
-NormalizationStats NormalizationFromKpis(const Tensor3<float>& kpis) {
-  NormalizationStats stats;
-  nn::ComputeKpiNormalization(kpis, &stats.means, &stats.stds);
-  return stats;
-}
 
 void ModelAccess::EncodeGbdt(const ml::Gbdt& model, ByteWriter* writer) {
   EncodeGbdtConfig(model.config_, writer);
@@ -360,23 +353,6 @@ bool DecodeScoreConfig(ByteReader* reader, ScoreConfig* config) {
   }
   config->hot_threshold = reader->ReadF64();
   return reader->ok();
-}
-
-void EncodeNormalization(const NormalizationStats& stats,
-                         ByteWriter* writer) {
-  writer->WriteF64Vector(stats.means);
-  writer->WriteF64Vector(stats.stds);
-}
-
-bool DecodeNormalization(ByteReader* reader, NormalizationStats* stats) {
-  stats->means = reader->ReadF64Vector();
-  stats->stds = reader->ReadF64Vector();
-  if (!reader->ok()) return false;
-  if (stats->means.size() != stats->stds.size()) {
-    reader->Fail("normalization mean/std size mismatch");
-    return false;
-  }
-  return true;
 }
 
 }  // namespace hotspot::serialize

@@ -2,29 +2,14 @@
 #define HOTSPOT_SERIALIZE_MODEL_IO_H_
 
 #include <memory>
-#include <vector>
 
 #include "core/config.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "serialize/binary_format.h"
-#include "tensor/tensor3.h"
 
 namespace hotspot::serialize {
-
-/// Per-study KPI normalization statistics (one mean/std per KPI channel) —
-/// the preprocessing state a served model needs to normalize incoming raw
-/// KPI windows the way the training study did.
-struct NormalizationStats {
-  std::vector<double> means;
-  std::vector<double> stds;
-
-  bool operator==(const NormalizationStats&) const = default;
-};
-
-/// Computes the stats from a (possibly missing-valued) KPI tensor.
-NormalizationStats NormalizationFromKpis(const Tensor3<float>& kpis);
 
 /// The friend-of-the-models gateway: all knowledge of private model state
 /// lives here, payload layout knowledge lives here, and the model classes
@@ -49,11 +34,9 @@ struct ModelAccess {
   static std::unique_ptr<ml::RandomForest> DecodeForest(ByteReader* reader);
 };
 
-/// ScoreConfig / NormalizationStats payload codecs (no private state).
+/// ScoreConfig payload codec (no private state).
 void EncodeScoreConfig(const ScoreConfig& config, ByteWriter* writer);
 bool DecodeScoreConfig(ByteReader* reader, ScoreConfig* config);
-void EncodeNormalization(const NormalizationStats& stats, ByteWriter* writer);
-bool DecodeNormalization(ByteReader* reader, NormalizationStats* stats);
 
 }  // namespace hotspot::serialize
 

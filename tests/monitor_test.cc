@@ -536,8 +536,6 @@ TEST_F(MonitorServingTest, InjectedLoadDriftEscalatesWhileControlStaysOk) {
   std::unique_ptr<serialize::ForecastBundle> bundle =
       forecaster.TrainBundle(config);
   bundle->score = control.score_config;
-  bundle->normalization =
-      serialize::NormalizationFromKpis(control.network.kpis);
   ASSERT_NE(bundle->fingerprints, nullptr);
   const std::string path = (dir_ / "bundle.hsb").string();
   ASSERT_TRUE(serialize::SaveBundle(path, *bundle).ok);

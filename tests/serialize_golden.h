@@ -73,15 +73,13 @@ inline Study BuildGoldenStudy() {
 }
 
 /// The golden bundle: the golden study's GBDT at the golden config, with
-/// the study's score config and KPI normalization.
+/// the study's score config.
 inline std::unique_ptr<serialize::ForecastBundle> BuildGoldenBundle(
     const Study& study) {
   Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
   std::unique_ptr<serialize::ForecastBundle> bundle =
       forecaster.TrainBundle(GoldenForecastConfig());
   bundle->score = study.score_config;
-  bundle->normalization =
-      serialize::NormalizationFromKpis(study.network.kpis);
   return bundle;
 }
 

@@ -185,16 +185,6 @@ TEST_F(SerializeTest, DecisionTreeRoundTripBitwiseIdentical) {
   });
 }
 
-Tensor3<float> MakeKpis(int sectors, int hours, int kpis, uint64_t seed) {
-  Tensor3<float> tensor(sectors, hours, kpis);
-  Rng rng(seed);
-  for (float& v : tensor.data()) {
-    v = rng.Bernoulli(0.08) ? MissingValue()
-                            : static_cast<float>(rng.Gaussian());
-  }
-  return tensor;
-}
-
 // ---------------------------------------------------------------------------
 // Bundle + warm-start serving
 // ---------------------------------------------------------------------------
@@ -228,8 +218,6 @@ TEST_F(SerializeTest, BundleServingMatchesForecasterRun) {
     std::unique_ptr<serialize::ForecastBundle> bundle =
         forecaster.TrainBundle(config);
     bundle->score = study.score_config;
-    bundle->normalization =
-        serialize::NormalizationFromKpis(study.network.kpis);
     ASSERT_TRUE(serialize::SaveBundle(Path("bundle.hsb"), *bundle).ok);
 
     std::unique_ptr<ForecastService> service;
@@ -295,9 +283,9 @@ TEST_F(SerializeTest, BundleRoundTripForEveryClassifierKind) {
   }
 }
 
-TEST_F(SerializeTest, BundleRoundTripPreservesScoreAndNormalization) {
-  // The score config and normalization stats ride only inside a bundle;
-  // a save/load pair must hand both back exactly.
+TEST_F(SerializeTest, BundleRoundTripPreservesScoreConfig) {
+  // The score config rides only inside a bundle; a save/load pair must
+  // hand it back exactly.
   const Study& study = SharedStudy();
   Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
   std::unique_ptr<serialize::ForecastBundle> bundle =
@@ -306,9 +294,6 @@ TEST_F(SerializeTest, BundleRoundTripPreservesScoreAndNormalization) {
   score.indicators = {{1.5, 0.25, true}, {0.5, 0.9, false}, {2.0, 0.4, true}};
   score.hot_threshold = 0.55;
   bundle->score = score;
-  bundle->normalization =
-      serialize::NormalizationFromKpis(MakeKpis(3, 48, 4, 77));
-  ASSERT_EQ(bundle->normalization.means.size(), 4u);
   ASSERT_TRUE(serialize::SaveBundle(Path("meta.hsb"), *bundle).ok);
 
   std::unique_ptr<serialize::ForecastBundle> loaded;
@@ -323,7 +308,6 @@ TEST_F(SerializeTest, BundleRoundTripPreservesScoreAndNormalization) {
               score.indicators[k].higher_is_worse);
   }
   EXPECT_EQ(loaded->score.hot_threshold, score.hot_threshold);
-  EXPECT_EQ(loaded->normalization, bundle->normalization);
 }
 
 // ---------------------------------------------------------------------------
@@ -813,11 +797,13 @@ class SerializeSectionTest : public SerializeTest {
   std::vector<uint8_t> payload_;
 };
 
-TEST_F(SerializeSectionTest, UnpatchedPayloadHasItsFourSections) {
-  for (uint32_t id : {1u, 2u, 3u, 4u}) {
+TEST_F(SerializeSectionTest, UnpatchedPayloadHasItsThreeSections) {
+  for (uint32_t id : {1u, 3u, 4u}) {
     EXPECT_NE(SectionOffset(id), std::string::npos) << "section " << id;
   }
-  // The flat forest is compiled on decode, never written.
+  // Retired sections are never written: normalization stats had no
+  // reader, and the flat forest is compiled on decode.
+  EXPECT_EQ(SectionOffset(2), std::string::npos);
   EXPECT_EQ(SectionOffset(5), std::string::npos);
   std::unique_ptr<serialize::ForecastBundle> bundle;
   EXPECT_EQ(LoadPatched(&bundle), "");
@@ -834,10 +820,7 @@ TEST_F(SerializeSectionTest, SkewErrorNamesTheExactSection) {
   const struct {
     uint32_t id;
     const char* name;
-  } kSections[] = {{1, "score_config"},
-                   {2, "normalization"},
-                   {3, "classifier"},
-                   {4, "fingerprints"}};
+  } kSections[] = {{1, "score_config"}, {3, "classifier"}, {4, "fingerprints"}};
   for (const auto& section : kSections) {
     std::vector<uint8_t> pristine = payload_;
     size_t off = SectionOffset(section.id);
@@ -903,6 +886,48 @@ TEST_F(SerializeSectionTest, RetiredFlatSectionIsSkippedAtV2RefusedAtV1) {
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 }
 
+/// A v1 'normalization' section body as older binaries wrote it: per-KPI
+/// means, then stds, each an f64 vector. The loader skips the body unread.
+std::vector<uint8_t> RetiredNormalizationSectionBody() {
+  serialize::ByteWriter body;
+  body.WriteF64Vector({0.5, -1.25, 3.0});
+  body.WriteF64Vector({1.0, 0.75, 2.5});
+  return body.TakeBytes();
+}
+
+TEST_F(SerializeSectionTest, RetiredNormalizationSectionIsSkippedAtV1Only) {
+  // Bundles written before the normalization stats were dropped from the
+  // format carry them as section 2. A v1 section must change nothing: the
+  // bundle loads and serves the same bits as without it. Any other
+  // version is refused by name.
+  const Study& study = SplitStudy();
+  const int t = testing::GoldenForecastConfig().t;
+  const std::vector<uint8_t> pristine = payload_;
+  std::unique_ptr<serialize::ForecastBundle> plain;
+  ASSERT_EQ(LoadPatched(&plain), "");
+  const std::vector<float> expected =
+      ForecastService(std::move(plain)).PredictAtDay(study.features, t);
+
+  AppendSection(2, 1, RetiredNormalizationSectionBody());
+  std::unique_ptr<serialize::ForecastBundle> with_stats;
+  ASSERT_EQ(LoadPatched(&with_stats), "");
+  EXPECT_TRUE(*with_stats->flat ==
+              ml::FlatForest::Compile(*with_stats->classifier));
+  EXPECT_EQ(ForecastService(std::move(with_stats))
+                .PredictAtDay(study.features, t),
+            expected);
+
+  for (uint32_t version : {0u, 2u}) {
+    payload_ = pristine;
+    AppendSection(2, version, RetiredNormalizationSectionBody());
+    std::string error = LoadPatched();
+    EXPECT_NE(error.find("'normalization'"), std::string::npos) << error;
+    EXPECT_NE(error.find("version " + std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST_F(SerializeSectionTest, UnknownSectionIdIsRejectedByNumber) {
   size_t off = SectionOffset(4);
   ASSERT_NE(off, std::string::npos);
@@ -916,14 +941,14 @@ TEST_F(SerializeSectionTest, MissingRequiredSectionIsNamed) {
   // the loader must name a missing required section rather than serve a
   // half-initialized bundle.
   size_t first = SectionOffset(1);
-  size_t second = SectionOffset(2);
+  size_t second = SectionOffset(3);
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   payload_.resize(second);
   WriteU32At(&payload_, 20, 1);  // section count
   std::string error = LoadPatched();
   EXPECT_NE(error.find("missing"), std::string::npos) << error;
-  EXPECT_NE(error.find("normalization"), std::string::npos) << error;
+  EXPECT_NE(error.find("classifier"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------
