@@ -47,9 +47,7 @@ inline std::string CpuModel() {
 inline void WriteHostJson(std::FILE* file) {
   const char* simd = "scalar";
   if (ml::FlatForest::SimdSupported()) {
-    simd = ml::flat_detail::SimdBlockRows() > ml::flat_detail::kBlockRows
-               ? "avx512f"
-               : "avx2";
+    simd = ml::FlatForest::Avx512Supported() ? "avx512f" : "avx2";
   }
   const char* sanitizer = HOTSPOT_BENCH_SANITIZE;
   std::fprintf(file,

@@ -240,9 +240,8 @@ std::vector<float> ForecastService::Predict(
   const ml::FlatForest& flat = *serving->bundle->flat;
   const int dim = serving->bundle->feature_dim;
   std::vector<float> scores(static_cast<size_t>(n));
-  // 16 rows where the AVX-512 kernel is live, 8 otherwise; `out` is sized
-  // for the wider block.
-  const int block = ml::flat_detail::SimdBlockRows();
+  // The forest's own block width; `out` is sized for the widest.
+  const int block = flat.block_rows();
   const int num_blocks = (n + block - 1) / block;
   // Parallel over row blocks; block b only writes its own slice of scores,
   // and each row's score is independent of its block, so the result is
@@ -250,7 +249,7 @@ std::vector<float> ForecastService::Predict(
   util::ParallelFor(0, num_blocks, [&](int64_t b64) {
     const int begin = static_cast<int>(b64) * block;
     const int count = std::min(block, n - begin);
-    double out[2 * ml::flat_detail::kBlockRows];
+    double out[ml::FlatForest::kMaxBlockRows];
     if (extractor == nullptr) {
       // The window is the feature row: the kernel reads it in place.
       flat.PredictBatch(windows.Window(begin), count,

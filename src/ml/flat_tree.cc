@@ -19,13 +19,22 @@ void TraverseBlockScalar(const FlatView& view, const float* rows, int n,
   for (int r = 0; r < n; ++r) {
     const float* row = rows + static_cast<int64_t>(r) * stride;
     for (int32_t t = 0; t < view.num_trees; ++t) {
-      int32_t node = view.roots[t];
-      while (view.feature[node] >= 0) {
-        const float value = row[view.feature[node]];
+      // Unsigned indices: node ids and features are never negative here,
+      // and 32-bit unsigned values widen to addresses for free.
+      uint32_t node = static_cast<uint32_t>(view.roots[t]);
+      for (int32_t packed = view.packed[node]; packed >= 0;
+           packed = view.packed[node]) {
+        const float value = row[static_cast<uint32_t>(packed) >> 1];
         const bool go_left = std::isnan(value)
-                                 ? view.miss_left[node] != 0
+                                 ? (packed & 1) != 0
                                  : value <= view.threshold[node];
-        node = go_left ? view.left[node] : view.right[node];
+        // A branch, not a select: a select puts the comparison on the
+        // next node load's path (DESIGN §10).
+        if (go_left) {
+          node = static_cast<uint32_t>(view.left[node]);
+        } else {
+          node = static_cast<uint32_t>(view.left[node]) + 1;
+        }
       }
       acc[r] += view.leaf_value[node];
     }
@@ -42,6 +51,22 @@ bool FlatForest::SimdSupported() {
 #else
   return false;
 #endif
+}
+
+bool FlatForest::Avx512Supported() {
+#if defined(__x86_64__) || defined(__i386__)
+  return flat_detail::Avx512Compiled() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+int FlatForest::block_rows() const {
+  static const bool avx512 =
+      ChooseKernel() == FlatKernel::kAvx2 && Avx512Supported();
+  return avx512 && max_tree_nodes_ <= flat_detail::kMaxRegisterTreeNodes
+             ? kMaxBlockRows
+             : flat_detail::kBlockRows;
 }
 
 FlatKernel FlatForest::ChooseKernel() {
@@ -64,53 +89,66 @@ FlatForest FlatForest::Compile(const BinaryClassifier& model) {
   return FlatForest{};
 }
 
-void FlatForest::AppendTree(const DecisionTree& tree, FlatForest* out) {
-  HOTSPOT_CHECK(!tree.nodes_.empty()) << "FlatForest: tree is untrained";
-  const int32_t base = static_cast<int32_t>(out->feature_.size());
-  out->roots_.push_back(base);
-  const auto grow = [out](size_t n) {
-    const size_t size = out->feature_.size() + n;
-    out->feature_.resize(size);
-    out->threshold_.resize(size);
-    out->miss_left_.resize(size);
-    out->left_.resize(size);
-    out->right_.resize(size);
-    out->leaf_value_.resize(size);
+template <typename Node, typename Value, typename Split>
+void FlatForest::AppendTree(const std::vector<Node>& nodes,
+                            const Value& value, const Split& split) {
+  const int32_t base = static_cast<int32_t>(packed_.size());
+  roots_.push_back(base);
+  const auto grow = [this](size_t n) {
+    const size_t size = packed_.size() + n;
+    packed_.resize(size);
+    threshold_.resize(size);
+    left_.resize(size);
+    leaf_value_.resize(size);
   };
   // Level-order copy with sibling pairs allocated adjacently, establishing
-  // the right == left + 1 invariant the AVX2 kernel relies on. work[w] maps
+  // the right == left + 1 invariant every kernel relies on. work[w] maps
   // a source node index to its already-allocated flat slot.
   std::vector<std::pair<int32_t, int32_t>> work;
-  work.reserve(tree.nodes_.size());
+  work.reserve(nodes.size());
   work.emplace_back(0, base);
   grow(1);
   for (size_t w = 0; w < work.size(); ++w) {
     const auto [src, dst] = work[w];
     const size_t slot = static_cast<size_t>(dst);
-    const auto& node = tree.nodes_[static_cast<size_t>(src)];
-    const bool leaf = node.feature < 0;
-    const int32_t child = static_cast<int32_t>(out->feature_.size());
-    if (!leaf) {
-      grow(2);
-      work.emplace_back(node.left, child);
-      work.emplace_back(node.right, child + 1);
+    const Node& node = nodes[static_cast<size_t>(src)];
+    leaf_value_[slot] = value(node);
+    if (node.feature < 0) {
+      packed_[slot] = -1;
+      threshold_[slot] = 0.0f;
+      left_[slot] = 0;
+      continue;
     }
-    out->feature_[slot] = leaf ? -1 : node.feature;
-    out->threshold_[slot] = leaf ? 0.0f : node.threshold;
-    // DecisionTree routes every missing value left.
-    out->miss_left_[slot] = leaf ? 0 : -1;
-    out->left_[slot] = leaf ? 0 : child;
-    out->right_[slot] = leaf ? 0 : child + 1;
-    out->leaf_value_[slot] = static_cast<double>(node.prob);
+    const int32_t child = static_cast<int32_t>(packed_.size());
+    grow(2);
+    work.emplace_back(node.left, child);
+    work.emplace_back(node.right, child + 1);
+    bool miss_left = false;
+    threshold_[slot] = split(node, &miss_left);
+    packed_[slot] = (node.feature << 1) | (miss_left ? 1 : 0);
+    left_[slot] = child;
   }
+  max_tree_nodes_ = std::max(
+      max_tree_nodes_, static_cast<int32_t>(packed_.size()) - base);
+}
+
+void FlatForest::AppendTree(const DecisionTree& tree) {
+  HOTSPOT_CHECK(!tree.nodes_.empty()) << "FlatForest: tree is untrained";
+  using Node = DecisionTree::Node;
+  AppendTree(
+      tree.nodes_,
+      [](const Node& node) { return static_cast<double>(node.prob); },
+      [](const Node& node, bool* miss_left) {
+        // DecisionTree routes every missing value left.
+        *miss_left = true;
+        return node.threshold;
+      });
 }
 
 void FlatForest::Reserve(size_t nodes, size_t trees) {
-  feature_.reserve(nodes);
+  packed_.reserve(nodes);
   threshold_.reserve(nodes);
-  miss_left_.reserve(nodes);
   left_.reserve(nodes);
-  right_.reserve(nodes);
   leaf_value_.reserve(nodes);
   roots_.reserve(trees);
 }
@@ -120,8 +158,7 @@ FlatForest FlatForest::Compile(const DecisionTree& tree) {
   out.agg_ = Aggregation::kSingleTree;
   out.num_features_ = tree.num_features_;
   out.Reserve(tree.nodes_.size(), 1);
-  AppendTree(tree, &out);
-  out.RebuildPacked();
+  out.AppendTree(tree);
   return out;
 }
 
@@ -133,8 +170,7 @@ FlatForest FlatForest::Compile(const RandomForest& forest) {
   size_t nodes = 0;
   for (const auto& tree : forest.trees_) nodes += tree->nodes_.size();
   out.Reserve(nodes, forest.trees_.size());
-  for (const auto& tree : forest.trees_) AppendTree(*tree, &out);
-  out.RebuildPacked();
+  for (const auto& tree : forest.trees_) out.AppendTree(*tree);
   return out;
 }
 
@@ -147,71 +183,28 @@ FlatForest FlatForest::Compile(const Gbdt& model) {
   size_t nodes = 0;
   for (const auto& tree : model.trees_) nodes += tree.nodes.size();
   out.Reserve(nodes, model.trees_.size());
-
-  const auto grow = [&out](size_t n) {
-    const size_t size = out.feature_.size() + n;
-    out.feature_.resize(size);
-    out.threshold_.resize(size);
-    out.miss_left_.resize(size);
-    out.left_.resize(size);
-    out.right_.resize(size);
-    out.leaf_value_.resize(size);
+  using Node = Gbdt::Node;
+  const auto value = [](const Node& node) { return node.value; };
+  // Exact bin-space -> value-space split conversion. The scalar path goes
+  // left when Bin(f, v) <= bt with Bin(v) = least b such that
+  // v <= cuts[b], plus one (0 for NaN), so for cuts sorted ascending:
+  //   bt <  0           : nothing goes left (NaN threshold, miss right)
+  //   bt == 0           : only NaN goes left (bin 0 is the miss bin)
+  //   1 <= bt <= #cuts  : NaN and v <= cuts[bt-1] go left
+  //   bt >  #cuts       : everything goes left (+inf threshold)
+  const auto split = [&model](const Node& node, bool* miss_left) {
+    const std::vector<float>& cuts = model.binner_.Thresholds(node.feature);
+    const int bt = node.bin_threshold;
+    *miss_left = bt >= 0;
+    if (bt <= 0) return std::numeric_limits<float>::quiet_NaN();
+    if (bt <= static_cast<int>(cuts.size())) {
+      return cuts[static_cast<size_t>(bt - 1)];
+    }
+    return std::numeric_limits<float>::infinity();
   };
   for (const auto& tree : model.trees_) {
-    const int32_t base = static_cast<int32_t>(out.feature_.size());
-    out.roots_.push_back(base);
-    // Same level-order, adjacent-sibling layout as AppendTree (see the
-    // right == left + 1 invariant there).
-    std::vector<std::pair<int32_t, int32_t>> work;
-    work.reserve(tree.nodes.size());
-    work.emplace_back(0, base);
-    grow(1);
-    for (size_t w = 0; w < work.size(); ++w) {
-      const auto [src, dst] = work[w];
-      const size_t slot = static_cast<size_t>(dst);
-      const auto& node = tree.nodes[static_cast<size_t>(src)];
-      const bool leaf = node.feature < 0;
-      const int32_t child = static_cast<int32_t>(out.feature_.size());
-      if (!leaf) {
-        grow(2);
-        work.emplace_back(node.left, child);
-        work.emplace_back(node.right, child + 1);
-      }
-      out.feature_[slot] = leaf ? -1 : node.feature;
-      out.left_[slot] = leaf ? 0 : child;
-      out.right_[slot] = leaf ? 0 : child + 1;
-      out.leaf_value_[slot] = node.value;
-      if (leaf) {
-        out.threshold_[slot] = 0.0f;
-        out.miss_left_[slot] = 0;
-        continue;
-      }
-      // Exact bin-space -> value-space split conversion. The scalar path
-      // goes left when Bin(f, v) <= bt with Bin(v) = least b such that
-      // v <= cuts[b], plus one (0 for NaN), so for cuts sorted ascending:
-      //   bt <  0           : nothing goes left (NaN threshold, miss right)
-      //   bt == 0           : only NaN goes left (bin 0 is the miss bin)
-      //   1 <= bt <= #cuts  : NaN and v <= cuts[bt-1] go left
-      //   bt >  #cuts       : everything goes left (+inf threshold)
-      const std::vector<float>& cuts =
-          model.binner_.Thresholds(node.feature);
-      const int bt = node.bin_threshold;
-      if (bt < 0) {
-        out.threshold_[slot] = std::numeric_limits<float>::quiet_NaN();
-        out.miss_left_[slot] = 0;
-      } else if (bt == 0) {
-        out.threshold_[slot] = std::numeric_limits<float>::quiet_NaN();
-        out.miss_left_[slot] = -1;
-      } else if (bt <= static_cast<int>(cuts.size())) {
-        out.threshold_[slot] = cuts[static_cast<size_t>(bt - 1)];
-        out.miss_left_[slot] = -1;
-      } else {
-        out.threshold_[slot] = std::numeric_limits<float>::infinity();
-        out.miss_left_[slot] = -1;
-      }
-    }
+    out.AppendTree(tree.nodes, value, split);
   }
-  out.RebuildPacked();
   return out;
 }
 
@@ -230,52 +223,22 @@ bool FlatForest::operator==(const FlatForest& other) const {
   return agg_ == other.agg_ && num_features_ == other.num_features_ &&
          std::memcmp(&base_score_, &other.base_score_,
                      sizeof(base_score_)) == 0 &&
-         SameBits(feature_, other.feature_) &&
-         SameBits(threshold_, other.threshold_) &&
-         SameBits(miss_left_, other.miss_left_) &&
-         SameBits(left_, other.left_) && SameBits(right_, other.right_) &&
          SameBits(packed_, other.packed_) &&
+         SameBits(threshold_, other.threshold_) &&
+         SameBits(left_, other.left_) &&
          SameBits(leaf_value_, other.leaf_value_) &&
          SameBits(roots_, other.roots_);
 }
 
-void FlatForest::RebuildPacked() {
-  packed_.resize(feature_.size());
-  for (size_t i = 0; i < feature_.size(); ++i) {
-    packed_[i] = feature_[i] < 0
-                     ? -1
-                     : (feature_[i] << 1) | (miss_left_[i] != 0 ? 1 : 0);
-  }
-}
-
 flat_detail::FlatView FlatForest::View() const {
   flat_detail::FlatView view;
-  view.feature = feature_.data();
-  view.threshold = threshold_.data();
-  view.miss_left = miss_left_.data();
-  view.left = left_.data();
-  view.right = right_.data();
   view.packed = packed_.data();
+  view.threshold = threshold_.data();
+  view.left = left_.data();
   view.leaf_value = leaf_value_.data();
   view.roots = roots_.data();
   view.num_trees = static_cast<int32_t>(roots_.size());
-  view.num_nodes = static_cast<int32_t>(feature_.size());
-  // Tree spans from consecutive roots; compiled layouts are always
-  // contiguous in root order, but a hand-built forest might not be — then
-  // the register-resident AVX-512 path is simply ineligible.
-  int32_t max_tree_nodes = 0;
-  bool contiguous = !roots_.empty() && roots_.front() == 0;
-  for (size_t t = 0; contiguous && t < roots_.size(); ++t) {
-    const int32_t end =
-        t + 1 < roots_.size() ? roots_[t + 1] : view.num_nodes;
-    if (end <= roots_[t]) {
-      contiguous = false;
-      break;
-    }
-    max_tree_nodes = std::max(max_tree_nodes, end - roots_[t]);
-  }
-  view.max_tree_nodes =
-      contiguous ? max_tree_nodes : std::numeric_limits<int32_t>::max();
+  view.num_nodes = static_cast<int32_t>(packed_.size());
   return view;
 }
 
@@ -304,24 +267,22 @@ void FlatForest::PredictBatch(const float* rows, int num_rows, int stride,
     kernel = FlatKernel::kScalar;
   }
   const flat_detail::FlatView view = View();
-  // The vector kernel takes double-width (16-row) blocks when the AVX-512
-  // upgrade is live; partial blocks step down to 8-row vector blocks and
-  // then to the scalar kernel. Every decomposition yields identical
-  // scores — out[i] depends only on row i.
-  const int simd_rows = kernel == FlatKernel::kAvx2
-                            ? flat_detail::SimdBlockRows()
-                            : flat_detail::kBlockRows;
-  double acc[2 * flat_detail::kBlockRows];
+  // The vector kernel takes this forest's block width (block_rows());
+  // a partial 16-row block steps down to an 8-row vector block and then
+  // to the scalar kernel. Every decomposition yields identical scores —
+  // out[i] depends only on row i.
+  const int width =
+      kernel == FlatKernel::kAvx2 ? block_rows() : flat_detail::kBlockRows;
+  double acc[kMaxBlockRows];
   for (int begin = 0; begin < num_rows;) {
-    int n = std::min(simd_rows, num_rows - begin);
-    if (kernel == FlatKernel::kAvx2 && n < simd_rows &&
-        n > flat_detail::kBlockRows) {
+    int n = std::min(width, num_rows - begin);
+    if (n < width && n > flat_detail::kBlockRows) {
       n = flat_detail::kBlockRows;
     }
     for (int r = 0; r < n; ++r) acc[r] = base_score_;
     const float* block = rows + static_cast<int64_t>(begin) * stride;
     if (kernel == FlatKernel::kAvx2 &&
-        (n == simd_rows || n == flat_detail::kBlockRows)) {
+        (n == width || n == flat_detail::kBlockRows)) {
       flat_detail::TraverseBlockAvx2(view, block, n, stride, acc);
     } else {
       flat_detail::TraverseBlockScalar(view, block, n, stride, acc);

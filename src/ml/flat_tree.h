@@ -26,39 +26,35 @@ namespace flat_detail {
 /// so results are bitwise identical for any block decomposition.
 inline constexpr int kBlockRows = 8;
 
+/// Largest tree the AVX-512 kernel keeps in registers: two zmm registers
+/// hold 32 int32 table entries, addressed by one vpermi2d.
+inline constexpr int32_t kMaxRegisterTreeNodes = 32;
+
 /// Raw-pointer view over the SoA node arrays: the ABI shared between the
-/// portable kernels in flat_tree.cc and the AVX2 translation unit
+/// portable kernel in flat_tree.cc and the AVX2 translation unit
 /// (flat_tree_simd.cc, compiled with -mavx2 only under HOTSPOT_SIMD).
+/// Tree t spans nodes roots[t] .. roots[t + 1] (num_nodes for the last).
 struct FlatView {
-  const int32_t* feature = nullptr;    ///< -1 marks a leaf
-  const float* threshold = nullptr;
-  const int32_t* miss_left = nullptr;  ///< all-ones mask: NaN routes left
-  const int32_t* left = nullptr;       ///< absolute node index, > self
-  const int32_t* right = nullptr;      ///< always left + 1 (sibling pair)
-  /// (feature << 1) | miss_bit for internal nodes, -1 for leaves: lets the
-  /// AVX2 kernel recover feature, missing-direction and leaf-ness from a
-  /// single gather. Derived from the arrays above, never serialized.
+  /// (feature << 1) | miss_bit for internal nodes, -1 for leaves: one load
+  /// gives a kernel the feature, the missing-value direction (bit 0 set:
+  /// NaN routes left) and leaf-ness.
   const int32_t* packed = nullptr;
+  const float* threshold = nullptr;
+  /// Absolute node index of the left child, > self; the right child is
+  /// always left + 1 (sibling pair).
+  const int32_t* left = nullptr;
   const double* leaf_value = nullptr;
   const int32_t* roots = nullptr;
   int32_t num_trees = 0;
   int32_t num_nodes = 0;
-  /// Largest per-tree node count when trees sit contiguously in root order
-  /// (the compiler's layout — tree t spans roots[t]..roots[t+1]);
-  /// INT32_MAX when the spans cannot be derived. The AVX-512 kernel keeps
-  /// a whole tree in registers when this is at most 32.
-  int32_t max_tree_nodes = 0;
 };
 
 /// True when this binary contains the AVX2 kernel (HOTSPOT_SIMD=ON and the
 /// compiler accepted -mavx2).
 bool Avx2Compiled();
-
-/// Rows the vector kernel prefers per traversal block at runtime:
-/// 2 * kBlockRows when the AVX-512 upgrade is compiled in and the host CPU
-/// reports AVX-512F, kBlockRows otherwise. Blocking is a batching detail
-/// (see kBlockRows), so the choice never changes scores.
-int SimdBlockRows();
+/// True when this binary contains the AVX-512 block kernel, which rides
+/// along with the AVX2 one on x86 GCC and Clang builds.
+bool Avx512Compiled();
 
 /// For every row r < n (n <= kBlockRows), adds the leaf values of all
 /// trees — visited in tree order — into acc[r]. `stride` is the float
@@ -66,10 +62,10 @@ int SimdBlockRows();
 void TraverseBlockScalar(const FlatView& view, const float* rows, int n,
                          int stride, double* acc);
 /// Vector version of TraverseBlockScalar; requires Avx2Compiled() and
-/// n == kBlockRows, or n == 2 * kBlockRows when SimdBlockRows() says the
-/// AVX-512 upgrade is live. Bitwise identical to the scalar kernel:
-/// traversal is pure comparisons and the accumulation order per lane is
-/// unchanged.
+/// n == kBlockRows, or n == 2 * kBlockRows when the forest's block_rows()
+/// says so (the AVX-512 kernel is live and every tree fits its registers).
+/// Bitwise identical to the scalar kernel: traversal is pure comparisons
+/// and the accumulation order per lane is unchanged.
 void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
                        int stride, double* acc);
 
@@ -129,13 +125,23 @@ class FlatForest {
 
   bool empty() const { return roots_.empty(); }
   int num_trees() const { return static_cast<int>(roots_.size()); }
-  int num_nodes() const { return static_cast<int>(feature_.size()); }
+  int num_nodes() const { return static_cast<int>(packed_.size()); }
   int num_features() const { return num_features_; }
   Aggregation aggregation() const { return agg_; }
+
+  /// Rows PredictBatch's default kernel takes per traversal block:
+  /// 2 * kBlockRows when the AVX-512 kernel is live and every tree fits
+  /// its registers, kBlockRows otherwise. Never above kMaxBlockRows.
+  /// Blocking is a batching detail, so the width never changes scores.
+  int block_rows() const;
+  static constexpr int kMaxBlockRows = 2 * flat_detail::kBlockRows;
 
   /// True when the AVX2 kernel is compiled in AND the host CPU reports
   /// AVX2 support (runtime CPUID).
   static bool SimdSupported();
+  /// True when the AVX-512 block kernel is compiled in AND the host CPU
+  /// reports AVX-512F.
+  static bool Avx512Supported();
   /// True when the AVX2 kernel is compiled into this binary.
   static bool SimdCompiled();
   /// Kernel PredictBatch uses by default: AVX2 when supported (decided from
@@ -150,28 +156,30 @@ class FlatForest {
   /// the compile fills them exactly). Arrays grown node by node served
   /// measurably slower and took more memory (DESIGN §10).
   void Reserve(size_t nodes, size_t trees);
-  /// Rebuilds packed_ from feature_/miss_left_; must run after compiling
-  /// the node arrays.
-  void RebuildPacked();
-  /// Appends one DecisionTree as a flat tree (shared by the tree and
-  /// forest compilers).
-  static void AppendTree(const DecisionTree& tree, FlatForest* out);
+  /// The one compile loop: appends a tree's `nodes` (a DecisionTree's or a
+  /// GBDT tree's) in level order with sibling pairs adjacent. `value(node)`
+  /// gives a node's leaf value; `split(node, &miss_left)` an internal
+  /// node's float threshold and whether NaN routes left.
+  template <typename Node, typename Value, typename Split>
+  void AppendTree(const std::vector<Node>& nodes, const Value& value,
+                  const Split& split);
+  /// Appends one DecisionTree (shared by the tree and forest compilers).
+  void AppendTree(const DecisionTree& tree);
 
   Aggregation agg_ = Aggregation::kSingleTree;
   int num_features_ = 0;
   double base_score_ = 0.0;  ///< GBDT prior; 0 otherwise
+  /// Largest per-tree node count, recorded at compile: block_rows() sends
+  /// 16-row blocks to the AVX-512 kernel only when every tree fits.
+  int32_t max_tree_nodes_ = 0;
 
   // SoA node arrays, indexed by absolute node id, laid out level-order per
-  // tree with sibling pairs adjacent: right == left + 1 always, so the
-  // AVX2 kernel derives the right child from the left-child gather, and
-  // children always point strictly forward (left/right > self), which
-  // bounds every traversal.
-  std::vector<int32_t> feature_;
+  // tree with sibling pairs adjacent: the right child is left + 1 always,
+  // so no kernel loads it, and children always point strictly forward
+  // (left > self), which bounds every traversal. See FlatView.
+  std::vector<int32_t> packed_;  ///< -1 at a leaf
   std::vector<float> threshold_;
-  std::vector<int32_t> miss_left_;  ///< -1 (all-ones) or 0, blend-ready
   std::vector<int32_t> left_;
-  std::vector<int32_t> right_;
-  std::vector<int32_t> packed_;  ///< see FlatView::packed; derived
   std::vector<double> leaf_value_;
   std::vector<int32_t> roots_;  ///< root node id per tree, in tree order
 };

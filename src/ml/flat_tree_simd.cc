@@ -32,6 +32,14 @@ namespace hotspot::ml::flat_detail {
 
 bool Avx2Compiled() { return true; }
 
+bool Avx512Compiled() {
+#if defined(HOTSPOT_FLAT_AVX512)
+  return true;
+#else
+  return false;
+#endif
+}
+
 namespace {
 
 /// Adds the gathered leaf values (f64) for the 8 lanes of `node` into the
@@ -84,10 +92,6 @@ inline __m256i AdvanceLevel(const FlatView& view, const float* rows,
 }
 
 #if defined(HOTSPOT_FLAT_AVX512)
-
-/// Maximum nodes per tree for the register-resident AVX-512 path: two zmm
-/// registers hold 32 int32 table entries, addressed by one vpermi2d.
-inline constexpr int32_t kMaxRegisterTreeNodes = 32;
 
 /// One tree's node arrays held in zmm registers. With at most 32 nodes per
 /// tree every per-level node lookup becomes a two-table register permute
@@ -237,30 +241,16 @@ __attribute__((target("avx512f"))) void TraverseBlock16Avx512(
 
 }  // namespace
 
-int SimdBlockRows() {
-#if defined(HOTSPOT_FLAT_AVX512)
-  if (__builtin_cpu_supports("avx512f")) return 2 * kBlockRows;
-#endif
-  return kBlockRows;
-}
-
 void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
                        int stride, double* acc) {
-  if (n == 2 * kBlockRows) {
 #if defined(HOTSPOT_FLAT_AVX512)
-    if (view.max_tree_nodes <= kMaxRegisterTreeNodes &&
-        __builtin_cpu_supports("avx512f")) {
-      TraverseBlock16Avx512(view, rows, stride, acc);
-      return;
-    }
-#endif
-    // Double-width block without a register-resident forest: two half
-    // blocks — identical scores, each row is independent.
-    TraverseBlockAvx2(view, rows, kBlockRows, stride, acc);
-    TraverseBlockAvx2(view, rows + static_cast<int64_t>(kBlockRows) * stride,
-                      kBlockRows, stride, acc + kBlockRows);
+  // The forest asks for 16 rows only when this kernel is live and every
+  // tree fits the register tables (FlatForest::block_rows()).
+  if (n == 2 * kBlockRows) {
+    TraverseBlock16Avx512(view, rows, stride, acc);
     return;
   }
+#endif
   HOTSPOT_CHECK_EQ(n, kBlockRows);
   const __m256i lane_offset =
       _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
@@ -309,7 +299,7 @@ void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
 
 bool Avx2Compiled() { return false; }
 
-int SimdBlockRows() { return kBlockRows; }
+bool Avx512Compiled() { return false; }
 
 void TraverseBlockAvx2(const FlatView& view, const float* rows, int n,
                        int stride, double* acc) {
