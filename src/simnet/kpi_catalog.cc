@@ -4,22 +4,6 @@
 
 namespace hotspot::simnet {
 
-const char* KpiClassName(KpiClass kpi_class) {
-  switch (kpi_class) {
-    case KpiClass::kCoverage:
-      return "coverage";
-    case KpiClass::kAccessibility:
-      return "accessibility";
-    case KpiClass::kRetainability:
-      return "retainability";
-    case KpiClass::kMobility:
-      return "mobility";
-    case KpiClass::kCongestion:
-      return "congestion";
-  }
-  return "unknown";
-}
-
 KpiCatalog KpiCatalog::Default() {
   // Field order: name, class, baseline, load_coef, failure_coef,
   // degradation_coef, noise_sigma, lo, hi, higher_is_worse, Ω, ε.

@@ -15,8 +15,6 @@ enum class KpiClass {
   kCongestion,     ///< TTIs, queued users, congestion ratios, free channels
 };
 
-const char* KpiClassName(KpiClass kpi_class);
-
 /// Static description of one key performance indicator: what it measures
 /// and how the synthetic generator derives it from the latent sector state
 /// (load, failure intensity, persistent degradation).

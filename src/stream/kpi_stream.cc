@@ -1,8 +1,6 @@
 #include "stream/kpi_stream.h"
 
 #include "obs/pipeline_context.h"
-#include "obs/trace.h"
-#include "tensor/matrix.h"
 #include "util/logging.h"
 
 namespace hotspot::stream {
@@ -127,28 +125,6 @@ void KpiStreamIngestor::Flush() {
 int KpiStreamIngestor::FlushedHours(int sector) const {
   HOTSPOT_CHECK(sector >= 0 && sector < config_.num_sectors);
   return sectors_[static_cast<size_t>(sector)].next_flush;
-}
-
-io::IoStatus IngestKpiCsv(const std::string& path,
-                          KpiStreamIngestor* ingestor) {
-  HOTSPOT_CHECK(ingestor != nullptr);
-  HOTSPOT_SPAN("stream/ingest_csv");
-  io::KpiCsvStreamReader reader;
-  io::IoStatus status = reader.Open(path);
-  if (!status.ok) return status;
-  if (reader.num_kpis() != ingestor->config().num_kpis) {
-    return io::IoStatus::Error(
-        path + ": " + std::to_string(reader.num_kpis()) +
-        " KPI columns, ingestor expects " +
-        std::to_string(ingestor->config().num_kpis));
-  }
-  int sector = 0;
-  int hour = 0;
-  std::vector<float> values;
-  while (reader.Next(&sector, &hour, &values)) {
-    ingestor->Push(sector, hour, values);
-  }
-  return reader.status();
 }
 
 }  // namespace hotspot::stream

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "io/csv_io.h"
 #include "obs/metrics.h"
 #include "tensor/temporal.h"
 
@@ -130,14 +128,6 @@ class KpiStreamIngestor {
   std::vector<float> gap_row_;  ///< reusable all-NaN row
   Counters counters_;
 };
-
-/// Streams a long-form KPI CSV (io::KpiCsvStreamReader) into `ingestor`,
-/// row by row — the file-fed variant of a live transport. Does not Flush:
-/// callers append more sources first if they have them. The file's KPI
-/// column count must match the ingestor's config. Returns the first read
-/// error, if any.
-io::IoStatus IngestKpiCsv(const std::string& path,
-                          KpiStreamIngestor* ingestor);
 
 }  // namespace hotspot::stream
 

@@ -80,26 +80,6 @@ class Tensor3 {
     return slab;
   }
 
-  /// Extracts the full time series matrix of one feature: dim0 x dim1.
-  Matrix<T> FeaturePlane(int k) const {
-    HOTSPOT_CHECK(k >= 0 && k < dim2_);
-    Matrix<T> plane(dim0_, dim1_);
-    for (int i = 0; i < dim0_; ++i) {
-      for (int j = 0; j < dim1_; ++j) plane.At(i, j) = At(i, j, k);
-    }
-    return plane;
-  }
-
-  /// Writes `plane` (dim0 x dim1) into feature k.
-  void SetFeaturePlane(int k, const Matrix<T>& plane) {
-    HOTSPOT_CHECK(k >= 0 && k < dim2_);
-    HOTSPOT_CHECK_EQ(plane.rows(), dim0_);
-    HOTSPOT_CHECK_EQ(plane.cols(), dim1_);
-    for (int i = 0; i < dim0_; ++i) {
-      for (int j = 0; j < dim1_; ++j) At(i, j, k) = plane.At(i, j);
-    }
-  }
-
   void Fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
   std::vector<T>& data() { return data_; }

@@ -97,21 +97,6 @@ TEST(Tensor3, SectorSlab) {
   EXPECT_FLOAT_EQ(slab(1, 1), 12.0f);
 }
 
-TEST(Tensor3, FeaturePlaneRoundTrip) {
-  Tensor3<float> t(2, 3, 2);
-  Matrix<float> plane(2, 3);
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 3; ++j) plane(i, j) = static_cast<float>(i + 10 * j);
-  }
-  t.SetFeaturePlane(1, plane);
-  Matrix<float> back = t.FeaturePlane(1);
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 3; ++j) EXPECT_FLOAT_EQ(back(i, j), plane(i, j));
-  }
-  // Plane 0 untouched.
-  EXPECT_FLOAT_EQ(t(0, 0, 0), 0.0f);
-}
-
 TEST(Temporal, IntegrationHoursConstants) {
   EXPECT_EQ(IntegrationHours(Resolution::kHourly), 1);
   EXPECT_EQ(IntegrationHours(Resolution::kDaily), 24);
