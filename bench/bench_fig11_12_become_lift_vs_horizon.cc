@@ -42,8 +42,11 @@ int Main() {
   Stopwatch watch;
   SweepOptions sweep_options;
   sweep_options.progress = StderrSweepProgress();
-  sweep_options.context = obs_session.context();
-  std::vector<CellResult> cells = RunSweep(&runner, grid, sweep_options);
+  std::vector<CellResult> cells;
+  {
+    obs::PipelineContext::ScopedInstall install(obs_session.context());
+    cells = RunSweep(&runner, grid, sweep_options);
+  }
   std::printf("sweep took %.0fs\n", watch.ElapsedSeconds());
 
   std::printf("\n[Fig. 11] average lift Λ (mean over valid t, w = 7):\n");

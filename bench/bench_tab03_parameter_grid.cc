@@ -39,9 +39,10 @@ bool RunObservedSweep(const BenchOptions& base) {
   BenchOptions options = base;
   options.sectors = std::min(options.sectors, 250);
   obs::PipelineContext context;
+  obs::PipelineContext::ScopedInstall install(&context);
 
   Stopwatch watch;
-  Study study = MakeStudy(options, /*emerging_fraction=*/-1.0, &context);
+  Study study = MakeStudy(options, /*emerging_fraction=*/-1.0);
   Forecaster forecaster = study.MakeForecaster(TargetKind::kBeHotSpot);
   ForecastConfig base_config = BenchForecastConfig();
   EvaluationRunner runner(&forecaster, base_config);
@@ -49,9 +50,7 @@ bool RunObservedSweep(const BenchOptions& base) {
   ParameterGrid grid = ParameterGrid::Subsampled(18, {1, 2}, {3, 7});
   grid.models = {ModelKind::kRandom, ModelKind::kPersist,
                  ModelKind::kAverage, ModelKind::kRfRaw};
-  SweepOptions sweep_options;
-  sweep_options.context = &context;
-  std::vector<CellResult> cells = RunSweep(&runner, grid, sweep_options);
+  std::vector<CellResult> cells = RunSweep(&runner, grid, SweepOptions{});
   double wall = watch.ElapsedSeconds();
 
   obs::Snapshot snapshot = obs::TakeSnapshot(context);

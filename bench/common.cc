@@ -30,9 +30,8 @@ Study MakeStudy(const BenchOptions& options, double emerging_fraction,
   if (emerging_fraction >= 0.0) {
     config.events.emerging_fraction = emerging_fraction;
   }
-  StudyOptions study_options;
-  study_options.context = context;
-  return BuildStudy(StudyInput(config), study_options);
+  obs::PipelineContext::ScopedInstall install(context);
+  return BuildStudy(StudyInput(config), StudyOptions{});
 }
 
 ObsSession::ObsSession() {

@@ -120,7 +120,6 @@ Study RunPipeline(simnet::SyntheticNetwork network,
 }  // namespace
 
 Study BuildStudy(StudyInput input, const StudyOptions& options) {
-  obs::PipelineContext::ScopedInstall install(options.context);
   simnet::SyntheticNetwork network = std::move(input).TakeNetwork();
   return RunPipeline(std::move(network), options);
 }

@@ -15,10 +15,6 @@
 
 namespace hotspot {
 
-namespace obs {
-class PipelineContext;
-}  // namespace obs
-
 /// How missing values are handled before scoring (Sec. II-C; the
 /// autoencoder is the paper's method, the others are ablation baselines).
 enum class ImputationKind { kAutoencoder, kForwardFill, kFeatureMean, kNone };
@@ -31,11 +27,6 @@ struct StudyOptions {
   nn::ImputerConfig imputer;
   /// Overrides the hot threshold ε (NaN = use the score config default).
   double hot_threshold_override = std::nan("");
-  /// Optional observability context: BuildStudy installs it for the
-  /// duration of the call, so stage spans and pipeline metrics land in it
-  /// (see src/obs). Null = observability off (near-zero overhead); the
-  /// result is bitwise-identical either way. Must outlive the call.
-  obs::PipelineContext* context = nullptr;
 };
 
 /// Everything the paper's analyses and forecasts consume, derived from a

@@ -45,7 +45,6 @@ std::vector<CellResult> RunSweep(EvaluationRunner* runner,
                                  const ParameterGrid& grid,
                                  const SweepOptions& options) {
   HOTSPOT_CHECK(runner != nullptr);
-  obs::PipelineContext::ScopedInstall install(options.context);
   obs::PipelineContext* ctx = obs::PipelineContext::Current();
   HOTSPOT_SPAN("sweep/run");
   const auto start = std::chrono::steady_clock::now();

@@ -9,10 +9,6 @@
 
 namespace hotspot {
 
-namespace obs {
-class PipelineContext;
-}  // namespace obs
-
 /// The paper's evaluation grid (Table III).
 struct ParameterGrid {
   std::vector<ModelKind> models;
@@ -60,11 +56,6 @@ struct SweepOptions {
   /// Progress callback; null = silent. Use StderrSweepProgress() for the
   /// classic stderr lines.
   SweepProgressFn progress;
-  /// Optional observability context, installed for the duration of the
-  /// sweep: cells/ETA gauges, per-cell latency histograms and trace spans
-  /// land in it (see src/obs). Null = observability off; results are
-  /// bitwise-identical either way. Must outlive the call.
-  obs::PipelineContext* context = nullptr;
 };
 
 /// Runs every (model, t, h, w) cell of `grid` through `runner` and returns

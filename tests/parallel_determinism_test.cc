@@ -212,9 +212,8 @@ std::vector<CellResult> RunSmallSweep(const Study& study,
   grid.t_values = {50, 52};
   grid.h_values = {1, 2};
   grid.w_values = {3};
-  SweepOptions options;
-  options.context = context;
-  return RunSweep(&runner, grid, options);
+  obs::PipelineContext::ScopedInstall install(context);
+  return RunSweep(&runner, grid, SweepOptions{});
 }
 
 void ExpectSameCells(const std::vector<CellResult>& cells,
