@@ -584,29 +584,30 @@ Gbdt::Tree Gbdt::BuildTree(const BinTiles& bins, const HistogramLayout& layout,
                                                           : 0);
     std::vector<FeatureSplit> derived_candidates(
         derived != nullptr ? features.size() : 0);
-    // Tiny leaves stay serial: same result, less scheduling overhead.
-    const int threads = num_rows * num_candidates < 4096 ? 1 : 0;
-    util::ParallelFor(
-        0, static_cast<int64_t>(plans.size()),
-        [&](int64_t pi) {
-          const TilePlan& plan = plans[static_cast<size_t>(pi)];
-          BuildHistograms(bins, layout, plan.features, built.rows,
-                          ordered.data(), built.hist);
-          if (derived != nullptr) {
-            SubtractHistograms(layout, plan.features, built.hist,
-                               derived->hist);
-          }
-          for (size_t k = 0; k < plan.features.size(); ++k) {
-            const size_t slot = static_cast<size_t>(plan.slots[k]);
-            if (scan_built) {
-              built_candidates[slot] = scan(built, plan.features[k]);
-            }
-            if (derived != nullptr) {
-              derived_candidates[slot] = scan(*derived, plan.features[k]);
-            }
-          }
-        },
-        threads);
+    const auto run_plan = [&](int64_t pi) {
+      const TilePlan& plan = plans[static_cast<size_t>(pi)];
+      BuildHistograms(bins, layout, plan.features, built.rows,
+                      ordered.data(), built.hist);
+      if (derived != nullptr) {
+        SubtractHistograms(layout, plan.features, built.hist, derived->hist);
+      }
+      for (size_t k = 0; k < plan.features.size(); ++k) {
+        const size_t slot = static_cast<size_t>(plan.slots[k]);
+        if (scan_built) {
+          built_candidates[slot] = scan(built, plan.features[k]);
+        }
+        if (derived != nullptr) {
+          derived_candidates[slot] = scan(*derived, plan.features[k]);
+        }
+      }
+    };
+    const int64_t num_plans = static_cast<int64_t>(plans.size());
+    if (num_rows * num_candidates < 4096) {
+      // Tiny leaves stay serial: same result, less scheduling overhead.
+      for (int64_t pi = 0; pi < num_plans; ++pi) run_plan(pi);
+    } else {
+      util::ParallelFor(0, num_plans, run_plan);
+    }
     if (scan_built) {
       settle(built, built_candidates);
     } else {

@@ -118,11 +118,10 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ParallelFor(int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body, int num_threads) {
+                 const std::function<void(int64_t)>& body) {
   if (end <= begin) return;
   int64_t count = end - begin;
-  int threads = num_threads > 0 ? std::min(num_threads, kMaxThreads)
-                                : NumThreads();
+  int threads = NumThreads();
   if (count < threads) threads = static_cast<int>(count);
 
   // Serial path: exact inline execution, no pool, natural exception flow.

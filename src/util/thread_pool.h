@@ -60,8 +60,8 @@ class ThreadPool {
 bool InParallelRegion();
 
 /// Runs body(i) for every i in [begin, end), distributing contiguous
-/// chunks over `num_threads` threads (0 = NumThreads()). The caller
-/// participates, so progress never depends on pool availability.
+/// chunks over NumThreads() threads. The caller participates, so progress
+/// never depends on pool availability.
 ///
 /// Determinism contract: the body must write only to state owned by index
 /// i (rows, slots, tree t, ...). Under that contract the result is
@@ -74,21 +74,18 @@ bool InParallelRegion();
 /// winner) is rethrown on the calling thread exactly once after all
 /// workers have drained; remaining chunks are abandoned.
 void ParallelFor(int64_t begin, int64_t end,
-                 const std::function<void(int64_t)>& body,
-                 int num_threads = 0);
+                 const std::function<void(int64_t)>& body);
 
 /// Ordered parallel map: returns {fn(begin), ..., fn(end-1)} with results
 /// in index order regardless of execution order. T must be default
 /// constructible and movable. Combine the returned vector serially to get
 /// a deterministic reduction.
 template <typename T, typename Fn>
-std::vector<T> ParallelMap(int64_t begin, int64_t end, Fn&& fn,
-                           int num_threads = 0) {
+std::vector<T> ParallelMap(int64_t begin, int64_t end, Fn&& fn) {
   std::vector<T> results(static_cast<size_t>(end > begin ? end - begin : 0));
-  ParallelFor(
-      begin, end,
-      [&](int64_t i) { results[static_cast<size_t>(i - begin)] = fn(i); },
-      num_threads);
+  ParallelFor(begin, end, [&](int64_t i) {
+    results[static_cast<size_t>(i - begin)] = fn(i);
+  });
   return results;
 }
 

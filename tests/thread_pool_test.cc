@@ -52,46 +52,47 @@ TEST(NumThreads, InvalidValuesFallBackToHardware) {
 }
 
 TEST(ParallelFor, EmptyRangeNeverCallsBody) {
+  ScopedNumThreads env("8");
   std::atomic<int> calls{0};
-  ParallelFor(5, 5, [&](int64_t) { ++calls; }, 8);
-  ParallelFor(7, 3, [&](int64_t) { ++calls; }, 8);
+  ParallelFor(5, 5, [&](int64_t) { ++calls; });
+  ParallelFor(7, 3, [&](int64_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
+  ScopedNumThreads env("8");
   constexpr int kCount = 10000;
   std::vector<int> hits(kCount, 0);
   // Each index only writes its own slot, per the determinism contract.
-  ParallelFor(0, kCount, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; },
-              8);
+  ParallelFor(0, kCount, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; });
   for (int i = 0; i < kCount; ++i) {
     ASSERT_EQ(hits[static_cast<size_t>(i)], 1) << "index " << i;
   }
 }
 
 TEST(ParallelFor, RangeSmallerThanThreadCount) {
+  ScopedNumThreads env("8");
   std::vector<int> hits(3, 0);
-  ParallelFor(0, 3, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; }, 8);
+  ParallelFor(0, 3, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
 }
 
 TEST(ParallelFor, NonZeroBegin) {
+  ScopedNumThreads env("4");
   std::vector<int> hits(10, 0);
-  ParallelFor(4, 10, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; }, 4);
+  ParallelFor(4, 10, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; });
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(hits[static_cast<size_t>(i)], i >= 4 ? 1 : 0);
   }
 }
 
 TEST(ParallelFor, WorkerExceptionSurfacesToCallerExactlyOnce) {
+  ScopedNumThreads env("8");
   int caught = 0;
   try {
-    ParallelFor(
-        0, 10000,
-        [&](int64_t i) {
-          if (i == 4321) throw std::runtime_error("boom");
-        },
-        8);
+    ParallelFor(0, 10000, [&](int64_t i) {
+      if (i == 4321) throw std::runtime_error("boom");
+    });
   } catch (const std::runtime_error& error) {
     ++caught;
     EXPECT_STREQ(error.what(), "boom");
@@ -110,17 +111,15 @@ TEST(ParallelFor, SerialPathExceptionPropagates) {
 }
 
 TEST(ParallelFor, NestedParallelForDoesNotDeadlockAndCoversAll) {
+  ScopedNumThreads env("8");
   constexpr int kOuter = 8;
   constexpr int kInner = 8;
   std::atomic<int> total{0};
-  ParallelFor(
-      0, kOuter,
-      [&](int64_t) {
-        // Inside a parallel region nested constructs run serially.
-        EXPECT_TRUE(InParallelRegion());
-        ParallelFor(0, kInner, [&](int64_t) { ++total; }, 8);
-      },
-      8);
+  ParallelFor(0, kOuter, [&](int64_t) {
+    // Inside a parallel region nested constructs run serially.
+    EXPECT_TRUE(InParallelRegion());
+    ParallelFor(0, kInner, [&](int64_t) { ++total; });
+  });
   EXPECT_EQ(total.load(), kOuter * kInner);
 }
 
@@ -137,17 +136,17 @@ TEST(ParallelFor, EnvOneBypassesThePool) {
   EXPECT_EQ(calls, 64);
 }
 
-TEST(ParallelFor, ExplicitThreadCountOverridesEnv) {
-  ScopedNumThreads env("1");
-  // num_threads = 4 passed explicitly must still cover the range.
+TEST(ParallelFor, EnvThreadCountCoversTheRange) {
+  ScopedNumThreads env("4");
   std::vector<int> hits(100, 0);
-  ParallelFor(0, 100, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; }, 4);
+  ParallelFor(0, 100, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; });
   for (int hit : hits) ASSERT_EQ(hit, 1);
 }
 
 TEST(ParallelMap, ReturnsResultsInIndexOrder) {
-  std::vector<int64_t> squares = ParallelMap<int64_t>(
-      0, 1000, [](int64_t i) { return i * i; }, 8);
+  ScopedNumThreads env("8");
+  std::vector<int64_t> squares =
+      ParallelMap<int64_t>(0, 1000, [](int64_t i) { return i * i; });
   ASSERT_EQ(squares.size(), 1000u);
   for (int64_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(squares[static_cast<size_t>(i)], i * i);
@@ -155,8 +154,8 @@ TEST(ParallelMap, ReturnsResultsInIndexOrder) {
 }
 
 TEST(ParallelMap, EmptyRange) {
-  std::vector<int> none =
-      ParallelMap<int>(3, 3, [](int64_t) { return 1; }, 8);
+  ScopedNumThreads env("8");
+  std::vector<int> none = ParallelMap<int>(3, 3, [](int64_t) { return 1; });
   EXPECT_TRUE(none.empty());
 }
 
