@@ -5,34 +5,12 @@
 #include <limits>
 
 #include "obs/pipeline_context.h"
+#include "obs/snapshot.h"
 #include "util/logging.h"
 
 namespace hotspot::monitor {
 
 namespace {
-
-/// Linear-interpolated quantile estimate over histogram buckets (bucket b
-/// spans (bounds[b-1], bounds[b]]; the overflow bucket has no upper edge,
-/// so its estimate saturates at the last finite bound).
-double BucketQuantile(const std::vector<double>& bounds,
-                      const std::vector<uint64_t>& buckets, uint64_t count,
-                      double q) {
-  if (count == 0) return 0.0;
-  double target = q * static_cast<double>(count);
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    uint64_t next = cumulative + buckets[b];
-    if (static_cast<double>(next) >= target && buckets[b] > 0) {
-      if (b >= bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
-      double lo = b == 0 ? 0.0 : bounds[b - 1];
-      double hi = bounds[b];
-      double inside = target - static_cast<double>(cumulative);
-      return lo + (hi - lo) * inside / static_cast<double>(buckets[b]);
-    }
-    cumulative = next;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
 
 /// Fraction of observations at or below `slo_seconds`, interpolating
 /// inside the bucket the SLO edge falls into.
@@ -195,16 +173,18 @@ HealthReport ServingMonitor::Report() const {
     }
   }
 
-  std::vector<uint64_t> buckets = latency_.BucketCounts();
-  report.latency.count = latency_.Count();
-  report.latency.sum_seconds = latency_.Sum();
-  report.latency.p50_seconds =
-      BucketQuantile(latency_.bounds(), buckets, report.latency.count, 0.5);
-  report.latency.p99_seconds =
-      BucketQuantile(latency_.bounds(), buckets, report.latency.count, 0.99);
+  obs::Snapshot::HistogramSample latency;
+  latency.bounds = latency_.bounds();
+  latency.buckets = latency_.BucketCounts();
+  latency.count = latency_.Count();
+  latency.sum = latency_.Sum();
+  report.latency.count = latency.count;
+  report.latency.sum_seconds = latency.sum;
+  report.latency.p50_seconds = obs::HistogramQuantile(latency, 0.5);
+  report.latency.p99_seconds = obs::HistogramQuantile(latency, 0.99);
   report.latency.slo_seconds = config_.latency.slo_seconds;
   report.latency.in_slo_fraction =
-      InSloFraction(latency_.bounds(), buckets, report.latency.count,
+      InSloFraction(latency.bounds, latency.buckets, latency.count,
                     config_.latency.slo_seconds);
   if (report.latency.count > 0) {
     if (report.latency.in_slo_fraction < config_.latency.drift_fraction) {
