@@ -135,13 +135,14 @@ struct AdaptReport {
 /// ForecastService::Health() for the policy trigger, retrains a
 /// challenger on the newest days of the serving engine's own history
 /// (warm start: Forecaster::TrainBundle's exact seed-stream discipline
-/// over the cut slice, the champion's score config carried over), scores live traffic with the challenger in shadow via
-/// the ServingPipeline predict tee (shadow results never leave the
-/// process), compares on matured labels with bootstrap CIs, promotes
-/// winners through the service's RCU PromoteBundle path — and rolls back
-/// to the archived champion if the promotion regresses within a guard
-/// window (the archive keeps shadow-scoring after the swap, so the
-/// regression check runs on live matured labels too).
+/// over the cut slice, the champion's score config carried over), scores
+/// live traffic with the challenger in shadow via the ServingPipeline
+/// predict tee (shadow results never leave the process), compares on
+/// matured labels with bootstrap CIs, promotes winners through the
+/// service's RCU PromoteBundle path — and rolls back to the archived
+/// champion if the promotion regresses within a guard window (the
+/// archive keeps shadow-scoring after the swap, so the regression check
+/// runs on live matured labels too).
 ///
 /// Wiring: construct the controller, call AttachTaps() on the pipeline
 /// Options BEFORE constructing the pipeline, and destroy the pipeline
