@@ -1,7 +1,8 @@
 // Regenerates the golden fixtures under tests/data/: a tiny fixed-seed
 // GBDT ForecastBundle plus the hex-float predictions it must produce on the
-// golden study, the CRC-64 digests of the golden GBDT fit shapes, and
-// those of the golden network shapes' networks and studies. Run after any
+// golden study, the CRC-64 digests of the golden GBDT, Tree and
+// RandomForest fit shapes, and those of the golden network shapes'
+// networks and studies. Run after any
 // intentional change to the binary format, to the training pipeline's
 // numerics or to the generator's, then commit the refreshed files:
 //
@@ -57,6 +58,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", fits_path.c_str());
+
+  std::string tree_fits_path = dir + "/" + testing::kGoldenTreeFitsFile;
+  std::ofstream tree_fits(tree_fits_path);
+  for (const testing::TreeFitShape& shape : testing::GoldenTreeFitShapes()) {
+    tree_fits << testing::TreeFitDigestLine(shape) << "\n";
+  }
+  tree_fits.flush();
+  if (!tree_fits) {
+    std::fprintf(stderr, "cannot write %s\n", tree_fits_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", tree_fits_path.c_str());
 
   std::string networks_path = dir + "/" + testing::kGoldenNetworksFile;
   std::ofstream networks(networks_path);

@@ -11,7 +11,8 @@
 /// and 4-valued columns; planted exact copies and near-copy twins) fitted
 /// under varied bins, subsampling and depth.
 /// Each fit is pinned by two CRC-64 digests, so any change to the trained
-/// bits shows up without checking in the models themselves.
+/// bits shows up without checking in the models themselves. The golden
+/// Tree and RandomForest fit shapes are pinned the same way.
 ///
 /// Last, it defines the golden network shapes: generator configs whose
 /// synthetic network and built study are pinned the same way, so the
@@ -28,11 +29,14 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/forecaster.h"
 #include "core/study.h"
+#include "ml/decision_tree.h"
 #include "ml/gbdt.h"
+#include "ml/random_forest.h"
 #include "serialize/binary_format.h"
 #include "serialize/bundle.h"
 #include "serialize/model_io.h"
@@ -44,6 +48,7 @@ namespace hotspot::testing {
 inline constexpr char kGoldenBundleFile[] = "golden_bundle.hsb";
 inline constexpr char kGoldenPredictionsFile[] = "golden_predictions.txt";
 inline constexpr char kGoldenGbdtFitsFile[] = "golden_gbdt_fits.txt";
+inline constexpr char kGoldenTreeFitsFile[] = "golden_tree_fits.txt";
 inline constexpr char kGoldenNetworksFile[] = "golden_networks.txt";
 
 inline simnet::GeneratorConfig GoldenNetworkConfig() {
@@ -142,7 +147,7 @@ struct GbdtFitShape {
 /// a constant (never-splittable) column, a copy of a copy, and twins.
 inline std::vector<PlantedColumn> PlantedCopies(int features) {
   using Kind = PlantedColumn::Kind;
-  const int half = features / 2;  // label columns, see MakeGbdtFitData
+  const int half = features / 2;  // label columns, see MakeFitData
   const int last = features - 1;
   return {
       {20, 0},                          // Gaussian, same tile
@@ -192,15 +197,14 @@ inline std::vector<GbdtFitShape> GoldenGbdtFitShapes() {
   };
 }
 
-/// The shape's dataset. Column kinds cycle with the feature index:
+/// An n x d hostile dataset. Column kinds cycle with the feature index:
 /// Gaussian, Gaussian with 20% NaN, uniform with 5% -Inf and 5% +Inf,
 /// constant, 4-valued, signed zeros among Gaussians, integers 0..40 and
-/// {-Inf, +Inf, NaN} only. The shape's planted columns then overwrite
-/// theirs. Labels follow a noisy logit of columns spread over the whole
-/// width; weights are uneven.
-inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
-  const int n = shape.rows;
-  const int d = shape.features;
+/// {-Inf, +Inf, NaN} only. The planted columns then overwrite theirs.
+/// Labels follow a noisy logit of columns spread over the whole width;
+/// weights are uneven.
+inline ml::Dataset MakeFitData(int n, int d,
+                               const std::vector<PlantedColumn>& planted) {
   const float inf = std::numeric_limits<float>::infinity();
   Rng rng(static_cast<uint64_t>(n) * 7919u + static_cast<uint64_t>(d));
   ml::Dataset data;
@@ -246,17 +250,17 @@ inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
       data.features(i, f) = value;
     }
   }
-  for (const PlantedColumn& planted : shape.planted) {
+  for (const PlantedColumn& column : planted) {
     for (int i = 0; i < n; ++i) {
-      float value = data.features(i, planted.source);
-      if (planted.kind == PlantedColumn::Kind::kSignedZeroTwin &&
+      float value = data.features(i, column.source);
+      if (column.kind == PlantedColumn::Kind::kSignedZeroTwin &&
           value == 0.0f) {
         value = -value;
-      } else if (planted.kind == PlantedColumn::Kind::kNanPayloadTwin &&
+      } else if (column.kind == PlantedColumn::Kind::kNanPayloadTwin &&
                  std::isnan(value)) {
         value = std::bit_cast<float>(std::bit_cast<uint32_t>(value) ^ 1u);
       }
-      data.features(i, planted.column) = value;
+      data.features(i, column.column) = value;
     }
   }
   auto term = [&](int i, int f) {
@@ -277,6 +281,24 @@ inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
   return data;
 }
 
+/// The GBDT shape's dataset.
+inline ml::Dataset MakeGbdtFitData(const GbdtFitShape& shape) {
+  return MakeFitData(shape.rows, shape.features, shape.planted);
+}
+
+/// "<name> <crc64 of first's bytes> <crc64 of second's bytes>", the line
+/// format of every golden digest file.
+inline std::string DigestLine(const char* name,
+                              const serialize::ByteWriter& first,
+                              const serialize::ByteWriter& second) {
+  char line[160];
+  std::snprintf(
+      line, sizeof(line), "%s %016" PRIx64 " %016" PRIx64, name,
+      serialize::Crc64(first.bytes().data(), first.bytes().size()),
+      serialize::Crc64(second.bytes().data(), second.bytes().size()));
+  return line;
+}
+
 /// "<name> <crc64 of the EncodeGbdt bytes> <crc64 of training_loss()>".
 inline std::string GbdtFitDigestLine(const GbdtFitShape& shape) {
   ml::Gbdt model(shape.config);
@@ -285,14 +307,85 @@ inline std::string GbdtFitDigestLine(const GbdtFitShape& shape) {
   serialize::ModelAccess::EncodeGbdt(model, &model_bytes);
   serialize::ByteWriter loss_bytes;
   loss_bytes.WriteF64Vector(model.training_loss());
-  char line[160];
-  std::snprintf(line, sizeof(line), "%s %016" PRIx64 " %016" PRIx64,
-                shape.name,
-                serialize::Crc64(model_bytes.bytes().data(),
-                                 model_bytes.bytes().size()),
-                serialize::Crc64(loss_bytes.bytes().data(),
-                                 loss_bytes.bytes().size()));
-  return line;
+  return DigestLine(shape.name, model_bytes, loss_bytes);
+}
+
+/// One golden Tree or RandomForest fit: an n x d dataset of MakeFitData's
+/// column kinds and the model's config.
+struct TreeFitShape {
+  const char* name;
+  int rows;
+  int features;
+  std::variant<ml::TreeConfig, ml::ForestConfig> config;
+  std::vector<PlantedColumn> planted = {};
+};
+
+/// Trees with the paper's 80% of the features per split and with √d, at
+/// d = 1 and with exact copies and ±0 / NaN-payload twins (which tie on
+/// gain with their source); forests with and without the bootstrap. Every
+/// dataset holds ties (4-valued and integer columns), NaN, ±Inf, ±0 and
+/// constant columns.
+inline std::vector<TreeFitShape> GoldenTreeFitShapes() {
+  auto tree = [](double min_weight_fraction, int max_depth, bool sqrt) {
+    ml::TreeConfig c;
+    c.max_features_sqrt = sqrt;
+    c.min_weight_fraction = min_weight_fraction;
+    c.max_depth = max_depth;
+    c.seed = 31;
+    return c;
+  };
+  auto forest = [](int trees, double min_weight_fraction, int max_depth,
+                   bool bootstrap) {
+    ml::ForestConfig c;
+    c.num_trees = trees;
+    c.min_weight_fraction = min_weight_fraction;
+    c.max_depth = max_depth;
+    c.bootstrap = bootstrap;
+    c.seed = 37;
+    return c;
+  };
+  using Kind = PlantedColumn::Kind;
+  return {
+      {"tree_d1", 300, 1, tree(0.02, 0, false)},
+      {"tree_d24_ff08", 500, 24, tree(0.005, 0, false)},
+      {"tree_d40_sqrt_depth6", 600, 40, tree(0.002, 6, true)},
+      {"tree_d16_twins", 400, 16, tree(0.002, 0, false),
+       {{12, 4}, {13, 5, Kind::kSignedZeroTwin},
+        {14, 1, Kind::kNanPayloadTwin}}},
+      {"forest_d1_boot", 300, 1, forest(6, 0.002, 0, true)},
+      {"forest_d24_boot", 500, 24, forest(8, 0.0005, 0, true)},
+      {"forest_d24_noboot", 500, 24, forest(8, 0.0005, 0, false)},
+      {"forest_d40_noboot_depth8", 400, 40, forest(6, 0.0002, 8, false)},
+  };
+}
+
+/// "<name> <crc64 of the EncodeTree or EncodeForest bytes> <crc64 of
+/// PredictProba over the training rows>".
+inline std::string TreeFitDigestLine(const TreeFitShape& shape) {
+  const ml::Dataset data =
+      MakeFitData(shape.rows, shape.features, shape.planted);
+  serialize::ByteWriter model_bytes;
+  std::unique_ptr<ml::BinaryClassifier> model;
+  if (const auto* config = std::get_if<ml::TreeConfig>(&shape.config)) {
+    auto tree = std::make_unique<ml::DecisionTree>(*config);
+    tree->Fit(data);
+    serialize::ModelAccess::EncodeTree(*tree, &model_bytes);
+    model = std::move(tree);
+  } else {
+    auto forest = std::make_unique<ml::RandomForest>(
+        std::get<ml::ForestConfig>(shape.config));
+    forest->Fit(data);
+    serialize::ModelAccess::EncodeForest(*forest, &model_bytes);
+    model = std::move(forest);
+  }
+  std::vector<double> scores(static_cast<size_t>(data.num_instances()));
+  for (int i = 0; i < data.num_instances(); ++i) {
+    scores[static_cast<size_t>(i)] =
+        model->PredictProba(data.features.Row(i));
+  }
+  serialize::ByteWriter score_bytes;
+  score_bytes.WriteF64Vector(scores);
+  return DigestLine(shape.name, model_bytes, score_bytes);
 }
 
 /// One golden network: a generator config whose network and study are
@@ -372,15 +465,7 @@ inline std::string NetworkDigestLine(const NetworkShape& shape) {
   WriteDigestMatrix(study.scores.weekly, &study_bytes);
   WriteDigestMatrix(study.daily_labels, &study_bytes);
   WriteDigestTensor(study.features.tensor(), &study_bytes);
-
-  char line[160];
-  std::snprintf(line, sizeof(line), "%s %016" PRIx64 " %016" PRIx64,
-                shape.name,
-                serialize::Crc64(network_bytes.bytes().data(),
-                                 network_bytes.bytes().size()),
-                serialize::Crc64(study_bytes.bytes().data(),
-                                 study_bytes.bytes().size()));
-  return line;
+  return DigestLine(shape.name, network_bytes, study_bytes);
 }
 
 }  // namespace hotspot::testing

@@ -643,6 +643,28 @@ TEST(SerializeGolden, GbdtFitsMatchCheckedInDigests) {
   });
 }
 
+TEST(SerializeGolden, TreeFitsMatchCheckedInDigests) {
+  // Every golden Tree and RandomForest fit shape must train to the same
+  // model bytes and training-row scores as the checked-in digests, at
+  // every thread count.
+  std::ifstream in(std::string(HOTSPOT_TEST_DATA_DIR) + "/" +
+                   testing::kGoldenTreeFitsFile);
+  ASSERT_TRUE(in) << "missing fixture; regenerate with make_serialize_golden";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) golden.push_back(line);
+  }
+  const std::vector<testing::TreeFitShape> shapes =
+      testing::GoldenTreeFitShapes();
+  ASSERT_EQ(golden.size(), shapes.size());
+  testing_util::ForEachThreadCount([&](const std::string& threads) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      EXPECT_EQ(testing::TreeFitDigestLine(shapes[s]), golden[s])
+          << threads << " threads";
+    }
+  });
+}
+
 TEST(SerializeGolden, NetworksMatchCheckedInDigests) {
   // Every golden network shape must generate the same network and build
   // the same study as the checked-in digests, at every thread count.
