@@ -114,7 +114,7 @@ Sample TimeFeatureExtraction(int sectors, int weeks, int kpis) {
       kpi_tensor, calendar, hourly, daily, weekly, labels, {});
   Sample sample;
   sample.seconds = watch.ElapsedSeconds();
-  const std::vector<float>& data = built.tensor().data();
+  const auto& data = built.tensor().data();
   for (size_t k = 0; k < data.size(); k += 101) {
     sample.checksum += data[k];
   }

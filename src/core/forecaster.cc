@@ -122,7 +122,7 @@ ml::Dataset Forecaster::BuildTrainingSet(
 
   HOTSPOT_SPAN("forecast/build_training_set");
   ml::Dataset data;
-  data.features = Matrix<float>(rows, dim);
+  data.features = Matrix<float>(rows, dim, kUninitialized);
   data.labels.resize(static_cast<size_t>(rows));
 
   for (int label_day : label_days) {
@@ -157,7 +157,7 @@ Matrix<float> Forecaster::BuildPredictionRows(
   const int channels = features_->num_channels();
   const int dim = extractor.OutputDim(config.w, channels);
   HOTSPOT_SPAN("forecast/build_prediction_rows");
-  Matrix<float> rows(n, dim);
+  Matrix<float> rows(n, dim, kUninitialized);
   // Parallel over sectors; sector i only fills row i.
   util::ParallelFor(0, n, [&](int64_t i64) {
     const int i = static_cast<int>(i64);

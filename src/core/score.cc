@@ -13,7 +13,7 @@ Matrix<float> ComputeHourlyScore(const Tensor3<float>& kpis,
   const int n = kpis.dim0();
   const int hours = kpis.dim1();
   const int l = kpis.dim2();
-  Matrix<float> score(n, hours);
+  Matrix<float> score(n, hours, kUninitialized);
   // Parallel over sectors; sector i only writes score row i.
   util::ParallelFor(0, n, [&](int64_t i64) {
     const int i = static_cast<int>(i64);

@@ -58,9 +58,9 @@ Tensor3<float> FilterSectors(const Tensor3<float>& kpis,
     if (keep[static_cast<size_t>(i)]) kept.push_back(i);
   }
   Tensor3<float> filtered(static_cast<int>(kept.size()), kpis.dim1(),
-                          kpis.dim2());
-  // Each sector's cells are one contiguous block; the blocks are copied
-  // on the pool.
+                          kpis.dim2(), kUninitialized);
+  // Each sector's cells are one contiguous block; every kept sector's
+  // block is copied, on the pool.
   const size_t block = static_cast<size_t>(kpis.dim1()) * kpis.dim2();
   const float* src = kpis.data().data();
   float* dst = filtered.data().data();
@@ -79,7 +79,7 @@ Matrix<float> FilterRows(const Matrix<float>& matrix,
   for (bool k : keep) {
     if (k) ++kept;
   }
-  Matrix<float> filtered(kept, matrix.cols());
+  Matrix<float> filtered(kept, matrix.cols(), kUninitialized);
   int row = 0;
   for (int i = 0; i < matrix.rows(); ++i) {
     if (!keep[static_cast<size_t>(i)]) continue;

@@ -96,7 +96,7 @@ FeatureTensor FeatureTensor::Build(
 
   FeatureTensor built;
   const int channels = l + 5 + 3 + 1;
-  built.tensor_ = Tensor3<float>(n, hours, channels);
+  built.tensor_ = Tensor3<float>(n, hours, channels, kUninitialized);
   BuildChannelMeta(l, kpi_names, &built.names_, &built.groups_);
 
   // Parallel over sectors; sector i only writes its own (i, :, :) slab.
@@ -113,6 +113,7 @@ FeatureTensor FeatureTensor::Build(
       dst[c++] = daily_scores.At(i, j / kHoursPerDay);
       dst[c++] = weekly_scores.At(i, j / kHoursPerWeek);
       dst[c++] = daily_labels.At(i, j / kHoursPerDay);
+      HOTSPOT_CHECK_EQ(c, channels);  // every cell of the slice written
     }
   });
   return built;

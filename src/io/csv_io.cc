@@ -322,7 +322,9 @@ IoStatus ReadKpiTensorCsv(const std::string& path, Tensor3<float>* kpis,
   // All validation passed — only now touch the outputs, so a failed load
   // never leaves a partially-filled tensor or name list behind.
   if (kpi_names != nullptr) *kpi_names = reader.kpi_names();
-  *kpis = Tensor3<float>(max_sector + 1, max_hour + 1, l);
+  // Ids are >= 0, no (sector, hour) repeats and the count is dense, so
+  // the loop writes every cell exactly once.
+  *kpis = Tensor3<float>(max_sector + 1, max_hour + 1, l, kUninitialized);
   for (const Cell& cell : cells) {
     float* slice = kpis->Slice(cell.sector, cell.hour);
     for (int k = 0; k < l; ++k) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ml/dataset.h"
+#include "tensor/storage.h"
 
 namespace hotspot::serialize {
 struct ModelAccess;
@@ -50,7 +51,14 @@ class BinTiles {
  public:
   static constexpr int kWidth = 32;
 
+  /// Every bin 0.
   BinTiles(int rows, int features)
+      : rows_(static_cast<size_t>(rows)),
+        features_(features),
+        bins_(rows_ * static_cast<size_t>(features), uint8_t{0}) {}
+
+  /// Every bin unwritten, for FeatureBinner::Fit to fill.
+  BinTiles(int rows, int features, Uninitialized)
       : rows_(static_cast<size_t>(rows)),
         features_(features),
         bins_(rows_ * static_cast<size_t>(features)) {}
@@ -77,7 +85,7 @@ class BinTiles {
  private:
   size_t rows_;
   int features_;
-  std::vector<uint8_t> bins_;
+  Storage<uint8_t> bins_;
 };
 
 /// Where each feature's bins lie in one leaf's gradient histograms. For

@@ -45,7 +45,8 @@ void RandomForest::Fit(const Dataset& data) {
       // materialize the resample (rather than weighting) so the per-node
       // sorted scans stay simple.
       Dataset sample;
-      sample.features = Matrix<float>(n, data.num_features());
+      sample.features =
+          Matrix<float>(n, data.num_features(), kUninitialized);
       sample.labels.resize(static_cast<size_t>(n));
       sample.weights.resize(static_cast<size_t>(n));
       for (int r = 0; r < n; ++r) {

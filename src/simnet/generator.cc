@@ -58,7 +58,8 @@ SyntheticNetwork GenerateNetwork(const GeneratorConfig& config) {
   const int n = network.topology.num_sectors();
   const int hours = network.calendar.hours();
   const int l = network.catalog.size();
-  network.kpis = Tensor3<float>(n, hours, l);
+  // Synthesis writes every (sector, hour, KPI) cell.
+  network.kpis = Tensor3<float>(n, hours, l, kUninitialized);
 
   // Chronic overload stresses equipment: apply each chronic sector's
   // persistent degradation floor before synthesizing KPIs.

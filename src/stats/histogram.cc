@@ -24,7 +24,7 @@ void Histogram::Add(double value) {
   ++total_;
 }
 
-void Histogram::AddAll(const std::vector<float>& values) {
+void Histogram::AddAll(std::span<const float> values) {
   for (float v : values) Add(v);
 }
 

@@ -1,6 +1,7 @@
 #ifndef HOTSPOT_STATS_HISTOGRAM_H_
 #define HOTSPOT_STATS_HISTOGRAM_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,7 @@ class Histogram {
   Histogram(double lo, double hi, int bins);
 
   void Add(double value);
-  void AddAll(const std::vector<float>& values);
+  void AddAll(std::span<const float> values);
 
   int bins() const { return static_cast<int>(counts_.size()); }
   long long count(int bin) const;

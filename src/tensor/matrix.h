@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "tensor/storage.h"
 #include "util/logging.h"
 
 namespace hotspot {
@@ -20,11 +21,12 @@ class Matrix {
 
   /// Creates a rows x cols matrix filled with `fill`.
   Matrix(int rows, int cols, T fill = T{})
-      : rows_(rows), cols_(cols),
-        data_(static_cast<size_t>(rows) * static_cast<size_t>(cols), fill) {
-    HOTSPOT_CHECK_GE(rows, 0);
-    HOTSPOT_CHECK_GE(cols, 0);
-  }
+      : rows_(rows), cols_(cols), data_(Cells(rows, cols), fill) {}
+
+  /// Creates a rows x cols matrix whose cells are unwritten, for a builder
+  /// whose loop writes every cell.
+  Matrix(int rows, int cols, Uninitialized)
+      : rows_(rows), cols_(cols), data_(Cells(rows, cols)) {}
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -71,17 +73,22 @@ class Matrix {
 
   void Fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
-  std::vector<T>& data() { return data_; }
-  const std::vector<T>& data() const { return data_; }
+  Storage<T>& data() { return data_; }
+  const Storage<T>& data() const { return data_; }
 
  private:
+  static size_t Cells(int rows, int cols) {
+    HOTSPOT_CHECK_GE(rows, 0);
+    HOTSPOT_CHECK_GE(cols, 0);
+    return static_cast<size_t>(rows) * static_cast<size_t>(cols);
+  }
   bool InBounds(int r, int c) const {
     return r >= 0 && r < rows_ && c >= 0 && c < cols_;
   }
 
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<T> data_;
+  Storage<T> data_;
 };
 
 /// True when `value` represents a missing observation (NaN).

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "tensor/matrix.h"
+#include "tensor/storage.h"
 #include "util/logging.h"
 
 namespace hotspot {
@@ -20,13 +21,13 @@ class Tensor3 {
 
   Tensor3(int dim0, int dim1, int dim2, T fill = T{})
       : dim0_(dim0), dim1_(dim1), dim2_(dim2),
-        data_(static_cast<size_t>(dim0) * static_cast<size_t>(dim1) *
-                  static_cast<size_t>(dim2),
-              fill) {
-    HOTSPOT_CHECK_GE(dim0, 0);
-    HOTSPOT_CHECK_GE(dim1, 0);
-    HOTSPOT_CHECK_GE(dim2, 0);
-  }
+        data_(Cells(dim0, dim1, dim2), fill) {}
+
+  /// A tensor whose cells are unwritten, for a builder whose loop writes
+  /// every cell.
+  Tensor3(int dim0, int dim1, int dim2, Uninitialized)
+      : dim0_(dim0), dim1_(dim1), dim2_(dim2),
+        data_(Cells(dim0, dim1, dim2)) {}
 
   int dim0() const { return dim0_; }
   int dim1() const { return dim1_; }
@@ -82,10 +83,17 @@ class Tensor3 {
 
   void Fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
-  std::vector<T>& data() { return data_; }
-  const std::vector<T>& data() const { return data_; }
+  Storage<T>& data() { return data_; }
+  const Storage<T>& data() const { return data_; }
 
  private:
+  static size_t Cells(int dim0, int dim1, int dim2) {
+    HOTSPOT_CHECK_GE(dim0, 0);
+    HOTSPOT_CHECK_GE(dim1, 0);
+    HOTSPOT_CHECK_GE(dim2, 0);
+    return static_cast<size_t>(dim0) * static_cast<size_t>(dim1) *
+           static_cast<size_t>(dim2);
+  }
   size_t Index(int i, int j, int k) const {
     return (static_cast<size_t>(i) * dim1_ + j) * dim2_ + k;
   }
@@ -96,7 +104,7 @@ class Tensor3 {
   int dim0_ = 0;
   int dim1_ = 0;
   int dim2_ = 0;
-  std::vector<T> data_;
+  Storage<T> data_;
 };
 
 }  // namespace hotspot

@@ -173,10 +173,14 @@ struct StudyOutputs {
 StudyOutputs BuildSmallStudy(const simnet::SyntheticNetwork& network) {
   Study study = BuildStudy(StudyInput(network), StudyOptions{});
   StudyOutputs outputs;
-  outputs.hourly_scores = study.scores.hourly.data();
-  outputs.daily_labels = study.daily_labels.data();
-  outputs.become_labels = study.become_labels.data();
-  outputs.features = study.features.tensor().data();
+  outputs.hourly_scores.assign(study.scores.hourly.data().begin(),
+                               study.scores.hourly.data().end());
+  outputs.daily_labels.assign(study.daily_labels.data().begin(),
+                              study.daily_labels.data().end());
+  outputs.become_labels.assign(study.become_labels.data().begin(),
+                               study.become_labels.data().end());
+  outputs.features.assign(study.features.tensor().data().begin(),
+                          study.features.tensor().data().end());
   return outputs;
 }
 

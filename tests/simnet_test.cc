@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace {
 
 /// Whether two arrays hold the same bits, which == does not check: it
 /// equates -0 with +0 and fails every NaN.
-bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+bool SameBits(std::span<const float> a, std::span<const float> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
