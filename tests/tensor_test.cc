@@ -1,12 +1,44 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "tensor/matrix.h"
+#include "tensor/storage.h"
 #include "tensor/temporal.h"
 #include "tensor/tensor3.h"
 
 namespace hotspot {
 namespace {
+
+/// Writes distinct bits into every cell: -0, NaNs with distinct payloads
+/// and ordinary values, which only a bitwise copy carries unchanged.
+void WriteDistinctBits(std::span<float> cells) {
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const uint32_t bits =
+        c == 0       ? 0x80000000u
+        : c % 2 == 1 ? 0x7fc00000u | static_cast<uint32_t>(c)
+                     : std::bit_cast<uint32_t>(static_cast<float>(c));
+    cells[c] = std::bit_cast<float>(bits);
+  }
+}
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Cells of `cells` whose bits are `value`'s.
+size_t CountBits(std::span<const float> cells, float value) {
+  return static_cast<size_t>(
+      std::count_if(cells.begin(), cells.end(), [&](float cell) {
+        return std::bit_cast<uint32_t>(cell) == std::bit_cast<uint32_t>(value);
+      }));
+}
 
 TEST(Matrix, ConstructionAndAccess) {
   Matrix<float> m(2, 3, 1.5f);
@@ -95,6 +127,76 @@ TEST(Tensor3, SectorSlab) {
   EXPECT_EQ(slab.cols(), 2);
   EXPECT_FLOAT_EQ(slab(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(slab(1, 1), 12.0f);
+}
+
+TEST(Tensor3, UnfilledConstructorsGiveTheShape) {
+  Tensor3<float> t(3, 5, 7, kUninitialized);
+  EXPECT_EQ(t.dim0(), 3);
+  EXPECT_EQ(t.dim1(), 5);
+  EXPECT_EQ(t.dim2(), 7);
+  EXPECT_EQ(t.size(), 105u);
+  EXPECT_EQ(t.data().size(), 105u);
+  EXPECT_EQ(t.Slice(2, 4) - t.Slice(0, 0), (2 * 5 + 4) * 7);
+  Matrix<float> m(4, 6, kUninitialized);
+  EXPECT_EQ(m.rows(), 4);
+  EXPECT_EQ(m.cols(), 6);
+  EXPECT_EQ(m.size(), 24u);
+  EXPECT_EQ(m.Row(3) - m.Row(0), 18);
+  EXPECT_EQ(Tensor3<float>(0, 5, 7, kUninitialized).size(), 0u);
+  EXPECT_EQ(Matrix<float>(4, 0, kUninitialized).size(), 0u);
+}
+
+TEST(Tensor3, CopyAndMoveOfUnfilledStorageCarryEveryCellBitwise) {
+  Tensor3<float> t(3, 4, 5, kUninitialized);
+  WriteDistinctBits(t.data());
+  Tensor3<float> copy = t;
+  EXPECT_TRUE(SameBits(copy.data(), t.data()));
+  Tensor3<float> assigned;
+  assigned = t;
+  EXPECT_TRUE(SameBits(assigned.data(), t.data()));
+  Tensor3<float> moved = std::move(copy);
+  EXPECT_EQ(moved.dim0(), 3);
+  EXPECT_EQ(moved.dim1(), 4);
+  EXPECT_EQ(moved.dim2(), 5);
+  EXPECT_TRUE(SameBits(moved.data(), t.data()));
+
+  Matrix<float> m(6, 7, kUninitialized);
+  WriteDistinctBits(m.data());
+  Matrix<float> m_copy = m;
+  EXPECT_TRUE(SameBits(m_copy.data(), m.data()));
+  Matrix<float> m_moved;
+  m_moved = std::move(m_copy);
+  EXPECT_EQ(m_moved.rows(), 6);
+  EXPECT_EQ(m_moved.cols(), 7);
+  EXPECT_TRUE(SameBits(m_moved.data(), m.data()));
+}
+
+TEST(Tensor3, ValueConstructorsStillFill) {
+  // Unfilled blocks of the same sizes, written and freed first, leave
+  // nonzero bits for the allocator to hand back.
+  {
+    Tensor3<float> t(3, 4, 5, kUninitialized);
+    WriteDistinctBits(t.data());
+    Matrix<float> m(6, 7, kUninitialized);
+    WriteDistinctBits(m.data());
+  }
+  Tensor3<float> zeros(3, 4, 5);
+  EXPECT_EQ(CountBits(zeros.data(), 0.0f), zeros.size());
+  Tensor3<float> filled(3, 4, 5, 2.5f);
+  EXPECT_EQ(CountBits(filled.data(), 2.5f), filled.size());
+  Matrix<float> m_zeros(6, 7);
+  EXPECT_EQ(CountBits(m_zeros.data(), 0.0f), m_zeros.size());
+  Matrix<float> m_filled(6, 7, -0.0f);
+  EXPECT_EQ(CountBits(m_filled.data(), -0.0f), m_filled.size());
+}
+
+TEST(Tensor3, FillSetsEveryCellOfUnfilledStorage) {
+  Tensor3<float> t(3, 4, 5, kUninitialized);
+  t.Fill(-1.25f);
+  EXPECT_EQ(CountBits(t.data(), -1.25f), t.size());
+  Matrix<float> m(6, 7, kUninitialized);
+  m.Fill(0.0f);
+  EXPECT_EQ(CountBits(m.data(), 0.0f), m.size());
 }
 
 TEST(Temporal, IntegrationHoursConstants) {
