@@ -751,7 +751,7 @@ void Gbdt::Fit(const Dataset& data) {
   const double scale = FixedPointScale(weight_sum);
   const double inv_scale = 1.0 / scale;
 
-  BinTiles bins(n, num_features_, kUninitialized);
+  BinTiles bins(n, num_features_);
   std::vector<int> representatives;
   std::vector<int> num_bins;
   {

@@ -51,14 +51,8 @@ class BinTiles {
  public:
   static constexpr int kWidth = 32;
 
-  /// Every bin 0.
-  BinTiles(int rows, int features)
-      : rows_(static_cast<size_t>(rows)),
-        features_(features),
-        bins_(rows_ * static_cast<size_t>(features), uint8_t{0}) {}
-
   /// Every bin unwritten, for FeatureBinner::Fit to fill.
-  BinTiles(int rows, int features, Uninitialized)
+  BinTiles(int rows, int features)
       : rows_(static_cast<size_t>(rows)),
         features_(features),
         bins_(rows_ * static_cast<size_t>(features)) {}
