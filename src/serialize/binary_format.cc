@@ -75,7 +75,7 @@ void ByteWriter::WriteString(const std::string& value) {
   bytes_.insert(bytes_.end(), value.begin(), value.end());
 }
 
-void ByteWriter::WriteF32Vector(const std::vector<float>& values) {
+void ByteWriter::WriteF32Vector(std::span<const float> values) {
   WriteU64(values.size());
   for (float v : values) WriteF32(v);
 }

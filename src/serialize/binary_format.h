@@ -2,6 +2,7 @@
 #define HOTSPOT_SERIALIZE_BINARY_FORMAT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,7 @@ class ByteWriter {
     bytes_.insert(bytes_.end(), data, data + size);
   }
 
-  void WriteF32Vector(const std::vector<float>& values);
+  void WriteF32Vector(std::span<const float> values);
   void WriteF64Vector(const std::vector<double>& values);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }

@@ -430,16 +430,14 @@ inline void WriteDigestTensor(const Tensor3<float>& tensor,
   out->WriteI32(tensor.dim0());
   out->WriteI32(tensor.dim1());
   out->WriteI32(tensor.dim2());
-  out->WriteF32Vector(
-      std::vector<float>(tensor.data().begin(), tensor.data().end()));
+  out->WriteF32Vector(tensor.data());
 }
 
 inline void WriteDigestMatrix(const Matrix<float>& matrix,
                               serialize::ByteWriter* out) {
   out->WriteI32(matrix.rows());
   out->WriteI32(matrix.cols());
-  out->WriteF32Vector(
-      std::vector<float>(matrix.data().begin(), matrix.data().end()));
+  out->WriteF32Vector(matrix.data());
 }
 
 /// "<name> <crc64 of the network> <crc64 of the study>". The network

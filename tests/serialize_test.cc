@@ -1025,7 +1025,9 @@ std::vector<uint8_t> GbdtBytes(int features, int trees,
   w.WriteI32(features);
   w.WriteF64(0.0);  // base_score
   w.WriteU64(static_cast<uint64_t>(features));
-  for (int f = 0; f < features; ++f) w.WriteF32Vector({0.5f});
+  for (int f = 0; f < features; ++f) {
+    w.WriteF32Vector(std::vector<float>{0.5f});
+  }
   w.WriteU64(static_cast<uint64_t>(trees));
   for (int t = 0; t < trees; ++t) {
     w.WriteU64(declared_nodes != ~uint64_t{0} ? declared_nodes
