@@ -154,6 +154,17 @@ TEST(Tensor3, CopyAndMoveOfUnfilledStorageCarryEveryCellBitwise) {
   Tensor3<float> assigned;
   assigned = t;
   EXPECT_TRUE(SameBits(assigned.data(), t.data()));
+  // Over a larger tensor (the cells fit its buffer) and a smaller one (they
+  // need a new buffer), and onto itself.
+  Tensor3<float> larger(4, 5, 6, 7.0f);
+  larger = t;
+  EXPECT_TRUE(SameBits(larger.data(), t.data()));
+  Tensor3<float> smaller(1, 1, 2, 7.0f);
+  smaller = t;
+  EXPECT_TRUE(SameBits(smaller.data(), t.data()));
+  const Tensor3<float>& same = assigned;
+  assigned = same;
+  EXPECT_TRUE(SameBits(assigned.data(), t.data()));
   Tensor3<float> moved = std::move(copy);
   EXPECT_EQ(moved.dim0(), 3);
   EXPECT_EQ(moved.dim1(), 4);
